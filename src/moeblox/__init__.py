@@ -58,12 +58,10 @@ from .numerics import (
     congruent_mod,
 )
 from .pencils import (
-    HyperbolicMember,
     Pencil,
     PencilKind,
     classify_pencil,
-    hyperbolic_member_through,
-    member,
+    member_through,
     orthogonal_cycle_through,
     zero_radius_members,
 )

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .cycles import ExtendedPoint
-from .errors import MoebloxError, PointNotOnBoth
+from .errors import MoebloxError
 from .loxodrome import (
     SlsKind,
     contains_point,
@@ -286,9 +286,6 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tolerances(args)
         return _HANDLERS[args.command](args, tol)
-    except PointNotOnBoth as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MoebloxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -238,11 +238,6 @@ class MoebiusMap:
         # adjugate: projectively equal to the true inverse
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def conjugate_entries(self) -> "MoebiusMap":
-        return MoebiusMap(
-            self.a.conjugate(), self.b.conjugate(), self.c.conjugate(), self.d.conjugate()
-        )
-
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product; (M2 @ M1) acts as M2 after M1."""
         return MoebiusMap(

@@ -53,10 +53,6 @@ class SingularMap(MoebloxError):
 
 # pencils --------------------------------------------------------------------
 
-class ZeroCoefficients(MoebloxError):
-    """Both span coefficients vanish."""
-
-
 class NotHyperbolic(MoebloxError):
     """Operation requires a hyperbolic (disjoint) pencil."""
 
@@ -66,7 +62,7 @@ class RankDeficient(MoebloxError):
 
 
 class OnRadicalLocus(MoebloxError):
-    """Denominator of the pencil-member formula vanishes at this point."""
+    """The point is incident with both cycles spanning the pencil."""
 
 
 # loxodromes -----------------------------------------------------------------

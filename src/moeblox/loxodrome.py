@@ -29,6 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .cycles import (
     canonicalize,
     center_radius,
     classify,
-    combine,
     from_line,
     intersect,
     is_orthogonal,
@@ -64,7 +64,6 @@ from .errors import (
     NotDisjoint,
     NotFinite,
     NotOrthogonal,
-    OnRadicalLocus,
     PointNotOnBoth,
     PointNotOnCurve,
     RankDeficient,
@@ -78,7 +77,12 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
 )
-from .pencils import Pencil, orthogonal_cycle_through, zero_radius_members
+from .pencils import (
+    Pencil,
+    member_through,
+    orthogonal_cycle_through,
+    zero_radius_members,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,7 +225,7 @@ class LoxodromeTriple:
                 Cycle.from_json(data["c1"]),
                 Cycle.from_json(data["c2"]),
                 Cycle.from_json(data["c3"]),
-                int(data.get("sign", 1)),
+                data.get("sign", 1),
             )
         except KeyError as exc:
             raise InvalidInput(f"triple JSON missing field {exc}") from exc
@@ -326,22 +330,127 @@ def validate_triple(
     return LoxodromeTriple(c1, c2, c3, sign)
 
 
+# ---------------------------------------------------------------------------
+# the prepared form
+# ---------------------------------------------------------------------------
+
+class CurveKind(Enum):
+    """What the spanning pair (c2, c3) makes of the curve."""
+
+    SPIRAL = "spiral"  # disjoint pair: finite nonzero parameter
+    CIRCLE = "circle"  # coincident pair: zero parameter, the curve is c2
+    LINE = "line"  # point c3: infinite parameter, the curve is an arc of c1
+
+
+class Loxodrome:
+    """A triple prepared once for every query of one call.
+
+    ``kind`` is read off the cycles at construction.  The spiral
+    parameter, the two limit points and the normalising map are derived
+    on first use, each at most once, so a query pays only for what it
+    reads.  Every public function of this module builds one from its
+    triple and hands it to its helpers.
+    """
+
+    def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
+        self.triple = triple
+        self.tol = tol
+        if projectively_equal(triple.c2, triple.c3, tol):
+            self.kind = CurveKind.CIRCLE
+        elif classify(triple.c3, tol) == CycleKind.POINT:
+            self.kind = CurveKind.LINE
+        else:
+            self.kind = CurveKind.SPIRAL
+
+    @classmethod
+    def from_triple(
+        cls, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
+    ) -> "Loxodrome":
+        return cls(T, tol)
+
+    def to_triple(self, tol: Tolerances = DEFAULT_TOLERANCES) -> LoxodromeTriple:
+        return apply_map(self.map.inverse(), standard_triple(self.param), tol)
+
+    @cached_property
+    def param(self) -> SlsParameter:
+        """acosh of the normalised product of the spanning pair, signed by
+        the triple's chirality.
+
+        The absolute value of the product is taken first: the canonical
+        representatives of a disjoint pair may pair negatively.
+        """
+        if self.kind == CurveKind.CIRCLE:
+            return SlsParameter.finite(0.0)
+        if self.kind == CurveKind.LINE:
+            return SlsParameter.infinite()
+        T = self.triple
+        x = abs(normalized_product(T.c2, T.c3, self.tol))
+        return SlsParameter.finite(T.sign * clamped_acosh(x, self.tol))
+
+    @cached_property
+    def shape(self) -> CurveKind:
+        """The kind the queries act on: a spanning pair whose parameter
+        rounds to zero is taken as the circle c2."""
+        if self.kind == CurveKind.SPIRAL and self.param.lambda_tilde == 0.0:
+            return CurveKind.CIRCLE
+        return self.kind
+
+    @property
+    def crossing_angle(self) -> float:
+        """The fixed angle arctan(lambda_tilde / 2 pi) at which the curve
+        crosses every cycle of its disjoint pencil."""
+        lam = math.inf if self.shape == CurveKind.LINE else self.param.lambda_tilde
+        return math.atan(lam / TWO_PI)
+
+    @cached_property
+    def limit_points(self) -> tuple[ExtendedPoint, ExtendedPoint]:
+        """The point members of the pencil of (c2, c3): the asymptotic
+        endpoints of the curve."""
+        z1, z2 = zero_radius_members(Pencil(self.triple.c2, self.triple.c3), self.tol)
+        return point_of(z1, self.tol), point_of(z2, self.tol)
+
+    @cached_property
+    def map(self) -> MoebiusMap:
+        """The map to standard position, covering the degenerate kinds too."""
+        if self.shape == CurveKind.CIRCLE:
+            return _map_cycle_to_unit_circle(self.triple.c2, self.tol)
+        return self._three_point_map
+
+    @cached_property
+    def _three_point_map(self) -> MoebiusMap:
+        """Limit points to 0 and infinity, a crossing of c1 and c2 to 1;
+        for a spiral, oriented by chirality as ``standard_map`` states."""
+        T, tol = self.triple, self.tol
+        p, q = self.limit_points
+        crossings = intersect(T.c1, T.c2, tol)
+        if len(crossings) != 2:
+            raise DegenerateTriple("first and second cycle must cross at two points")
+        u = max(crossings, key=_point_sort_key)
+        M = map_to_zero_one_inf(p, u, q, tol)
+        if self.kind == CurveKind.SPIRAL:
+            img3 = canonicalize(apply_to_cycle(M, T.c3, tol), tol)
+            _, r3 = center_radius(img3, tol)
+            if (r3 > 1.0) != (T.sign > 0):
+                M = map_to_zero_one_inf(q, u, p, tol)
+        return M
+
+    def member_at(self, p: ExtendedPoint) -> Cycle:
+        """The cycle of the disjoint pencil through a curve point."""
+        if self.shape == CurveKind.CIRCLE:
+            return canonicalize(self.triple.c2, self.tol)
+        T, tol = self.triple, self.tol
+        ch, _ = member_through(T.c2, T.c3, zero_radius_at(p), tol)
+        if classify(ch, tol) == CycleKind.POINT:
+            raise PointNotOnCurve("pencil member degenerates at a limit point")
+        return ch
+
+
 def lambda_from_triple(
     T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SlsParameter:
-    """Recover the spiral parameter: acosh of the normalised product of
-    the spanning pair, signed by the triple's chirality.
-
-    Coincident c2, c3 give the zero parameter, a point c3 the infinite
-    one.  The absolute value of the product is taken first: the
-    canonical representatives of a disjoint pair may pair negatively.
-    """
-    if projectively_equal(T.c2, T.c3, tol):
-        return SlsParameter.finite(0.0)
-    if classify(T.c3, tol) == CycleKind.POINT:
-        return SlsParameter.infinite()
-    x = abs(normalized_product(T.c2, T.c3, tol))
-    return SlsParameter.finite(T.sign * clamped_acosh(x, tol))
+    """Recover the spiral parameter (see ``Loxodrome.param``): coincident
+    c2, c3 give the zero parameter, a point c3 the infinite one."""
+    return Loxodrome(T, tol).param
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +468,10 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     choices differ by the branch swap); the tie-break picks the
     lexicographically larger point, infinity last.
     """
-    if projectively_equal(T.c2, T.c3, tol) or classify(T.c3, tol) == CycleKind.POINT:
+    lox = Loxodrome(T, tol)
+    if lox.kind != CurveKind.SPIRAL:
         raise DegenerateTriple("normal form needs a distinct, non-point third cycle")
-    z1, z2 = zero_radius_members(Pencil(T.c2, T.c3), tol)
-    p, q = point_of(z1, tol), point_of(z2, tol)
-    crossings = intersect(T.c1, T.c2, tol)
-    if len(crossings) != 2:
-        raise DegenerateTriple("first and second cycle must cross at two points")
-    u = max(crossings, key=_point_sort_key)
-    M = map_to_zero_one_inf(p, u, q, tol)
-    img3 = canonicalize(apply_to_cycle(M, T.c3, tol), tol)
-    _, r3 = center_radius(img3, tol)
-    if (r3 > 1.0) != (T.sign > 0):
-        M = map_to_zero_one_inf(q, u, p, tol)
-    return M
+    return lox._three_point_map
 
 
 def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
@@ -389,38 +488,6 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
         cayley = MoebiusMap(1.0, -1j, 1.0, 1j)
         return (cayley @ to_axis).normalized()
     raise DegenerateTriple("curve cycle is a point")
-
-
-def _normalising_map(T: LoxodromeTriple, tol: Tolerances) -> MoebiusMap:
-    """Map to standard position, covering the degenerate kinds too."""
-    param = lambda_from_triple(T, tol)
-    if param.kind == SlsKind.FINITE and param.lambda_tilde != 0.0:
-        return standard_map(T, tol)
-    if param.kind == SlsKind.FINITE:
-        return _map_cycle_to_unit_circle(T.c2, tol)
-    z1, z2 = zero_radius_members(Pencil(T.c2, T.c3), tol)
-    crossings = intersect(T.c1, T.c2, tol)
-    if len(crossings) != 2:
-        raise DegenerateTriple("first and second cycle must cross at two points")
-    u = max(crossings, key=_point_sort_key)
-    return map_to_zero_one_inf(point_of(z1, tol), u, point_of(z2, tol), tol)
-
-
-@dataclass(frozen=True)
-class Loxodrome:
-    """Curve as (parameter, normalising map); interconvertible with triples."""
-
-    param: SlsParameter
-    map: MoebiusMap
-
-    @classmethod
-    def from_triple(
-        cls, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> "Loxodrome":
-        return cls(lambda_from_triple(T, tol), _normalising_map(T, tol))
-
-    def to_triple(self, tol: Tolerances = DEFAULT_TOLERANCES) -> LoxodromeTriple:
-        return apply_map(self.map.inverse(), standard_triple(self.param), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +527,7 @@ def equivalent(
     and cross-checked on the third, warning on disagreement.
     """
     for X in (T, Tp):
-        if projectively_equal(X.c2, X.c3, tol) or classify(X.c3, tol) == CycleKind.POINT:
+        if Loxodrome(X, tol).kind != CurveKind.SPIRAL:
             raise DegenerateTriple("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
@@ -520,36 +587,6 @@ def _as_point(p) -> ExtendedPoint:
     return ExtendedPoint.from_complex(complex(p))
 
 
-def _member_through(
-    c2: Cycle, c3: Cycle, c0: Cycle, tol: Tolerances
-) -> tuple[Cycle, float | None]:
-    """Pencil member through the point of c0, in homogeneous form.
-
-    Equivalent to the affine combination t c2 + (1 - t) c3 with
-    t = -<c0,c3>/<c0,c2-c3>, but stays defined on the member where that
-    t diverges; there the affine coefficient is reported as None.
-    """
-    a2 = canonicalize(c2, tol)
-    a3 = canonicalize(c3, tol)
-    a0 = canonicalize(c0, tol)
-    alpha = product(a3, a0)
-    beta = -product(a2, a0)
-    scale = 4.0 * a0.scale() * max(a2.scale(), a3.scale(), 1e-300)
-    if max(abs(alpha), abs(beta)) <= tol.eps_product * scale:
-        raise OnRadicalLocus("point is incident with both spanning cycles")
-    ch = combine(alpha, a2, beta, a3)
-    s = alpha + beta
-    t = alpha / s if abs(s) > tol.eps_product * (abs(alpha) + abs(beta)) else None
-    return ch, t
-
-
-def _limit_point_hit(
-    T: LoxodromeTriple, p: ExtendedPoint, tol: Tolerances
-) -> bool:
-    z1, z2 = zero_radius_members(Pencil(T.c2, T.c3), tol)
-    return p.approx_eq(point_of(z1, tol), tol) or p.approx_eq(point_of(z2, tol), tol)
-
-
 def contains_point(
     T: LoxodromeTriple,
     p,
@@ -569,32 +606,32 @@ def contains_point(
     plain incidence with the curve cycle.
     """
     p = _as_point(p)
-    param = lambda_from_triple(T, tol)
-    base_flags = ("strict_mod1",) if strict_mod1 else ()
+    return _contains(Loxodrome(T, tol), p, strict_mod1)
 
-    if param.kind == SlsKind.FINITE and param.lambda_tilde == 0.0:
-        return MembershipReport(member=passes(T.c2, p, tol), flags=base_flags)
 
-    if param.kind == SlsKind.INFINITE:
-        if _limit_point_hit(T, p, tol):
-            return MembershipReport(False, flags=base_flags + ("limit_point",))
+def _contains(
+    lox: Loxodrome, p: ExtendedPoint, strict_mod1: bool = False
+) -> MembershipReport:
+    T, tol = lox.triple, lox.tol
+    flags = ("strict_mod1",) if strict_mod1 else ()
+    if lox.shape == CurveKind.CIRCLE:
+        return MembershipReport(member=passes(T.c2, p, tol), flags=flags)
+    if any(p.approx_eq(z, tol) for z in lox.limit_points):
+        return MembershipReport(False, flags=flags + ("limit_point",))
+    if lox.shape == CurveKind.LINE:
         return MembershipReport(
-            member=passes(T.c1, p, tol),
-            flags=base_flags + ("degenerate_arc_unchecked",),
+            member=passes(T.c1, p, tol), flags=flags + ("degenerate_arc_unchecked",)
         )
 
-    lam = abs(param.lambda_tilde)
-    if _limit_point_hit(T, p, tol):
-        return MembershipReport(False, flags=base_flags + ("limit_point",))
     c0 = zero_radius_at(p)
-    flags = base_flags
-    ch, t = _member_through(T.c2, T.c3, c0, tol)
+    ch, t = member_through(T.c2, T.c3, c0, tol)
     if t is None:
         flags = flags + ("radical_member",)
     if classify(ch, tol) == CycleKind.POINT:
         return MembershipReport(False, t, flags=flags + ("limit_point",), ch=ch)
     try:
         ce = orthogonal_cycle_through(T.c2, T.c3, c0, tol)
+        lam = abs(lox.param.lambda_tilde)
         lhs = clamped_acosh(abs(normalized_product(ch, T.c2, tol)), tol) / lam
         rhs = clamped_acos(normalized_product(ce, T.c1, tol), tol) / TWO_PI
     except (RankDeficient, ZeroRadiusOperand):
@@ -613,19 +650,18 @@ def contains_point_oracle(
     over the parameter agrees with its argument in turns modulo 1/2
     (the two branches differ by half a turn)."""
     p = _as_point(p)
-    param = lambda_from_triple(T, tol)
-    M = _normalising_map(T, tol)
-    w = apply_to_point(M, p)
+    lox = Loxodrome(T, tol)
+    w = apply_to_point(lox.map, p)
     if w.is_infinity:
         return False
     z = w.as_complex()
     if z == 0:
         return False
-    if param.kind == SlsKind.FINITE and param.lambda_tilde == 0.0:
+    if lox.shape == CurveKind.CIRCLE:
         return abs(math.log(abs(z))) <= tol.eps_mod
-    if param.kind == SlsKind.INFINITE:
+    if lox.shape == CurveKind.LINE:
         return abs(math.remainder(cmath.phase(z), math.pi)) <= TWO_PI * tol.eps_mod
-    rho = math.log(abs(z)) / param.lambda_tilde
+    rho = math.log(abs(z)) / lox.param.lambda_tilde
     phi = cmath.phase(z) / TWO_PI
     return congruent_mod(rho, phi, 0.5, tol)
 
@@ -633,21 +669,6 @@ def contains_point_oracle(
 # ---------------------------------------------------------------------------
 # angles and tangency
 # ---------------------------------------------------------------------------
-
-def _pencil_member_at(T: LoxodromeTriple, p: ExtendedPoint, tol: Tolerances) -> Cycle:
-    param = lambda_from_triple(T, tol)
-    if param.kind == SlsKind.FINITE and param.lambda_tilde == 0.0:
-        return canonicalize(T.c2, tol)
-    ch, _ = _member_through(T.c2, T.c3, zero_radius_at(p), tol)
-    if classify(ch, tol) == CycleKind.POINT:
-        raise PointNotOnCurve("pencil member degenerates at a limit point")
-    return ch
-
-
-def _lambda_value(T: LoxodromeTriple, tol: Tolerances) -> float:
-    param = lambda_from_triple(T, tol)
-    return param.lambda_tilde if param.kind == SlsKind.FINITE else math.inf
-
 
 def _fold_half_open(x: float) -> float:
     """Fold an angle modulo pi into (-pi/2, pi/2]."""
@@ -685,10 +706,9 @@ def intersection_angle(
     supplement once representatives are canonicalised.
     """
     p = _as_point(p)
+    lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
     if check_membership:
-        if not (
-            contains_point(T, p, tol).member and contains_point(Tp, p, tol).member
-        ):
+        if not (_contains(lox, p).member and _contains(loxp, p).member):
             raise PointNotOnBoth(f"point {p.format()} is not on both curves")
     if p.is_infinity:
         # angles are preserved by conformal maps: move the point into view
@@ -700,14 +720,14 @@ def intersection_angle(
             tol,
             check_membership=False,
         )
-    ch = _pencil_member_at(T, p, tol)
-    chp = _pencil_member_at(Tp, p, tol)
+    ch = lox.member_at(p)
+    chp = loxp.member_at(p)
     psi = cmath.phase(
         _cycle_tangent_direction(chp, p, tol) / _cycle_tangent_direction(ch, p, tol)
     )
     ang = -psi
-    ang -= math.atan(_lambda_value(T, tol) / TWO_PI)
-    ang += math.atan(_lambda_value(Tp, tol) / TWO_PI)
+    ang -= lox.crossing_angle
+    ang += loxp.crossing_angle
     return _fold_half_open(ang)
 
 
@@ -722,15 +742,16 @@ def tangent_check(
     if classify(C, tol) == CycleKind.POINT:
         raise ZeroRadiusCandidate("tangency candidate must not be a point cycle")
     p = _as_point(p)
-    if not contains_point(T, p, tol).member:
+    lox = Loxodrome(T, tol)
+    if not _contains(lox, p).member:
         raise PointNotOnCurve(f"point {p.format()} is not on the curve")
     if not passes(C, p, tol):
         return False
-    ch = _pencil_member_at(T, p, tol)
+    ch = lox.member_at(p)
     crossing = abs(
         math.remainder(clamped_acos(normalized_product(C, ch, tol), tol), math.pi)
     )
-    target = abs(math.atan(_lambda_value(T, tol) / TWO_PI))
+    target = abs(lox.crossing_angle)
     return abs(crossing - target) <= tol.eps_angle
 
 
@@ -753,21 +774,20 @@ def tangent_line_at(
     p = _as_point(p)
     if p.is_infinity:
         raise InvalidInput("tangent line is constructed at finite points only")
-    if not contains_point(T, p, tol).member:
+    lox = Loxodrome(T, tol)
+    if not _contains(lox, p).member:
         raise PointNotOnCurve(f"point {p.format()} is not on the curve")
-    param = lambda_from_triple(T, tol)
-    if param.kind == SlsKind.INFINITE:
-        return _tangent_of_cycle_at(T.c1, p, tol)
-    if param.lambda_tilde == 0.0:
-        return _tangent_of_cycle_at(T.c2, p, tol)
-    M = standard_map(T, tol)
+    if lox.shape != CurveKind.SPIRAL:  # the curve lies on c1 (line) or c2 (circle)
+        C = T.c1 if lox.shape == CurveKind.LINE else T.c2
+        return _tangent_of_cycle_at(C, p, tol)
+    M = lox.map
     w = apply_to_point(M, p)
     if w.is_infinity:
         raise PointNotOnCurve("point maps to infinity under the normal form")
     z = w.as_complex()
     inv = M.inverse()
     denom = inv.c * z + inv.d
-    velocity = (inv.det / (denom * denom)) * (param.rate * z)
+    velocity = (inv.det / (denom * denom)) * (lox.param.rate * z)
     speed = abs(velocity)
     if speed == 0 or not math.isfinite(speed):
         raise PointNotOnCurve("curve direction is undefined at this point")
@@ -798,11 +818,9 @@ def sample_curve(
         raise InvalidInput(f"need at least two samples, got {count!r}")
     if not t_max >= t_min:
         raise InvalidInput("empty parameter range")
-    param = lambda_from_triple(T, tol)
-    if param.kind == SlsKind.POINT:
-        raise DegenerateTriple("the single-point curve cannot be sampled")
-    rate = param.rate if param.kind == SlsKind.FINITE else complex(1.0, 0.0)
-    back = _normalising_map(T, tol).inverse()
+    lox = Loxodrome(T, tol)
+    rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
+    back = lox.map.inverse()
     signs = {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}.get(branch)
     if signs is None:
         raise InvalidInput(f"branch must be '+', '-' or 'both', got {branch!r}")

@@ -13,15 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .cycles import (
     Cycle,
-    CycleKind,
     canonicalize,
-    classify,
     combine,
     pencil_discriminant,
     product,
@@ -32,7 +29,6 @@ from .errors import (
     NotHyperbolic,
     OnRadicalLocus,
     RankDeficient,
-    ZeroCoefficients,
 )
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 
@@ -65,13 +61,6 @@ def classify_pencil(P: Pencil, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKi
     if q <= thr:
         return PencilKind.PARABOLIC
     return PencilKind.HYPERBOLIC
-
-
-def member(P: Pencil, alpha: float, beta: float) -> Cycle:
-    """Component-wise combination alpha A + beta B."""
-    if alpha == 0 and beta == 0:
-        raise ZeroCoefficients("(0, 0) does not select a pencil member")
-    return combine(alpha, P.A, beta, P.B)
 
 
 def zero_radius_members(
@@ -124,31 +113,28 @@ def orthogonal_cycle_through(
     return canonicalize(Cycle(*null), tol)
 
 
-class HyperbolicMember(NamedTuple):
-    cycle: Cycle
-    t: float
-    is_point: bool
+def member_through(
+    A: Cycle, B: Cycle, P: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[Cycle, float | None]:
+    """Member of the pencil of (A, B) through the point of the point cycle
+    P, in homogeneous form, with its affine coefficient.
 
-
-def hyperbolic_member_through(
-    C2: Cycle, C3: Cycle, C0: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HyperbolicMember:
-    """Member t C2 + (1 - t) C3 of the pencil of (C2, C3) orthogonal to
-    the point cycle C0, with t = -<C0,C3> / <C0, C2 - C3> on canonical
-    representatives.
-
-    ``is_point`` flags a combination that collapsed to a point member:
-    the queried point is a limit point of the pencil.
+    Equivalent to the affine combination t A + (1 - t) B with
+    t = -<P,B>/<P,A-B> on canonical representatives, but stays defined
+    on the member where that t diverges (the radical member); there the
+    affine coefficient is reported as None.  At a limit point of the
+    pencil the member collapses to that point; a point on both A and B
+    selects no member and raises OnRadicalLocus.
     """
-    c2 = canonicalize(C2, tol)
-    c3 = canonicalize(C3, tol)
-    c0 = canonicalize(C0, tol)
-    diff = c2 - c3
-    num = product(c0, c3)
-    den = product(c0, diff)
-    scale = 4.0 * c0.scale() * max(c2.scale(), c3.scale(), diff.scale())
-    if abs(den) <= tol.eps_product * max(scale, 1e-300):
-        raise OnRadicalLocus("point lies on the member where t diverges")
-    t = -num / den
-    ch = combine(t, c2, 1.0 - t, c3)
-    return HyperbolicMember(ch, t, classify(ch, tol) == CycleKind.POINT)
+    a = canonicalize(A, tol)
+    b = canonicalize(B, tol)
+    p = canonicalize(P, tol)
+    alpha = product(b, p)
+    beta = -product(a, p)
+    scale = 4.0 * p.scale() * max(a.scale(), b.scale(), 1e-300)
+    if max(abs(alpha), abs(beta)) <= tol.eps_product * scale:
+        raise OnRadicalLocus("point is incident with both spanning cycles")
+    member = combine(alpha, a, beta, b)
+    s = alpha + beta
+    t = alpha / s if abs(s) > tol.eps_product * (abs(alpha) + abs(beta)) else None
+    return member, t

@@ -21,7 +21,7 @@ from .cycles import (
     point_of,
 )
 from .errors import InvalidInput, MoebloxError
-from .loxodrome import LoxodromeTriple, SlsKind, lambda_from_triple, sample_curve
+from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, sample_curve
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 from .scene import Scene, SceneObject
 
@@ -53,6 +53,14 @@ _TRIPLE_STYLE = {
 }
 
 
+def _quoteattr(value) -> str:
+    """An XML attribute value in double quotes, with the characters that
+    would end or break it escaped (xml.sax.saxutils.quoteattr would do,
+    but importing it pulls in urllib.request)."""
+    text = str(value).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    return f'"{text}"'
+
+
 def _fmt(x: float, precision: int) -> str:
     r = round(float(x), precision)
     if r == 0.0:
@@ -66,11 +74,11 @@ def _style_attr(scene: Scene, object_id: str, default: str) -> str:
         return default
     parts = []
     if "stroke" in hints:
-        parts.append(f'stroke="{hints["stroke"]}"')
+        parts.append(f"stroke={_quoteattr(hints['stroke'])}")
     if "width" in hints:
-        parts.append(f'stroke-width="{hints["width"]}"')
+        parts.append(f"stroke-width={_quoteattr(hints['width'])}")
     if "dash" in hints:
-        parts.append(f'stroke-dasharray="{hints["dash"]}"')
+        parts.append(f"stroke-dasharray={_quoteattr(hints['dash'])}")
     return " ".join(parts) if parts else default
 
 
@@ -207,13 +215,12 @@ def _polyline_runs(points: list[ExtendedPoint], guard: float):
 def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
     T: LoxodromeTriple = obj.value
     style = _style_attr(scene, obj.id, "")
-    out.append(f'<g id="{obj.id}">')
+    out.append(f"<g id={_quoteattr(obj.id)}>")
     _emit_cycle(out, T.c1, proj, style or _TRIPLE_STYLE["c1"], config.precision, tol)
     _emit_cycle(out, T.c2, proj, style or _TRIPLE_STYLE["c23"], config.precision, tol)
     _emit_cycle(out, T.c3, proj, style or _TRIPLE_STYLE["c23"], config.precision, tol)
     try:
-        param = lambda_from_triple(T, tol)
-        closed = param.kind == SlsKind.FINITE and param.lambda_tilde == 0.0
+        closed = Loxodrome(T, tol).shape == CurveKind.CIRCLE
         branches = ("+",) if closed else ("+", "-")  # one branch covers a circle
         guard = 50.0 * max(
             abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0

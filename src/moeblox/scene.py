@@ -23,6 +23,7 @@ reference must resolve.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
@@ -180,7 +181,7 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
                 value = MoebiusMap.from_json(data)
         except SceneError:
             raise
-        except MoebloxError as exc:
+        except (MoebloxError, TypeError, ValueError) as exc:
             raise SceneError(f"{where}: {exc}") from exc
         obj = SceneObject(object_id, kind, value)
         objects[slot] = obj
@@ -192,12 +193,11 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
         if not isinstance(data, dict):
             raise SceneError(f"{where}: triple data must be an object")
         try:
-            sign = int(data.get("sign", 1))
             value = LoxodromeTriple(
                 _resolve_cycle(data.get("c1"), by_id, f"{where}.c1"),
                 _resolve_cycle(data.get("c2"), by_id, f"{where}.c2"),
                 _resolve_cycle(data.get("c3"), by_id, f"{where}.c3"),
-                sign,
+                data.get("sign", 1),
             )
         except SceneError:
             raise
@@ -217,9 +217,9 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
         if (
             not isinstance(box, (list, tuple))
             or len(box) != 4
-            or not all(isinstance(v, (int, float)) for v in box)
+            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in box)
         ):
-            raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax]")
+            raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax] of finite numbers")
         if box[0] >= box[2] or box[1] >= box[3]:
             raise SceneError("'bbox' must have positive extent")
         bbox = tuple(float(v) for v in box)

@@ -87,6 +87,21 @@ class TestSceneParsing:
                 "ghost",
             ),
             ({"objects": [], "bbox": [0, 0, -1, 1]}, "bbox"),
+            (
+                {"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": "abc"}}]},
+                "abc",
+            ),
+            (
+                {"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": None}}]},
+                "float",
+            ),
+            ({"objects": [{"id": "q", "kind": "cycle", "data": [1, "x", 0, -1]}]}, "float"),
+            (
+                {"objects": [{"id": "T", "kind": "triple", "data": dict(STANDARD_SCENE["objects"][0]["data"], sign=1.7)}]},
+                "sign",
+            ),
+            ({"objects": [], "bbox": [0, 0, math.nan, 1]}, "bbox"),
+            ({"objects": [], "bbox": [0, 0, math.inf, 1]}, "bbox"),
         ],
     )
     def test_diagnostics(self, raw, needle):
@@ -148,6 +163,22 @@ class TestRender:
         raw = dict(STANDARD_SCENE, style={"T": {"stroke": "#123456", "dash": "2 2"}})
         svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
         assert 'stroke="#123456"' in svg
+
+    def test_attributes_escaped(self):
+        import xml.etree.ElementTree as ET
+
+        hostile = 'a"><script>x</script>'
+        stroke = 'red" onload="x'
+        raw = {
+            "objects": [dict(STANDARD_SCENE["objects"][0], id=hostile)],
+            "style": {hostile: {"stroke": stroke}},
+        }
+        svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
+        root = ET.fromstring(svg.encode("utf-8"))
+        groups = [g for g in root.iter("{http://www.w3.org/2000/svg}g") if "id" in g.attrib]
+        assert [g.get("id") for g in groups] == [hostile]
+        assert {el.get("stroke") for el in groups[0]} == {stroke}
+        assert "<script>" not in svg
 
     def test_degenerate_triples_render(self):
         for c3, polylines in (([0, 0, 0, 1], 2), ([1, 0, 0, -1], 1)):
@@ -330,6 +361,15 @@ class TestCliContract:
     def test_missing_scene_is_data_error(self):
         result = run_cli(["lambda", "--scene", "/nonexistent.json", "--triple", "T"])
         assert result.returncode == 2
+
+    def test_non_numeric_scene_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": "abc"}}]})
+        )
+        result = run_cli(["lambda", "--scene", str(path), "--triple", "T"])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_usage_error(self):
         result = run_cli(["lambda"])

@@ -383,9 +383,7 @@ class TestIntersectionAngle:
             p, _, _ = on_curve_point(rng, lt, M, t_range=(-1, 1))
             if p.is_infinity:
                 continue
-            ch, _ = mx.hyperbolic_member_through(
-                T.c2, T.c3, mx.zero_radius_at(p)
-            )[:2]
+            ch, _ = mx.member_through(T.c2, T.c3, mx.zero_radius_at(p))
             z = p.as_complex()
             if mx.classify(ch) == mx.CycleKind.LINE:
                 u = complex(-ch.n, ch.l)
@@ -560,3 +558,79 @@ class TestTripleJson:
     def test_missing_field(self):
         with pytest.raises(InvalidInput):
             mx.LoxodromeTriple.from_json({"c1": [0, 0, 1, 0]})
+
+    def test_bad_sign(self):
+        data = std(1.0).to_json()
+        for sign in (1.7, 0, "1", None):
+            with pytest.raises(InvalidInput):
+                mx.LoxodromeTriple.from_json(dict(data, sign=sign))
+
+
+def _rescaled(T, rng):
+    """The same triple with each cycle multiplied by an independent real
+    of either sign and magnitude in [0.1, 10]."""
+
+    def factor():
+        return (1 if rng.uniform() < 0.5 else -1) * 10 ** rng.uniform(-1, 1)
+
+    return mx.LoxodromeTriple(
+        factor() * T.c1, factor() * T.c2, factor() * T.c3, T.sign
+    )
+
+
+def _assert_maps_projectively_equal(M, N, tol):
+    a, b = M.normalized(), N.normalized()
+    ea, eb = (a.a, a.b, a.c, a.d), (b.a, b.b, b.c, b.d)
+    assert max(abs(x - y) for x, y in zip(ea, eb)) <= tol * max(map(abs, ea))
+
+
+class TestPreparedTriple:
+    def test_projective_invariance(self, rng):
+        # cycles are projective: no answer may depend on the representatives
+        for lt in (0.4, -0.9, 1.0, 1.8):
+            for _ in range(10):
+                M = random_moebius(rng)
+                T = mx.apply_map(M, std(lt))
+                S = _rescaled(T, rng)
+                assert mx.lambda_from_triple(S).lambda_tilde == pytest.approx(
+                    mx.lambda_from_triple(T).lambda_tilde, abs=1e-9
+                )
+                _assert_maps_projectively_equal(mx.standard_map(S), mx.standard_map(T), 1e-8)
+                assert mx.equivalent(T, S)
+                on, _, _ = on_curve_point(rng, lt, M, t_range=(-1, 1))
+                off = mx.apply_to_point(M, pt(1.3 * cmath.exp(0.25j * TWO_PI)))
+                for p in (on, off):
+                    assert mx.contains_point(S, p).member == mx.contains_point(T, p).member
+                    assert mx.contains_point_oracle(S, p) == mx.contains_point_oracle(T, p)
+                if not on.is_infinity:
+                    assert_projectively_equal(
+                        mx.tangent_line_at(S, on), mx.tangent_line_at(T, on), tol=1e-8
+                    )
+
+    def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
+        calls = []
+        solve = lox.zero_radius_members
+        monkeypatch.setattr(
+            lox, "zero_radius_members", lambda *a, **k: calls.append(a) or solve(*a, **k)
+        )
+        mx.tangent_line_at(T, p)
+        assert len(calls) == 1
+
+    def test_oracle_recovers_lambda_once(self, rng, monkeypatch):
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        p = mx.apply_to_point(M, pt(-cmath.exp(complex(1.0, TWO_PI) * 0.3)))
+        calls = []
+        norm = lox.normalized_product
+        monkeypatch.setattr(
+            lox, "normalized_product", lambda *a, **k: calls.append(a) or norm(*a, **k)
+        )
+        assert mx.contains_point_oracle(T, p)
+        assert len(calls) == 1

@@ -3,12 +3,13 @@ import math
 import pytest
 
 import moeblox as mx
+from moeblox.cycles import combine
 from moeblox.errors import (
     CoincidentCycles,
+    InvalidInput,
     NotHyperbolic,
     OnRadicalLocus,
     RankDeficient,
-    ZeroCoefficients,
 )
 
 from conftest import (
@@ -53,20 +54,20 @@ class TestPencilType:
 
 
 class TestMember:
+    """Pencil members alpha A + beta B, built with cycles.combine."""
+
     def test_endpoints(self):
-        P = mx.Pencil(UNIT, E_CIRCLE)
-        assert mx.member(P, 1, 0) == UNIT
-        assert mx.member(P, 0, 1) == E_CIRCLE
+        assert combine(1, UNIT, 0, E_CIRCLE) == UNIT
+        assert combine(0, UNIT, 1, E_CIRCLE) == E_CIRCLE
 
     def test_limit_combination(self):
-        P = mx.Pencil(UNIT, E_CIRCLE)
         t = math.e**2 / (math.e**2 - 1)
-        combo = mx.member(P, t, 1 - t)
+        combo = combine(t, UNIT, 1 - t, E_CIRCLE)
         assert_projectively_equal(combo, mx.Cycle(1, 0, 0, 0), tol=1e-12)
 
     def test_zero_coefficients(self):
-        with pytest.raises(ZeroCoefficients):
-            mx.member(mx.Pencil(UNIT, E_CIRCLE), 0, 0)
+        with pytest.raises(InvalidInput):
+            combine(0, UNIT, 0, E_CIRCLE)
 
 
 class TestZeroRadiusMembers:
@@ -148,30 +149,39 @@ class TestOrthogonalCycleThrough:
 
 
 class TestHyperbolicMemberThrough:
+    """member_through: the member of a (hyperbolic) pencil through a point."""
+
     def test_point_one_gives_unit_circle(self):
-        got = mx.hyperbolic_member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(1)))
-        assert got.t == pytest.approx(1.0, abs=1e-12)
-        assert_projectively_equal(got.cycle, UNIT, tol=1e-12)
-        assert not got.is_point
+        ch, t = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(1)))
+        assert t == pytest.approx(1.0, abs=1e-12)
+        assert_projectively_equal(ch, UNIT, tol=1e-12)
+        assert mx.classify(ch) != mx.CycleKind.POINT
 
     def test_point_minus_sqrt_e(self):
         p = pt(-math.exp(0.5))
-        got = mx.hyperbolic_member_through(UNIT, E_CIRCLE, mx.zero_radius_at(p))
-        assert got.t == pytest.approx(math.e / (math.e + 1), abs=1e-12)
-        assert got.cycle.m == pytest.approx(-math.e, abs=1e-12)
-        _, r = mx.center_radius(got.cycle)
+        ch, t = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(p))
+        assert t == pytest.approx(math.e / (math.e + 1), abs=1e-12)
+        assert mx.canonicalize(ch).m == pytest.approx(-math.e, abs=1e-12)
+        _, r = mx.center_radius(ch)
         assert r == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_limit_point_collapses(self):
-        got = mx.hyperbolic_member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(0)))
-        assert got.is_point
-        assert_projectively_equal(got.cycle, mx.Cycle(1, 0, 0, 0), tol=1e-9)
+        ch, _ = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(0)))
+        assert mx.classify(ch) == mx.CycleKind.POINT
+        assert_projectively_equal(ch, mx.Cycle(1, 0, 0, 0), tol=1e-9)
 
-    def test_radical_locus_raises(self):
+    def test_radical_member_defined(self):
+        # where the affine coefficient t diverges the member still exists;
+        # for a concentric pair it is the limit point at infinity
+        ch, t = mx.member_through(
+            UNIT, E_CIRCLE, mx.zero_radius_at(mx.ExtendedPoint.infinity())
+        )
+        assert t is None
+        assert mx.point_of(ch).is_infinity
+
+    def test_incident_with_both_raises(self):
         with pytest.raises(OnRadicalLocus):
-            mx.hyperbolic_member_through(
-                UNIT, E_CIRCLE, mx.zero_radius_at(mx.ExtendedPoint.infinity())
-            )
+            mx.member_through(UNIT, REAL_AXIS, mx.zero_radius_at(pt(1)))
 
     def test_result_is_orthogonal_to_point(self, rng):
         found = 0
@@ -183,8 +193,8 @@ class TestHyperbolicMemberThrough:
                 continue
             C0 = mx.zero_radius_at(pt(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))))
             try:
-                got = mx.hyperbolic_member_through(A, B, C0)
+                ch, _ = mx.member_through(A, B, C0)
             except OnRadicalLocus:
                 continue
             found += 1
-            assert mx.is_orthogonal(got.cycle, C0)
+            assert mx.is_orthogonal(ch, C0)
