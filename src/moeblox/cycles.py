@@ -64,6 +64,20 @@ class CycleKind(Enum):
 # points of the extended plane
 # ---------------------------------------------------------------------------
 
+def _affine(w1: complex, w2: complex) -> complex | None:
+    """The coordinate w1 / w2 of the homogeneous point (w1 : w2), or None
+    for the point at infinity, which also takes every point beyond the
+    coordinate cap.  The one normalisation rule of ``ExtendedPoint``;
+    curve sampling applies it to bare complex numbers."""
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise InvalidInput("homogeneous components must be finite")
+    if w2 and abs(w1) <= _COORD_CAP * abs(w2):
+        return w1 / w2
+    if not w1:
+        raise InvalidInput("(0, 0) is not a point of the projective line")
+    return None
+
+
 @dataclass(frozen=True)
 class ExtendedPoint:
     """Point of the extended complex plane in homogeneous form (w1 : w2).
@@ -76,15 +90,9 @@ class ExtendedPoint:
     w2: complex
 
     def __post_init__(self):
-        w1, w2 = complex(self.w1), complex(self.w2)
-        if not all(
-            math.isfinite(v) for v in (w1.real, w1.imag, w2.real, w2.imag)
-        ):
-            raise InvalidInput("homogeneous components must be finite")
-        if w1 == 0 and w2 == 0:
-            raise InvalidInput("(0, 0) is not a point of the projective line")
-        if w2 != 0 and abs(w1) <= _COORD_CAP * abs(w2):
-            object.__setattr__(self, "w1", w1 / w2)
+        z = _affine(complex(self.w1), complex(self.w2))
+        if z is not None:
+            object.__setattr__(self, "w1", z)
             object.__setattr__(self, "w2", complex(1.0))
         else:
             object.__setattr__(self, "w1", complex(1.0))
@@ -97,6 +105,15 @@ class ExtendedPoint:
     @classmethod
     def infinity(cls) -> "ExtendedPoint":
         return cls(1.0, 0.0)
+
+    @classmethod
+    def _from_affine(cls, z: complex | None) -> "ExtendedPoint":
+        """The point for a value ``_affine`` returned, which needs no
+        second check: (z : 1), or (1 : 0) for None."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "w1", complex(1.0) if z is None else z)
+        object.__setattr__(p, "w2", complex(0.0) if z is None else complex(1.0))
+        return p
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedPoint":

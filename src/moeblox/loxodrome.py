@@ -38,6 +38,7 @@ from .cycles import (
     CycleKind,
     ExtendedPoint,
     MoebiusMap,
+    _affine,
     _point_sort_key,
     apply_to_cycle,
     apply_to_point,
@@ -799,6 +800,40 @@ def tangent_line_at(
 # sampling and transport
 # ---------------------------------------------------------------------------
 
+def _curve_points(
+    lox: Loxodrome, t_min: float, t_max: float, count: int, sign: float
+) -> list[complex | None]:
+    """One branch of the curve on a uniform parameter grid, as bare
+    complex numbers; None is the point at infinity.
+
+    Each model point ``sign * exp(rate t)`` is sent back by
+    ``(a w + b) / (c w + d)`` with the rules of ``ExtendedPoint``: a
+    model point beyond the coordinate cap is infinity before the map, so
+    its image is a / c; an image beyond the cap is infinity; a
+    non-finite component raises InvalidInput.  An exponential that
+    overflows gives infinity as the image itself.
+    """
+    rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
+    back = lox.map.inverse()
+    # the products apply_to_point forms on (z : 1) and on (1 : 0), so the
+    # images equal ExtendedPoint arithmetic bit for bit, signed zeros too
+    one, zero = complex(1.0), complex(0.0)
+    a, c = back.a, back.c
+    b, d = back.b * one, back.d * one
+    far = _affine(a * one + back.b * zero, c * one + back.d * zero)
+    step = (t_max - t_min) / (count - 1)
+    out: list[complex | None] = []
+    for i in range(count):
+        try:
+            w = sign * cmath.exp(rate * (t_min + step * i))
+        except OverflowError:
+            out.append(None)
+            continue
+        z = _affine(w, one)
+        out.append(far if z is None else _affine(a * z + b, c * z + d))
+    return out
+
+
 def sample_curve(
     T: LoxodromeTriple,
     t_min: float,
@@ -818,23 +853,15 @@ def sample_curve(
         raise InvalidInput(f"need at least two samples, got {count!r}")
     if not t_max >= t_min:
         raise InvalidInput("empty parameter range")
-    lox = Loxodrome(T, tol)
-    rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
-    back = lox.map.inverse()
     signs = {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}.get(branch)
     if signs is None:
         raise InvalidInput(f"branch must be '+', '-' or 'both', got {branch!r}")
-    step = (t_max - t_min) / (count - 1)
-    out: list[ExtendedPoint] = []
-    for sgn in signs:
-        for i in range(count):
-            try:
-                w = sgn * cmath.exp(rate * (t_min + step * i))
-            except OverflowError:
-                out.append(ExtendedPoint.infinity())
-                continue
-            out.append(apply_to_point(back, ExtendedPoint.from_complex(w)))
-    return out
+    lox = Loxodrome(T, tol)
+    return [
+        ExtendedPoint._from_affine(z)
+        for sgn in signs
+        for z in _curve_points(lox, t_min, t_max, count, sgn)
+    ]
 
 
 def apply_map(

@@ -21,7 +21,7 @@ from .cycles import (
     point_of,
 )
 from .errors import InvalidInput, MoebloxError
-from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, sample_curve
+from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, _curve_points
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 from .scene import Scene, SceneObject
 
@@ -61,11 +61,23 @@ def _quoteattr(value) -> str:
     return f'"{text}"'
 
 
+def _clear_negative_zero(text: str, precision: int) -> str:
+    """Numbers written with ``precision`` places, with every "-0.0..."
+    turned into "0.0..."; a minus sign only ever starts a number, so
+    the text may hold many."""
+    negative_zero = "-0." + "0" * precision
+    return text.replace(negative_zero, negative_zero[1:])
+
+
 def _fmt(x: float, precision: int) -> str:
-    r = round(float(x), precision)
-    if r == 0.0:
-        r = 0.0  # clear negative zero
-    return f"{r:.{precision}f}"
+    return _clear_negative_zero(f"{x:.{precision}f}", precision)
+
+
+def _coords(points: list[complex], proj: _Projector, precision: int) -> str:
+    """A polyline's points in pixels, "x,y x,y ...", each number as
+    ``_fmt`` writes it."""
+    pair = f"%.{precision}f,%.{precision}f"
+    return _clear_negative_zero(" ".join([pair % proj.to_px(z) for z in points]), precision)
 
 
 def _style_attr(scene: Scene, object_id: str, default: str) -> str:
@@ -93,19 +105,23 @@ def _finite_bounds(obj: SceneObject, tol: Tolerances):
         c, r = center_radius(C, tol)
         boxes.append((c.real - r, c.imag - r, c.real + r, c.imag + r))
 
-    if obj.kind in ("circle", "line", "cycle"):
-        cycle_box(obj.value)
-    elif obj.kind == "point":
+    if obj.kind == "point":
         p = obj.value
         if not p.is_infinity:
             z = p.as_complex()
             boxes.append((z.real, z.imag, z.real, z.imag))
+        return boxes
+    if obj.kind in ("circle", "line", "cycle"):
+        cycles = (obj.value,)
     elif obj.kind == "triple":
-        for C in (obj.value.c1, obj.value.c2, obj.value.c3):
-            try:
-                cycle_box(C)
-            except MoebloxError:
-                pass
+        cycles = (obj.value.c1, obj.value.c2, obj.value.c3)
+    else:
+        cycles = ()
+    for C in cycles:
+        try:
+            cycle_box(C)
+        except MoebloxError:
+            pass  # not drawn either; render_scene notes it
     return boxes
 
 
@@ -198,10 +214,9 @@ def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol
         )
 
 
-def _polyline_runs(points: list[ExtendedPoint], guard: float):
+def _polyline_runs(points: list[complex | None], guard: float):
     run: list[complex] = []
-    for p in points:
-        z = None if p.is_infinity else p.as_complex()
+    for z in points:
         if z is not None and max(abs(z.real), abs(z.imag)) <= guard:
             run.append(z)
         else:
@@ -216,24 +231,22 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
     T: LoxodromeTriple = obj.value
     style = _style_attr(scene, obj.id, "")
     out.append(f"<g id={_quoteattr(obj.id)}>")
-    _emit_cycle(out, T.c1, proj, style or _TRIPLE_STYLE["c1"], config.precision, tol)
-    _emit_cycle(out, T.c2, proj, style or _TRIPLE_STYLE["c23"], config.precision, tol)
-    _emit_cycle(out, T.c3, proj, style or _TRIPLE_STYLE["c23"], config.precision, tol)
+    for name, C, default in (("c1", T.c1, "c1"), ("c2", T.c2, "c23"), ("c3", T.c3, "c23")):
+        try:
+            _emit_cycle(out, C, proj, style or _TRIPLE_STYLE[default], config.precision, tol)
+        except MoebloxError as exc:
+            warnings_out.append(f"triple {obj.id!r}: {name} not drawn: {exc}")
     try:
-        closed = Loxodrome(T, tol).shape == CurveKind.CIRCLE
-        branches = ("+",) if closed else ("+", "-")  # one branch covers a circle
+        lox = Loxodrome(T, tol)
+        signs = (1.0,) if lox.shape == CurveKind.CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(
             abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0
         )
         curve_style = style or _TRIPLE_STYLE["curve"]
-        for branch in branches:
-            pts = sample_curve(T, config.t_min, config.t_max, config.samples, branch, tol)
+        for sign in signs:
+            pts = _curve_points(lox, config.t_min, config.t_max, config.samples, sign)
             for run in _polyline_runs(pts, guard):
-                coords = " ".join(
-                    f"{_fmt(proj.to_px(z)[0], config.precision)},"
-                    f"{_fmt(proj.to_px(z)[1], config.precision)}"
-                    for z in run
-                )
+                coords = _coords(run, proj, config.precision)
                 out.append(f'<polyline points="{coords}" {curve_style}/>')
     except MoebloxError as exc:
         warnings_out.append(f"triple {obj.id!r}: curve not drawn: {exc}")

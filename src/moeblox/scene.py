@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
@@ -32,6 +33,10 @@ from .loxodrome import LoxodromeTriple, triple_violations
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 
 KINDS = ("circle", "line", "point", "cycle", "moebius", "triple")
+
+# characters an XML 1.0 document cannot hold, escaped or not; ids and
+# style values become SVG attributes
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,8 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
         object_id = entry.get("id")
         if not isinstance(object_id, str) or not object_id:
             raise SceneError(f"{where}: missing or empty 'id'")
+        if _NOT_XML.search(object_id):
+            raise SceneError(f"{where}: id {object_id!r} holds a character XML forbids")
         if object_id in seen_ids:
             raise SceneError(f"{where}: duplicate id {object_id!r}")
         seen_ids.add(object_id)
@@ -210,6 +217,12 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
     style = raw.get("style", {})
     if not isinstance(style, dict):
         raise SceneError("'style' must map ids to style hints")
+    for key, hints in style.items():
+        if not isinstance(hints, dict):
+            continue
+        for name, value in hints.items():
+            if isinstance(value, str) and _NOT_XML.search(value):
+                raise SceneError(f"style[{key!r}].{name}: {value!r} holds a character XML forbids")
 
     bbox = None
     if raw.get("bbox") is not None:

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import moeblox as mx
 from moeblox.cli import main
@@ -25,6 +27,14 @@ STANDARD_SCENE = {
         }
     ]
 }
+
+
+def round_then_format(x: float, precision: int) -> str:
+    """The renderer's first number formatter."""
+    r = round(float(x), precision)
+    if r == 0.0:
+        r = 0.0  # clear negative zero
+    return f"{r:.{precision}f}"
 
 
 @pytest.fixture
@@ -102,6 +112,9 @@ class TestSceneParsing:
             ),
             ({"objects": [], "bbox": [0, 0, math.nan, 1]}, "bbox"),
             ({"objects": [], "bbox": [0, 0, math.inf, 1]}, "bbox"),
+            ({"objects": [dict(STANDARD_SCENE["objects"][0], id="a\x01b")]}, "XML"),
+            (dict(STANDARD_SCENE, style={"T": {"stroke": "\x02"}}), "XML"),
+            (dict(STANDARD_SCENE, style={"T": {"dash": "4\ud800"}}), "XML"),
         ],
     )
     def test_diagnostics(self, raw, needle):
@@ -180,6 +193,56 @@ class TestRender:
         assert {el.get("stroke") for el in groups[0]} == {stroke}
         assert "<script>" not in svg
 
+    def test_one_prepared_triple_per_triple(self, monkeypatch):
+        built = []
+        prepare = mx.Loxodrome.__init__
+
+        def counted(self, T, tol=mx.DEFAULT_TOLERANCES):
+            built.append(T)
+            prepare(self, T, tol)
+
+        monkeypatch.setattr(mx.Loxodrome, "__init__", counted)
+        objects = [dict(STANDARD_SCENE["objects"][0], id=f"T{i}") for i in range(3)]
+        svg = render_scene(parse_scene({"objects": objects}), RenderConfig(samples=16))
+        assert svg.count("<polyline ") == 6
+        assert len(built) == 3
+
+    def test_member_without_real_locus_is_noted(self):
+        import xml.etree.ElementTree as ET
+
+        data = {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, 0.5]}
+        raw = {
+            "objects": [
+                {"id": "T", "kind": "triple", "data": data},
+                {"id": "C", "kind": "cycle", "data": [1, 0, 0, 0.5]},
+            ]
+        }
+        notes = []
+        svg = render_scene(parse_scene(raw), RenderConfig(samples=16), warnings_out=notes)
+        ET.fromstring(svg.encode("utf-8"))
+        assert svg.count("<circle ") == 1 and svg.count("<line ") == 1  # c2 and c1
+        assert any(note.startswith("triple 'T': c3 not drawn") for note in notes)
+        assert any(note.startswith("object 'C': not drawn") for note in notes)
+
+    @given(st.floats(), st.integers(3, 12))
+    @example(-1e-9, 6)
+    @example(-0.0, 3)
+    @example(-0.0004999, 3)
+    @example(-0.0005, 3)
+    @example(-0.00051, 3)
+    @example(2.5e-13, 12)
+    @example(1e300, 12)
+    @example(math.inf, 6)
+    def test_formatting_matches_round_then_format(self, x, precision):
+        from moeblox.render import _coords, _fmt
+
+        assert _fmt(x, precision) == round_then_format(x, precision)
+        proj = SimpleNamespace(to_px=lambda z: (z.real, z.imag))
+        z = complex(x, -x)
+        assert _coords([z, z], proj, precision) == " ".join(
+            [f"{round_then_format(x, precision)},{round_then_format(-x, precision)}"] * 2
+        )
+
     def test_degenerate_triples_render(self):
         for c3, polylines in (([0, 0, 0, 1], 2), ([1, 0, 0, -1], 1)):
             raw = {
@@ -193,6 +256,46 @@ class TestRender:
             }
             svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
             assert svg.count("<polyline ") == polylines
+
+
+SMALL = st.integers(-3, 3) | st.sampled_from([0.5, -0.5, E2, -E2])
+QUADRUPLE = st.lists(SMALL, min_size=4, max_size=4)
+STYLE_VALUE = st.text(max_size=6) | st.integers() | st.floats() | st.none() | st.lists(st.text(max_size=3), max_size=2)
+
+
+@st.composite
+def json_scenes(draw):
+    """Scene documents with arbitrary ids and style values, small triples
+    and a few plain cycles and points."""
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4))
+    objects = []
+    for object_id in ids:
+        kind = draw(st.sampled_from(["triple", "triple", "cycle", "point"]))
+        if kind == "triple":
+            data = {"c1": draw(QUADRUPLE), "c2": draw(QUADRUPLE), "c3": draw(QUADRUPLE)}
+            data["sign"] = draw(st.sampled_from([1, -1, 0, 2]))
+        elif kind == "cycle":
+            data = draw(QUADRUPLE)
+        else:
+            data = [draw(SMALL), draw(SMALL)]
+        objects.append({"id": object_id, "kind": kind, "data": data})
+    hints = st.dictionaries(st.sampled_from(["stroke", "width", "dash", "other"]), STYLE_VALUE, max_size=3)
+    style = draw(st.dictionaries(st.sampled_from(ids), hints | STYLE_VALUE, max_size=len(ids)))
+    return {"objects": objects, "style": style}
+
+
+class TestRenderFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(json_scenes())
+    def test_scene_is_refused_or_renders_to_xml(self, raw):
+        import xml.etree.ElementTree as ET
+
+        try:
+            scene = parse_scene(raw)
+        except SceneError:
+            return
+        svg = render_scene(scene, RenderConfig(samples=16))
+        ET.fromstring(svg.encode("utf-8"))
 
 
 class TestCliContract:
@@ -347,6 +450,32 @@ class TestCliContract:
         assert result.returncode == 0
         assert "warning" in result.stderr
         assert Path(out).exists()
+
+    def test_render_member_without_real_locus(self, tmp_path):
+        path = tmp_path / "no_locus.json"
+        data = {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, 0.5]}
+        path.write_text(json.dumps({"objects": [{"id": "T", "kind": "triple", "data": data}]}))
+        out = tmp_path / "no_locus.svg"
+        result = run_cli(["render", "--scene", str(path), "--out", str(out), "--samples", "16"])
+        assert result.returncode == 0
+        assert "c3 not drawn" in result.stderr
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"objects": [dict(STANDARD_SCENE["objects"][0], id="a\x01b")]},
+            dict(STANDARD_SCENE, style={"T": {"stroke": "\x02"}}),
+        ],
+    )
+    def test_render_forbidden_xml_character_is_data_error(self, raw, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out.svg"
+        result = run_cli(["render", "--scene", str(path), "--out", str(out), "--samples", "16"])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_sample_command(self, scene_path):
         result = run_cli(

@@ -523,6 +523,79 @@ class TestSampleCurve:
         assert all(z.real < 0 and abs(z.imag) < 1e-9 for z in minus)
 
 
+def reference_samples(T, t_min, t_max, count, branch):
+    """``sample_curve`` as first written: each model point becomes an
+    ExtendedPoint and is mapped back by apply_to_point."""
+    from moeblox.loxodrome import CurveKind
+
+    lox = mx.Loxodrome(T)
+    rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
+    back = lox.map.inverse()
+    step = (t_max - t_min) / (count - 1)
+    out = []
+    for sgn in {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}[branch]:
+        for i in range(count):
+            try:
+                w = sgn * cmath.exp(rate * (t_min + step * i))
+            except OverflowError:
+                out.append(mx.ExtendedPoint.infinity())
+                continue
+            out.append(mx.apply_to_point(back, mx.ExtendedPoint.from_complex(w)))
+    return out
+
+
+ROADMAP_MAP = mx.MoebiusMap(1, 2j, 0.5, 1)
+
+
+class TestSampleCurveReference:
+    """The complex-number sampling path against the ExtendedPoint loop."""
+
+    SHAPES = {
+        "spiral": mx.apply_map(ROADMAP_MAP, std(1.0)),
+        "mirror": mx.apply_map(ROADMAP_MAP, std(-1.0)),
+        "circle": mx.apply_map(ROADMAP_MAP, std(0.0)),
+        "line": mx.apply_map(ROADMAP_MAP, mx.standard_triple(mx.SlsParameter.infinite())),
+        "standard": std(1.0),
+    }
+    RANGES = [(-3.0, 3.0, 257), (-1.0, 1.0, 2), (-400.0, 400.0, 801), (-1000.0, 1000.0, 401)]
+
+    @staticmethod
+    def bits(points):
+        # repr tells signed zeros apart, which == does not
+        return [(repr(p.w1), repr(p.w2)) for p in points]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("t_min,t_max,count", RANGES)
+    @pytest.mark.parametrize("branch", ["+", "-", "both"])
+    def test_equals_reference(self, shape, t_min, t_max, count, branch):
+        T = self.SHAPES[shape]
+        got = mx.sample_curve(T, t_min, t_max, count, branch)
+        want = reference_samples(T, t_min, t_max, count, branch)
+        assert [(p.w1, p.w2) for p in got] == [(p.w1, p.w2) for p in want]
+        assert self.bits(got) == self.bits(want)
+
+    def test_far_model_points_collapse_before_the_map(self):
+        # beyond |w| = 1e15 the model point is infinity, whose image is
+        # the finite point a / c; beyond t = 709.78 exp overflows and the
+        # image itself is infinity
+        T = self.SHAPES["spiral"]
+        back = mx.Loxodrome(T).map.inverse()
+        points = mx.sample_curve(T, 0.0, 1000.0, 1001, "+")
+        far = mx.ExtendedPoint(back.a, back.c)
+        assert not far.is_infinity
+        assert all(p == far for p in points[35:709])
+        assert all(p.is_infinity for p in points[710:])
+        assert points == reference_samples(T, 0.0, 1000.0, 1001, "+")
+
+    @pytest.mark.parametrize("t_min,t_max", [(-math.inf, math.inf), (0.0, math.inf)])
+    def test_non_finite_model_point_raises(self, t_min, t_max):
+        T = self.SHAPES["spiral"]
+        with pytest.raises(InvalidInput, match="finite"):
+            reference_samples(T, t_min, t_max, 5, "both")
+        with pytest.raises(InvalidInput, match="finite"):
+            mx.sample_curve(T, t_min, t_max, 5, "both")
+
+
 class TestApplyMap:
     def test_identity(self):
         T = std(1.0)
