@@ -247,20 +247,22 @@ def _cmd_sample(args, tol) -> int:
     scene = load_scene(args.scene, tol)
     T = scene.triple(args.triple)
     branches = ["+", "-"] if args.branch == "both" else [args.branch]
+    # every branch is sampled before anything is printed, so a refused
+    # grid leaves no partial output behind
+    points = {
+        branch: [
+            p.format()
+            for p in sample_curve(T, args.t_min, args.t_max, args.count, branch, tol)
+        ]
+        for branch in branches
+    }
     if args.json:
-        payload = {
-            branch: [
-                p.format()
-                for p in sample_curve(T, args.t_min, args.t_max, args.count, branch, tol)
-            ]
-            for branch in branches
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(points, sort_keys=True))
         return 0
-    for branch in branches:
+    for branch, lines in points.items():
         print(f"# branch {branch}")
-        for p in sample_curve(T, args.t_min, args.t_max, args.count, branch, tol):
-            print(p.format())
+        for line in lines:
+            print(line)
     return 0
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
 
 from .cycles import (
     Cycle,
@@ -86,6 +85,8 @@ from .pencils import (
 )
 
 TWO_PI = 2.0 * math.pi
+# lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
+_LSTSQ_RCOND = 4.0 * sys.float_info.epsilon
 
 _REAL_AXIS = Cycle(0.0, 0.0, 1.0, 0.0)
 _UNIT_CIRCLE = Cycle(1.0, 0.0, 0.0, -1.0)
@@ -496,13 +497,37 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
 # ---------------------------------------------------------------------------
 
 def _in_span(A: Cycle, B: Cycle, X: Cycle, tol: Tolerances) -> bool:
-    S = np.array(
-        [canonicalize(A, tol).to_json(), canonicalize(B, tol).to_json()], dtype=float
-    ).T
-    v = np.array(canonicalize(X, tol).to_json(), dtype=float)
-    coef, *_ = np.linalg.lstsq(S, v, rcond=None)
-    residual = float(np.linalg.norm(S @ coef - v))
-    return residual <= tol.eps_product * max(1.0, float(np.linalg.norm(v)))
+    """Is the canonical X within eps_product of the span of canonical A
+    and B, relative to max(1, |X|)?
+
+    Least squares by two-pass Gram-Schmidt: B is orthogonalised against
+    A twice, which leaves the basis orthonormal to roundoff, and the
+    residual of X is formed as a vector, so its norm is accurate down to
+    the roundoff of |X|.  A residual taken from |X|^2 minus the squared
+    projections, or a Gram determinant, would square the threshold below
+    double precision.  As with lstsq's default rcond, B is dropped when
+    the smaller singular value of [A B] is at most 4 machine epsilons of
+    the larger: their product is |A| |B'| for the orthogonal part B' of
+    B, and their squares sum to |A|^2 + |B|^2.
+    """
+    a, b, x = canonicalize(A, tol), canonicalize(B, tol), canonicalize(X, tol)
+    hypot = math.hypot
+    na = hypot(a.k, a.l, a.n, a.m)
+    q0, q1, q2, q3 = a.k / na, a.l / na, a.n / na, a.m / na
+    u0, u1, u2, u3 = b.k, b.l, b.n, b.m
+    for _ in range(2):
+        d = q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3
+        u0, u1, u2, u3 = u0 - d * q0, u1 - d * q1, u2 - d * q2, u3 - d * q3
+    nu = hypot(u0, u1, u2, u3)
+    d = q0 * x.k + q1 * x.l + q2 * x.n + q3 * x.m
+    r0, r1, r2, r3 = x.k - d * q0, x.l - d * q1, x.n - d * q2, x.m - d * q3
+    h = hypot(na, b.k, b.l, b.n, b.m)
+    if (na / h) * (nu / h) > _LSTSQ_RCOND:
+        w0, w1, w2, w3 = u0 / nu, u1 / nu, u2 / nu, u3 / nu
+        d = w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
+        r0, r1, r2, r3 = r0 - d * w0, r1 - d * w1, r2 - d * w2, r3 - d * w3
+    residual = hypot(r0, r1, r2, r3)
+    return residual <= tol.eps_product * max(1.0, hypot(x.k, x.l, x.n, x.m))
 
 
 def _congruent_folded(
@@ -811,7 +836,8 @@ def _curve_points(
     model point beyond the coordinate cap is infinity before the map, so
     its image is a / c; an image beyond the cap is infinity; a
     non-finite component raises InvalidInput.  An exponential that
-    overflows gives infinity as the image itself.
+    overflows gives infinity as the image itself; an angle that
+    overflows raises InvalidInput.
     """
     rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
     back = lox.map.inverse()
@@ -829,9 +855,25 @@ def _curve_points(
         except OverflowError:
             out.append(None)
             continue
+        except ValueError:  # rate * t overflowed into an infinite angle
+            raise InvalidInput(
+                f"curve point at t={t_min + step * i!r} is undefined: rate * t is not finite"
+            ) from None
         z = _affine(w, one)
         out.append(far if z is None else _affine(a * z + b, c * z + d))
     return out
+
+
+def _check_grid(t_min: float, t_max: float, count: int) -> None:
+    """Refuse a parameter grid whose bounds or step are not finite: its
+    points would be NaN or infinity, and no error would name the cause."""
+    for name, t in (("t_min", t_min), ("t_max", t_max)):
+        if not math.isfinite(t):
+            raise InvalidInput(f"{name} must be finite, got {t!r}")
+    if not math.isfinite((t_max - t_min) / (count - 1)):
+        raise InvalidInput(
+            f"t_min={t_min!r} to t_max={t_max!r} is too wide: the grid step is not finite"
+        )
 
 
 def sample_curve(
@@ -851,6 +893,7 @@ def sample_curve(
     """
     if count < 2:
         raise InvalidInput(f"need at least two samples, got {count!r}")
+    _check_grid(t_min, t_max, count)
     if not t_max >= t_min:
         raise InvalidInput("empty parameter range")
     signs = {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}.get(branch)

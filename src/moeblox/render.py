@@ -21,7 +21,7 @@ from .cycles import (
     point_of,
 )
 from .errors import InvalidInput, MoebloxError
-from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, _curve_points
+from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, _check_grid, _curve_points
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 from .scene import Scene, SceneObject
 
@@ -42,6 +42,7 @@ class RenderConfig:
             raise InvalidInput("precision must lie in [3, 12]")
         if self.width <= 0 or self.height <= 0:
             raise InvalidInput("output size must be positive")
+        _check_grid(self.t_min, self.t_max, self.samples)
         if not self.t_max > self.t_min:
             raise InvalidInput("t range must be non-empty")
 

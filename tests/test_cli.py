@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +174,21 @@ class TestRender:
         with pytest.raises(InvalidInput):
             RenderConfig(precision=2)
 
+    @pytest.mark.parametrize(
+        "bounds,needle",
+        [
+            ({"t_max": math.inf}, "t_max must be finite"),
+            ({"t_min": -math.inf}, "t_min must be finite"),
+            ({"t_min": math.nan}, "t_min must be finite"),
+            ({"t_min": -1e308, "t_max": 1e308}, "t_min=-1e[+]308 to t_max=1e[+]308"),
+        ],
+    )
+    def test_config_refuses_non_finite_grid(self, bounds, needle):
+        from moeblox.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match=needle):
+            RenderConfig(**bounds)
+
     def test_style_override(self):
         raw = dict(STANDARD_SCENE, style={"T": {"stroke": "#123456", "dash": "2 2"}})
         svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
@@ -296,6 +313,182 @@ class TestRenderFuzz:
             return
         svg = render_scene(scene, RenderConfig(samples=16))
         ET.fromstring(svg.encode("utf-8"))
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+KIND = st.sampled_from(["triple", "cycle", "point", "circle", "line", "moebius", "other"])
+LOOSE_OBJECT = st.fixed_dictionaries(
+    {"id": st.text(max_size=4) | JSON_VALUE, "kind": KIND | JSON_VALUE, "data": JSON_VALUE}
+)
+_MOVED = mx.apply_map(mx.MoebiusMap(1, 2j, 0.5, 1), mx.standard_triple(mx.SlsParameter.finite(1.0)))
+RICH_SCENE = {
+    "objects": STANDARD_SCENE["objects"] + [
+        {"id": "M", "kind": "triple", "data": _MOVED.to_json()},
+        {"id": "zero", "kind": "triple", "data": {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -1]}},
+        {"id": "inf", "kind": "triple", "data": {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [0, 0, 0, 1]}},
+        {"id": "u", "kind": "circle", "data": {"center": [0, 0], "radius": 1}},
+        {"id": "ax", "kind": "line", "data": {"p": [0, 0], "q": [1, 0]}},
+        {"id": "k", "kind": "cycle", "data": [0, 1, 1, 2]},
+        {"id": "p", "kind": "point", "data": "1,0"},
+        {"id": "q", "kind": "point", "data": "0,1.105171"},
+    ]
+}
+SCENE_DOCUMENT = (
+    json_scenes()
+    | st.fixed_dictionaries({"objects": st.lists(LOOSE_OBJECT, max_size=3)})
+    | JSON_VALUE
+)
+NUMBER = st.sampled_from(["-3", "3", "-1", "1", "0", "0.5", "1e308", "-1e308", "1e400", "inf", "-inf", "nan", "x"]) | st.floats().map(repr)
+POINT = st.sampled_from(["1,0", "0,0", "inf", "0,1.105171", "2.718281828459045,0", "1,", "p"]) | st.tuples(SMALL, SMALL).map(lambda xy: f"{xy[0]},{xy[1]}")
+NEGATIVE_ANSWERS = {"member", "tangent", "equiv"}
+
+
+@st.composite
+def cli_arguments(draw, ids, well_formed):
+    """One command with drawn values for its options.  ``ids`` maps a
+    scene object kind to the ids of that kind.  Well-formed arguments
+    name every option and refer to objects of the right kind; the others
+    may miss options, refer to anything and hold malformed values."""
+
+    def ref(*kinds):
+        known = sorted(i for kind in kinds for i in ids.get(kind, ()))
+        if well_formed and known:
+            return st.sampled_from(known)
+        loose = st.text(max_size=3) | st.sampled_from(sorted(set().union(*ids.values())) or [""])
+        return st.sampled_from(known) | loose if known else loose
+
+    def pick(good, bad):
+        return st.sampled_from(good) if well_formed else st.sampled_from(good + bad)
+
+    triple, cycle, point = ref("triple"), ref("circle", "line", "cycle"), POINT | ref("point")
+    command = draw(st.sampled_from(["lambda", "member", "angle", "tangent", "equiv", "normalize", "render", "sample"]))
+    options = {
+        "lambda": {"--triple": triple},
+        "member": {"--triple": triple, "--point": point},
+        "angle": {"--triple-a": triple, "--triple-b": triple, "--point": point},
+        "tangent": {"--triple": triple, "--cycle": cycle, "--point": point},
+        "equiv": {"--triple-a": triple, "--triple-b": triple},
+        "normalize": {"--triple": triple},
+        "render": {
+            "--samples": pick(["16", "17"], ["15", "0", "x"]),
+            "--t-min": NUMBER, "--t-max": NUMBER,
+            "--width": pick(["1", "800"], ["0", "-1"]),
+            "--height": pick(["1", "600"], ["0"]),
+            "--precision": pick(["3", "6", "12"], ["2", "13"]),
+        },
+        "sample": {
+            "--triple": triple, "--t-min": NUMBER, "--t-max": NUMBER,
+            "--count": pick(["2", "3", "5"], ["1", "0", "x"]),
+            "--branch": pick(["+", "-", "both"], ["?"]),
+        },
+    }[command]
+    args = [command]
+    for name, values in options.items():
+        if well_formed or draw(st.booleans()):
+            args.append(f"{name}={draw(values)}")
+    flags = {"member": ["--oracle", "--strict-mod1"], "equiv": ["--strict-mod1"]}.get(command, [])
+    for flag in flags + ["--json"]:
+        if draw(st.booleans()):
+            args.append(flag)
+    if draw(st.booleans()):
+        args.append(f"--tol={draw(pick(['1e-9', '1e-9,1e-7,1e-6'], ['0', '1', 'x', '1e-9,1']))}")
+    return args
+
+
+class TestCliExitCodeFuzz:
+    """The exit-code contract over any scene file and any arguments: 0 or
+    2 always possible, 1 only as the negative answer of a yes/no query."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_main_returns_contract_code(self, data):
+        import contextlib
+        import io
+        import tempfile
+
+        # half of the runs use a valid scene and well-formed arguments,
+        # so that the answers themselves are reached
+        valid = data.draw(st.booleans(), label="valid")
+        document = RICH_SCENE if valid else data.draw(SCENE_DOCUMENT, label="scene")
+        objects = document.get("objects") if isinstance(document, dict) else None
+        ids: dict = {}
+        for entry in objects if isinstance(objects, list) else []:
+            if isinstance(entry, dict) and isinstance(entry.get("id"), str):
+                ids.setdefault(str(entry.get("kind")), set()).add(entry["id"])
+        argv = data.draw(cli_arguments(ids, valid), label="argv")
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_text(json.dumps(document))
+            argv[1:1] = ["--scene", str(scene)]
+            if argv[0] == "render":
+                argv.append(f"--out={Path(tmp) / 'out.svg'}")
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert argv[0] in NEGATIVE_ANSWERS
+
+
+def run_without_numpy(code, args):
+    """Run ``code`` in a fresh interpreter in which importing numpy fails."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("MOEBLOX_TOL", None)
+    prelude = "import sys\nsys.modules['numpy'] = None\n"
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True, env=env
+    )
+
+
+class TestNoNumpyAtRuntime:
+    """The package runs on the standard library alone."""
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        probe = "import sys, moeblox.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "args,code,stdout",
+        [
+            (
+                ["member", "--triple", "T", "--point", "1,0"],
+                0,
+                '{"flags": [], "lhs": 0.0, "member": true, "rhs": 0.0, "t_coeff": 1.0}',
+            ),
+            (
+                ["member", "--triple", "T", "--point", "0,1.105171"],
+                1,
+                '{"flags": [], "lhs": 0.10000007412821842, "member": false, "rhs": 0.25, '
+                '"t_coeff": 0.9653465338521512}',
+            ),
+            (["equiv", "--triple-a", "T", "--triple-b", "shifted", "--json"], 0, '{"equivalent": true}'),
+            (["equiv", "--triple-a", "T", "--triple-b", "rotated", "--json"], 1, '{"equivalent": false}'),
+            (["equiv", "--triple-a", "T", "--triple-b", "moved", "--json"], 1, '{"equivalent": false}'),
+        ],
+    )
+    def test_answers_without_numpy(self, tmp_path, args, code, stdout):
+        # outputs as the numpy-based SVD and lstsq gave them
+        T = mx.LoxodromeTriple.from_json(STANDARD_SCENE["objects"][0]["data"])
+        lam = 1 + 2j * math.pi
+        shifted = mx.apply_map(mx.MoebiusMap(cmath.exp(lam * 0.3), 0, 0, 1), T)
+        rotated = {"c1": [0, 1, 0, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -E2], "sign": 1}
+        objects = STANDARD_SCENE["objects"] + [
+            {"id": "shifted", "kind": "triple", "data": shifted.to_json()},
+            {"id": "moved", "kind": "triple", "data": _MOVED.to_json()},
+            {"id": "rotated", "kind": "triple", "data": rotated},
+        ]
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"objects": objects}))
+        cli = "from moeblox.cli import main\nsys.exit(main(sys.argv[1:]))"
+        result = run_without_numpy(cli, [args[0], "--scene", str(path), *args[1:]])
+        assert (result.returncode, result.stdout.strip()) == (code, stdout), result.stderr
 
 
 class TestCliContract:
@@ -486,6 +679,36 @@ class TestCliContract:
         assert lines[0] == "# branch +"
         assert lines[1] == "1.000000,0.000000"
         assert lines[2].startswith("2.71828")
+
+    @pytest.mark.parametrize(
+        "bounds,needle",
+        [
+            (["--t-max=inf"], "t_max must be finite"),
+            (["--t-min=-1e308", "--t-max=1e308"], "grid step is not finite"),
+            (["--t-min=-1e308", "--t-max=0"], "rate [*] t is not finite"),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_sample_refuses_non_finite_grid(self, scene_path, bounds, needle, json_flag):
+        result = run_cli(["sample", "--scene", scene_path, "--triple", "T", *bounds, *json_flag])
+        assert result.returncode == 2
+        assert result.stdout == ""  # refused before any branch header
+        assert re.search(needle, result.stderr) and "Traceback" not in result.stderr
+
+    def test_render_refuses_non_finite_grid(self, scene_path, tmp_path):
+        out = tmp_path / "out.svg"
+        result = run_cli(["render", "--scene", scene_path, "--out", str(out), "--t-max=inf"])
+        assert result.returncode == 2
+        assert "t_max must be finite" in result.stderr
+        assert not out.exists()
+
+    def test_render_skips_curve_whose_angle_overflows(self, scene_path, tmp_path):
+        out = tmp_path / "out.svg"
+        args = ["render", "--scene", scene_path, "--out", str(out), "--samples", "16", "--t-max=1e308"]
+        result = run_cli(args)
+        assert result.returncode == 0
+        assert "curve not drawn" in result.stderr and "rate * t is not finite" in result.stderr
+        assert out.exists()
 
     def test_missing_scene_is_data_error(self):
         result = run_cli(["lambda", "--scene", "/nonexistent.json", "--triple", "T"])

@@ -277,6 +277,67 @@ class TestEquivalence:
             mx.equivalent(std(0.0), std(0.0))
 
 
+def reference_in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
+    """``loxodrome._in_span`` as first written: numpy's ``lstsq`` with its
+    default rcond, and the residual norm of its solution."""
+    import numpy as np
+
+    S = np.array([mx.canonicalize(A, tol).to_json(), mx.canonicalize(B, tol).to_json()]).T
+    v = np.array(mx.canonicalize(X, tol).to_json())
+    coef, *_ = np.linalg.lstsq(S, v, rcond=None)
+    residual = float(np.linalg.norm(S @ coef - v))
+    return residual <= tol.eps_product * max(1.0, float(np.linalg.norm(v)))
+
+
+class TestInSpanReference:
+    """The Gram-Schmidt span test against lstsq."""
+
+    @staticmethod
+    def perturbed(rng, X, size):
+        return mx.Cycle(*(c + size * rng.normal() for c in X.to_json()))
+
+    @pytest.mark.parametrize("size", [0.0, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-2])
+    def test_members_and_perturbed_non_members(self, rng, size):
+        from moeblox.cycles import combine
+        from moeblox.loxodrome import _in_span
+
+        from conftest import random_real_cycle
+
+        inside = 0
+        for _ in range(400):
+            A, B = random_real_cycle(rng), random_real_cycle(rng)
+            if mx.projectively_equal(A, B):
+                continue
+            alpha, beta = rng.uniform(-3, 3, 2)
+            X = self.perturbed(rng, combine(alpha, A, beta, B), size)
+            want = reference_in_span(A, B, X)
+            assert _in_span(A, B, X, mx.DEFAULT_TOLERANCES) == want, (A, B, X)
+            inside += want
+        if size <= 1e-12:
+            assert inside >= 390
+        if size >= 1e-6:
+            assert inside == 0
+
+    @pytest.mark.parametrize("kind", ["scaled", "nearly"])
+    def test_rank_one_spans(self, rng, kind):
+        # a second column within lstsq's rcond of the first is dropped, so
+        # the span is the line of A alone
+        from moeblox.loxodrome import _in_span
+
+        from conftest import random_real_cycle
+
+        for _ in range(300):
+            A = random_real_cycle(rng)
+            if kind == "scaled":
+                B = float(rng.uniform(0.5, 4)) * A
+            else:
+                e = 10 ** rng.uniform(-17, -14)
+                B = mx.Cycle(A.k * (1 + e * rng.normal()), A.l, A.n, A.m * (1 + e * rng.normal()))
+            for X in (3.0 * A, random_real_cycle(rng), self.perturbed(rng, A, 1e-9)):
+                want = reference_in_span(A, B, X)
+                assert _in_span(A, B, X, mx.DEFAULT_TOLERANCES) == want, (A, B, X)
+
+
 class TestMembership:
     def test_point_one(self):
         rep = mx.contains_point(std(1.0), pt(1))
@@ -586,6 +647,26 @@ class TestSampleCurveReference:
         assert all(p == far for p in points[35:709])
         assert all(p.is_infinity for p in points[710:])
         assert points == reference_samples(T, 0.0, 1000.0, 1001, "+")
+
+    @pytest.mark.parametrize(
+        "t_min,t_max,needle",
+        [
+            (0.0, math.inf, "t_max must be finite, got inf"),
+            (-math.inf, 0.0, "t_min must be finite, got -inf"),
+            (math.nan, 0.0, "t_min must be finite, got nan"),
+            (-1e308, 1e308, "grid step is not finite"),
+        ],
+    )
+    def test_non_finite_grid_refused(self, t_min, t_max, needle):
+        with pytest.raises(InvalidInput, match=needle):
+            mx.sample_curve(self.SHAPES["spiral"], t_min, t_max, 5, "both")
+
+    @pytest.mark.parametrize("shape", ["spiral", "circle"])
+    def test_overflowing_angle_refused(self, shape):
+        # every bound and the step are finite, but (lambda_tilde + 2 pi i) t
+        # is not: the point's angle is undefined
+        with pytest.raises(InvalidInput, match="rate [*] t is not finite"):
+            mx.sample_curve(self.SHAPES[shape], -3.0, 1e308, 3, "+")
 
     @pytest.mark.parametrize("t_min,t_max", [(-math.inf, math.inf), (0.0, math.inf)])
     def test_non_finite_model_point_raises(self, t_min, t_max):

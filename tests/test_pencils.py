@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -146,6 +147,117 @@ class TestOrthogonalCycleThrough:
             found += 1
             for other in (A, B, C0, Z1, Z2):
                 assert mx.is_orthogonal(X, other)
+
+
+def reference_orthogonal_cycle_through(A, B, P, tol=mx.DEFAULT_TOLERANCES):
+    """``orthogonal_cycle_through`` as first written: the null vector of
+    the stacked rows from numpy's SVD, with its rank test on the
+    singular values."""
+    import numpy as np
+
+    rows = np.array([[-X.m, 2.0 * X.l, 2.0 * X.n, -X.k] for X in (A, B, P)], dtype=float)
+    _, sing, vt = np.linalg.svd(rows)
+    if sing[2] <= tol.eps_product * sing[0]:
+        raise RankDeficient(f"singular values {sing.tolist()!r}")
+    return mx.canonicalize(mx.Cycle(*vt[-1]), tol)
+
+
+def relative_difference(a, b):
+    return max(abs(a.k - b.k), abs(a.l - b.l), abs(a.n - b.n), abs(a.m - b.m)) / max(
+        a.scale(), b.scale()
+    )
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except RankDeficient:
+        return RankDeficient
+
+
+class TestOrthogonalCycleThroughReference:
+    """The closed-form null space and rank test against the SVD, inside
+    the acceptance envelope: |lambda_tilde| in [0.25, 2.5], t in [-2, 2].
+    Beyond it the two drift apart, and neither is reliable there."""
+
+    def envelope_triples(self, rng, count):
+        for _ in range(count):
+            lt = rng.uniform(0.25, 2.5) * rng.choice([-1.0, 1.0])
+            M = random_moebius(rng)
+            yield lt, M, mx.apply_map(M, mx.standard_triple(mx.SlsParameter.finite(lt)))
+
+    def test_null_cycle_matches_svd(self, rng):
+        from conftest import on_curve_point
+
+        worst, compared = 0.0, 0
+        for lt, M, T in self.envelope_triples(rng, 400):
+            points = [on_curve_point(rng, lt, M)[0] for _ in range(3)]
+            points.append(pt(complex(*rng.uniform(-4, 4, 2))))
+            for p in points:
+                c0 = mx.zero_radius_at(p)
+                want = outcome(reference_orthogonal_cycle_through, T.c2, T.c3, c0)
+                got = outcome(mx.orthogonal_cycle_through, T.c2, T.c3, c0)
+                if want is RankDeficient:
+                    assert got is RankDeficient
+                    continue
+                worst = max(worst, relative_difference(got, want))
+                compared += 1
+        assert compared > 1500
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6])
+    def test_rank_deficient_at_and_near_limit_points(self, rng, offset):
+        # the SVD raises at every offset up to 1e-9 and at most of 3e-9 and
+        # 1e-8: the closed-form rank test must draw the same line
+        raised = 0
+        for _, _, T in self.envelope_triples(rng, 100):
+            for Z in mx.zero_radius_members(mx.Pencil(T.c2, T.c3)):
+                z = mx.point_of(Z)
+                if z.is_infinity:
+                    p = z if offset == 0.0 else pt(1.0 / offset)
+                else:
+                    p = pt(z.as_complex() + offset * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+                c0 = mx.zero_radius_at(p)
+                want = outcome(reference_orthogonal_cycle_through, T.c2, T.c3, c0)
+                got = outcome(mx.orthogonal_cycle_through, T.c2, T.c3, c0)
+                assert (got is RankDeficient) == (want is RankDeficient), (T, p)
+                raised += want is RankDeficient
+        if offset <= 1e-9:
+            assert raised == 200
+
+    @pytest.mark.parametrize(
+        "A,B,P",
+        [
+            (UNIT, UNIT, mx.zero_radius_at(pt(2))),  # two equal rows
+            (UNIT, E_CIRCLE, mx.Cycle(1, 0, 0, -1 - 1e-12)),  # near-dependent third row
+        ],
+    )
+    def test_rank_deficient_like_svd(self, A, B, P):
+        with pytest.raises(RankDeficient):
+            reference_orthogonal_cycle_through(A, B, P)
+        with pytest.raises(RankDeficient):
+            mx.orthogonal_cycle_through(A, B, P)
+
+    def test_rank_one_rows_raise(self, rng):
+        # rows equal up to rounding: the minors and cofactors are roundoff,
+        # so the cofactor test alone could pass; s1 <= eps s0 decides
+        for _ in range(200):
+            A = mx.Cycle(*rng.uniform(-3, 3, 4))
+            B, P = float(rng.uniform(0.1, 3)) * A, float(rng.uniform(-3, -0.1)) * A
+            with pytest.raises(RankDeficient):
+                reference_orthogonal_cycle_through(A, B, P)
+            with pytest.raises(RankDeficient):
+                mx.orthogonal_cycle_through(A, B, P)
+
+    @pytest.mark.parametrize("exponent", [-300, -150, 150, 300])
+    def test_scale_invariant_over_the_whole_range(self, exponent):
+        # cofactors are cubic in the components and their squares are of
+        # degree six, so unscaled rows would overflow or underflow here
+        f = 2.0**exponent
+        X = mx.orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(2)))
+        assert X == mx.orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2)))
+        with pytest.raises(RankDeficient):
+            mx.orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(0)))
 
 
 class TestHyperbolicMemberThrough:
