@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .cycles import ExtendedPoint
@@ -29,18 +28,6 @@ from .loxodrome import (
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 from .render import RenderConfig, render_scene
 from .scene import load_scene
-
-TOL_ENV = "MOEBLOX_TOL"
-
-
-def _resolve_tolerances(args) -> Tolerances:
-    if args.tol:
-        return Tolerances.parse(args.tol)
-    env = os.environ.get(TOL_ENV)
-    if env:
-        return Tolerances.parse(env)
-    return DEFAULT_TOLERANCES
-
 
 def _common(parser):
     parser.add_argument("--scene", required=True, help="scene JSON file")
@@ -66,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", required=True)
     p.add_argument("--point", required=True, help="'x,y' or 'inf', or a point id")
     p.add_argument("--oracle", action="store_true", help="decide by normalising instead")
-    p.add_argument(
-        "--strict-mod1", action="store_true", help="unfolded modulo-1 congruence"
-    )
 
     p = sub.add_parser("angle", help="intersection angle of two curves at a point")
     _common(p)
@@ -86,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--triple-a", required=True)
     p.add_argument("--triple-b", required=True)
-    p.add_argument(
-        "--strict-mod1", action="store_true", help="unfolded modulo-1 congruence"
-    )
 
     p = sub.add_parser("normalize", help="print the standard map and standard triple")
     _common(p)
@@ -149,7 +130,7 @@ def _cmd_member(args, tol) -> int:
         report = {"member": member, "t_coeff": None, "lhs": None, "rhs": None,
                   "flags": ["oracle"]}
     else:
-        result = contains_point(T, point, tol, strict_mod1=args.strict_mod1)
+        result = contains_point(T, point, tol)
         member = result.member
         report = result.to_json()
     print(json.dumps(report, sort_keys=True))
@@ -186,12 +167,7 @@ def _cmd_tangent(args, tol) -> int:
 
 def _cmd_equiv(args, tol) -> int:
     scene = load_scene(args.scene, tol)
-    ok = equivalent(
-        scene.triple(args.triple_a),
-        scene.triple(args.triple_b),
-        tol,
-        strict_mod1=args.strict_mod1,
-    )
+    ok = equivalent(scene.triple(args.triple_a), scene.triple(args.triple_b), tol)
     print(json.dumps({"equivalent": ok}, sort_keys=True) if args.json else
           ("equivalent" if ok else "not equivalent"))
     return 0 if ok else 1
@@ -286,7 +262,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; keep the contract
         return int(exc.code) if exc.code else 0
     try:
-        tol = _resolve_tolerances(args)
+        tol = Tolerances.parse(args.tol) if args.tol else DEFAULT_TOLERANCES
         return _HANDLERS[args.command](args, tol)
     except MoebloxError as exc:
         print(f"error: {exc}", file=sys.stderr)

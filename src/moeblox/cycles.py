@@ -49,7 +49,7 @@ from .errors import (
     SingularMap,
     ZeroRadiusOperand,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -214,7 +214,7 @@ class Cycle:
     def from_json(cls, data) -> "Cycle":
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise InvalidInput(f"cycle JSON must be [k, l, n, m], got {data!r}")
-        return cls(*(float(v) for v in data))
+        return cls(*(_float(v, f"cycle component {c}") for c, v in zip("klnm", data)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,6 @@ class MoebiusMap:
             raise SingularMap(f"matrix determinant {det!r} vanishes at scale {top!r}")
         for name, e in zip("abcd", entries):
             object.__setattr__(self, name, e)
-
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1, 0, 0, 1)
 
     @property
     def det(self) -> complex:
@@ -281,7 +277,10 @@ class MoebiusMap:
         if not isinstance(data, (list, tuple)) or len(data) != 4:
             raise InvalidInput("map JSON must hold four [re, im] pairs")
         try:
-            entries = [complex(float(re), float(im)) for re, im in data]
+            entries = [
+                complex(_float(re, f"map entry {name}"), _float(im, f"map entry {name}"))
+                for name, (re, im) in zip("abcd", data)
+            ]
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"cannot parse map JSON {data!r}") from exc
         return cls(*entries)

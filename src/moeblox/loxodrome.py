@@ -15,11 +15,13 @@ cosine of their normalised product recovers ``|lambda_tilde|``; the sign
 cannot be read off the cycles (mirror spirals share them), so the triple
 carries it explicitly.
 
-All congruence tests here work modulo 1/2 with a sign fold.  Cycles are
-projective, so normalised products carry a residual +- ambiguity, lines
-are undirected, and the model curve has two branches; folding makes the
-checks well defined on exactly the data a triple carries.  A strict
-modulo-1 variant is available for comparison via ``strict_mod1``.
+A point is on the curve when the hyperbolic shift over ``lambda_tilde``
+agrees with the elliptic rotation in turns.  Every congruence here is
+taken modulo 1/2 with a sign fold: cycles are projective, so normalised
+products carry a residual +- ambiguity, lines are undirected, and the
+model curve has two branches.  Folding makes the checks well defined on
+exactly the data a triple carries; an unfolded modulo-1 comparison would
+reject genuine curve points.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .numerics import (
     clamped_acos,
     clamped_acosh,
     congruent_mod,
+    _float,
 )
 from .pencils import (
     Pencil,
@@ -252,11 +255,7 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
 
 
 def triple_violations(
-    c1: Cycle,
-    c2: Cycle,
-    c3: Cycle,
-    sign: int = 1,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    c1: Cycle, c2: Cycle, c3: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list:
     """All invariant violations of a candidate triple, empty when valid."""
     out = []
@@ -324,12 +323,11 @@ def validate_triple(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LoxodromeTriple:
     """Checked triple; raises the first invariant violation otherwise."""
-    if sign not in (1, -1):
-        raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
-    violations = triple_violations(c1, c2, c3, sign, tol)
+    T = LoxodromeTriple(c1, c2, c3, sign)
+    violations = triple_violations(c1, c2, c3, tol)
     if violations:
         raise violations[0]
-    return LoxodromeTriple(c1, c2, c3, sign)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +361,6 @@ class Loxodrome:
             self.kind = CurveKind.LINE
         else:
             self.kind = CurveKind.SPIRAL
-
-    @classmethod
-    def from_triple(
-        cls, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> "Loxodrome":
-        return cls(T, tol)
-
-    def to_triple(self, tol: Tolerances = DEFAULT_TOLERANCES) -> LoxodromeTriple:
-        return apply_map(self.map.inverse(), standard_triple(self.param), tol)
 
     @cached_property
     def param(self) -> SlsParameter:
@@ -496,21 +485,21 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
 # equivalence
 # ---------------------------------------------------------------------------
 
-def _in_span(A: Cycle, B: Cycle, X: Cycle, tol: Tolerances) -> bool:
-    """Is the canonical X within eps_product of the span of canonical A
-    and B, relative to max(1, |X|)?
+def _span_test(a: Cycle, b: Cycle, tol: Tolerances):
+    """The test whether a canonical cycle X is within eps_product of the
+    span of the canonical cycles a and b, relative to max(1, |X|).
 
-    Least squares by two-pass Gram-Schmidt: B is orthogonalised against
-    A twice, which leaves the basis orthonormal to roundoff, and the
+    Least squares by two-pass Gram-Schmidt: b is orthogonalised against
+    a twice, which leaves the basis orthonormal to roundoff, and the
     residual of X is formed as a vector, so its norm is accurate down to
     the roundoff of |X|.  A residual taken from |X|^2 minus the squared
     projections, or a Gram determinant, would square the threshold below
-    double precision.  As with lstsq's default rcond, B is dropped when
-    the smaller singular value of [A B] is at most 4 machine epsilons of
-    the larger: their product is |A| |B'| for the orthogonal part B' of
-    B, and their squares sum to |A|^2 + |B|^2.
+    double precision.  As with lstsq's default rcond, b is dropped when
+    the smaller singular value of [a b] is at most 4 machine epsilons of
+    the larger: their product is |a| |b'| for the orthogonal part b' of
+    b, and their squares sum to |a|^2 + |b|^2.  The basis is built once
+    and serves every X tested against it.
     """
-    a, b, x = canonicalize(A, tol), canonicalize(B, tol), canonicalize(X, tol)
     hypot = math.hypot
     na = hypot(a.k, a.l, a.n, a.m)
     q0, q1, q2, q3 = a.k / na, a.l / na, a.n / na, a.m / na
@@ -519,22 +508,24 @@ def _in_span(A: Cycle, B: Cycle, X: Cycle, tol: Tolerances) -> bool:
         d = q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3
         u0, u1, u2, u3 = u0 - d * q0, u1 - d * q1, u2 - d * q2, u3 - d * q3
     nu = hypot(u0, u1, u2, u3)
-    d = q0 * x.k + q1 * x.l + q2 * x.n + q3 * x.m
-    r0, r1, r2, r3 = x.k - d * q0, x.l - d * q1, x.n - d * q2, x.m - d * q3
     h = hypot(na, b.k, b.l, b.n, b.m)
-    if (na / h) * (nu / h) > _LSTSQ_RCOND:
+    full_rank = (na / h) * (nu / h) > _LSTSQ_RCOND
+    if full_rank:
         w0, w1, w2, w3 = u0 / nu, u1 / nu, u2 / nu, u3 / nu
-        d = w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
-        r0, r1, r2, r3 = r0 - d * w0, r1 - d * w1, r2 - d * w2, r3 - d * w3
-    residual = hypot(r0, r1, r2, r3)
-    return residual <= tol.eps_product * max(1.0, hypot(x.k, x.l, x.n, x.m))
+
+    def holds(x: Cycle) -> bool:
+        d = q0 * x.k + q1 * x.l + q2 * x.n + q3 * x.m
+        r0, r1, r2, r3 = x.k - d * q0, x.l - d * q1, x.n - d * q2, x.m - d * q3
+        if full_rank:
+            d = w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
+            r0, r1, r2, r3 = r0 - d * w0, r1 - d * w1, r2 - d * w2, r3 - d * w3
+        residual = hypot(r0, r1, r2, r3)
+        return residual <= tol.eps_product * max(1.0, hypot(x.k, x.l, x.n, x.m))
+
+    return holds
 
 
-def _congruent_folded(
-    lhs: float, rhs: float, strict_mod1: bool, tol: Tolerances
-) -> bool:
-    if strict_mod1:
-        return congruent_mod(lhs, rhs, 1.0, tol)
+def _congruent_folded(lhs: float, rhs: float, tol: Tolerances) -> bool:
     return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)
 
 
@@ -542,7 +533,6 @@ def equivalent(
     T: LoxodromeTriple,
     Tp: LoxodromeTriple,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    strict_mod1: bool = False,
 ) -> bool:
     """Do two non-degenerate triples parametrise the same curve?
 
@@ -557,12 +547,9 @@ def equivalent(
             raise DegenerateTriple("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
-    if not (
-        _in_span(T.c2, T.c3, Tp.c2, tol)
-        and _in_span(T.c2, T.c3, Tp.c3, tol)
-        and _in_span(Tp.c2, Tp.c3, T.c2, tol)
-        and _in_span(Tp.c2, Tp.c3, T.c3, tol)
-    ):
+    a2, a3, b2, b3 = (canonicalize(C, tol) for C in (T.c2, T.c3, Tp.c2, Tp.c3))
+    in_a, in_b = _span_test(a2, a3, tol), _span_test(b2, b3, tol)
+    if not (in_a(b2) and in_a(b3) and in_b(a2) and in_b(a3)):
         return False
     x = abs(normalized_product(T.c2, T.c3, tol))
     xp = abs(normalized_product(Tp.c2, Tp.c3, tol))
@@ -571,9 +558,9 @@ def equivalent(
     lam = clamped_acosh(x, tol)
     rhs = clamped_acos(normalized_product(T.c1, Tp.c1, tol), tol) / TWO_PI
     lhs2 = clamped_acosh(abs(normalized_product(T.c2, Tp.c2, tol)), tol) / lam
-    ok2 = _congruent_folded(lhs2, rhs, strict_mod1, tol)
+    ok2 = _congruent_folded(lhs2, rhs, tol)
     lhs3 = clamped_acosh(abs(normalized_product(T.c3, Tp.c3, tol)), tol) / lam
-    ok3 = _congruent_folded(lhs3, rhs, strict_mod1, tol)
+    ok3 = _congruent_folded(lhs3, rhs, tol)
     if ok2 != ok3:
         warnings.warn(
             "coupling congruence disagrees between second and third cycles",
@@ -594,8 +581,6 @@ class MembershipReport:
     lhs: float | None = None
     rhs: float | None = None
     flags: tuple[str, ...] = ()
-    ch: Cycle | None = None
-    ce: Cycle | None = None
 
     def to_json(self):
         return {
@@ -617,53 +602,47 @@ def contains_point(
     T: LoxodromeTriple,
     p,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    strict_mod1: bool = False,
 ) -> MembershipReport:
     """Decide curve membership from pencil data alone.
 
-    For the generic case the report carries the pencil member through
-    the point (ch), the orthogonal cycle through it (ce), the hyperbolic
-    shift over the parameter (lhs) and the elliptic rotation in turns
-    (rhs); membership is their congruence modulo 1/2 with sign fold
-    (modulo 1 without fold under ``strict_mod1``).
+    For the generic case the report carries the hyperbolic shift over
+    the parameter (lhs), read off the pencil member through the point,
+    and the elliptic rotation in turns (rhs), read off the orthogonal
+    cycle through it; membership is their congruence modulo 1/2 with
+    sign fold.
 
     The two asymptotic endpoints are not on the curve: those report
     False with a ``limit_point`` flag.  Degenerate triples dispatch to
     plain incidence with the curve cycle.
     """
     p = _as_point(p)
-    return _contains(Loxodrome(T, tol), p, strict_mod1)
+    return _contains(Loxodrome(T, tol), p)
 
 
-def _contains(
-    lox: Loxodrome, p: ExtendedPoint, strict_mod1: bool = False
-) -> MembershipReport:
+def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
     T, tol = lox.triple, lox.tol
-    flags = ("strict_mod1",) if strict_mod1 else ()
     if lox.shape == CurveKind.CIRCLE:
-        return MembershipReport(member=passes(T.c2, p, tol), flags=flags)
+        return MembershipReport(member=passes(T.c2, p, tol))
     if any(p.approx_eq(z, tol) for z in lox.limit_points):
-        return MembershipReport(False, flags=flags + ("limit_point",))
+        return MembershipReport(False, flags=("limit_point",))
     if lox.shape == CurveKind.LINE:
         return MembershipReport(
-            member=passes(T.c1, p, tol), flags=flags + ("degenerate_arc_unchecked",)
+            member=passes(T.c1, p, tol), flags=("degenerate_arc_unchecked",)
         )
 
     c0 = zero_radius_at(p)
     ch, t = member_through(T.c2, T.c3, c0, tol)
-    if t is None:
-        flags = flags + ("radical_member",)
+    flags = ("radical_member",) if t is None else ()
     if classify(ch, tol) == CycleKind.POINT:
-        return MembershipReport(False, t, flags=flags + ("limit_point",), ch=ch)
+        return MembershipReport(False, t, flags=flags + ("limit_point",))
     try:
         ce = orthogonal_cycle_through(T.c2, T.c3, c0, tol)
         lam = abs(lox.param.lambda_tilde)
         lhs = clamped_acosh(abs(normalized_product(ch, T.c2, tol)), tol) / lam
         rhs = clamped_acos(normalized_product(ce, T.c1, tol), tol) / TWO_PI
     except (RankDeficient, ZeroRadiusOperand):
-        return MembershipReport(False, t, flags=flags + ("limit_point",), ch=ch)
-    member = _congruent_folded(lhs, rhs, strict_mod1, tol)
-    return MembershipReport(member, t, lhs, rhs, flags, ch, ce)
+        return MembershipReport(False, t, flags=flags + ("limit_point",))
+    return MembershipReport(_congruent_folded(lhs, rhs, tol), t, lhs, rhs, flags)
 
 
 def contains_point_oracle(
@@ -718,7 +697,6 @@ def intersection_angle(
     Tp: LoxodromeTriple,
     p,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    check_membership: bool = True,
 ) -> float:
     """Crossing angle of two curves at a common point.
 
@@ -733,19 +711,14 @@ def intersection_angle(
     """
     p = _as_point(p)
     lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
-    if check_membership:
-        if not (_contains(lox, p).member and _contains(loxp, p).member):
-            raise PointNotOnBoth(f"point {p.format()} is not on both curves")
+    if not (_contains(lox, p).member and _contains(loxp, p).member):
+        raise PointNotOnBoth(f"point {p.format()} is not on both curves")
     if p.is_infinity:
         # angles are preserved by conformal maps: move the point into view
         swap = MoebiusMap(0.0, 1.0, 1.0, 0.0)
-        return intersection_angle(
-            apply_map(swap, T, tol),
-            apply_map(swap, Tp, tol),
-            apply_to_point(swap, p),
-            tol,
-            check_membership=False,
-        )
+        lox = Loxodrome(apply_map(swap, T, tol), tol)
+        loxp = Loxodrome(apply_map(swap, Tp, tol), tol)
+        p = apply_to_point(swap, p)
     ch = lox.member_at(p)
     chp = loxp.member_at(p)
     psi = cmath.phase(
@@ -870,7 +843,7 @@ def _check_grid(t_min: float, t_max: float, count: int) -> None:
     for name, t in (("t_min", t_min), ("t_max", t_max)):
         if not math.isfinite(t):
             raise InvalidInput(f"{name} must be finite, got {t!r}")
-    if not math.isfinite((t_max - t_min) / (count - 1)):
+    if not math.isfinite((t_max - t_min) / _float(count - 1, "sample count")):
         raise InvalidInput(
             f"t_min={t_min!r} to t_max={t_max!r} is too wide: the grid step is not finite"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, InvalidInput
+from .errors import DomainError, InvalidInput, MoebloxError
 
 _TOL_CEILING = 1e-2
 
@@ -55,6 +55,16 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _float(value, name: str, error: type[MoebloxError] = InvalidInput) -> float:
+    """``float(value)``, with an integer too large for a float (JSON has
+    no bound on integers) refused as ``error`` naming it; float() itself
+    raises OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is too large for a float") from None
 
 
 def clamped_acos(x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

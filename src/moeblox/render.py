@@ -22,7 +22,7 @@ from .cycles import (
 )
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, _check_grid, _curve_points
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
 from .scene import Scene, SceneObject
 
 
@@ -42,6 +42,8 @@ class RenderConfig:
             raise InvalidInput("precision must lie in [3, 12]")
         if self.width <= 0 or self.height <= 0:
             raise InvalidInput("output size must be positive")
+        for name in ("width", "height"):  # the projector divides by both
+            _float(getattr(self, name), name)
         _check_grid(self.t_min, self.t_max, self.samples)
         if not self.t_max > self.t_min:
             raise InvalidInput("t range must be non-empty")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
 from .errors import InvalidInput, MoebloxError, SceneError
 from .loxodrome import LoxodromeTriple, triple_violations
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
 
 KINDS = ("circle", "line", "point", "cycle", "moebius", "triple")
 
@@ -83,7 +83,7 @@ class Scene:
             if obj.kind != "triple":
                 continue
             T = obj.value
-            for violation in triple_violations(T.c1, T.c2, T.c3, T.sign, tol):
+            for violation in triple_violations(T.c1, T.c2, T.c3, tol):
                 detail = f" (residual {violation.residual:.3e})" if violation.residual is not None else ""
                 notes.append(f"triple {obj.id!r}: {violation}{detail}")
         return notes
@@ -96,7 +96,8 @@ def _parse_xy(value, where: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         raise SceneError(f"{where}: expected [x, y], got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    x, y = (_float(v, f"{where}[{i}]", SceneError) for i, v in enumerate(value))
+    return complex(x, y)
 
 
 def _parse_point(data, where: str) -> ExtendedPoint:
@@ -170,7 +171,7 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
                     raise SceneError(f"{where}: circle data must be an object")
                 value = from_circle(
                     _parse_xy(data.get("center"), f"{where}.center"),
-                    float(data.get("radius", 0.0)),
+                    _float(data.get("radius", 0.0), f"{where}.radius", SceneError),
                 )
             elif kind == "line":
                 if not isinstance(data, dict):
@@ -230,11 +231,14 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
         if (
             not isinstance(box, (list, tuple))
             or len(box) != 4
-            or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in box)
+            or not all(isinstance(v, (int, float)) for v in box)
         ):
+            raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax] of finite numbers")
+        box = tuple(_float(v, f"bbox[{i}]", SceneError) for i, v in enumerate(box))
+        if not all(math.isfinite(v) for v in box):
             raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax] of finite numbers")
         if box[0] >= box[2] or box[1] >= box[3]:
             raise SceneError("'bbox' must have positive extent")
-        bbox = tuple(float(v) for v in box)
+        bbox = box
 
     return Scene(objects=objects, style=style, bbox=bbox)

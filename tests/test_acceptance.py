@@ -244,7 +244,6 @@ def _cli(args, cwd):
     import os
 
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("MOEBLOX_TOL", None)
     return subprocess.run(
         [sys.executable, "-m", "moeblox", *args],
         capture_output=True,

@@ -48,7 +48,6 @@ def scene_path(tmp_path):
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("MOEBLOX_TOL", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -117,6 +116,26 @@ class TestSceneParsing:
             ({"objects": [dict(STANDARD_SCENE["objects"][0], id="a\x01b")]}, "XML"),
             (dict(STANDARD_SCENE, style={"T": {"stroke": "\x02"}}), "XML"),
             (dict(STANDARD_SCENE, style={"T": {"dash": "4\ud800"}}), "XML"),
+            # integers too large for a float, each refused by name
+            (
+                {"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": 10**400}}]},
+                r"objects\[0\]\.radius is too large",
+            ),
+            (
+                {"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 10**400], "radius": 1}}]},
+                r"objects\[0\]\.center\[1\] is too large",
+            ),
+            ({"objects": [{"id": "q", "kind": "cycle", "data": [1, 10**400, 0, -1]}]}, "cycle component l is too large"),
+            (
+                {"objects": [{"id": "T", "kind": "triple", "data": {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -(10**400)]}}]},
+                r"objects\[0\]\.c3: cycle component m is too large",
+            ),
+            ({"objects": [{"id": "p", "kind": "point", "data": [10**400, 0]}]}, r"objects\[0\]\[0\] is too large"),
+            ({"objects": [], "bbox": [0, 0, 10**400, 1]}, r"bbox\[2\] is too large"),
+            (
+                {"objects": [{"id": "M", "kind": "moebius", "data": [[1, 0], [0, 10**400], [0, 0], [1, 0]]}]},
+                "map entry b is too large",
+            ),
         ],
     )
     def test_diagnostics(self, raw, needle):
@@ -275,7 +294,8 @@ class TestRender:
             assert svg.count("<polyline ") == polylines
 
 
-SMALL = st.integers(-3, 3) | st.sampled_from([0.5, -0.5, E2, -E2])
+# 10**400 is a JSON integer no float holds
+SMALL = st.integers(-3, 3) | st.sampled_from([0.5, -0.5, E2, -E2, 10**400])
 QUADRUPLE = st.lists(SMALL, min_size=4, max_size=4)
 STYLE_VALUE = st.text(max_size=6) | st.integers() | st.floats() | st.none() | st.lists(st.text(max_size=3), max_size=2)
 
@@ -376,8 +396,8 @@ def cli_arguments(draw, ids, well_formed):
         "render": {
             "--samples": pick(["16", "17"], ["15", "0", "x"]),
             "--t-min": NUMBER, "--t-max": NUMBER,
-            "--width": pick(["1", "800"], ["0", "-1"]),
-            "--height": pick(["1", "600"], ["0"]),
+            "--width": pick(["1", "800"], ["0", "-1", str(10**400)]),
+            "--height": pick(["1", "600"], ["0", str(10**400)]),
             "--precision": pick(["3", "6", "12"], ["2", "13"]),
         },
         "sample": {
@@ -390,7 +410,7 @@ def cli_arguments(draw, ids, well_formed):
     for name, values in options.items():
         if well_formed or draw(st.booleans()):
             args.append(f"{name}={draw(values)}")
-    flags = {"member": ["--oracle", "--strict-mod1"], "equiv": ["--strict-mod1"]}.get(command, [])
+    flags = {"member": ["--oracle"]}.get(command, [])
     for flag in flags + ["--json"]:
         if draw(st.booleans()):
             args.append(flag)
@@ -437,7 +457,6 @@ class TestCliExitCodeFuzz:
 def run_without_numpy(code, args):
     """Run ``code`` in a fresh interpreter in which importing numpy fails."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("MOEBLOX_TOL", None)
     prelude = "import sys\nsys.modules['numpy'] = None\n"
     return subprocess.run(
         [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True, env=env
@@ -530,21 +549,19 @@ class TestCliContract:
         bad = run_cli(["member", "--scene", scene_path, "--triple", "T", "--point", "1,травень"])
         assert bad.returncode == 2
 
-    def test_member_oracle_and_strict_flags(self, scene_path):
-        # exp(0.75 * (1 + 2 pi i)): on-curve, rejected by the unfolded test
-        import cmath
-
+    def test_member_oracle_flag(self, scene_path):
+        # exp(0.75 * (1 + 2 pi i)): on-curve, half a turn off in lhs - rhs
         w = cmath.exp(0.75 * (1 + 2j * math.pi))
         point = f"--point={w.real},{w.imag}"  # leading '-' needs the = form
         folded = run_cli(["member", "--scene", scene_path, "--triple", "T", point])
-        strict = run_cli(
-            ["member", "--scene", scene_path, "--triple", "T", point, "--strict-mod1"]
-        )
         oracle = run_cli(
             ["member", "--scene", scene_path, "--triple", "T", point, "--oracle"]
         )
         assert folded.returncode == 0
-        assert strict.returncode == 1
+        report = json.loads(folded.stdout)
+        assert report["member"] is True
+        assert report["lhs"] == pytest.approx(0.75, abs=1e-9)
+        assert report["rhs"] == pytest.approx(0.25, abs=1e-9)
         assert oracle.returncode == 0
         assert json.loads(oracle.stdout)["flags"] == ["oracle"]
 
@@ -727,34 +744,30 @@ class TestCliContract:
         result = run_cli(["lambda"])
         assert result.returncode == 2
 
-    def test_tol_env_and_flag(self, scene_path):
-        # absurdly loose eps_mod accepts the off-curve point; flag beats env
-        loose = "1e-9,1e-7,9e-3"
-        on_env = run_cli(
-            ["member", "--scene", scene_path, "--triple", "T", "--point", "0,1.105171"],
-            env_extra={"MOEBLOX_TOL": loose},
-        )
-        assert on_env.returncode == 1  # 0.15 turn offset still beyond 9e-3
-        accept_env = run_cli(
-            ["member", "--scene", scene_path, "--triple", "T", "--point", "1.0000001,0"],
-            env_extra={"MOEBLOX_TOL": loose},
-        )
-        assert accept_env.returncode == 0
-        flag_wins = run_cli(
-            [
-                "member",
-                "--scene",
-                scene_path,
-                "--triple",
-                "T",
-                "--point",
-                "1.0000001,0",
-                "--tol",
-                "1e-12,1e-9,1e-9",
-            ],
-            env_extra={"MOEBLOX_TOL": loose},
-        )
-        assert flag_wins.returncode == 1
+    def test_tol_flag(self, scene_path):
+        def member(point, *tol):
+            return run_cli(["member", "--scene", scene_path, "--triple", "T", "--point", point, *tol])
+
+        # 1.00001 is 1e-5 turns off the curve: beyond the default eps_mod
+        # of 1e-6, within an absurdly loose 9e-3
+        loose = ["--tol", "1e-9,1e-7,9e-3"]
+        assert member("1.00001,0").returncode == 1
+        assert member("1.00001,0", *loose).returncode == 0
+        assert member("0,1.105171", *loose).returncode == 1  # 0.15 turns is beyond 9e-3
+        # 1.0000001 is 1e-7 turns off: within the default, beyond a tight eps_mod
+        assert member("1.0000001,0").returncode == 0
+        assert member("1.0000001,0", "--tol", "1e-12,1e-9,1e-9").returncode == 1
+
+    def test_tol_environment_variable_is_not_read(self, scene_path):
+        args = ["member", "--scene", scene_path, "--triple", "T", "--point", "1.00001,0"]
+        assert run_cli(args, env_extra={"MOEBLOX_TOL": "1e-9,1e-7,9e-3"}).returncode == 1
+
+    def test_over_large_width_is_data_error(self, scene_path, tmp_path):
+        out = tmp_path / "out.svg"
+        result = run_cli(["render", "--scene", scene_path, "--out", str(out), "--width", str(10**400)])
+        assert result.returncode == 2
+        assert "width is too large for a float" in result.stderr
+        assert not out.exists()
 
     def test_main_in_process(self, scene_path, capsys):
         code = main(["lambda", "--scene", scene_path, "--triple", "T"])

@@ -144,7 +144,7 @@ class TestValidateTriple:
             mx.validate_triple(REAL_AXIS, UNIT, E_CIRCLE, 2)
 
     def test_violation_report_carries_residual(self):
-        violations = mx.triple_violations(UNIT, UNIT, E_CIRCLE, 1)
+        violations = mx.triple_violations(UNIT, UNIT, E_CIRCLE)
         assert violations and violations[0].residual == pytest.approx(2.0)
 
 
@@ -225,14 +225,14 @@ class TestStandardMap:
 class TestLoxodromePair:
     def test_roundtrip(self, rng):
         T = mx.apply_map(random_moebius(rng), std(1.3))
-        lox = mx.Loxodrome.from_triple(T)
-        again = lox.to_triple()
+        lox = mx.Loxodrome(T)
+        again = mx.apply_map(lox.map.inverse(), mx.standard_triple(lox.param))
         assert mx.equivalent(T, again)
 
     def test_degenerate_roundtrip(self):
         T = std(0.0)
-        lox = mx.Loxodrome.from_triple(T)
-        back = lox.to_triple()
+        lox = mx.Loxodrome(T)
+        back = mx.apply_map(lox.map.inverse(), mx.standard_triple(lox.param))
         assert mx.projectively_equal(back.c2, T.c2)
 
 
@@ -278,8 +278,9 @@ class TestEquivalence:
 
 
 def reference_in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
-    """``loxodrome._in_span`` as first written: numpy's ``lstsq`` with its
-    default rcond, and the residual norm of its solution."""
+    """The span test of ``equivalent`` as first written: numpy's
+    ``lstsq`` with its default rcond, and the residual norm of its
+    solution."""
     import numpy as np
 
     S = np.array([mx.canonicalize(A, tol).to_json(), mx.canonicalize(B, tol).to_json()]).T
@@ -287,6 +288,15 @@ def reference_in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
     coef, *_ = np.linalg.lstsq(S, v, rcond=None)
     residual = float(np.linalg.norm(S @ coef - v))
     return residual <= tol.eps_product * max(1.0, float(np.linalg.norm(v)))
+
+
+def in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
+    """The span test of ``equivalent``, on the canonical forms it uses."""
+    from moeblox.loxodrome import _span_test
+
+    return _span_test(mx.canonicalize(A, tol), mx.canonicalize(B, tol), tol)(
+        mx.canonicalize(X, tol)
+    )
 
 
 class TestInSpanReference:
@@ -299,8 +309,6 @@ class TestInSpanReference:
     @pytest.mark.parametrize("size", [0.0, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-2])
     def test_members_and_perturbed_non_members(self, rng, size):
         from moeblox.cycles import combine
-        from moeblox.loxodrome import _in_span
-
         from conftest import random_real_cycle
 
         inside = 0
@@ -311,7 +319,7 @@ class TestInSpanReference:
             alpha, beta = rng.uniform(-3, 3, 2)
             X = self.perturbed(rng, combine(alpha, A, beta, B), size)
             want = reference_in_span(A, B, X)
-            assert _in_span(A, B, X, mx.DEFAULT_TOLERANCES) == want, (A, B, X)
+            assert in_span(A, B, X) == want, (A, B, X)
             inside += want
         if size <= 1e-12:
             assert inside >= 390
@@ -322,8 +330,6 @@ class TestInSpanReference:
     def test_rank_one_spans(self, rng, kind):
         # a second column within lstsq's rcond of the first is dropped, so
         # the span is the line of A alone
-        from moeblox.loxodrome import _in_span
-
         from conftest import random_real_cycle
 
         for _ in range(300):
@@ -335,7 +341,7 @@ class TestInSpanReference:
                 B = mx.Cycle(A.k * (1 + e * rng.normal()), A.l, A.n, A.m * (1 + e * rng.normal()))
             for X in (3.0 * A, random_real_cycle(rng), self.perturbed(rng, A, 1e-9)):
                 want = reference_in_span(A, B, X)
-                assert _in_span(A, B, X, mx.DEFAULT_TOLERANCES) == want, (A, B, X)
+                assert in_span(A, B, X) == want, (A, B, X)
 
 
 class TestMembership:
@@ -358,11 +364,13 @@ class TestMembership:
         assert rep.lhs == pytest.approx(0.1, abs=1e-6)
         assert rep.rhs == pytest.approx(0.25, abs=1e-9)
 
-    def test_strict_mode_rejects_known_counterexample(self):
+    def test_fold_accepts_half_turn_offset(self):
+        # lhs and rhs differ by 1/2, not by a whole turn: only the fold
+        # modulo 1/2 puts this curve point on the curve
         p = pt(cmath.exp(0.75 * (1 + TWO_PI * 1j)))
         folded = mx.contains_point(std(1.0), p)
-        strict = mx.contains_point(std(1.0), p, strict_mod1=True)
-        assert folded.member and not strict.member
+        assert folded.member
+        assert mx.contains_point_oracle(std(1.0), p)
         assert folded.lhs == pytest.approx(0.75, abs=1e-9)
         assert folded.rhs == pytest.approx(0.25, abs=1e-9)
 
@@ -680,7 +688,7 @@ class TestSampleCurveReference:
 class TestApplyMap:
     def test_identity(self):
         T = std(1.0)
-        same = mx.apply_map(mx.MoebiusMap.identity(), T)
+        same = mx.apply_map(mx.MoebiusMap(1, 0, 0, 1), T)
         for a, b in ((same.c1, T.c1), (same.c2, T.c2), (same.c3, T.c3)):
             assert_projectively_equal(a, b, tol=1e-12)
 
@@ -788,3 +796,18 @@ class TestPreparedTriple:
         )
         assert mx.contains_point_oracle(T, p)
         assert len(calls) == 1
+
+    def test_equivalent_canonicalises_each_spanning_cycle_once(self, rng, monkeypatch):
+        # four canonical cycles and two span bases serve all four span tests
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
+        calls = []
+        canon = lox.canonicalize
+        monkeypatch.setattr(
+            lox, "canonicalize", lambda *a, **k: calls.append(a) or canon(*a, **k)
+        )
+        assert mx.equivalent(T, copy)
+        assert len(calls) == 4

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from moeblox import (
     DEFAULT_TOLERANCES,
@@ -126,5 +127,14 @@ class TestCongruentMod:
         st.floats(min_value=0.5, max_value=4),
         st.integers(min_value=-5, max_value=5),
     )
+    @example(a=1e-6, b=0.0, modulus=0.5, j=1)  # on the boundary: assumed away
+    @example(a=0.9e-6, b=0.0, modulus=0.5, j=1)
+    @example(a=1.1e-6, b=0.0, modulus=0.5, j=1)
     def test_shift_invariant(self, a, b, modulus, j):
+        # a + j * modulus and its difference from b are rounded, so the
+        # shifted input is an exact shift only up to a few ulps of the
+        # operands; keep a - b further than that from the eps_mod boundary
+        roundoff = 4 * sys.float_info.epsilon * (abs(a) + abs(j * modulus) + abs(b))
+        distance = abs(math.remainder(a - b, modulus))
+        assume(abs(distance - DEFAULT_TOLERANCES.eps_mod) > roundoff)
         assert congruent_mod(a, b, modulus) == congruent_mod(a + j * modulus, b, modulus)
