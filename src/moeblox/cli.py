@@ -102,8 +102,7 @@ def _parse_point(scene, literal: str) -> ExtendedPoint:
     return scene.point(literal)
 
 
-def _cmd_lambda(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_lambda(args, scene, tol) -> int:
     param = lambda_from_triple(scene.triple(args.triple), tol)
     if args.json:
         if param.kind == SlsKind.INFINITE:
@@ -121,8 +120,7 @@ def _cmd_lambda(args, tol) -> int:
     return 0
 
 
-def _cmd_member(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_member(args, scene, tol) -> int:
     T = scene.triple(args.triple)
     point = _parse_point(scene, args.point)
     if args.oracle:
@@ -137,8 +135,7 @@ def _cmd_member(args, tol) -> int:
     return 0 if member else 1
 
 
-def _cmd_angle(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_angle(args, scene, tol) -> int:
     angle = intersection_angle(
         scene.triple(args.triple_a),
         scene.triple(args.triple_b),
@@ -152,8 +149,7 @@ def _cmd_angle(args, tol) -> int:
     return 0
 
 
-def _cmd_tangent(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_tangent(args, scene, tol) -> int:
     ok = tangent_check(
         scene.triple(args.triple),
         scene.cycle(args.cycle),
@@ -165,16 +161,14 @@ def _cmd_tangent(args, tol) -> int:
     return 0 if ok else 1
 
 
-def _cmd_equiv(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_equiv(args, scene, tol) -> int:
     ok = equivalent(scene.triple(args.triple_a), scene.triple(args.triple_b), tol)
     print(json.dumps({"equivalent": ok}, sort_keys=True) if args.json else
           ("equivalent" if ok else "not equivalent"))
     return 0 if ok else 1
 
 
-def _cmd_normalize(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_normalize(args, scene, tol) -> int:
     T = scene.triple(args.triple)
     M = standard_map(T, tol)
     param = lambda_from_triple(T, tol)
@@ -200,8 +194,7 @@ def _cmd_normalize(args, tol) -> int:
     return 0
 
 
-def _cmd_render(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_render(args, scene, tol) -> int:
     config = RenderConfig(
         samples=args.samples,
         t_min=args.t_min,
@@ -219,8 +212,7 @@ def _cmd_render(args, tol) -> int:
     return 0
 
 
-def _cmd_sample(args, tol) -> int:
-    scene = load_scene(args.scene, tol)
+def _cmd_sample(args, scene, tol) -> int:
     T = scene.triple(args.triple)
     branches = ["+", "-"] if args.branch == "both" else [args.branch]
     # every branch is sampled before anything is printed, so a refused
@@ -263,7 +255,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         tol = Tolerances.parse(args.tol) if args.tol else DEFAULT_TOLERANCES
-        return _HANDLERS[args.command](args, tol)
+        return _HANDLERS[args.command](args, load_scene(args.scene, tol), tol)
     except MoebloxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ from .errors import (
     SingularMap,
     ZeroRadiusOperand,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
+from .numerics import DEFAULT_TOLERANCES, Tolerances
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -210,12 +210,6 @@ class Cycle:
     def to_json(self):
         return [self.k, self.l, self.n, self.m]
 
-    @classmethod
-    def from_json(cls, data) -> "Cycle":
-        if not isinstance(data, (list, tuple)) or len(data) != 4:
-            raise InvalidInput(f"cycle JSON must be [k, l, n, m], got {data!r}")
-        return cls(*(_float(v, f"cycle component {c}") for c, v in zip("klnm", data)))
-
 
 # ---------------------------------------------------------------------------
 # Moebius maps
@@ -271,19 +265,6 @@ class MoebiusMap:
 
     def to_json(self):
         return [[e.real, e.imag] for e in (self.a, self.b, self.c, self.d)]
-
-    @classmethod
-    def from_json(cls, data) -> "MoebiusMap":
-        if not isinstance(data, (list, tuple)) or len(data) != 4:
-            raise InvalidInput("map JSON must hold four [re, im] pairs")
-        try:
-            entries = [
-                complex(_float(re, f"map entry {name}"), _float(im, f"map entry {name}"))
-                for name, (re, im) in zip("abcd", data)
-            ]
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"cannot parse map JSON {data!r}") from exc
-        return cls(*entries)
 
 
 # ---------------------------------------------------------------------------

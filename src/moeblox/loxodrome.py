@@ -221,20 +221,6 @@ class LoxodromeTriple:
             "sign": self.sign,
         }
 
-    @classmethod
-    def from_json(cls, data) -> "LoxodromeTriple":
-        if not isinstance(data, dict):
-            raise InvalidInput("triple JSON must be an object")
-        try:
-            return cls(
-                Cycle.from_json(data["c1"]),
-                Cycle.from_json(data["c2"]),
-                Cycle.from_json(data["c3"]),
-                data.get("sign", 1),
-            )
-        except KeyError as exc:
-            raise InvalidInput(f"triple JSON missing field {exc}") from exc
-
 
 def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     """Standard-position triple: real axis, unit circle, and the circle of

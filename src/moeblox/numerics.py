@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, InvalidInput, MoebloxError
+from .errors import DomainError, InvalidInput
 
 _TOL_CEILING = 1e-2
 
@@ -57,14 +57,13 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _float(value, name: str, error: type[MoebloxError] = InvalidInput) -> float:
-    """``float(value)``, with an integer too large for a float (JSON has
-    no bound on integers) refused as ``error`` naming it; float() itself
-    raises OverflowError."""
+def _float(value, name: str) -> float:
+    """``float(value)``, with an integer too large for a float refused as
+    InvalidInput naming it; float() itself raises OverflowError."""
     try:
         return float(value)
     except OverflowError:
-        raise error(f"{name} is too large for a float") from None
+        raise InvalidInput(f"{name} is too large for a float") from None
 
 
 def clamped_acos(x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:

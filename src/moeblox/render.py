@@ -83,17 +83,12 @@ def _coords(points: list[complex], proj: _Projector, precision: int) -> str:
     return _clear_negative_zero(" ".join([pair % proj.to_px(z) for z in points]), precision)
 
 
+_STYLE_ATTRS = (("stroke", "stroke"), ("width", "stroke-width"), ("dash", "stroke-dasharray"))
+
+
 def _style_attr(scene: Scene, object_id: str, default: str) -> str:
-    hints = scene.style.get(object_id)
-    if not isinstance(hints, dict):
-        return default
-    parts = []
-    if "stroke" in hints:
-        parts.append(f"stroke={_quoteattr(hints['stroke'])}")
-    if "width" in hints:
-        parts.append(f"stroke-width={_quoteattr(hints['width'])}")
-    if "dash" in hints:
-        parts.append(f"stroke-dasharray={_quoteattr(hints['dash'])}")
+    hints = scene.style.get(object_id, {})
+    parts = [f"{attr}={_quoteattr(hints[name])}" for name, attr in _STYLE_ATTRS if name in hints]
     return " ".join(parts) if parts else default
 
 
@@ -143,7 +138,10 @@ def _scene_bbox(scene: Scene, tol: Tolerances):
         ymax = max(b[3] for b in boxes)
     span = max(xmax - xmin, ymax - ymin, 1e-6)
     pad = 0.1 * span
-    return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
+    box = (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
+    if not math.isfinite(max(box[2] - box[0], box[3] - box[1])):  # the projector divides by both
+        raise InvalidInput(f"bbox {[xmin, ymin, xmax, ymax]!r} is too large: its padded view overflows a float")
+    return box
 
 
 class _Projector:

@@ -15,9 +15,16 @@ Schema::
       "bbox": [xmin, ymin, xmax, ymax]
     }
 
-Triple members may reference another object's id (circle, line or cycle
-kinds) instead of an inline quadruple.  Ids must be unique and every
-reference must resolve.
+Each number is a JSON int or float that is not a bool, is finite and
+fits in a float.  Every field shown is required except ``sign`` (the int
+1 or -1, default 1), ``style``, ``bbox`` and the fields of a style hint;
+no other field is allowed.  A hint's ``stroke`` is ``#rgb``, ``#rrggbb``
+or a colour keyword of ASCII letters, its ``width`` a number in
+(0, STYLE_WIDTH_MAX], its ``dash`` non-negative decimals separated by
+spaces or commas.  A triple member may be the id of a circle, line or
+cycle object.  Ids are unique and hold no character XML 1.0 forbids.
+``_KINDS`` and ``_STYLE_HINT`` state these rules once; the kernel
+constructors check the geometry.
 """
 
 from __future__ import annotations
@@ -28,14 +35,16 @@ import re
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
-from .errors import InvalidInput, MoebloxError, SceneError
+from .errors import MoebloxError, SceneError
 from .loxodrome import LoxodromeTriple, triple_violations
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
+from .numerics import DEFAULT_TOLERANCES, Tolerances
 
-KINDS = ("circle", "line", "point", "cycle", "moebius", "triple")
+STYLE_WIDTH_MAX = 1000.0
 
-# characters an XML 1.0 document cannot hold, escaped or not; ids and
-# style values become SVG attributes
+_CYCLE_KINDS = ("circle", "line", "cycle")
+_OPTIONAL = ("sign", "stroke", "width", "dash")  # the fields a scene may leave out
+# characters an XML 1.0 document cannot hold, escaped or not; ids become
+# SVG attributes
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
@@ -58,23 +67,20 @@ class Scene:
                 return obj
         raise SceneError(f"no object with id {object_id!r}")
 
-    def triple(self, object_id: str) -> LoxodromeTriple:
+    def _value(self, object_id: str, kinds: tuple, noun: str):
         obj = self.get(object_id)
-        if obj.kind != "triple":
-            raise SceneError(f"object {object_id!r} is a {obj.kind}, not a triple")
+        if obj.kind not in kinds:
+            raise SceneError(f"object {object_id!r} is a {obj.kind}, not a {noun}")
         return obj.value
+
+    def triple(self, object_id: str) -> LoxodromeTriple:
+        return self._value(object_id, ("triple",), "triple")
 
     def cycle(self, object_id: str) -> Cycle:
-        obj = self.get(object_id)
-        if obj.kind not in ("circle", "line", "cycle"):
-            raise SceneError(f"object {object_id!r} is a {obj.kind}, not a cycle")
-        return obj.value
+        return self._value(object_id, _CYCLE_KINDS, "cycle")
 
     def point(self, object_id: str) -> ExtendedPoint:
-        obj = self.get(object_id)
-        if obj.kind != "point":
-            raise SceneError(f"object {object_id!r} is a {obj.kind}, not a point")
-        return obj.value
+        return self._value(object_id, ("point",), "point")
 
     def triple_warnings(self, tol: Tolerances = DEFAULT_TOLERANCES) -> list[str]:
         """Human-readable invariant violations of every triple object."""
@@ -89,50 +95,141 @@ class Scene:
         return notes
 
 
-def _parse_xy(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise SceneError(f"{where}: expected [x, y], got {value!r}")
-    x, y = (_float(v, f"{where}[{i}]", SceneError) for i, v in enumerate(value))
+# readers: each takes a JSON value and the path that names it in messages,
+# and returns what the value stands for or raises SceneError
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneError(f"{where} must be a number (int or float), got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # JSON puts no bound on integers
+        raise SceneError(f"{where} is too large for a float") from None
+    if not math.isfinite(x):
+        raise SceneError(f"{where} must be finite, got {x!r}")
+    return x
+
+
+def _array(value, length: int, where: str, form: str) -> list:
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise SceneError(f"{where}: expected {form}, got {value!r}")
+    return value
+
+
+def _built(make, where: str, *args):
+    """``make(*args)``, with the kernel's refusal reported under ``where``."""
+    try:
+        return make(*args)
+    except MoebloxError as exc:
+        raise SceneError(f"{where}: {exc}") from exc
+
+
+def _xy(value, where: str) -> complex:
+    x, y = (_number(v, f"{where}[{i}]") for i, v in enumerate(_array(value, 2, where, "[x, y]")))
     return complex(x, y)
 
 
-def _parse_point(data, where: str) -> ExtendedPoint:
-    if isinstance(data, str):
-        try:
-            return ExtendedPoint.parse(data)
-        except InvalidInput as exc:
-            raise SceneError(f"{where}: {exc}") from exc
-    if isinstance(data, (list, tuple)):
-        return ExtendedPoint.from_complex(_parse_xy(data, where))
-    raise SceneError(f"{where}: point data must be 'x,y', 'inf' or [x, y]")
+def _point(value, where: str) -> ExtendedPoint:
+    if isinstance(value, str):
+        return _built(ExtendedPoint.parse, where, value)
+    return ExtendedPoint.from_complex(_xy(value, where))
 
 
-def _resolve_cycle(spec, by_id: dict, where: str) -> Cycle:
-    if isinstance(spec, str):
-        target = by_id.get(spec)
-        if target is None:
-            raise SceneError(f"{where}: reference {spec!r} does not resolve")
-        if target.kind not in ("circle", "line", "cycle"):
-            raise SceneError(f"{where}: reference {spec!r} is a {target.kind}")
-        return target.value
-    try:
-        return Cycle.from_json(spec)
-    except (InvalidInput, TypeError, ValueError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
+def _cycle(value, where: str) -> Cycle:
+    comps = _array(value, 4, where, "[k, l, n, m]")
+    return _built(Cycle, where, *(_number(v, f"{where}: cycle component {c}") for c, v in zip("klnm", comps)))
+
+
+def _map(value, where: str) -> MoebiusMap:
+    entries = []
+    for name, pair in zip("abcd", _array(value, 4, where, "four [re, im] pairs")):
+        entry = f"{where}: map entry {name}"
+        entries.append(complex(*(_number(v, entry) for v in _array(pair, 2, entry, "[re, im]"))))
+    return _built(MoebiusMap, where, *entries)
+
+
+def _member(value, where: str) -> Cycle | str:
+    """An inline cycle, or an object id that ``parse_scene`` resolves."""
+    return value if isinstance(value, str) else _cycle(value, where)
+
+
+def _sign(value, where: str) -> int:
+    if type(value) is not int or value not in (1, -1):  # a bool is not an int here
+        raise SceneError(f"{where} must be the int 1 or -1, got {value!r}")
+    return value
+
+
+def _width(value, where: str):
+    if not 0.0 < _number(value, where) <= STYLE_WIDTH_MAX:
+        raise SceneError(f"{where} must lie in (0, {STYLE_WIDTH_MAX:g}], got {value!r}")
+    return value  # written as given, so 2 stays "2"
+
+
+def _text(pattern: str, form: str):
+    """A reader of strings that ``pattern`` matches whole."""
+    grammar = re.compile(pattern)
+
+    def read(value, where: str) -> str:
+        if not (isinstance(value, str) and grammar.fullmatch(value)):
+            raise SceneError(f"{where} must be {form}, got {value!r}")
+        return value
+
+    return read
+
+
+def _object(**fields):
+    """A reader of JSON objects with the given fields, each read by its
+    reader.  Other fields are refused, and so is an absent field that
+    ``_OPTIONAL`` does not name."""
+
+    def read(data, where: str) -> dict:
+        if not isinstance(data, dict):
+            raise SceneError(f"{where}: expected an object with fields {', '.join(fields)}, got {data!r}")
+        unknown = next((name for name in data if name not in fields), None)
+        if unknown is not None:
+            raise SceneError(f"{where}: unknown field {unknown!r}, expected {', '.join(fields)}")
+        missing = next((name for name in fields if name not in data and name not in _OPTIONAL), None)
+        if missing is not None:
+            raise SceneError(f"{where}.{missing} is missing")
+        return {name: field_reader(data[name], f"{where}.{name}")
+                for name, field_reader in fields.items() if name in data}
+
+    return read
+
+
+# kind -> (reader of its "data", builder of the object from what the reader
+# returned, or None when the reader built it)
+_KINDS = {
+    "circle": (_object(center=_xy, radius=_number), lambda f, tol: from_circle(f["center"], f["radius"])),
+    "line": (_object(p=_xy, q=_xy), lambda f, tol: from_line(f["p"], f["q"], tol)),
+    "point": (_point, None),
+    "cycle": (_cycle, None),
+    "moebius": (_map, None),
+    "triple": (
+        _object(c1=_member, c2=_member, c3=_member, sign=_sign),
+        lambda f, tol: LoxodromeTriple(f["c1"], f["c2"], f["c3"], f.get("sign", 1)),
+    ),
+}
+_STYLE_HINT = _object(
+    stroke=_text("#[0-9A-Fa-f]{3}|#[0-9A-Fa-f]{6}|[A-Za-z]+", "#rgb, #rrggbb or a colour keyword"),
+    width=_width,
+    dash=_text(
+        "[0-9]*[.]?[0-9]+(?:(?: *, *| +)[0-9]*[.]?[0-9]+)*",
+        "non-negative decimals separated by spaces or commas",
+    ),
+)
 
 
 def load_scene(path: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneError(f"scene {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SceneError(f"scene {path!r} nests too deeply to read") from None
     return parse_scene(raw, tol)
 
 
@@ -155,90 +252,36 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
             raise SceneError(f"{where}: duplicate id {object_id!r}")
         seen_ids.add(object_id)
         kind = entry.get("kind")
-        if kind not in KINDS:
-            raise SceneError(f"{where}: kind must be one of {KINDS}, got {kind!r}")
-        pending.append((where, object_id, kind, entry.get("data")))
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise SceneError(f"{where}: kind must be one of {tuple(_KINDS)}, got {kind!r}")
+        if "data" not in entry:
+            raise SceneError(f"{where}.data is missing")
+        pending.append((where, object_id, kind, _KINDS[kind][0](entry["data"], where)))
 
-    # first pass: everything except triples, so triple refs can resolve
+    # triples last, so that a member may name any circle, line or cycle
     by_id: dict[str, SceneObject] = {}
-    objects: list[SceneObject | None] = [None] * len(pending)
-    for slot, (where, object_id, kind, data) in enumerate(pending):
+    for where, object_id, kind, data in sorted(pending, key=lambda p: p[2] == "triple"):
         if kind == "triple":
-            continue
-        try:
-            if kind == "circle":
-                if not isinstance(data, dict):
-                    raise SceneError(f"{where}: circle data must be an object")
-                value = from_circle(
-                    _parse_xy(data.get("center"), f"{where}.center"),
-                    _float(data.get("radius", 0.0), f"{where}.radius", SceneError),
-                )
-            elif kind == "line":
-                if not isinstance(data, dict):
-                    raise SceneError(f"{where}: line data must be an object")
-                value = from_line(
-                    _parse_xy(data.get("p"), f"{where}.p"),
-                    _parse_xy(data.get("q"), f"{where}.q"),
-                    tol,
-                )
-            elif kind == "point":
-                value = _parse_point(data, where)
-            elif kind == "cycle":
-                value = Cycle.from_json(data)
-            else:  # moebius
-                value = MoebiusMap.from_json(data)
-        except SceneError:
-            raise
-        except (MoebloxError, TypeError, ValueError) as exc:
-            raise SceneError(f"{where}: {exc}") from exc
-        obj = SceneObject(object_id, kind, value)
-        objects[slot] = obj
-        by_id[object_id] = obj
-
-    for slot, (where, object_id, kind, data) in enumerate(pending):
-        if kind != "triple":
-            continue
-        if not isinstance(data, dict):
-            raise SceneError(f"{where}: triple data must be an object")
-        try:
-            value = LoxodromeTriple(
-                _resolve_cycle(data.get("c1"), by_id, f"{where}.c1"),
-                _resolve_cycle(data.get("c2"), by_id, f"{where}.c2"),
-                _resolve_cycle(data.get("c3"), by_id, f"{where}.c3"),
-                data.get("sign", 1),
-            )
-        except SceneError:
-            raise
-        except (MoebloxError, TypeError, ValueError) as exc:
-            raise SceneError(f"{where}: {exc}") from exc
-        obj = SceneObject(object_id, kind, value)
-        objects[slot] = obj
-        by_id[object_id] = obj
+            for name in ("c1", "c2", "c3"):
+                if isinstance(data[name], str):
+                    target = by_id.get(data[name])
+                    if target is None or target.kind not in _CYCLE_KINDS:
+                        raise SceneError(f"{where}.{name}: {data[name]!r} is not the id of a circle, line or cycle")
+                    data[name] = target.value
+        build = _KINDS[kind][1]
+        value = data if build is None else _built(build, where, data, tol)
+        by_id[object_id] = SceneObject(object_id, kind, value)
 
     style = raw.get("style", {})
     if not isinstance(style, dict):
         raise SceneError("'style' must map ids to style hints")
-    for key, hints in style.items():
-        if not isinstance(hints, dict):
-            continue
-        for name, value in hints.items():
-            if isinstance(value, str) and _NOT_XML.search(value):
-                raise SceneError(f"style[{key!r}].{name}: {value!r} holds a character XML forbids")
+    style = {key: _STYLE_HINT(hints, f"style[{key!r}]") for key, hints in style.items()}
 
-    bbox = None
-    if raw.get("bbox") is not None:
-        box = raw["bbox"]
-        if (
-            not isinstance(box, (list, tuple))
-            or len(box) != 4
-            or not all(isinstance(v, (int, float)) for v in box)
-        ):
-            raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax] of finite numbers")
-        box = tuple(_float(v, f"bbox[{i}]", SceneError) for i, v in enumerate(box))
-        if not all(math.isfinite(v) for v in box):
-            raise SceneError("'bbox' must be [xmin, ymin, xmax, ymax] of finite numbers")
-        if box[0] >= box[2] or box[1] >= box[3]:
-            raise SceneError("'bbox' must have positive extent")
-        bbox = box
+    bbox = raw.get("bbox")
+    if bbox is not None:
+        corners = _array(bbox, 4, "bbox", "[xmin, ymin, xmax, ymax]")
+        bbox = tuple(_number(v, f"bbox[{i}]") for i, v in enumerate(corners))
+        if bbox[0] >= bbox[2] or bbox[1] >= bbox[3]:
+            raise SceneError(f"bbox {list(bbox)} must have positive extent")
 
-    return Scene(objects=objects, style=style, bbox=bbox)
+    return Scene(objects=[by_id[p[1]] for p in pending], style=style, bbox=bbox)

@@ -31,6 +31,14 @@ STANDARD_SCENE = {
 }
 
 
+def _circle(center=(0, 0), radius=1):
+    return {"objects": [{"id": "c", "kind": "circle", "data": {"center": list(center), "radius": radius}}]}
+
+
+def _triple(**fields):
+    return {"objects": [dict(STANDARD_SCENE["objects"][0], data=dict(STANDARD_SCENE["objects"][0]["data"], **fields))]}
+
+
 def round_then_format(x: float, precision: int) -> str:
     """The renderer's first number formatter."""
     r = round(float(x), precision)
@@ -114,8 +122,8 @@ class TestSceneParsing:
             ({"objects": [], "bbox": [0, 0, math.nan, 1]}, "bbox"),
             ({"objects": [], "bbox": [0, 0, math.inf, 1]}, "bbox"),
             ({"objects": [dict(STANDARD_SCENE["objects"][0], id="a\x01b")]}, "XML"),
-            (dict(STANDARD_SCENE, style={"T": {"stroke": "\x02"}}), "XML"),
-            (dict(STANDARD_SCENE, style={"T": {"dash": "4\ud800"}}), "XML"),
+            (dict(STANDARD_SCENE, style={"T": {"stroke": "\x02"}}), "stroke"),
+            (dict(STANDARD_SCENE, style={"T": {"dash": "4\ud800"}}), "dash"),
             # integers too large for a float, each refused by name
             (
                 {"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": 10**400}}]},
@@ -136,11 +144,49 @@ class TestSceneParsing:
                 {"objects": [{"id": "M", "kind": "moebius", "data": [[1, 0], [0, 10**400], [0, 0], [1, 0]]}]},
                 "map entry b is too large",
             ),
+            # a number is a JSON int or float: numeric strings and booleans
+            # are refused in every numeric field
+            *(
+                (scene, rf"{field} must be a number \(int or float\), got {bad!r}")
+                for bad in ("2", True)
+                for scene, field in (
+                    (_circle(radius=bad), r"objects\[0\]\.radius"),
+                    (_circle(center=[bad, 0]), r"objects\[0\]\.center\[0\]"),
+                    ({"objects": [{"id": "q", "kind": "cycle", "data": [1, 0, 0, bad]}]}, "cycle component m"),
+                    ({"objects": [{"id": "M", "kind": "moebius", "data": [[1, 0], [0, 0], [0, bad], [1, 0]]}]}, "map entry c"),
+                    ({"objects": [], "bbox": [0, bad, 1, 1]}, r"bbox\[1\]"),
+                )
+            ),
+            (_triple(sign=True), r"objects\[0\]\.sign must be the int 1 or -1, got True"),
+            (_triple(sign=1.0), r"objects\[0\]\.sign must be the int 1 or -1, got 1\.0"),
+            (json.loads('{"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": NaN}}]}'),
+             r"objects\[0\]\.radius must be finite, got nan"),
+            ({"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0]}}]}, r"objects\[0\]\.radius is missing"),
+            ({"objects": [{"id": "c", "kind": "circle", "data": {"center": [0, 0], "radius": 1, "r": 2}}]}, "unknown field 'r'"),
+            ({"objects": [{"id": "p", "kind": "point"}]}, r"objects\[0\]\.data is missing"),
+            # style hints follow a grammar
+            (dict(STANDARD_SCENE, style={"T": {"width": 10**400}}), r"style\['T'\]\.width is too large for a float"),
+            (dict(STANDARD_SCENE, style={"T": {"width": 0}}), r"style\['T'\]\.width must lie in \(0, 1000\]"),
+            (dict(STANDARD_SCENE, style={"T": {"width": 1000.5}}), r"style\['T'\]\.width must lie in"),
+            (dict(STANDARD_SCENE, style={"T": {"stroke": "url(#a)"}}), r"style\['T'\]\.stroke must be #rgb"),
+            (dict(STANDARD_SCENE, style={"T": {"stroke": "#12345"}}), r"style\['T'\]\.stroke must be #rgb"),
+            (dict(STANDARD_SCENE, style={"T": {"dash": [1, 2]}}), r"style\['T'\]\.dash must be non-negative"),
+            (dict(STANDARD_SCENE, style={"T": {"dash": "4 -2"}}), r"style\['T'\]\.dash must be non-negative"),
+            (dict(STANDARD_SCENE, style={"T": "red"}), r"style\['T'\]: expected an object"),
+            (dict(STANDARD_SCENE, style={"T": {"colour": "red"}}), r"style\['T'\]: unknown field 'colour'"),
+            (
+                {"objects": [{"id": "p", "kind": "point", "data": "0,0"}, _triple(c1="p")["objects"][0]]},
+                r"objects\[1\]\.c1: 'p' is not the id of a circle, line or cycle",
+            ),
         ],
     )
-    def test_diagnostics(self, raw, needle):
+    def test_diagnostics(self, raw, needle, tmp_path, capsys):
         with pytest.raises(SceneError, match=needle):
             parse_scene(raw)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 2
+        assert re.search(needle, capsys.readouterr().err)
 
     def test_triple_warnings_for_invalid_triple(self):
         raw = {
@@ -216,8 +262,10 @@ class TestRender:
     def test_attributes_escaped(self):
         import xml.etree.ElementTree as ET
 
+        # a hostile stroke is refused by the style grammar (test_diagnostics);
+        # an id has no grammar, so it must be escaped
         hostile = 'a"><script>x</script>'
-        stroke = 'red" onload="x'
+        stroke = "#123abc"
         raw = {
             "objects": [dict(STANDARD_SCENE["objects"][0], id=hostile)],
             "style": {hostile: {"stroke": stroke}},
@@ -228,6 +276,27 @@ class TestRender:
         assert [g.get("id") for g in groups] == [hostile]
         assert {el.get("stroke") for el in groups[0]} == {stroke}
         assert "<script>" not in svg
+
+    @pytest.mark.parametrize("bbox", [[-8.9e307, -1, 8.9e307, 1], [-1e308, -1e308, 1e308, 1e308]])
+    def test_overflowing_view_box_is_refused(self, bbox, tmp_path):
+        from moeblox.errors import InvalidInput
+
+        raw = dict(STANDARD_SCENE, bbox=bbox)
+        needle = re.escape(f"bbox {[float(v) for v in bbox]!r} is too large")
+        with pytest.raises(InvalidInput, match=needle):
+            render_scene(parse_scene(raw), RenderConfig(samples=16))
+        path, out = tmp_path / "scene.json", tmp_path / "out.svg"
+        path.write_text(json.dumps(raw))
+        assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 2
+        assert not out.exists()
+
+    def test_widest_view_box_renders(self):
+        import xml.etree.ElementTree as ET
+
+        raw = dict(STANDARD_SCENE, bbox=[-7e307, -1, 7e307, 1])
+        svg = render_scene(parse_scene(raw), RenderConfig(samples=16))
+        ET.fromstring(svg.encode("utf-8"))
+        assert "nan" not in svg and "inf" not in svg
 
     def test_one_prepared_triple_per_triple(self, monkeypatch):
         built = []
@@ -296,8 +365,14 @@ class TestRender:
 
 # 10**400 is a JSON integer no float holds
 SMALL = st.integers(-3, 3) | st.sampled_from([0.5, -0.5, E2, -E2, 10**400])
-QUADRUPLE = st.lists(SMALL, min_size=4, max_size=4)
-STYLE_VALUE = st.text(max_size=6) | st.integers() | st.floats() | st.none() | st.lists(st.text(max_size=3), max_size=2)
+# what a scene may hold where it needs a number: numeric strings and
+# booleans are not numbers
+SCENE_NUMBER = SMALL | st.sampled_from(["1", "-0.5", True, False])
+QUADRUPLE = st.lists(SCENE_NUMBER, min_size=4, max_size=4)
+STYLE_VALUE = (
+    st.text(max_size=6) | st.integers() | st.floats() | st.none() | st.lists(st.text(max_size=3), max_size=2)
+    | st.sampled_from(["#f00", "#C0392b", "red", "4 2", "1,0.5", ".5, 2", 1.5, 2, 1000])
+)
 
 
 @st.composite
@@ -307,18 +382,23 @@ def json_scenes(draw):
     ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4))
     objects = []
     for object_id in ids:
-        kind = draw(st.sampled_from(["triple", "triple", "cycle", "point"]))
+        kind = draw(st.sampled_from(["triple", "triple", "cycle", "point", "circle"]))
         if kind == "triple":
             data = {"c1": draw(QUADRUPLE), "c2": draw(QUADRUPLE), "c3": draw(QUADRUPLE)}
-            data["sign"] = draw(st.sampled_from([1, -1, 0, 2]))
+            data["sign"] = draw(st.sampled_from([1, -1, 0, 2, True, 1.0, "1"]))
         elif kind == "cycle":
             data = draw(QUADRUPLE)
+        elif kind == "circle":
+            data = {"center": [draw(SCENE_NUMBER), draw(SCENE_NUMBER)], "radius": draw(SCENE_NUMBER)}
         else:
-            data = [draw(SMALL), draw(SMALL)]
+            data = [draw(SCENE_NUMBER), draw(SCENE_NUMBER)]
         objects.append({"id": object_id, "kind": kind, "data": data})
     hints = st.dictionaries(st.sampled_from(["stroke", "width", "dash", "other"]), STYLE_VALUE, max_size=3)
     style = draw(st.dictionaries(st.sampled_from(ids), hints | STYLE_VALUE, max_size=len(ids)))
-    return {"objects": objects, "style": style}
+    scene = {"objects": objects, "style": style}
+    if draw(st.booleans()):
+        scene["bbox"] = draw(QUADRUPLE)
+    return scene
 
 
 class TestRenderFuzz:
@@ -336,7 +416,7 @@ class TestRenderFuzz:
 
 
 JSON_VALUE = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.sampled_from(["1", "-2", "0.5"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
@@ -356,6 +436,48 @@ RICH_SCENE = {
         {"id": "p", "kind": "point", "data": "1,0"},
         {"id": "q", "kind": "point", "data": "0,1.105171"},
     ]
+}
+# a valid scene with every kind, style field and bbox; each of its numbers
+# is swapped for a non-number in turn
+FULL_SCENE = dict(
+    RICH_SCENE,
+    objects=RICH_SCENE["objects"] + [
+        {"id": "G", "kind": "moebius", "data": [[1, 0], [0, 2], [0.5, 0], [1, 0]]},
+        {"id": "r", "kind": "point", "data": [0.5, -0.5]},
+    ],
+    style={"T": {"stroke": "#c0392b", "width": 1.5, "dash": "4 2"}, "u": {"stroke": "red", "width": 2}},
+    bbox=[-3, -3, 3, 3],
+)
+
+
+def number_paths(value, path=()):
+    """The path of every number in a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from number_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from number_paths(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def replaced(document, path, value):
+    document = json.loads(json.dumps(document))
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+NOT_A_NUMBER = st.sampled_from(["1", "-0.5", "1e3", True, False, math.nan, 10**400])
+OUTSIDE_STYLE_GRAMMAR = {
+    # fullwidth "red" and an Arabic-Indic 4 are letters and digits, not ASCII ones
+    "stroke": ["", "#12", "#1234", "red1", "url(#a)", 'red" x', "\x02", "\uff52\uff45\uff44", 1, None, ["red"]],
+    "width": [0, -1, 1000.5, 10**400, "2", True, math.inf, math.nan, None],
+    "dash": ["", "4 -2", "4;2", "1e3", "4,,2", "\u0664 2", "4\ud800", [1, 2], 4, None],
+    "colour": ["red"],  # no such field
 }
 SCENE_DOCUMENT = (
     json_scenes()
@@ -417,6 +539,29 @@ def cli_arguments(draw, ids, well_formed):
     if draw(st.booleans()):
         args.append(f"--tol={draw(pick(['1e-9', '1e-9,1e-7,1e-6'], ['0', '1', 'x', '1e-9,1']))}")
     return args
+
+
+class TestExactTypes:
+    def test_full_scene_is_valid(self):
+        import xml.etree.ElementTree as ET
+
+        svg = render_scene(parse_scene(FULL_SCENE), RenderConfig(samples=16))
+        ET.fromstring(svg.encode("utf-8"))
+        assert 'stroke-width="2"' in svg and 'stroke-dasharray="4 2"' in svg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_value_of_the_wrong_type_is_refused(self, data):
+        if data.draw(st.booleans(), label="style"):
+            object_id = data.draw(st.sampled_from(sorted(FULL_SCENE["style"])), label="id")
+            name = data.draw(st.sampled_from(sorted(OUTSIDE_STYLE_GRAMMAR)), label="field")
+            path = ("style", object_id, name)
+            bad = data.draw(st.sampled_from(OUTSIDE_STYLE_GRAMMAR[name]), label="value")
+        else:
+            path = data.draw(st.sampled_from(list(number_paths(FULL_SCENE))), label="path")
+            bad = data.draw(NOT_A_NUMBER, label="value")
+        with pytest.raises(SceneError):
+            parse_scene(replaced(FULL_SCENE, path, bad))
 
 
 class TestCliExitCodeFuzz:
@@ -494,7 +639,7 @@ class TestNoNumpyAtRuntime:
     )
     def test_answers_without_numpy(self, tmp_path, args, code, stdout):
         # outputs as the numpy-based SVD and lstsq gave them
-        T = mx.LoxodromeTriple.from_json(STANDARD_SCENE["objects"][0]["data"])
+        T = parse_scene(STANDARD_SCENE).triple("T")
         lam = 1 + 2j * math.pi
         shifted = mx.apply_map(mx.MoebiusMap(cmath.exp(lam * 0.3), 0, 0, 1), T)
         rotated = {"c1": [0, 1, 0, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -E2], "sign": 1}
@@ -628,8 +773,12 @@ class TestCliContract:
         result = run_cli(["normalize", "--scene", str(path), "--triple", "T", "--json"])
         assert result.returncode == 0
         payload = json.loads(result.stdout)
-        M = mx.MoebiusMap.from_json(payload["map"])
-        std = mx.LoxodromeTriple.from_json(payload["standard_triple"])
+        # the output reads back as scene objects
+        scene = parse_scene({"objects": [
+            {"id": "M", "kind": "moebius", "data": payload["map"]},
+            {"id": "S", "kind": "triple", "data": payload["standard_triple"]},
+        ]})
+        M, std = scene.get("M").value, scene.triple("S")
         back = mx.apply_map(M, shifted)
         for a, b in ((back.c1, std.c1), (back.c2, std.c2), (back.c3, std.c3)):
             ca, cb = mx.canonicalize(a), mx.canonicalize(b)
@@ -739,6 +888,18 @@ class TestCliContract:
         result = run_cli(["lambda", "--scene", str(path), "--triple", "T"])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "content,needle",
+        [(b"\xff", "codec can't decode byte 0xff"), (b"[" * 200_000, "nests too deeply")],
+        ids=["not_utf8", "deeply_nested"],
+    )
+    def test_undecodable_scene_is_data_error(self, tmp_path, content, needle):
+        path = tmp_path / "scene.json"
+        path.write_bytes(content)
+        result = run_cli(["lambda", "--scene", str(path), "--triple", "T"])
+        assert result.returncode == 2
+        assert needle in result.stderr and "Traceback" not in result.stderr
 
     def test_usage_error(self):
         result = run_cli(["lambda"])

@@ -13,6 +13,7 @@ from moeblox.errors import (
     InvalidInput,
     InvalidRadius,
     IsLine,
+    SceneError,
     SingularMap,
     ZeroRadiusOperand,
 )
@@ -402,13 +403,20 @@ class TestMapToZeroOneInf:
             assert image_inf.is_infinity or abs(image_inf.as_complex()) > 1e9
 
 
+def read_back(kind, data):
+    """The value of a one-object scene, read by the scene reader."""
+    return mx.parse_scene({"objects": [{"id": "x", "kind": kind, "data": data}]}).get("x").value
+
+
 class TestSerialization:
     def test_cycle_json(self):
-        assert mx.Cycle.from_json(UNIT.to_json()) == UNIT
-        with pytest.raises(InvalidInput):
-            mx.Cycle.from_json([1, 2, 3])
+        assert read_back("cycle", UNIT.to_json()) == UNIT
+        with pytest.raises(SceneError, match=r"expected \[k, l, n, m\]"):
+            read_back("cycle", [1, 2, 3])
 
     def test_map_json(self):
         M = mx.MoebiusMap(1 + 2j, 0, 3, 4 - 1j)
-        again = mx.MoebiusMap.from_json(M.to_json())
+        again = read_back("moebius", M.to_json())
         assert (again.a, again.b, again.c, again.d) == (M.a, M.b, M.c, M.d)
+        with pytest.raises(SceneError, match="four"):
+            read_back("moebius", M.to_json()[:3])

@@ -13,6 +13,7 @@ from moeblox.errors import (
     NotOrthogonal,
     PointNotOnBoth,
     PointNotOnCurve,
+    SceneError,
     ZeroRadiusCandidate,
 )
 
@@ -712,20 +713,25 @@ class TestApplyMap:
 
 
 class TestTripleJson:
+    """Triples as the scene reader reads them."""
+
+    @staticmethod
+    def read(data):
+        return mx.parse_scene({"objects": [{"id": "T", "kind": "triple", "data": data}]}).triple("T")
+
     def test_roundtrip(self):
-        T = std(1.0)
-        again = mx.LoxodromeTriple.from_json(T.to_json())
-        assert again == T
+        for T in (std(1.0), std(-1.5)):
+            assert self.read(T.to_json()) == T
 
     def test_missing_field(self):
-        with pytest.raises(InvalidInput):
-            mx.LoxodromeTriple.from_json({"c1": [0, 0, 1, 0]})
+        with pytest.raises(SceneError, match=r"objects\[0\]\.c2 is missing"):
+            self.read({"c1": [0, 0, 1, 0]})
 
     def test_bad_sign(self):
         data = std(1.0).to_json()
-        for sign in (1.7, 0, "1", None):
-            with pytest.raises(InvalidInput):
-                mx.LoxodromeTriple.from_json(dict(data, sign=sign))
+        for sign in (1.7, 0, "1", None, True, 1.0):
+            with pytest.raises(SceneError, match=r"objects\[0\]\.sign must be the int 1 or -1"):
+                self.read(dict(data, sign=sign))
 
 
 def _rescaled(T, rng):

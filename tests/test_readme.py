@@ -1,15 +1,20 @@
-"""The README's examples run as written against the package and its CLI."""
+"""The README's examples run as written against the package and its CLI,
+and the documented scenes are valid."""
 
 import contextlib
 import io
+import json
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from moeblox import parse_scene, render_scene
 from moeblox.cli import build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def fenced_blocks(language):
@@ -48,3 +53,17 @@ def test_synopsis_lists_every_command():
 def test_synopsis_flags_accepted(command, flags):
     assert flags
     assert set(flags) <= accepted_flags(command)
+
+
+def documented_scenes():
+    """The README's scene and every scene file shipped in ``scenes/``."""
+    (block,) = fenced_blocks("json")
+    yield pytest.param(block, id="README")
+    for path in sorted((ROOT / "scenes").glob("*.json")):
+        yield pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+
+
+@pytest.mark.parametrize("text", documented_scenes())
+def test_documented_scene_renders_to_xml(text):
+    svg = render_scene(parse_scene(json.loads(text)))
+    ET.fromstring(svg.encode("utf-8"))
