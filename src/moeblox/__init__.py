@@ -5,11 +5,13 @@ from .cycles import (
     CycleKind,
     ExtendedPoint,
     MoebiusMap,
+    PencilKind,
     apply_to_cycle,
     apply_to_point,
     canonicalize,
     center_radius,
     classify,
+    classify_pencil,
     from_circle,
     from_line,
     intersect,
@@ -29,20 +31,16 @@ from .loxodrome import (
     Loxodrome,
     LoxodromeTriple,
     MembershipReport,
-    SlsClass,
     SlsKind,
     SlsParameter,
     apply_map,
-    classify_sls,
     contains_point,
     contains_point_oracle,
     diagonal_flow,
     equivalent,
     intersection_angle,
     lambda_from_triple,
-    lambda_tilde,
     sample_curve,
-    sample_sls,
     standard_map,
     standard_triple,
     tangent_check,
@@ -57,14 +55,7 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
 )
-from .pencils import (
-    Pencil,
-    PencilKind,
-    classify_pencil,
-    member_through,
-    orthogonal_cycle_through,
-    zero_radius_members,
-)
+from .pencils import member_through, orthogonal_cycle_through, zero_radius_members
 from .render import RenderConfig, render_scene
 from .scene import Scene, SceneObject, load_scene, parse_scene
 

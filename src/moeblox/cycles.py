@@ -49,7 +49,7 @@ from .errors import (
     SingularMap,
     ZeroRadiusOperand,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _quote
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -58,6 +58,12 @@ class CycleKind(Enum):
     LINE = "line"
     POINT = "point"
     CIRCLE = "circle"
+
+
+class PencilKind(Enum):
+    ELLIPTIC = "elliptic"
+    PARABOLIC = "parabolic"
+    HYPERBOLIC = "hyperbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +123,16 @@ class ExtendedPoint:
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedPoint":
-        """Parse ``"x,y"`` or the literal ``"inf"``."""
+        """Parse ``"x,y"``, with x and y ASCII decimals, or the literal
+        ``"inf"``."""
         body = text.strip()
         if body == "inf":
             return cls.infinity()
         parts = body.split(",")
         if len(parts) != 2:
-            raise InvalidInput(f"point literal must be 'x,y' or 'inf', got {text!r}")
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse point literal {text!r}") from exc
-        return cls.from_complex(complex(x, y))
+            raise InvalidInput(f"point literal must be 'x,y' or 'inf', got {_quote(text)}")
+        what = f"point literal {_quote(text)}"
+        return cls.from_complex(complex(_decimal(parts[0], what), _decimal(parts[1], what)))
 
     @property
     def is_infinity(self) -> bool:
@@ -434,6 +438,20 @@ def pencil_discriminant(
     return q, scale
 
 
+def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
+    """Type of the pencil of C and C': <C,C'>^2 less than <C,C><C',C'> is
+    elliptic (crossing), equal parabolic (tangent), greater hyperbolic
+    (disjoint), each up to eps_product of the ``pencil_discriminant``
+    scale.  The one place that draws these lines."""
+    q, scale = pencil_discriminant(C, Cp, tol)
+    thr = tol.eps_product * scale
+    if q < -thr:
+        return PencilKind.ELLIPTIC
+    if q <= thr:
+        return PencilKind.PARABOLIC
+    return PencilKind.HYPERBOLIC
+
+
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
@@ -538,10 +556,10 @@ def intersect(
     """
     if projectively_equal(C, Cp, tol):
         raise CoincidentCycles("intersection of a cycle with itself is the cycle")
-    q, qscale = pencil_discriminant(C, Cp, tol)
-    if q > tol.eps_product * qscale:
+    kind = classify_pencil(C, Cp, tol)
+    if kind == PencilKind.HYPERBOLIC:
         return ()
-    tangent = abs(q) <= tol.eps_product * qscale
+    tangent = kind == PencilKind.PARABOLIC
 
     a = canonicalize(C, tol)
     b = canonicalize(Cp, tol)

@@ -22,6 +22,12 @@ products carry a residual +- ambiguity, lines are undirected, and the
 model curve has two branches.  Folding makes the checks well defined on
 exactly the data a triple carries; an unfolded modulo-1 comparison would
 reject genuine curve points.
+
+``Loxodrome`` is the prepared form of a triple and the one place that
+decides its kind (spiral, circle or line) and solves the point members
+of the pencil of (c2, c3).  ``triple_violations``, the limit points and
+every query read both from it; the type of that pencil comes from
+``cycles.classify_pencil``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .cycles import (
     CycleKind,
     ExtendedPoint,
     MoebiusMap,
+    PencilKind,
     _affine,
     _point_sort_key,
     apply_to_cycle,
@@ -46,6 +53,7 @@ from .cycles import (
     canonicalize,
     center_radius,
     classify,
+    classify_pencil,
     from_line,
     intersect,
     is_orthogonal,
@@ -80,12 +88,7 @@ from .numerics import (
     congruent_mod,
     _float,
 )
-from .pencils import (
-    Pencil,
-    member_through,
-    orthogonal_cycle_through,
-    zero_radius_members,
-)
+from .pencils import member_through, orthogonal_cycle_through, zero_radius_members
 
 TWO_PI = 2.0 * math.pi
 # lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
@@ -106,19 +109,11 @@ BRANCH_SWAP = MoebiusMap(0.0, -1.0, 1.0, 0.0)
 class SlsKind(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
-    POINT = "point"
-
-
-class SlsClass(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    DEGENERATE = "degenerate"
 
 
 @dataclass(frozen=True)
 class SlsParameter:
-    """Extended real parameter of a spiral: finite value, infinity, or the
-    fully degenerate point case."""
+    """Extended real parameter of a spiral: a finite value or infinity."""
 
     kind: SlsKind
     lambda_tilde: float = 0.0
@@ -137,10 +132,6 @@ class SlsParameter:
     def infinite(cls) -> "SlsParameter":
         return cls(SlsKind.INFINITE)
 
-    @classmethod
-    def point(cls) -> "SlsParameter":
-        return cls(SlsKind.POINT)
-
     @property
     def rate(self) -> complex:
         """Normalised complex exponent lambda_tilde + 2 pi i."""
@@ -153,30 +144,7 @@ class SlsParameter:
         """Modulus gained per full turn: exp(lambda_tilde), or infinity."""
         if self.kind == SlsKind.INFINITE:
             return math.inf
-        if self.kind == SlsKind.POINT:
-            raise NotFinite("the point case has no turn modulus")
         return math.exp(self.lambda_tilde)
-
-
-def classify_sls(lam: complex) -> SlsClass:
-    """Sign of Re(lambda) * Im(lambda): positive spirals unwind
-    counterclockwise, negative clockwise, zero product degenerates."""
-    p = complex(lam).real * complex(lam).imag
-    if p > 0:
-        return SlsClass.POSITIVE
-    if p < 0:
-        return SlsClass.NEGATIVE
-    return SlsClass.DEGENERATE
-
-
-def lambda_tilde(lam: complex) -> SlsParameter:
-    """Reduce a complex exponent to the conformal invariant 2 pi Re/Im."""
-    lam = complex(lam)
-    if lam.imag != 0:
-        return SlsParameter.finite(TWO_PI * lam.real / lam.imag)
-    if lam.real != 0:
-        return SlsParameter.infinite()
-    return SlsParameter.point()
 
 
 def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
@@ -188,12 +156,6 @@ def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
     return MoebiusMap(
         branch * cmath.exp(lam * t / 2.0), 0.0, 0.0, cmath.exp(-lam * t / 2.0)
     )
-
-
-def sample_sls(param: SlsParameter, t: float) -> tuple[ExtendedPoint, ExtendedPoint]:
-    """Both branch points {+exp(lambda t), -exp(lambda t)} of the model curve."""
-    w = cmath.exp(param.rate * t)
-    return ExtendedPoint.from_complex(w), ExtendedPoint.from_complex(-w)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +191,6 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     Degenerate cases: a zero parameter duplicates the unit circle, the
     infinite parameter uses the point cycle at infinity as third member.
     """
-    if param.kind == SlsKind.POINT:
-        raise DegenerateTriple("the single-point curve has no three-cycle form")
     if param.kind == SlsKind.INFINITE:
         return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, Cycle(0.0, 0.0, 0.0, 1.0), 1)
     lt = param.lambda_tilde
@@ -244,61 +204,7 @@ def triple_violations(
     c1: Cycle, c2: Cycle, c3: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list:
     """All invariant violations of a candidate triple, empty when valid."""
-    out = []
-    s1 = self_product(c1)
-    if s1 <= tol.eps_product * c1.scale() ** 2:
-        out.append(
-            C1NotInOrthogonalPencil("first cycle must be a line or proper circle", s1)
-        )
-    s2 = self_product(c2)
-    if s2 <= tol.eps_product * c2.scale() ** 2:
-        out.append(NotDisjoint("second cycle must be a line or proper circle", s2))
-    s3 = self_product(c3)
-    if s3 < -tol.eps_product * c3.scale() ** 2:
-        out.append(NotDisjoint("third cycle has no real locus", s3))
-
-    r12 = product(c1, c2)
-    if abs(r12) > tol.eps_product * 4.0 * c1.scale() * c2.scale():
-        out.append(
-            NotOrthogonal("first and second cycle are not orthogonal", abs(r12))
-        )
-    r13 = product(c1, c3)
-    if abs(r13) > tol.eps_product * 4.0 * c1.scale() * c3.scale():
-        out.append(
-            NotOrthogonal("first and third cycle are not orthogonal", abs(r13))
-        )
-
-    coincident = projectively_equal(c2, c3, tol)
-    pencil_ok = coincident
-    if not coincident:
-        if classify(c3, tol) == CycleKind.POINT:
-            # degenerate extension: the pencil of a cycle and an off-cycle
-            # point is disjoint exactly when the point misses the cycle
-            if is_orthogonal(c2, c3, tol):
-                out.append(
-                    NotDisjoint("third (point) cycle lies on the second cycle")
-                )
-            else:
-                pencil_ok = True
-        else:
-            q, qs = pencil_discriminant(c2, c3, tol)
-            if q <= tol.eps_product * qs:
-                out.append(
-                    NotDisjoint("second and third cycle neither disjoint nor equal", q)
-                )
-            else:
-                pencil_ok = True
-    if pencil_ok and not coincident:
-        z1, z2 = zero_radius_members(Pencil(c2, c3), tol)
-        for z in (z1, z2):
-            r = product(c1, z)
-            if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
-                out.append(
-                    C1NotInOrthogonalPencil(
-                        "first cycle misses a limit point of the pencil", abs(r)
-                    )
-                )
-    return out
+    return Loxodrome(LoxodromeTriple(c1, c2, c3), tol).violations()
 
 
 def validate_triple(
@@ -331,11 +237,12 @@ class CurveKind(Enum):
 class Loxodrome:
     """A triple prepared once for every query of one call.
 
-    ``kind`` is read off the cycles at construction.  The spiral
-    parameter, the two limit points and the normalising map are derived
-    on first use, each at most once, so a query pays only for what it
-    reads.  Every public function of this module builds one from its
-    triple and hands it to its helpers.
+    ``kind`` is read off the cycles at construction; nothing else
+    decides it.  The spiral parameter, the point members of the pencil
+    of (c2, c3) and the normalising map are derived on first use, each
+    at most once, so a query pays only for what it reads.  Every public
+    function of this module builds one from its triple and hands it to
+    its helpers.
     """
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -380,11 +287,56 @@ class Loxodrome:
         return math.atan(lam / TWO_PI)
 
     @cached_property
+    def _point_members(self) -> tuple[Cycle, Cycle]:
+        """The point cycles of the pencil of (c2, c3)."""
+        return zero_radius_members(self.triple.c2, self.triple.c3, self.tol)
+
+    @cached_property
     def limit_points(self) -> tuple[ExtendedPoint, ExtendedPoint]:
-        """The point members of the pencil of (c2, c3): the asymptotic
-        endpoints of the curve."""
-        z1, z2 = zero_radius_members(Pencil(self.triple.c2, self.triple.c3), self.tol)
+        """The points of ``_point_members``: the asymptotic endpoints of
+        the curve."""
+        z1, z2 = self._point_members
         return point_of(z1, self.tol), point_of(z2, self.tol)
+
+    def violations(self) -> list:
+        """All invariant violations of the triple, empty when valid.
+
+        After the checks of each cycle and of c1's orthogonality, the
+        spanning pair is checked by kind: a circle needs nothing more, a
+        line needs its point c3 off c2 (the pencil of a cycle and a point
+        is disjoint exactly when the point misses the cycle), a spiral
+        needs a hyperbolic pencil.  Then c1 must pass both point members.
+        """
+        T, tol = self.triple, self.tol
+        c1, c2, c3 = T.c1, T.c2, T.c3
+        out = []
+        s1 = self_product(c1)
+        if s1 <= tol.eps_product * c1.scale() ** 2:
+            out.append(C1NotInOrthogonalPencil("first cycle must be a line or proper circle", s1))
+        s2 = self_product(c2)
+        if s2 <= tol.eps_product * c2.scale() ** 2:
+            out.append(NotDisjoint("second cycle must be a line or proper circle", s2))
+        s3 = self_product(c3)
+        if s3 < -tol.eps_product * c3.scale() ** 2:
+            out.append(NotDisjoint("third cycle has no real locus", s3))
+        for name, C in (("second", c2), ("third", c3)):
+            r = product(c1, C)
+            if abs(r) > tol.eps_product * 4.0 * c1.scale() * C.scale():
+                out.append(NotOrthogonal(f"first and {name} cycle are not orthogonal", abs(r)))
+
+        if self.kind == CurveKind.CIRCLE:
+            return out
+        if self.kind == CurveKind.LINE and is_orthogonal(c2, c3, tol):
+            out.append(NotDisjoint("third (point) cycle lies on the second cycle"))
+        elif self.kind == CurveKind.SPIRAL and classify_pencil(c2, c3, tol) != PencilKind.HYPERBOLIC:
+            q, _ = pencil_discriminant(c2, c3, tol)
+            out.append(NotDisjoint("second and third cycle neither disjoint nor equal", q))
+        else:
+            for z in self._point_members:
+                r = product(c1, z)
+                if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
+                    out.append(C1NotInOrthogonalPencil("first cycle misses a limit point of the pencil", abs(r)))
+        return out
 
     @cached_property
     def map(self) -> MoebiusMap:

@@ -4,16 +4,41 @@ A single :class:`Tolerances` value is threaded through every geometric
 predicate in the package; no predicate hardcodes an epsilon.  Quantities
 compared against zero are always scaled by the magnitude of their inputs
 first, so rescaling a homogeneous representative cannot flip a predicate.
+Numbers written as text (tolerance specs, point literals) are read by
+one ASCII decimal reader.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, InvalidInput
 
 _TOL_CEILING = 1e-2
+_QUOTE_MAX = 80
+# sign, digits with an optional fraction, optional exponent; ASCII only
+_DECIMAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?\s*", re.ASCII)
+
+
+def _quote(value) -> str:
+    """``repr(value)`` cut to about 80 characters, for messages that
+    quote input of any size."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_MAX else text[: _QUOTE_MAX - 3] + "..."
+
+
+def _decimal(text: str, what: str) -> float:
+    """The value of an ASCII decimal literal, surrounding whitespace
+    allowed.  Anything else ("1_0", non-ASCII digits, "inf") and a value
+    beyond the float range ("1e400") is refused as InvalidInput that
+    names ``what``."""
+    if _DECIMAL.fullmatch(text):
+        x = float(text)
+        if math.isfinite(x):
+            return x
+    raise InvalidInput(f"cannot parse {what}: {_quote(text)} is not an ASCII decimal within the float range")
 
 
 @dataclass(frozen=True)
@@ -42,11 +67,7 @@ class Tolerances:
     @classmethod
     def parse(cls, text: str) -> "Tolerances":
         """Parse ``"<eps_product>"`` or ``"<eps_product>,<eps_angle>,<eps_mod>"``."""
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse tolerance spec {text!r}") from exc
+        values = [_decimal(p, f"tolerance spec {_quote(text)}") for p in text.split(",")]
         if len(values) == 1:
             return cls(eps_product=values[0])
         if len(values) == 3:

@@ -3,86 +3,53 @@
 A pencil is the projective line of cycles ``alpha A + beta B``.  Its
 type follows the Cauchy-Schwarz trichotomy of the indefinite product:
 crossing family (elliptic), tangent family (parabolic) or disjoint
-family (hyperbolic).  A hyperbolic pencil contains exactly two point
-members, the limit points; the elliptic pencil orthogonal to it is the
-family of all cycles through both.
+family (hyperbolic).  ``cycles.classify_pencil`` is the one routine that
+decides it.  A hyperbolic pencil contains exactly two point members, the
+limit points; the elliptic pencil orthogonal to it is the family of all
+cycles through both.  Every routine here takes the spanning pair as two
+arguments, ``(A, B, ..., tol)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .cycles import (
     Cycle,
+    PencilKind,
     canonicalize,
+    classify_pencil,
     combine,
     pencil_discriminant,
     product,
-    projectively_equal,
 )
-from .errors import (
-    CoincidentCycles,
-    NotHyperbolic,
-    OnRadicalLocus,
-    RankDeficient,
-)
+from .errors import NotHyperbolic, OnRadicalLocus, RankDeficient
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 
 
-class PencilKind(Enum):
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """Ordered pair of independent cycles spanning the family."""
-
-    A: Cycle
-    B: Cycle
-
-    def __post_init__(self):
-        if projectively_equal(self.A, self.B):
-            raise CoincidentCycles("a pencil needs two distinct cycles")
-
-
-def classify_pencil(P: Pencil, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
-    """Compare <A,B>^2 against <A,A><B,B>: less is elliptic, equal
-    parabolic, greater hyperbolic."""
-    q, scale = pencil_discriminant(P.A, P.B, tol)
-    thr = tol.eps_product * scale
-    if q < -thr:
-        return PencilKind.ELLIPTIC
-    if q <= thr:
-        return PencilKind.PARABOLIC
-    return PencilKind.HYPERBOLIC
-
-
 def zero_radius_members(
-    P: Pencil, tol: Tolerances = DEFAULT_TOLERANCES
+    A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[Cycle, Cycle]:
-    """The two point members of a hyperbolic pencil, canonicalised and in
-    a deterministic order.
+    """The two point members of the hyperbolic pencil of A and B,
+    canonicalised and in a deterministic order; any other pencil,
+    coincident cycles included, raises NotHyperbolic.
 
     Solves <xA + yB, xA + yB> = 0 in homogeneous (x : y) with the
     cancellation-free root pairing, so a near-point A does not degrade
     the second root.
     """
-    a = product(P.A, P.A)
-    b = product(P.A, P.B)
-    c = product(P.B, P.B)
-    disc, scale = pencil_discriminant(P.A, P.B, tol)
-    if disc <= tol.eps_product * scale:
+    disc, _ = pencil_discriminant(A, B, tol)
+    if classify_pencil(A, B, tol) != PencilKind.HYPERBOLIC:
         raise NotHyperbolic(f"pencil discriminant {disc!r} is not positive")
+    a = product(A, A)
+    b = product(A, B)
+    c = product(B, B)
     root = math.sqrt(disc)
     sb = 1.0 if b >= 0 else -1.0
     qq = -(b + sb * root)
     members = [
-        canonicalize(combine(qq, P.A, a, P.B), tol),
-        canonicalize(combine(c, P.A, qq, P.B), tol),
+        canonicalize(combine(qq, A, a, B), tol),
+        canonicalize(combine(c, A, qq, B), tol),
     ]
     members.sort(key=lambda z: (z.k, z.l, z.n, z.m))
     return members[0], members[1]

@@ -228,7 +228,7 @@ def _polyline_runs(points: list[complex | None], guard: float):
         yield run
 
 
-def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
+def _emit_triple(out, scene, obj, lox, proj, config, tol, warnings_out):
     T: LoxodromeTriple = obj.value
     style = _style_attr(scene, obj.id, "")
     out.append(f"<g id={_quoteattr(obj.id)}>")
@@ -238,7 +238,6 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
         except MoebloxError as exc:
             warnings_out.append(f"triple {obj.id!r}: {name} not drawn: {exc}")
     try:
-        lox = Loxodrome(T, tol)
         signs = (1.0,) if lox.shape == CurveKind.CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(
             abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0
@@ -263,11 +262,16 @@ def render_scene(
     """Render a scene to SVG text.
 
     Invalid triples are still drawn from their raw cycles; the curve is
-    skipped and a note appended to ``warnings_out``.
+    skipped and a note appended to ``warnings_out``, after one note per
+    invariant violation of each triple.
     """
     if warnings_out is None:
         warnings_out = []
-    warnings_out.extend(scene.triple_warnings(tol))
+    loxodromes = {obj.id: Loxodrome(obj.value, tol) for obj in scene.objects if obj.kind == "triple"}
+    for object_id, lox in loxodromes.items():
+        for violation in lox.violations():
+            detail = f" (residual {violation.residual:.3e})" if violation.residual is not None else ""
+            warnings_out.append(f"triple {object_id!r}: {violation}{detail}")
     bbox = _scene_bbox(scene, tol)
     proj = _Projector(bbox, config.width, config.height)
     p = config.precision
@@ -283,7 +287,7 @@ def render_scene(
         if obj.kind == "moebius":
             continue
         if obj.kind == "triple":
-            _emit_triple(out, scene, obj, proj, config, tol, warnings_out)
+            _emit_triple(out, scene, obj, loxodromes[obj.id], proj, config, tol, warnings_out)
         elif obj.kind == "point":
             _emit_point(out, obj.value, proj, _style_attr(scene, obj.id, ""), p)
         else:

@@ -21,7 +21,8 @@ fits in a float.  Every field shown is required except ``sign`` (the int
 no other field is allowed.  A hint's ``stroke`` is ``#rgb``, ``#rrggbb``
 or a colour keyword of ASCII letters, its ``width`` a number in
 (0, STYLE_WIDTH_MAX], its ``dash`` non-negative decimals separated by
-spaces or commas.  A triple member may be the id of a circle, line or
+spaces or commas.  A point string is read by ``ExtendedPoint.parse``:
+ASCII decimals only.  A triple member may be the id of a circle, line or
 cycle object.  Ids are unique and hold no character XML 1.0 forbids.
 ``_KINDS`` and ``_STYLE_HINT`` state these rules once; the kernel
 constructors check the geometry.
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
 from .errors import MoebloxError, SceneError
-from .loxodrome import LoxodromeTriple, triple_violations
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .loxodrome import LoxodromeTriple
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _quote
 
 STYLE_WIDTH_MAX = 1000.0
 
@@ -65,12 +66,12 @@ class Scene:
         for obj in self.objects:
             if obj.id == object_id:
                 return obj
-        raise SceneError(f"no object with id {object_id!r}")
+        raise SceneError(f"no object with id {_quote(object_id)}")
 
     def _value(self, object_id: str, kinds: tuple, noun: str):
         obj = self.get(object_id)
         if obj.kind not in kinds:
-            raise SceneError(f"object {object_id!r} is a {obj.kind}, not a {noun}")
+            raise SceneError(f"object {_quote(object_id)} is a {obj.kind}, not a {noun}")
         return obj.value
 
     def triple(self, object_id: str) -> LoxodromeTriple:
@@ -82,25 +83,13 @@ class Scene:
     def point(self, object_id: str) -> ExtendedPoint:
         return self._value(object_id, ("point",), "point")
 
-    def triple_warnings(self, tol: Tolerances = DEFAULT_TOLERANCES) -> list[str]:
-        """Human-readable invariant violations of every triple object."""
-        notes = []
-        for obj in self.objects:
-            if obj.kind != "triple":
-                continue
-            T = obj.value
-            for violation in triple_violations(T.c1, T.c2, T.c3, tol):
-                detail = f" (residual {violation.residual:.3e})" if violation.residual is not None else ""
-                notes.append(f"triple {obj.id!r}: {violation}{detail}")
-        return notes
-
 
 # readers: each takes a JSON value and the path that names it in messages,
 # and returns what the value stands for or raises SceneError
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneError(f"{where} must be a number (int or float), got {value!r}")
+        raise SceneError(f"{where} must be a number (int or float), got {_quote(value)}")
     try:
         x = float(value)
     except OverflowError:  # JSON puts no bound on integers
@@ -112,7 +101,7 @@ def _number(value, where: str) -> float:
 
 def _array(value, length: int, where: str, form: str) -> list:
     if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise SceneError(f"{where}: expected {form}, got {value!r}")
+        raise SceneError(f"{where}: expected {form}, got {_quote(value)}")
     return value
 
 
@@ -155,13 +144,13 @@ def _member(value, where: str) -> Cycle | str:
 
 def _sign(value, where: str) -> int:
     if type(value) is not int or value not in (1, -1):  # a bool is not an int here
-        raise SceneError(f"{where} must be the int 1 or -1, got {value!r}")
+        raise SceneError(f"{where} must be the int 1 or -1, got {_quote(value)}")
     return value
 
 
 def _width(value, where: str):
     if not 0.0 < _number(value, where) <= STYLE_WIDTH_MAX:
-        raise SceneError(f"{where} must lie in (0, {STYLE_WIDTH_MAX:g}], got {value!r}")
+        raise SceneError(f"{where} must lie in (0, {STYLE_WIDTH_MAX:g}], got {_quote(value)}")
     return value  # written as given, so 2 stays "2"
 
 
@@ -171,7 +160,7 @@ def _text(pattern: str, form: str):
 
     def read(value, where: str) -> str:
         if not (isinstance(value, str) and grammar.fullmatch(value)):
-            raise SceneError(f"{where} must be {form}, got {value!r}")
+            raise SceneError(f"{where} must be {form}, got {_quote(value)}")
         return value
 
     return read
@@ -184,10 +173,10 @@ def _object(**fields):
 
     def read(data, where: str) -> dict:
         if not isinstance(data, dict):
-            raise SceneError(f"{where}: expected an object with fields {', '.join(fields)}, got {data!r}")
+            raise SceneError(f"{where}: expected an object with fields {', '.join(fields)}, got {_quote(data)}")
         unknown = next((name for name in data if name not in fields), None)
         if unknown is not None:
-            raise SceneError(f"{where}: unknown field {unknown!r}, expected {', '.join(fields)}")
+            raise SceneError(f"{where}: unknown field {_quote(unknown)}, expected {', '.join(fields)}")
         missing = next((name for name in fields if name not in data and name not in _OPTIONAL), None)
         if missing is not None:
             raise SceneError(f"{where}.{missing} is missing")
@@ -247,13 +236,13 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
         if not isinstance(object_id, str) or not object_id:
             raise SceneError(f"{where}: missing or empty 'id'")
         if _NOT_XML.search(object_id):
-            raise SceneError(f"{where}: id {object_id!r} holds a character XML forbids")
+            raise SceneError(f"{where}: id {_quote(object_id)} holds a character XML forbids")
         if object_id in seen_ids:
-            raise SceneError(f"{where}: duplicate id {object_id!r}")
+            raise SceneError(f"{where}: duplicate id {_quote(object_id)}")
         seen_ids.add(object_id)
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise SceneError(f"{where}: kind must be one of {tuple(_KINDS)}, got {kind!r}")
+            raise SceneError(f"{where}: kind must be one of {tuple(_KINDS)}, got {_quote(kind)}")
         if "data" not in entry:
             raise SceneError(f"{where}.data is missing")
         pending.append((where, object_id, kind, _KINDS[kind][0](entry["data"], where)))
@@ -266,7 +255,7 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
                 if isinstance(data[name], str):
                     target = by_id.get(data[name])
                     if target is None or target.kind not in _CYCLE_KINDS:
-                        raise SceneError(f"{where}.{name}: {data[name]!r} is not the id of a circle, line or cycle")
+                        raise SceneError(f"{where}.{name}: {_quote(data[name])} is not the id of a circle, line or cycle")
                     data[name] = target.value
         build = _KINDS[kind][1]
         value = data if build is None else _built(build, where, data, tol)
@@ -275,7 +264,7 @@ def parse_scene(raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Scene:
     style = raw.get("style", {})
     if not isinstance(style, dict):
         raise SceneError("'style' must map ids to style hints")
-    style = {key: _STYLE_HINT(hints, f"style[{key!r}]") for key, hints in style.items()}
+    style = {key: _STYLE_HINT(hints, f"style[{_quote(key)}]") for key, hints in style.items()}
 
     bbox = raw.get("bbox")
     if bbox is not None:

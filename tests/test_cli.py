@@ -198,7 +198,8 @@ class TestSceneParsing:
                 }
             ]
         }
-        notes = parse_scene(raw).triple_warnings()
+        notes = []
+        render_scene(parse_scene(raw), RenderConfig(samples=16), warnings_out=notes)
         assert notes and "bad" in notes[0]
 
 
@@ -879,6 +880,18 @@ class TestCliContract:
     def test_missing_scene_is_data_error(self):
         result = run_cli(["lambda", "--scene", "/nonexistent.json", "--triple", "T"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("point", ["1_0,0", "١,0", "1e400,0"])
+    def test_point_literal_outside_the_grammar_is_data_error(self, scene_path, point, capsys):
+        assert main(["member", "--scene", scene_path, "--triple", "T", f"--point={point}"]) == 2
+        assert repr(point) in capsys.readouterr().err
+
+    def test_huge_value_is_quoted_in_part(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(_circle(radius=list(range(100_000)))))
+        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 300 and "objects[0].radius" in err
 
     def test_non_numeric_scene_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"

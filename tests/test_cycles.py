@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,19 @@ class TestExtendedPoint:
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidInput):
             mx.ExtendedPoint.parse(bad)
+
+    @pytest.mark.parametrize("bad", ["1_0,0", "\u0661,0", "1e400,0", "0,-inf", "nan,0"])
+    def test_parse_reads_ascii_decimals_only(self, bad):
+        # float() takes the first two as the points 10 and 1
+        with pytest.raises(InvalidInput, match=re.escape(repr(bad))):
+            mx.ExtendedPoint.parse(bad)
+
+    @pytest.mark.parametrize(
+        "text,z",
+        [(" 1.5 , -2 ", 1.5 - 2j), ("+.5,5.", 0.5 + 5j), ("1E+2,-3e-1", 100 - 0.3j), ("-0,0", 0j)],
+    )
+    def test_parse_decimal_forms(self, text, z):
+        assert mx.ExtendedPoint.parse(text).as_complex() == z
 
     def test_approx_eq_is_projective(self):
         assert pt(2 + 1j).approx_eq(mx.ExtendedPoint(4 + 2j, 2))
@@ -352,7 +366,7 @@ class TestIntersect:
             if mx.projectively_equal(C, Cp):
                 continue
             seen += 1
-            kind = mx.classify_pencil(mx.Pencil(C, Cp))
+            kind = mx.classify_pencil(C, Cp)
             assert len(mx.intersect(C, Cp)) == counts[kind]
 
     def test_points_actually_lie_on_both(self, rng):

@@ -5,6 +5,7 @@ import pytest
 
 import moeblox as mx
 from moeblox.errors import (
+    C1NotInOrthogonalPencil,
     DegenerateTriple,
     DomainError,
     InvalidInput,
@@ -38,23 +39,9 @@ def std(lt):
 
 
 class TestSlsParameter:
-    def test_classify(self):
-        assert mx.classify_sls(1 + TWO_PI * 1j) == mx.SlsClass.POSITIVE
-        assert mx.classify_sls(1 - TWO_PI * 1j) == mx.SlsClass.NEGATIVE
-        assert mx.classify_sls(TWO_PI * 1j) == mx.SlsClass.DEGENERATE
-
-    def test_lambda_tilde(self):
-        param = mx.lambda_tilde(1 + TWO_PI * 1j)
-        assert param.kind == mx.SlsKind.FINITE
-        assert param.lambda_tilde == pytest.approx(1.0)
-        assert mx.lambda_tilde(5).kind == mx.SlsKind.INFINITE
-        assert mx.lambda_tilde(0).kind == mx.SlsKind.POINT
-
     def test_turn_modulus(self):
         assert mx.SlsParameter.finite(1).a == pytest.approx(math.e)
         assert mx.SlsParameter.infinite().a == math.inf
-        with pytest.raises(NotFinite):
-            mx.SlsParameter.point().a
 
     def test_rate(self):
         assert mx.SlsParameter.finite(1).rate == complex(1, TWO_PI)
@@ -78,26 +65,6 @@ class TestDiagonalFlow:
         assert mx.apply_to_point(mx.BRANCH_SWAP, pt(1)).as_complex() == -1
 
 
-class TestSampleSls:
-    def test_orbit_of_one(self):
-        plus, minus = mx.sample_sls(mx.SlsParameter.finite(0.7), 0.0)
-        assert plus.as_complex() == pytest.approx(1)
-        assert minus.as_complex() == pytest.approx(-1)
-
-    def test_quarter_turn(self):
-        plus, minus = mx.sample_sls(mx.SlsParameter.finite(0.0), 0.25)
-        assert plus.as_complex() == pytest.approx(1j, abs=1e-12)
-        assert minus.as_complex() == pytest.approx(-1j, abs=1e-12)
-
-    def test_growth(self):
-        plus, _ = mx.sample_sls(mx.SlsParameter.finite(1.0), 1.0)
-        assert plus.as_complex() == pytest.approx(math.e, abs=1e-12)
-
-    def test_not_finite(self):
-        with pytest.raises(NotFinite):
-            mx.sample_sls(mx.SlsParameter.infinite(), 0.0)
-
-
 class TestStandardTriple:
     def test_generic(self):
         T = std(1.0)
@@ -113,10 +80,6 @@ class TestStandardTriple:
     def test_line_degenerate(self):
         T = mx.standard_triple(mx.SlsParameter.infinite())
         assert T.c3 == mx.Cycle(0, 0, 0, 1)
-
-    def test_point_rejected(self):
-        with pytest.raises(DegenerateTriple):
-            mx.standard_triple(mx.SlsParameter.point())
 
 
 class TestValidateTriple:
@@ -147,6 +110,60 @@ class TestValidateTriple:
     def test_violation_report_carries_residual(self):
         violations = mx.triple_violations(UNIT, UNIT, E_CIRCLE)
         assert violations and violations[0].residual == pytest.approx(2.0)
+
+    MISSES = (C1NotInOrthogonalPencil, "first cycle misses a limit point of the pencil")
+
+    @pytest.mark.parametrize(
+        "triple,expected",
+        [
+            pytest.param(
+                (mx.zero_radius_at(1), UNIT, E_CIRCLE),
+                [
+                    (C1NotInOrthogonalPencil, "first cycle must be a line or proper circle"),
+                    (NotOrthogonal, "first and third cycle are not orthogonal"),
+                    MISSES,
+                    MISSES,
+                ],
+                id="c1-point",
+            ),
+            pytest.param(
+                (REAL_AXIS, mx.zero_radius_at(1), E_CIRCLE),
+                [(NotDisjoint, "second cycle must be a line or proper circle")],
+                id="c2-point",
+            ),
+            pytest.param(
+                (REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, 1)),
+                [(NotDisjoint, "third cycle has no real locus")],
+                id="c3-imaginary",
+            ),
+            pytest.param(
+                (UNIT, UNIT, E_CIRCLE),
+                [
+                    (NotOrthogonal, "first and second cycle are not orthogonal"),
+                    (NotOrthogonal, "first and third cycle are not orthogonal"),
+                    MISSES,
+                    MISSES,
+                ],
+                id="c1-not-orthogonal",
+            ),
+            pytest.param(
+                (REAL_AXIS, UNIT, mx.zero_radius_at(1)),
+                [(NotDisjoint, "third (point) cycle lies on the second cycle")],
+                id="point-c3-on-c2",
+            ),
+            pytest.param((REAL_AXIS, UNIT, mx.zero_radius_at(0)), [], id="point-c3-off-c2"),
+            pytest.param(
+                (REAL_AXIS, UNIT, mx.from_circle(1, 1)),
+                [(NotDisjoint, "second and third cycle neither disjoint nor equal")],
+                id="crossing",
+            ),
+            pytest.param((REAL_AXIS, UNIT, E_CIRCLE), [], id="valid"),
+            pytest.param((REAL_AXIS, UNIT, 2 * UNIT), [], id="coincident"),
+        ],
+    )
+    def test_violation_table(self, triple, expected):
+        found = [(type(v), str(v)) for v in mx.triple_violations(*triple)]
+        assert found == expected
 
 
 class TestLambdaFromTriple:

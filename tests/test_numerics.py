@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -53,6 +54,17 @@ class TestTolerances:
     def test_parse_rejects(self, text):
         with pytest.raises(InvalidInput):
             Tolerances.parse(text)
+
+    @pytest.mark.parametrize("text", ["1_0e-10", "\u0661e-9", "1e400", "nan"])
+    def test_parse_reads_ascii_decimals_only(self, text):
+        # float() takes the first three as 1e-9, 1e-9 and inf
+        with pytest.raises(InvalidInput, match=re.escape(repr(text))):
+            Tolerances.parse(text)
+
+    def test_parse_quotes_a_long_spec_in_part(self):
+        with pytest.raises(InvalidInput) as info:
+            Tolerances.parse("x" * 100_000)
+        assert len(str(info.value)) < 300
 
 
 class TestClampedAcos:

@@ -6,7 +6,6 @@ import pytest
 import moeblox as mx
 from moeblox.cycles import combine
 from moeblox.errors import (
-    CoincidentCycles,
     InvalidInput,
     NotHyperbolic,
     OnRadicalLocus,
@@ -27,31 +26,31 @@ pt = mx.ExtendedPoint.from_complex
 
 class TestPencilType:
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentCycles):
-            mx.Pencil(UNIT, 2 * UNIT)
+        with pytest.raises(NotHyperbolic):
+            mx.zero_radius_members(UNIT, 2 * UNIT)
 
     def test_crossing_lines_elliptic(self):
-        P = mx.Pencil(REAL_AXIS, mx.from_line(0, 1 + 1j))
-        assert mx.classify_pencil(P) == mx.PencilKind.ELLIPTIC
+        P = (REAL_AXIS, mx.from_line(0, 1 + 1j))
+        assert mx.classify_pencil(*P) == mx.PencilKind.ELLIPTIC
 
     def test_concentric_hyperbolic(self):
-        assert mx.classify_pencil(mx.Pencil(UNIT, E_CIRCLE)) == mx.PencilKind.HYPERBOLIC
+        assert mx.classify_pencil(UNIT, E_CIRCLE) == mx.PencilKind.HYPERBOLIC
 
     def test_tangent_parabolic(self):
-        P = mx.Pencil(UNIT, mx.from_line(1j, 1 + 1j))
-        assert mx.classify_pencil(P) == mx.PencilKind.PARABOLIC
+        P = (UNIT, mx.from_line(1j, 1 + 1j))
+        assert mx.classify_pencil(*P) == mx.PencilKind.PARABOLIC
 
     def test_type_is_transform_invariant(self, rng):
         for _ in range(200):
             A, B = random_real_cycle(rng), random_real_cycle(rng)
             if mx.projectively_equal(A, B):
                 continue
-            kind = mx.classify_pencil(mx.Pencil(A, B))
+            kind = mx.classify_pencil(A, B)
             if kind == mx.PencilKind.PARABOLIC:
                 continue  # knife-edge class is not stable under roundoff
             M = random_moebius(rng)
-            moved = mx.Pencil(mx.apply_to_cycle(M, A), mx.apply_to_cycle(M, B))
-            assert mx.classify_pencil(moved) == kind
+            moved = (mx.apply_to_cycle(M, A), mx.apply_to_cycle(M, B))
+            assert mx.classify_pencil(*moved) == kind
 
 
 class TestMember:
@@ -73,14 +72,14 @@ class TestMember:
 
 class TestZeroRadiusMembers:
     def test_concentric(self):
-        Z1, Z2 = mx.zero_radius_members(mx.Pencil(UNIT, mx.from_circle(0, 2)))
+        Z1, Z2 = mx.zero_radius_members(UNIT, mx.from_circle(0, 2))
         assert_projectively_equal(Z1, mx.Cycle(0, 0, 0, 1), tol=1e-12)
         assert_projectively_equal(Z2, mx.Cycle(1, 0, 0, 0), tol=1e-12)
 
     def test_two_offset_unit_circles(self):
         # limit points of circles centred 0 and 3 solve z^2 - 3z + 1 = 0
-        P = mx.Pencil(UNIT, mx.from_circle(3, 1))
-        Z1, Z2 = mx.zero_radius_members(P)
+        P = (UNIT, mx.from_circle(3, 1))
+        Z1, Z2 = mx.zero_radius_members(*P)
         zs = sorted(mx.point_of(Z).as_complex().real for Z in (Z1, Z2))
         assert zs[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
         assert zs[1] == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
@@ -90,7 +89,7 @@ class TestZeroRadiusMembers:
 
     def test_elliptic_rejected(self):
         with pytest.raises(NotHyperbolic):
-            mx.zero_radius_members(mx.Pencil(REAL_AXIS, mx.from_line(0, 1j)))
+            mx.zero_radius_members(REAL_AXIS, mx.from_line(0, 1j))
 
     def test_members_are_points_in_span(self, rng):
         import numpy as np
@@ -100,11 +99,11 @@ class TestZeroRadiusMembers:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
             if mx.projectively_equal(A, B):
                 continue
-            P = mx.Pencil(A, B)
-            if mx.classify_pencil(P) != mx.PencilKind.HYPERBOLIC:
+            P = (A, B)
+            if mx.classify_pencil(*P) != mx.PencilKind.HYPERBOLIC:
                 continue
             found += 1
-            for Z in mx.zero_radius_members(P):
+            for Z in mx.zero_radius_members(*P):
                 scale = max(1.0, Z.scale() ** 2)
                 assert abs(mx.self_product(Z)) <= 1e-9 * scale
                 S = np.array([A.to_json(), B.to_json()], dtype=float).T
@@ -134,10 +133,10 @@ class TestOrthogonalCycleThrough:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
             if mx.projectively_equal(A, B):
                 continue
-            P = mx.Pencil(A, B)
-            if mx.classify_pencil(P) != mx.PencilKind.HYPERBOLIC:
+            P = (A, B)
+            if mx.classify_pencil(*P) != mx.PencilKind.HYPERBOLIC:
                 continue
-            Z1, Z2 = mx.zero_radius_members(P)
+            Z1, Z2 = mx.zero_radius_members(*P)
             probe = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             C0 = mx.zero_radius_at(pt(probe))
             try:
@@ -211,7 +210,7 @@ class TestOrthogonalCycleThroughReference:
         # 1e-8: the closed-form rank test must draw the same line
         raised = 0
         for _, _, T in self.envelope_triples(rng, 100):
-            for Z in mx.zero_radius_members(mx.Pencil(T.c2, T.c3)):
+            for Z in mx.zero_radius_members(T.c2, T.c3):
                 z = mx.point_of(Z)
                 if z.is_infinity:
                     p = z if offset == 0.0 else pt(1.0 / offset)
@@ -301,7 +300,7 @@ class TestHyperbolicMemberThrough:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
             if mx.projectively_equal(A, B):
                 continue
-            if mx.classify_pencil(mx.Pencil(A, B)) != mx.PencilKind.HYPERBOLIC:
+            if mx.classify_pencil(A, B) != mx.PencilKind.HYPERBOLIC:
                 continue
             C0 = mx.zero_radius_at(pt(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))))
             try:
