@@ -31,7 +31,6 @@ from .loxodrome import (
     Loxodrome,
     LoxodromeTriple,
     MembershipReport,
-    SlsKind,
     SlsParameter,
     apply_map,
     contains_point,

@@ -12,9 +12,9 @@ import math
 import sys
 
 from .cycles import ExtendedPoint
-from .errors import MoebloxError
+from .errors import InvalidInput, MoebloxError
 from .loxodrome import (
-    SlsKind,
+    MembershipReport,
     contains_point,
     contains_point_oracle,
     equivalent,
@@ -25,9 +25,26 @@ from .loxodrome import (
     standard_triple,
     tangent_check,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _integer
 from .render import RenderConfig, render_scene
 from .scene import load_scene
+
+
+def _ascii(read):
+    """An argparse type reading an ASCII literal with ``read``; argparse
+    makes a usage error (exit 2) only of ArgumentTypeError or ValueError."""
+
+    def parse(text: str):
+        try:
+            return read(text, "number")
+        except InvalidInput as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_DECIMAL_ARG, _INTEGER_ARG = _ascii(_decimal), _ascii(_integer)
+
 
 def _common(parser):
     parser.add_argument("--scene", required=True, help="scene JSON file")
@@ -78,19 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render the scene to SVG")
     _common(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--samples", type=int, default=RenderConfig.samples)
-    p.add_argument("--t-min", type=float, default=RenderConfig.t_min)
-    p.add_argument("--t-max", type=float, default=RenderConfig.t_max)
-    p.add_argument("--width", type=int, default=RenderConfig.width)
-    p.add_argument("--height", type=int, default=RenderConfig.height)
-    p.add_argument("--precision", type=int, default=RenderConfig.precision)
+    p.add_argument("--samples", type=_INTEGER_ARG, default=RenderConfig.samples)
+    p.add_argument("--t-min", type=_DECIMAL_ARG, default=RenderConfig.t_min)
+    p.add_argument("--t-max", type=_DECIMAL_ARG, default=RenderConfig.t_max)
+    p.add_argument("--width", type=_INTEGER_ARG, default=RenderConfig.width)
+    p.add_argument("--height", type=_INTEGER_ARG, default=RenderConfig.height)
+    p.add_argument("--precision", type=_INTEGER_ARG, default=RenderConfig.precision)
 
     p = sub.add_parser("sample", help="print curve points on a parameter grid")
     _common(p)
     p.add_argument("--triple", required=True)
-    p.add_argument("--t-min", type=float, default=-3.0)
-    p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--count", type=int, default=65)
+    p.add_argument("--t-min", type=_DECIMAL_ARG, default=-3.0)
+    p.add_argument("--t-max", type=_DECIMAL_ARG, default=3.0)
+    p.add_argument("--count", type=_INTEGER_ARG, default=65)
     p.add_argument("--branch", choices=["+", "-", "both"], default="both")
 
     return parser
@@ -105,15 +122,11 @@ def _parse_point(scene, literal: str) -> ExtendedPoint:
 def _cmd_lambda(args, scene, tol) -> int:
     param = lambda_from_triple(scene.triple(args.triple), tol)
     if args.json:
-        if param.kind == SlsKind.INFINITE:
-            payload = {"lambda_tilde": "inf", "a": "inf"}
-        else:
-            payload = {"lambda_tilde": param.lambda_tilde, "a": param.a}
-        print(json.dumps(payload, sort_keys=True))
+        payload = {"lambda_tilde": param.lambda_tilde, "a": param.a}
+        # JSON has no infinity: a line's parameter is written "inf"
+        print(json.dumps({k: v if math.isfinite(v) else "inf" for k, v in payload.items()}, sort_keys=True))
         return 0
-    if param.kind == SlsKind.INFINITE:
-        print("lambda_tilde=inf a=inf")
-    elif param.lambda_tilde == 0.0:
+    if param.lambda_tilde == 0.0:
         print("lambda_tilde=0 a=1")
     else:
         print(f"lambda_tilde={param.lambda_tilde:.6f} a={param.a:.6f}")
@@ -124,15 +137,11 @@ def _cmd_member(args, scene, tol) -> int:
     T = scene.triple(args.triple)
     point = _parse_point(scene, args.point)
     if args.oracle:
-        member = contains_point_oracle(T, point, tol)
-        report = {"member": member, "t_coeff": None, "lhs": None, "rhs": None,
-                  "flags": ["oracle"]}
+        report = MembershipReport(contains_point_oracle(T, point, tol), flags=("oracle",))
     else:
-        result = contains_point(T, point, tol)
-        member = result.member
-        report = result.to_json()
-    print(json.dumps(report, sort_keys=True))
-    return 0 if member else 1
+        report = contains_point(T, point, tol)
+    print(json.dumps(report.to_json(), sort_keys=True))
+    return 0 if report.member else 1
 
 
 def _cmd_angle(args, scene, tol) -> int:
@@ -256,10 +265,7 @@ def main(argv=None) -> int:
     try:
         tol = Tolerances.parse(args.tol) if args.tol else DEFAULT_TOLERANCES
         return _HANDLERS[args.command](args, load_scene(args.scene, tol), tol)
-    except MoebloxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MoebloxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

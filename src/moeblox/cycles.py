@@ -329,10 +329,20 @@ def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[compl
     s = C.scale()
     if abs(C.k) <= tol.eps_product * s:
         raise IsLine(f"cycle {C!r} has no centre")
-    d = C.disc
-    if d < -tol.eps_product * s * s:
+    d, thr = C.disc, tol.eps_product * s * s
+    if not (math.isfinite(d) and math.isfinite(thr)):
+        raise _overflow(C)
+    if d < -thr:
         raise ImaginaryRadius(f"cycle {C!r} has negative discriminant {d!r}")
     return complex(C.l / C.k, C.n / C.k), math.sqrt(max(d, 0.0)) / abs(C.k)
+
+
+def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, complex]:
+    """A point and a unit direction of a line: the foot of its normal from
+    the origin, and its canonical unit normal turned by a quarter turn."""
+    line = canonicalize(C, tol)
+    normal = complex(line.l, line.n)
+    return (line.m / 2.0) * normal, 1j * normal
 
 
 def point_of(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> ExtendedPoint:
@@ -360,6 +370,22 @@ def self_product(C: Cycle) -> float:
     return product(C, C)
 
 
+def _overflow(*cycles: Cycle) -> NumericalBreakdown:
+    """The refusal of a zero test on products of the cycles that are not
+    finite: a test against inf or NaN decides nothing."""
+    return NumericalBreakdown(f"products of {' and '.join(map(_quote, cycles))} overflow a float")
+
+
+def _norm_square(C: Cycle) -> tuple[float, float]:
+    """<C,C> and the square of C's largest component, the scale of a zero
+    test on <C,C>, both refused when not finite."""
+    n = C.scale()
+    s, n = self_product(C), n * n
+    if not (math.isfinite(s) and math.isfinite(n)):
+        raise _overflow(C)
+    return s, n
+
+
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Fix the projective scale: k = +1 when k does not vanish, else a
     unit normal (l, n) with its first nonvanishing component positive,
@@ -382,8 +408,11 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
 
 
 def projectively_equal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    a = canonicalize(C, tol)
-    b = canonicalize(Cp, tol)
+    return _canonical_equal(canonicalize(C, tol), canonicalize(Cp, tol), tol)
+
+
+def _canonical_equal(a: Cycle, b: Cycle, tol: Tolerances) -> bool:
+    """``projectively_equal`` on canonical representatives."""
     thr = tol.eps_product * max(1.0, a.scale(), b.scale())
     return (
         abs(a.k - b.k) <= thr
@@ -403,9 +432,9 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     """
     a = canonicalize(C, tol)
     b = canonicalize(Cp, tol)
-    sa = self_product(a)
-    sb = self_product(b)
-    if sa <= tol.eps_product * a.scale() ** 2 or sb <= tol.eps_product * b.scale() ** 2:
+    sa, na = _norm_square(a)
+    sb, nb = _norm_square(b)
+    if sa <= tol.eps_product * na or sb <= tol.eps_product * nb:
         raise ZeroRadiusOperand("normalised product needs two non-point cycles")
     return product(a, b) / math.sqrt(sa * sb)
 
@@ -432,10 +461,12 @@ def pencil_discriminant(
     the sign test meaningful for cancelling configurations.
     """
     ab = product(C, Cp)
-    q = ab * ab - self_product(C) * self_product(Cp)
-    floor = (tol.eps_product * 4.0 * C.scale() * Cp.scale()) ** 2
-    scale = max(ab * ab, abs(self_product(C) * self_product(Cp)), floor, 1e-300)
-    return q, scale
+    ab2, ss = ab * ab, self_product(C) * self_product(Cp)
+    floor = tol.eps_product * 4.0 * C.scale() * Cp.scale()
+    floor *= floor
+    if not (math.isfinite(ab2) and math.isfinite(ss) and math.isfinite(floor)):
+        raise _overflow(C, Cp)
+    return ab2 - ss, max(ab2, abs(ss), floor, 1e-300)
 
 
 def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
@@ -554,15 +585,15 @@ def intersect(
     Circle pairs reduce to the radical line to avoid cancellation near
     tangency.  Defined for real loci (lines, points, proper circles).
     """
-    if projectively_equal(C, Cp, tol):
+    a = canonicalize(C, tol)
+    b = canonicalize(Cp, tol)
+    if _canonical_equal(a, b, tol):
         raise CoincidentCycles("intersection of a cycle with itself is the cycle")
     kind = classify_pencil(C, Cp, tol)
     if kind == PencilKind.HYPERBOLIC:
         return ()
     tangent = kind == PencilKind.PARABOLIC
 
-    a = canonicalize(C, tol)
-    b = canonicalize(Cp, tol)
     a_line = abs(a.k) <= tol.eps_product * a.scale()
     b_line = abs(b.k) <= tol.eps_product * b.scale()
 

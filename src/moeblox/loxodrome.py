@@ -24,10 +24,9 @@ exactly the data a triple carries; an unfolded modulo-1 comparison would
 reject genuine curve points.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
-decides its kind (spiral, circle or line) and solves the point members
-of the pencil of (c2, c3).  ``triple_violations``, the limit points and
-every query read both from it; the type of that pencil comes from
-``cycles.classify_pencil``.
+holds what is derived from it: its kind, lambda_tilde (0 for a circle,
+inf for a line), the point members of the pencil of (c2, c3) and the
+normalising map.  ``triple_violations`` and every query read them there.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ from .cycles import (
     MoebiusMap,
     PencilKind,
     _affine,
+    _line_frame,
+    _norm_square,
     _point_sort_key,
     apply_to_cycle,
     apply_to_point,
@@ -64,7 +65,6 @@ from .cycles import (
     point_of,
     product,
     projectively_equal,
-    self_product,
     zero_radius_at,
 )
 from .errors import (
@@ -106,44 +106,38 @@ BRANCH_SWAP = MoebiusMap(0.0, -1.0, 1.0, 0.0)
 # the spiral parameter
 # ---------------------------------------------------------------------------
 
-class SlsKind(Enum):
-    FINITE = "finite"
-    INFINITE = "infinite"
-
-
 @dataclass(frozen=True)
 class SlsParameter:
-    """Extended real parameter of a spiral: a finite value or infinity."""
+    """Extended real parameter of a spiral: a float, with 0 for the circle
+    degeneration, or ``math.inf`` for the line degeneration."""
 
-    kind: SlsKind
-    lambda_tilde: float = 0.0
+    lambda_tilde: float
 
     def __post_init__(self):
-        if self.kind != SlsKind.FINITE and self.lambda_tilde != 0.0:
-            raise InvalidInput("only the finite kind carries a value")
-        if not math.isfinite(self.lambda_tilde):
-            raise InvalidInput("finite parameter must be a finite float")
+        if not (math.isfinite(self.lambda_tilde) or self.lambda_tilde == math.inf):
+            raise InvalidInput(f"parameter must be a float or math.inf, got {self.lambda_tilde!r}")
 
     @classmethod
     def finite(cls, lambda_tilde: float) -> "SlsParameter":
-        return cls(SlsKind.FINITE, float(lambda_tilde))
+        lt = float(lambda_tilde)
+        if not math.isfinite(lt):
+            raise InvalidInput("finite parameter must be a finite float")
+        return cls(lt)
 
     @classmethod
     def infinite(cls) -> "SlsParameter":
-        return cls(SlsKind.INFINITE)
+        return cls(math.inf)
 
     @property
     def rate(self) -> complex:
         """Normalised complex exponent lambda_tilde + 2 pi i."""
-        if self.kind != SlsKind.FINITE:
-            raise NotFinite(f"{self.kind.value} parameter has no finite exponent")
+        if self.lambda_tilde == math.inf:
+            raise NotFinite("infinite parameter has no finite exponent")
         return complex(self.lambda_tilde, TWO_PI)
 
     @property
     def a(self) -> float:
-        """Modulus gained per full turn: exp(lambda_tilde), or infinity."""
-        if self.kind == SlsKind.INFINITE:
-            return math.inf
+        """Modulus gained per full turn: exp(lambda_tilde), infinity for a line."""
         return math.exp(self.lambda_tilde)
 
 
@@ -191,9 +185,9 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     Degenerate cases: a zero parameter duplicates the unit circle, the
     infinite parameter uses the point cycle at infinity as third member.
     """
-    if param.kind == SlsKind.INFINITE:
-        return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, Cycle(0.0, 0.0, 0.0, 1.0), 1)
     lt = param.lambda_tilde
+    if lt == math.inf:
+        return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, Cycle(0.0, 0.0, 0.0, 1.0), 1)
     if lt == 0.0:
         return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, _UNIT_CIRCLE, 1)
     c3 = Cycle(1.0, 0.0, 0.0, -math.exp(2.0 * lt))
@@ -227,22 +221,21 @@ def validate_triple(
 # ---------------------------------------------------------------------------
 
 class CurveKind(Enum):
-    """What the spanning pair (c2, c3) makes of the curve."""
+    """What the spiral parameter makes of the curve."""
 
-    SPIRAL = "spiral"  # disjoint pair: finite nonzero parameter
-    CIRCLE = "circle"  # coincident pair: zero parameter, the curve is c2
-    LINE = "line"  # point c3: infinite parameter, the curve is an arc of c1
+    SPIRAL = "spiral"  # finite nonzero parameter
+    CIRCLE = "circle"  # zero parameter: the curve is c2
+    LINE = "line"  # infinite parameter: the curve is an arc of c1
 
 
 class Loxodrome:
     """A triple prepared once for every query of one call.
 
-    ``kind`` is read off the cycles at construction; nothing else
-    decides it.  The spiral parameter, the point members of the pencil
-    of (c2, c3) and the normalising map are derived on first use, each
-    at most once, so a query pays only for what it reads.  Every public
-    function of this module builds one from its triple and hands it to
-    its helpers.
+    ``kind`` is what the cycles say; ``param`` follows from it, and
+    ``shape``, the kind every query acts on, is read off lambda_tilde
+    alone.  The parameter, the limit points and the map are derived on
+    first use, at most once.  Every public function of this module
+    builds one from its triple and hands it to its helpers.
     """
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -254,37 +247,34 @@ class Loxodrome:
             self.kind = CurveKind.LINE
         else:
             self.kind = CurveKind.SPIRAL
+        self._last = None  # ``_through`` of the last point asked
+
+    @cached_property
+    def _pair_product(self) -> float:
+        """|normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)."""
+        return abs(normalized_product(self.triple.c2, self.triple.c3, self.tol))
 
     @cached_property
     def param(self) -> SlsParameter:
-        """acosh of the normalised product of the spanning pair, signed by
-        the triple's chirality.
-
-        The absolute value of the product is taken first: the canonical
-        representatives of a disjoint pair may pair negatively.
-        """
+        """acosh of ``_pair_product``, signed by the triple's chirality;
+        0 for the circle kind, inf for the line kind."""
         if self.kind == CurveKind.CIRCLE:
-            return SlsParameter.finite(0.0)
+            return SlsParameter(0.0)
         if self.kind == CurveKind.LINE:
             return SlsParameter.infinite()
-        T = self.triple
-        x = abs(normalized_product(T.c2, T.c3, self.tol))
-        return SlsParameter.finite(T.sign * clamped_acosh(x, self.tol))
+        return SlsParameter.finite(self.triple.sign * clamped_acosh(self._pair_product))
 
-    @cached_property
+    @property
     def shape(self) -> CurveKind:
-        """The kind the queries act on: a spanning pair whose parameter
-        rounds to zero is taken as the circle c2."""
-        if self.kind == CurveKind.SPIRAL and self.param.lambda_tilde == 0.0:
-            return CurveKind.CIRCLE
-        return self.kind
+        """The kind the queries act on, read off lambda_tilde."""
+        lt = self.param.lambda_tilde
+        return CurveKind.CIRCLE if lt == 0.0 else CurveKind.LINE if lt == math.inf else CurveKind.SPIRAL
 
     @property
     def crossing_angle(self) -> float:
         """The fixed angle arctan(lambda_tilde / 2 pi) at which the curve
         crosses every cycle of its disjoint pencil."""
-        lam = math.inf if self.shape == CurveKind.LINE else self.param.lambda_tilde
-        return math.atan(lam / TWO_PI)
+        return math.atan(self.param.lambda_tilde / TWO_PI)
 
     @cached_property
     def _point_members(self) -> tuple[Cycle, Cycle]:
@@ -306,18 +296,17 @@ class Loxodrome:
         line needs its point c3 off c2 (the pencil of a cycle and a point
         is disjoint exactly when the point misses the cycle), a spiral
         needs a hyperbolic pencil.  Then c1 must pass both point members.
+        A product that overflows a float raises NumericalBreakdown.
         """
         T, tol = self.triple, self.tol
         c1, c2, c3 = T.c1, T.c2, T.c3
         out = []
-        s1 = self_product(c1)
-        if s1 <= tol.eps_product * c1.scale() ** 2:
+        (s1, n1), (s2, n2), (s3, n3) = map(_norm_square, (c1, c2, c3))
+        if s1 <= tol.eps_product * n1:
             out.append(C1NotInOrthogonalPencil("first cycle must be a line or proper circle", s1))
-        s2 = self_product(c2)
-        if s2 <= tol.eps_product * c2.scale() ** 2:
+        if s2 <= tol.eps_product * n2:
             out.append(NotDisjoint("second cycle must be a line or proper circle", s2))
-        s3 = self_product(c3)
-        if s3 < -tol.eps_product * c3.scale() ** 2:
+        if s3 < -tol.eps_product * n3:
             out.append(NotDisjoint("third cycle has no real locus", s3))
         for name, C in (("second", c2), ("third", c3)):
             r = product(c1, C)
@@ -340,36 +329,45 @@ class Loxodrome:
 
     @cached_property
     def map(self) -> MoebiusMap:
-        """The map to standard position, covering the degenerate kinds too."""
-        if self.shape == CurveKind.CIRCLE:
-            return _map_cycle_to_unit_circle(self.triple.c2, self.tol)
-        return self._three_point_map
-
-    @cached_property
-    def _three_point_map(self) -> MoebiusMap:
-        """Limit points to 0 and infinity, a crossing of c1 and c2 to 1;
-        for a spiral, oriented by chirality as ``standard_map`` states."""
+        """The map to standard position.  The circle shape takes c2 to the
+        unit circle.  Otherwise the limit points go to 0 and infinity and a
+        crossing of c1 and c2 to 1; a spiral is oriented by chirality as
+        ``standard_map`` states."""
         T, tol = self.triple, self.tol
+        if self.shape == CurveKind.CIRCLE:
+            return _map_cycle_to_unit_circle(T.c2, tol)
         p, q = self.limit_points
         crossings = intersect(T.c1, T.c2, tol)
         if len(crossings) != 2:
             raise DegenerateTriple("first and second cycle must cross at two points")
         u = max(crossings, key=_point_sort_key)
         M = map_to_zero_one_inf(p, u, q, tol)
-        if self.kind == CurveKind.SPIRAL:
-            img3 = canonicalize(apply_to_cycle(M, T.c3, tol), tol)
-            _, r3 = center_radius(img3, tol)
+        if self.shape == CurveKind.SPIRAL:
+            _, r3 = center_radius(canonicalize(apply_to_cycle(M, T.c3, tol), tol), tol)
             if (r3 > 1.0) != (T.sign > 0):
                 M = map_to_zero_one_inf(q, u, p, tol)
         return M
+
+    def _standard_point(self, p: ExtendedPoint) -> complex | None:
+        """The image of p under ``map``; None for the point at infinity."""
+        w = apply_to_point(self.map, p)
+        return None if w.is_infinity else w.as_complex()
+
+    def _through(self, p: ExtendedPoint) -> tuple[Cycle, Cycle, float | None]:
+        """The point cycle at p and the member of the disjoint pencil through
+        it with its coefficient (see ``member_through``), kept for the last
+        point: a membership test and the construction after it share it."""
+        if self._last is None or self._last[0] is not p:
+            c0 = zero_radius_at(p)
+            self._last = (p, c0, *member_through(self.triple.c2, self.triple.c3, c0, self.tol))
+        return self._last[1:]
 
     def member_at(self, p: ExtendedPoint) -> Cycle:
         """The cycle of the disjoint pencil through a curve point."""
         if self.shape == CurveKind.CIRCLE:
             return canonicalize(self.triple.c2, self.tol)
-        T, tol = self.triple, self.tol
-        ch, _ = member_through(T.c2, T.c3, zero_radius_at(p), tol)
-        if classify(ch, tol) == CycleKind.POINT:
+        _, ch, _ = self._through(p)
+        if classify(ch, self.tol) == CycleKind.POINT:
             raise PointNotOnCurve("pencil member degenerates at a limit point")
         return ch
 
@@ -398,9 +396,9 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     lexicographically larger point, infinity last.
     """
     lox = Loxodrome(T, tol)
-    if lox.kind != CurveKind.SPIRAL:
+    if lox.shape != CurveKind.SPIRAL:
         raise DegenerateTriple("normal form needs a distinct, non-point third cycle")
-    return lox._three_point_map
+    return lox.map
 
 
 def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
@@ -409,10 +407,7 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
         c, r = center_radius(C, tol)
         return MoebiusMap(1.0, -c, 0.0, r).normalized()
     if kind == CycleKind.LINE:
-        line = canonicalize(C, tol)
-        normal = complex(line.l, line.n)
-        anchor = (line.m / 2.0) * normal
-        direction = 1j * normal
+        anchor, direction = _line_frame(C, tol)
         to_axis = MoebiusMap(1.0, -anchor, 0.0, direction)
         cayley = MoebiusMap(1.0, -1j, 1.0, 1j)
         return (cayley @ to_axis).normalized()
@@ -467,11 +462,7 @@ def _congruent_folded(lhs: float, rhs: float, tol: Tolerances) -> bool:
     return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)
 
 
-def equivalent(
-    T: LoxodromeTriple,
-    Tp: LoxodromeTriple,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do two non-degenerate triples parametrise the same curve?
 
     Checks, in order: equal chirality; mutual span membership of the
@@ -480,31 +471,27 @@ def equivalent(
     rotation in turns).  The congruence is decided on the second cycles
     and cross-checked on the third, warning on disagreement.
     """
-    for X in (T, Tp):
-        if Loxodrome(X, tol).kind != CurveKind.SPIRAL:
-            raise DegenerateTriple("equivalence needs non-degenerate triples")
+    lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
+    if lox.shape != CurveKind.SPIRAL or loxp.shape != CurveKind.SPIRAL:
+        raise DegenerateTriple("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
     a2, a3, b2, b3 = (canonicalize(C, tol) for C in (T.c2, T.c3, Tp.c2, Tp.c3))
     in_a, in_b = _span_test(a2, a3, tol), _span_test(b2, b3, tol)
     if not (in_a(b2) and in_a(b3) and in_b(a2) and in_b(a3)):
         return False
-    x = abs(normalized_product(T.c2, T.c3, tol))
-    xp = abs(normalized_product(Tp.c2, Tp.c3, tol))
+    x, xp = lox._pair_product, loxp._pair_product
     if abs(x - xp) > tol.eps_product * max(1.0, x, xp):
         return False
-    lam = clamped_acosh(x, tol)
-    rhs = clamped_acos(normalized_product(T.c1, Tp.c1, tol), tol) / TWO_PI
-    lhs2 = clamped_acosh(abs(normalized_product(T.c2, Tp.c2, tol)), tol) / lam
+    lam = abs(lox.param.lambda_tilde)
+    rhs = clamped_acos(normalized_product(T.c1, Tp.c1, tol)) / TWO_PI
+    lhs2 = clamped_acosh(abs(normalized_product(T.c2, Tp.c2, tol))) / lam
     ok2 = _congruent_folded(lhs2, rhs, tol)
-    lhs3 = clamped_acosh(abs(normalized_product(T.c3, Tp.c3, tol)), tol) / lam
+    lhs3 = clamped_acosh(abs(normalized_product(T.c3, Tp.c3, tol))) / lam
     ok3 = _congruent_folded(lhs3, rhs, tol)
     if ok2 != ok3:
-        warnings.warn(
-            "coupling congruence disagrees between second and third cycles",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        message = "coupling congruence disagrees between second and third cycles"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return ok2
 
 
@@ -521,13 +508,7 @@ class MembershipReport:
     flags: tuple[str, ...] = ()
 
     def to_json(self):
-        return {
-            "member": self.member,
-            "t_coeff": self.t_coeff,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "flags": list(self.flags),
-        }
+        return dict(vars(self), flags=list(self.flags))
 
 
 def _as_point(p) -> ExtendedPoint:
@@ -536,11 +517,7 @@ def _as_point(p) -> ExtendedPoint:
     return ExtendedPoint.from_complex(complex(p))
 
 
-def contains_point(
-    T: LoxodromeTriple,
-    p,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> MembershipReport:
+def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipReport:
     """Decide curve membership from pencil data alone.
 
     For the generic case the report carries the hyperbolic shift over
@@ -553,8 +530,7 @@ def contains_point(
     False with a ``limit_point`` flag.  Degenerate triples dispatch to
     plain incidence with the curve cycle.
     """
-    p = _as_point(p)
-    return _contains(Loxodrome(T, tol), p)
+    return _contains(Loxodrome(T, tol), _as_point(p))
 
 
 def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
@@ -564,20 +540,17 @@ def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
     if any(p.approx_eq(z, tol) for z in lox.limit_points):
         return MembershipReport(False, flags=("limit_point",))
     if lox.shape == CurveKind.LINE:
-        return MembershipReport(
-            member=passes(T.c1, p, tol), flags=("degenerate_arc_unchecked",)
-        )
+        return MembershipReport(passes(T.c1, p, tol), flags=("degenerate_arc_unchecked",))
 
-    c0 = zero_radius_at(p)
-    ch, t = member_through(T.c2, T.c3, c0, tol)
+    c0, ch, t = lox._through(p)
     flags = ("radical_member",) if t is None else ()
     if classify(ch, tol) == CycleKind.POINT:
         return MembershipReport(False, t, flags=flags + ("limit_point",))
     try:
         ce = orthogonal_cycle_through(T.c2, T.c3, c0, tol)
         lam = abs(lox.param.lambda_tilde)
-        lhs = clamped_acosh(abs(normalized_product(ch, T.c2, tol)), tol) / lam
-        rhs = clamped_acos(normalized_product(ce, T.c1, tol), tol) / TWO_PI
+        lhs = clamped_acosh(abs(normalized_product(ch, T.c2, tol))) / lam
+        rhs = clamped_acos(normalized_product(ce, T.c1, tol)) / TWO_PI
     except (RankDeficient, ZeroRadiusOperand):
         return MembershipReport(False, t, flags=flags + ("limit_point",))
     return MembershipReport(_congruent_folded(lhs, rhs, tol), t, lhs, rhs, flags)
@@ -592,13 +565,9 @@ def contains_point_oracle(
     In standard position a point w is on the curve when its log modulus
     over the parameter agrees with its argument in turns modulo 1/2
     (the two branches differ by half a turn)."""
-    p = _as_point(p)
     lox = Loxodrome(T, tol)
-    w = apply_to_point(lox.map, p)
-    if w.is_infinity:
-        return False
-    z = w.as_complex()
-    if z == 0:
+    z = lox._standard_point(_as_point(p))
+    if z is None or z == 0:
         return False
     if lox.shape == CurveKind.CIRCLE:
         return abs(math.log(abs(z))) <= tol.eps_mod
@@ -630,6 +599,14 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> com
     return 1j * (p.as_complex() - c)
 
 
+def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> None:
+    """Refuse a point that misses one of the curves."""
+    if not all(_contains(lox, p).member for lox in curves):
+        if len(curves) > 1:
+            raise PointNotOnBoth(f"point {p.format()} is not on both curves")
+        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
+
+
 def intersection_angle(
     T: LoxodromeTriple,
     Tp: LoxodromeTriple,
@@ -649,8 +626,7 @@ def intersection_angle(
     """
     p = _as_point(p)
     lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
-    if not (_contains(lox, p).member and _contains(loxp, p).member):
-        raise PointNotOnBoth(f"point {p.format()} is not on both curves")
+    _require_on_curves(p, lox, loxp)
     if p.is_infinity:
         # angles are preserved by conformal maps: move the point into view
         swap = MoebiusMap(0.0, 1.0, 1.0, 0.0)
@@ -659,13 +635,8 @@ def intersection_angle(
         p = apply_to_point(swap, p)
     ch = lox.member_at(p)
     chp = loxp.member_at(p)
-    psi = cmath.phase(
-        _cycle_tangent_direction(chp, p, tol) / _cycle_tangent_direction(ch, p, tol)
-    )
-    ang = -psi
-    ang -= lox.crossing_angle
-    ang += loxp.crossing_angle
-    return _fold_half_open(ang)
+    psi = cmath.phase(_cycle_tangent_direction(chp, p, tol) / _cycle_tangent_direction(ch, p, tol))
+    return _fold_half_open(-psi - lox.crossing_angle + loxp.crossing_angle)
 
 
 def tangent_check(
@@ -680,56 +651,42 @@ def tangent_check(
         raise ZeroRadiusCandidate("tangency candidate must not be a point cycle")
     p = _as_point(p)
     lox = Loxodrome(T, tol)
-    if not _contains(lox, p).member:
-        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
+    _require_on_curves(p, lox)
     if not passes(C, p, tol):
         return False
     ch = lox.member_at(p)
-    crossing = abs(
-        math.remainder(clamped_acos(normalized_product(C, ch, tol), tol), math.pi)
-    )
-    target = abs(lox.crossing_angle)
-    return abs(crossing - target) <= tol.eps_angle
-
-
-def _tangent_of_cycle_at(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> Cycle:
-    if not passes(C, p, tol):
-        raise PointNotOnCurve("cycle does not pass the point")
-    if classify(C, tol) == CycleKind.LINE:
-        return canonicalize(C, tol)
-    c, _ = center_radius(C, tol)
-    u = p.as_complex() - c
-    u /= abs(u)
-    return from_line(p.as_complex(), p.as_complex() + 1j * u, tol)
+    crossing = abs(math.remainder(clamped_acos(normalized_product(C, ch, tol)), math.pi))
+    return abs(crossing - abs(lox.crossing_angle)) <= tol.eps_angle
 
 
 def tangent_line_at(
     T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Cycle:
-    """Tangent line of the curve at a finite curve point, from the exact
-    derivative of the normalised parametrisation."""
+    """Tangent line of the curve at a finite curve point: of c1 or c2 for
+    the line and circle shapes, else from the exact derivative of the
+    normalised parametrisation."""
     p = _as_point(p)
     if p.is_infinity:
         raise InvalidInput("tangent line is constructed at finite points only")
     lox = Loxodrome(T, tol)
-    if not _contains(lox, p).member:
-        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
-    if lox.shape != CurveKind.SPIRAL:  # the curve lies on c1 (line) or c2 (circle)
+    _require_on_curves(p, lox)
+    if lox.shape == CurveKind.SPIRAL:
+        z = lox._standard_point(p)
+        if z is None:
+            raise PointNotOnCurve("point maps to infinity under the normal form")
+        inv = lox.map.inverse()
+        denom = inv.c * z + inv.d
+        direction = (inv.det / (denom * denom)) * (lox.param.rate * z)
+    else:  # the curve lies on c1 (line) or c2 (circle)
         C = T.c1 if lox.shape == CurveKind.LINE else T.c2
-        return _tangent_of_cycle_at(C, p, tol)
-    M = lox.map
-    w = apply_to_point(M, p)
-    if w.is_infinity:
-        raise PointNotOnCurve("point maps to infinity under the normal form")
-    z = w.as_complex()
-    inv = M.inverse()
-    denom = inv.c * z + inv.d
-    velocity = (inv.det / (denom * denom)) * (lox.param.rate * z)
-    speed = abs(velocity)
+        if classify(C, tol) == CycleKind.LINE:
+            return canonicalize(C, tol)
+        direction = _cycle_tangent_direction(C, p, tol)
+    speed = abs(direction)
     if speed == 0 or not math.isfinite(speed):
         raise PointNotOnCurve("curve direction is undefined at this point")
-    velocity /= speed
-    return from_line(p.as_complex(), p.as_complex() + velocity, tol)
+    direction /= speed
+    return from_line(p.as_complex(), p.as_complex() + direction, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tolerance policy and guarded scalar functions.
 
 A single :class:`Tolerances` value is threaded through every geometric
-predicate in the package; no predicate hardcodes an epsilon.  Quantities
-compared against zero are always scaled by the magnitude of their inputs
-first, so rescaling a homogeneous representative cannot flip a predicate.
-Numbers written as text (tolerance specs, point literals) are read by
-one ASCII decimal reader.
+predicate in the package; the one fixed epsilon is the overshoot that
+the clamped inverse functions forgive.  Quantities compared against zero
+are always scaled by the magnitude of their inputs first, so rescaling a
+homogeneous representative cannot flip a predicate.  Numbers written as
+text (tolerance specs, point literals, CLI numbers) are read by one ASCII
+decimal reader and one ASCII integer reader.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass, fields
 from .errors import DomainError, InvalidInput
 
 _TOL_CEILING = 1e-2
+_EPS_DOMAIN = 1e-9  # permitted overshoot outside the domains of acos and acosh
 _QUOTE_MAX = 80
 # sign, digits with an optional fraction, optional exponent; ASCII only
 _DECIMAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?\s*", re.ASCII)
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def _quote(value) -> str:
@@ -41,6 +44,14 @@ def _decimal(text: str, what: str) -> float:
     raise InvalidInput(f"cannot parse {what}: {_quote(text)} is not an ASCII decimal within the float range")
 
 
+def _integer(text: str, what: str) -> int:
+    """The value of an ASCII integer literal, as ``_decimal`` reads a
+    decimal: "1_024" and non-ASCII digits, which ``int()`` takes, are refused."""
+    if _INTEGER.fullmatch(text):
+        return int(text)
+    raise InvalidInput(f"cannot parse {what}: {_quote(text)} is not an ASCII integer")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Shared tolerance bundle.
@@ -48,13 +59,11 @@ class Tolerances:
     eps_product: relative tolerance for product-based predicates.
     eps_angle:   absolute tolerance on angles (radians).
     eps_mod:     absolute tolerance for modular congruences (turn fractions).
-    eps_domain:  permitted overshoot outside inverse-trig domains.
     """
 
     eps_product: float = 1e-9
     eps_angle: float = 1e-7
     eps_mod: float = 1e-6
-    eps_domain: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
@@ -87,16 +96,16 @@ def _float(value, name: str) -> float:
         raise InvalidInput(f"{name} is too large for a float") from None
 
 
-def clamped_acos(x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Arc cosine tolerating eps_domain overshoot beyond [-1, 1]."""
-    if x < -1.0 - tol.eps_domain or x > 1.0 + tol.eps_domain:
+def clamped_acos(x: float) -> float:
+    """Arc cosine tolerating an overshoot of 1e-9 beyond [-1, 1]."""
+    if x < -1.0 - _EPS_DOMAIN or x > 1.0 + _EPS_DOMAIN:
         raise DomainError(f"acos argument {x!r} outside [-1-eps, 1+eps]")
     return math.acos(min(1.0, max(-1.0, x)))
 
 
-def clamped_acosh(x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Inverse hyperbolic cosine tolerating eps_domain undershoot below 1."""
-    if x < 1.0 - tol.eps_domain:
+def clamped_acosh(x: float) -> float:
+    """Inverse hyperbolic cosine tolerating an undershoot of 1e-9 below 1."""
+    if x < 1.0 - _EPS_DOMAIN:
         raise DomainError(f"acosh argument {x!r} below 1-eps")
     return math.acosh(max(1.0, x))
 

@@ -15,7 +15,7 @@ from .cycles import (
     Cycle,
     CycleKind,
     ExtendedPoint,
-    canonicalize,
+    _line_frame,
     center_radius,
     classify,
     point_of,
@@ -95,14 +95,6 @@ def _style_attr(scene: Scene, object_id: str, default: str) -> str:
 def _finite_bounds(obj: SceneObject, tol: Tolerances):
     """Bounding boxes of circles and points; lines and maps are unbounded."""
     boxes = []
-
-    def cycle_box(C: Cycle):
-        kind = classify(C, tol)
-        if kind == CycleKind.LINE:
-            return
-        c, r = center_radius(C, tol)
-        boxes.append((c.real - r, c.imag - r, c.real + r, c.imag + r))
-
     if obj.kind == "point":
         p = obj.value
         if not p.is_infinity:
@@ -117,9 +109,10 @@ def _finite_bounds(obj: SceneObject, tol: Tolerances):
         cycles = ()
     for C in cycles:
         try:
-            cycle_box(C)
+            c, r = center_radius(C, tol)
         except MoebloxError:
-            pass  # not drawn either; render_scene notes it
+            continue  # a line (IsLine), or not drawn either and noted by render_scene
+        boxes.append((c.real - r, c.imag - r, c.real + r, c.imag + r))
     return boxes
 
 
@@ -195,10 +188,7 @@ def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol
         _emit_point(out, point_of(C, tol), proj, style, precision)
         return
     if kind == CycleKind.LINE:
-        line = canonicalize(C, tol)
-        normal = complex(line.l, line.n)
-        anchor = (line.m / 2.0) * normal
-        clipped = _clip_line_to_box(anchor, 1j * normal, proj.bbox)
+        clipped = _clip_line_to_box(*_line_frame(C, tol), proj.bbox)
         if clipped is None:
             return
         (x1, y1), (x2, y2) = proj.to_px(clipped[0]), proj.to_px(clipped[1])
@@ -263,15 +253,19 @@ def render_scene(
 
     Invalid triples are still drawn from their raw cycles; the curve is
     skipped and a note appended to ``warnings_out``, after one note per
-    invariant violation of each triple.
+    invariant violation of each triple, or one for a triple whose check
+    itself fails.
     """
     if warnings_out is None:
         warnings_out = []
     loxodromes = {obj.id: Loxodrome(obj.value, tol) for obj in scene.objects if obj.kind == "triple"}
     for object_id, lox in loxodromes.items():
-        for violation in lox.violations():
-            detail = f" (residual {violation.residual:.3e})" if violation.residual is not None else ""
-            warnings_out.append(f"triple {object_id!r}: {violation}{detail}")
+        try:
+            notes = [f"{v}" + (f" (residual {v.residual:.3e})" if v.residual is not None else "")
+                     for v in lox.violations()]
+        except MoebloxError as exc:
+            notes = [f"not checked: {exc}"]
+        warnings_out.extend(f"triple {object_id!r}: {note}" for note in notes)
     bbox = _scene_bbox(scene, tol)
     proj = _Projector(bbox, config.width, config.height)
     p = config.precision

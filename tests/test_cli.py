@@ -485,7 +485,7 @@ SCENE_DOCUMENT = (
     | st.fixed_dictionaries({"objects": st.lists(LOOSE_OBJECT, max_size=3)})
     | JSON_VALUE
 )
-NUMBER = st.sampled_from(["-3", "3", "-1", "1", "0", "0.5", "1e308", "-1e308", "1e400", "inf", "-inf", "nan", "x"]) | st.floats().map(repr)
+NUMBER = st.sampled_from(["-3", "3", "-1", "1", "0", "0.5", "1e308", "-1e308", "1e400", "inf", "-inf", "nan", "x", "1_0", "\u0661\u0661"]) | st.floats().map(repr)
 POINT = st.sampled_from(["1,0", "0,0", "inf", "0,1.105171", "2.718281828459045,0", "1,", "p"]) | st.tuples(SMALL, SMALL).map(lambda xy: f"{xy[0]},{xy[1]}")
 NEGATIVE_ANSWERS = {"member", "tangent", "equiv"}
 
@@ -517,15 +517,15 @@ def cli_arguments(draw, ids, well_formed):
         "equiv": {"--triple-a": triple, "--triple-b": triple},
         "normalize": {"--triple": triple},
         "render": {
-            "--samples": pick(["16", "17"], ["15", "0", "x"]),
+            "--samples": pick(["16", "17"], ["15", "0", "x", "1_024", "\u0661\u0666"]),
             "--t-min": NUMBER, "--t-max": NUMBER,
-            "--width": pick(["1", "800"], ["0", "-1", str(10**400)]),
-            "--height": pick(["1", "600"], ["0", str(10**400)]),
-            "--precision": pick(["3", "6", "12"], ["2", "13"]),
+            "--width": pick(["1", "800"], ["0", "-1", str(10**400), "\u0668\u0660\u0660", "8_00"]),
+            "--height": pick(["1", "600"], ["0", str(10**400), "6_00"]),
+            "--precision": pick(["3", "6", "12"], ["2", "13", "\u0666"]),
         },
         "sample": {
             "--triple": triple, "--t-min": NUMBER, "--t-max": NUMBER,
-            "--count": pick(["2", "3", "5"], ["1", "0", "x"]),
+            "--count": pick(["2", "3", "5"], ["1", "0", "x", "6_5"]),
             "--branch": pick(["+", "-", "both"], ["?"]),
         },
     }[command]
@@ -611,6 +611,18 @@ def run_without_numpy(code, args):
 
 class TestNoNumpyAtRuntime:
     """The package runs on the standard library alone."""
+
+    def test_import_footprint(self):
+        # numpy is a test dependency only, and xml.sax pulls in
+        # urllib.request, which costs about 3 MB of peak RSS per process
+        env = dict(os.environ, PYTHONPATH=SRC)
+        probe = (
+            "import sys, moeblox, moeblox.cli; "
+            "print([m for m in ('numpy', 'urllib.request', 'xml.sax') if m in sys.modules])"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_cli_import_leaves_numpy_unloaded(self):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -850,7 +862,7 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "bounds,needle",
         [
-            (["--t-max=inf"], "t_max must be finite"),
+            (["--t-max=inf"], "cannot parse number: 'inf'"),
             (["--t-min=-1e308", "--t-max=1e308"], "grid step is not finite"),
             (["--t-min=-1e308", "--t-max=0"], "rate [*] t is not finite"),
         ],
@@ -866,7 +878,7 @@ class TestCliContract:
         out = tmp_path / "out.svg"
         result = run_cli(["render", "--scene", scene_path, "--out", str(out), "--t-max=inf"])
         assert result.returncode == 2
-        assert "t_max must be finite" in result.stderr
+        assert "cannot parse number: 'inf'" in result.stderr
         assert not out.exists()
 
     def test_render_skips_curve_whose_angle_overflows(self, scene_path, tmp_path):
@@ -876,6 +888,19 @@ class TestCliContract:
         assert result.returncode == 0
         assert "curve not drawn" in result.stderr and "rate * t is not finite" in result.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [("sample", "--t-min=1_0"), ("sample", "--t-max=\u0661\u0661"), ("render", "--samples=1_024"), ("render", "--width=\u0668\u0660\u0660")],
+    )
+    def test_numeric_option_outside_the_grammar_is_usage_error(self, scene_path, tmp_path, command, option, capsys):
+        # int() and float() read these as 10, 11, 1024 and 800
+        out = tmp_path / "out.svg"
+        where = ["--triple", "T"] if command == "sample" else ["--out", str(out)]
+        assert main([command, "--scene", scene_path, *where, option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert repr(option.split("=", 1)[1]) in captured.err
 
     def test_missing_scene_is_data_error(self):
         result = run_cli(["lambda", "--scene", "/nonexistent.json", "--triple", "T"])
@@ -942,6 +967,40 @@ class TestCliContract:
         assert result.returncode == 2
         assert "width is too large for a float" in result.stderr
         assert not out.exists()
+
+    # c2 and c3 pair to a normalised product that rounds to 1: the
+    # parameter is 0, so the queries take the triple as the circle c2
+    NEAR_CIRCLE = {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -(1 + 1e-9)], "sign": 1}
+
+    @pytest.mark.parametrize(
+        "args,needle",
+        [
+            (["equiv", "--triple-a", "T", "--triple-b", "T"], "equivalence needs non-degenerate triples"),
+            (["normalize", "--triple", "T"], "normal form needs a distinct, non-point third cycle"),
+        ],
+    )
+    def test_zero_parameter_pair_is_degenerate(self, tmp_path, args, needle, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(_triple(**self.NEAR_CIRCLE)))
+        assert main([args[0], "--scene", str(path), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and needle in captured.err
+        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
+        assert capsys.readouterr().out == "lambda_tilde=0 a=1\n"
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_products_are_refused(self, tmp_path, scale, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(_triple(c2=[scale, 0, 0, -scale], c3=[scale, 0, 0, -scale * E2])))
+        assert main(["member", "--scene", str(path), "--triple", "T", "--point", "1,0"]) == 2
+        assert "overflow a float" in capsys.readouterr().err
+        out = tmp_path / "out.svg"
+        assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
+        err = capsys.readouterr().err
+        assert "triple 'T': not checked:" in err and "curve not drawn" in err and out.exists()
+        if scale == 1e100:
+            assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
+            assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
 
     def test_main_in_process(self, scene_path, capsys):
         code = main(["lambda", "--scene", scene_path, "--triple", "T"])

@@ -14,6 +14,7 @@ from moeblox.errors import (
     InvalidInput,
     InvalidRadius,
     IsLine,
+    NumericalBreakdown,
     SceneError,
     SingularMap,
     ZeroRadiusOperand,
@@ -227,6 +228,32 @@ class TestNormalizedProduct:
             # magnitude is fully invariant; the canonical sign may flip
             # when the map turns a circle inside out
             assert abs(moved) == pytest.approx(abs(base), abs=1e-8 * max(1, abs(base)))
+
+
+class TestOverflowRefused:
+    """A zero test on products that overflow a float decides nothing: it
+    is refused with NumericalBreakdown naming the cycles, not left to
+    raise OverflowError or to compare against inf."""
+
+    BIG = mx.Cycle(1e100, 0, 0, -1e100)
+    BIG_E = mx.Cycle(1e100, 0, 0, -1e100 * math.e**2)
+
+    def test_pencil_routines(self):
+        for routine in (mx.classify_pencil, mx.zero_radius_members, mx.intersect):
+            with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+100.* overflow a float"):
+                routine(self.BIG, self.BIG_E)
+
+    def test_normalized_product(self):
+        # canonical cycles stay below 1 / eps_product, so only a tiny
+        # tolerance lets their products overflow: here the circle of
+        # radius 1e100 is canonicalised to (1, 0, 0, -1e200)
+        tiny = mx.Tolerances(eps_product=1e-250)
+        with pytest.raises(NumericalBreakdown, match="overflow a float"):
+            mx.normalized_product(mx.Cycle(1e-100, 0, 0, -1e100), UNIT, tiny)
+
+    def test_center_radius(self):
+        with pytest.raises(NumericalBreakdown, match="overflow a float"):
+            mx.center_radius(mx.Cycle(1e200, 0, 0, -1e200))
 
 
 class TestMoebiusAction:

@@ -12,6 +12,7 @@ from moeblox.errors import (
     NotDisjoint,
     NotFinite,
     NotOrthogonal,
+    NumericalBreakdown,
     PointNotOnBoth,
     PointNotOnCurve,
     SceneError,
@@ -47,6 +48,15 @@ class TestSlsParameter:
         assert mx.SlsParameter.finite(1).rate == complex(1, TWO_PI)
         with pytest.raises(NotFinite):
             mx.SlsParameter.infinite().rate
+
+    def test_infinity_is_the_line_parameter(self):
+        assert mx.SlsParameter.infinite() == mx.SlsParameter(math.inf)
+        assert mx.SlsParameter.finite(0) == mx.SlsParameter(0.0)
+        for bad in (-math.inf, math.nan):
+            with pytest.raises(InvalidInput):
+                mx.SlsParameter(bad)
+        with pytest.raises(InvalidInput):
+            mx.SlsParameter.finite(math.inf)
 
 
 class TestDiagonalFlow:
@@ -179,7 +189,7 @@ class TestLambdaFromTriple:
 
     def test_point_third_gives_infinite(self):
         T = mx.standard_triple(mx.SlsParameter.infinite())
-        assert mx.lambda_from_triple(T).kind == mx.SlsKind.INFINITE
+        assert mx.lambda_from_triple(T).lambda_tilde == math.inf
 
     def test_invariant_under_transforms(self, rng):
         T0 = std(1.0)
@@ -791,6 +801,43 @@ class TestPreparedTriple:
                     assert_projectively_equal(
                         mx.tangent_line_at(S, on), mx.tangent_line_at(T, on), tol=1e-8
                     )
+
+    def test_shape_is_read_off_lambda(self):
+        from moeblox.loxodrome import CurveKind
+
+        # the normalised product of c2 and c3 rounds to 1, so lambda_tilde
+        # is 0: every query, equivalent and standard_map too, sees a circle
+        near = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -(1 + 1e-9)))
+        lox = mx.Loxodrome(near)
+        assert (lox.kind, lox.param.lambda_tilde, lox.shape) == (CurveKind.SPIRAL, 0.0, CurveKind.CIRCLE)
+        with pytest.raises(DegenerateTriple):
+            mx.equivalent(near, near)
+        with pytest.raises(DegenerateTriple):
+            mx.standard_map(near)
+        assert mx.contains_point(near, pt(1)).member
+        line = mx.Loxodrome(mx.standard_triple(mx.SlsParameter.infinite()))
+        assert (line.shape, line.crossing_angle) == (CurveKind.LINE, math.pi / 2)
+
+    def test_violations_refuse_overflowing_products(self):
+        big = mx.LoxodromeTriple(REAL_AXIS, 1e200 * UNIT, 1e200 * E_CIRCLE)
+        with pytest.raises(NumericalBreakdown, match=r"Cycle\(k=1e\+200"):
+            mx.Loxodrome(big).violations()
+
+    def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
+        # the membership check and the construction after it share the member
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
+        calls = []
+        solve = lox.member_through
+        monkeypatch.setattr(lox, "member_through", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        mx.tangent_check(T, mx.tangent_line_at(T, p), p)
+        assert len(calls) == 2  # one for tangent_line_at's guard, one for tangent_check
+        calls.clear()
+        mx.intersection_angle(T, T, p)
+        assert len(calls) == 2  # one per curve
 
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox

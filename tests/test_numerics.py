@@ -31,12 +31,7 @@ def _acosh_exponential(value):
 class TestTolerances:
     def test_defaults(self):
         t = DEFAULT_TOLERANCES
-        assert (t.eps_product, t.eps_angle, t.eps_mod, t.eps_domain) == (
-            1e-9,
-            1e-7,
-            1e-6,
-            1e-9,
-        )
+        assert (t.eps_product, t.eps_angle, t.eps_mod) == (1e-9, 1e-7, 1e-6)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-2, 5.0])
     def test_rejects_out_of_range(self, bad):
