@@ -183,6 +183,14 @@ class Cycle:
         for name in ("k", "l", "n", "m"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
+    @classmethod
+    def _from_floats(cls, k: float, l: float, n: float, m: float) -> "Cycle":
+        """The cycle of finite float components, not all zero, unchecked."""
+        C = object.__new__(cls)
+        for name, value in (("k", k), ("l", l), ("n", n), ("m", m)):
+            object.__setattr__(C, name, value)
+        return C
+
     @property
     def L(self) -> complex:
         return complex(self.l, self.n)
@@ -314,10 +322,14 @@ def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
     """LINE for k ~ 0, POINT for vanishing discriminant, CIRCLE otherwise.
 
     The discriminant test runs first so the point at infinity (0,0,0,1)
-    classifies as a point, not a line.
+    classifies as a point, not a line.  A discriminant or threshold that
+    overflows a float raises NumericalBreakdown.
     """
     s = C.scale()
-    if abs(C.disc) <= tol.eps_product * s * s:
+    d, thr = C.disc, tol.eps_product * s * s
+    if not (math.isfinite(d) and math.isfinite(thr)):
+        raise _overflow(C)
+    if abs(d) <= thr:
         return CycleKind.POINT
     if abs(C.k) <= tol.eps_product * s:
         return CycleKind.LINE
@@ -394,17 +406,15 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     eps = tol.eps_product * s
     if abs(C.k) > eps:
         t = 1.0 / C.k
-        return Cycle(1.0, C.l * t, C.n * t, C.m * t)  # exact pivot
-    r = math.hypot(C.l, C.n)
-    if r > eps:
-        if abs(C.l) > eps:
-            sign = math.copysign(1.0, C.l)
-        else:
-            sign = math.copysign(1.0, C.n)
-        t = sign / r
-        return Cycle(C.k * t, C.l * t, C.n * t, C.m * t)
-    t = 1.0 / C.m
-    return Cycle(C.k * t, C.l * t, C.n * t, 1.0)
+        k, l, n, m = 1.0, C.l * t, C.n * t, C.m * t  # exact pivot
+    elif (r := math.hypot(C.l, C.n)) > eps:
+        t = math.copysign(1.0, C.l if abs(C.l) > eps else C.n) / r
+        k, l, n, m = C.k * t, C.l * t, C.n * t, C.m * t
+    else:
+        t = 1.0 / C.m
+        k, l, n, m = C.k * t, C.l * t, C.n * t, 1.0
+    # a unit pivot never vanishes; Cycle refuses a component that overflowed
+    return Cycle._from_floats(k, l, n, m) if math.isfinite(k + l + n + m) else Cycle(k, l, n, m)
 
 
 def projectively_equal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -430,11 +440,13 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     lines it is +-cos of the angle depending on which unit normals the
     canonicalisation picked.
     """
-    a = canonicalize(C, tol)
-    b = canonicalize(Cp, tol)
-    sa, na = _norm_square(a)
-    sb, nb = _norm_square(b)
-    if sa <= tol.eps_product * na or sb <= tol.eps_product * nb:
+    a, b = canonicalize(C, tol), canonicalize(Cp, tol)
+    return _cosine(a, b, *_norm_square(a), *_norm_square(b), tol)
+
+
+def _cosine(a: Cycle, b: Cycle, sa: float, ra: float, sb: float, rb: float, tol: Tolerances) -> float:
+    """``normalized_product`` of canonical a and b given their ``_norm_square``."""
+    if sa <= tol.eps_product * ra or sb <= tol.eps_product * rb:
         raise ZeroRadiusOperand("normalised product needs two non-point cycles")
     return product(a, b) / math.sqrt(sa * sb)
 
@@ -474,7 +486,11 @@ def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -
     elliptic (crossing), equal parabolic (tangent), greater hyperbolic
     (disjoint), each up to eps_product of the ``pencil_discriminant``
     scale.  The one place that draws these lines."""
-    q, scale = pencil_discriminant(C, Cp, tol)
+    return _pencil_kind(*pencil_discriminant(C, Cp, tol), tol)
+
+
+def _pencil_kind(q: float, scale: float, tol: Tolerances) -> PencilKind:
+    """``classify_pencil`` on a ``pencil_discriminant`` already formed."""
     thr = tol.eps_product * scale
     if q < -thr:
         return PencilKind.ELLIPTIC

@@ -24,9 +24,10 @@ exactly the data a triple carries; an unfolded modulo-1 comparison would
 reject genuine curve points.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
-holds what is derived from it: its kind, lambda_tilde (0 for a circle,
-inf for a line), the point members of the pencil of (c2, c3) and the
-normalising map.  ``triple_violations`` and every query read them there.
+holds what is derived from it: its canonical cycles, its kind,
+lambda_tilde (0 for a circle, inf for a line), the point members of the
+pencil of (c2, c3) and the normalising map.  The first query on a triple
+keeps it on the triple; later ones pay only their per-point work.
 """
 
 from __future__ import annotations
@@ -46,15 +47,17 @@ from .cycles import (
     MoebiusMap,
     PencilKind,
     _affine,
+    _canonical_equal,
+    _cosine,
     _line_frame,
     _norm_square,
+    _pencil_kind,
     _point_sort_key,
     apply_to_cycle,
     apply_to_point,
     canonicalize,
     center_radius,
     classify,
-    classify_pencil,
     from_line,
     intersect,
     is_orthogonal,
@@ -64,7 +67,6 @@ from .cycles import (
     pencil_discriminant,
     point_of,
     product,
-    projectively_equal,
     zero_radius_at,
 )
 from .errors import (
@@ -88,7 +90,7 @@ from .numerics import (
     congruent_mod,
     _float,
 )
-from .pencils import member_through, orthogonal_cycle_through, zero_radius_members
+from .pencils import _member_through, orthogonal_cycle_through, zero_radius_members
 
 TWO_PI = 2.0 * math.pi
 # lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
@@ -229,30 +231,38 @@ class CurveKind(Enum):
 
 
 class Loxodrome:
-    """A triple prepared once for every query of one call.
+    """A triple prepared once for every query on it at one tolerance.
 
     ``kind`` is what the cycles say; ``param`` follows from it, and
     ``shape``, the kind every query acts on, is read off lambda_tilde
-    alone.  The parameter, the limit points and the map are derived on
-    first use, at most once.  Every public function of this module
-    builds one from its triple and hands it to its helpers.
-    """
+    alone.  Canonical c2 and c3 are formed on construction; canonical
+    c1, the self-products ``_n1`` to ``_n3`` of the canonical cycles,
+    the parameter, the limit points and the map on first use, at most
+    once.  Every query of this module gets one from ``_prepared``.  It
+    holds the triple's cycles, not the triple that keeps it, so the two
+    make no reference cycle for the garbage collector to find."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.triple = triple
+        self.c1, self.c2, self.c3, self.sign = triple.c1, triple.c2, triple.c3, triple.sign
         self.tol = tol
-        if projectively_equal(triple.c2, triple.c3, tol):
+        self._c2, self._c3 = canonicalize(self.c2, tol), canonicalize(self.c3, tol)
+        if _canonical_equal(self._c2, self._c3, tol):
             self.kind = CurveKind.CIRCLE
-        elif classify(triple.c3, tol) == CycleKind.POINT:
+        elif classify(self.c3, tol) == CycleKind.POINT:
             self.kind = CurveKind.LINE
         else:
             self.kind = CurveKind.SPIRAL
         self._last = None  # ``_through`` of the last point asked
 
+    _c1 = cached_property(lambda self: canonicalize(self.c1, self.tol))
+    _n1 = cached_property(lambda self: _norm_square(self._c1))
+    _n2 = cached_property(lambda self: _norm_square(self._c2))
+    _n3 = cached_property(lambda self: _norm_square(self._c3))
+
     @cached_property
     def _pair_product(self) -> float:
         """|normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)."""
-        return abs(normalized_product(self.triple.c2, self.triple.c3, self.tol))
+        return abs(normalized_product(self.c2, self.c3, self.tol))
 
     @cached_property
     def param(self) -> SlsParameter:
@@ -262,7 +272,7 @@ class Loxodrome:
             return SlsParameter(0.0)
         if self.kind == CurveKind.LINE:
             return SlsParameter.infinite()
-        return SlsParameter.finite(self.triple.sign * clamped_acosh(self._pair_product))
+        return SlsParameter.finite(self.sign * clamped_acosh(self._pair_product))
 
     @property
     def shape(self) -> CurveKind:
@@ -279,7 +289,7 @@ class Loxodrome:
     @cached_property
     def _point_members(self) -> tuple[Cycle, Cycle]:
         """The point cycles of the pencil of (c2, c3)."""
-        return zero_radius_members(self.triple.c2, self.triple.c3, self.tol)
+        return zero_radius_members(self.c2, self.c3, self.tol)
 
     @cached_property
     def limit_points(self) -> tuple[ExtendedPoint, ExtendedPoint]:
@@ -298,8 +308,7 @@ class Loxodrome:
         needs a hyperbolic pencil.  Then c1 must pass both point members.
         A product that overflows a float raises NumericalBreakdown.
         """
-        T, tol = self.triple, self.tol
-        c1, c2, c3 = T.c1, T.c2, T.c3
+        c1, c2, c3, tol = self.c1, self.c2, self.c3, self.tol
         out = []
         (s1, n1), (s2, n2), (s3, n3) = map(_norm_square, (c1, c2, c3))
         if s1 <= tol.eps_product * n1:
@@ -316,15 +325,15 @@ class Loxodrome:
         if self.kind == CurveKind.CIRCLE:
             return out
         if self.kind == CurveKind.LINE and is_orthogonal(c2, c3, tol):
-            out.append(NotDisjoint("third (point) cycle lies on the second cycle"))
-        elif self.kind == CurveKind.SPIRAL and classify_pencil(c2, c3, tol) != PencilKind.HYPERBOLIC:
-            q, _ = pencil_discriminant(c2, c3, tol)
-            out.append(NotDisjoint("second and third cycle neither disjoint nor equal", q))
-        else:
-            for z in self._point_members:
-                r = product(c1, z)
-                if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
-                    out.append(C1NotInOrthogonalPencil("first cycle misses a limit point of the pencil", abs(r)))
+            return out + [NotDisjoint("third (point) cycle lies on the second cycle")]
+        if self.kind == CurveKind.SPIRAL:
+            q, scale = pencil_discriminant(c2, c3, tol)
+            if _pencil_kind(q, scale, tol) != PencilKind.HYPERBOLIC:
+                return out + [NotDisjoint("second and third cycle neither disjoint nor equal", q)]
+        for z in self._point_members:
+            r = product(c1, z)
+            if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
+                out.append(C1NotInOrthogonalPencil("first cycle misses a limit point of the pencil", abs(r)))
         return out
 
     @cached_property
@@ -333,18 +342,18 @@ class Loxodrome:
         unit circle.  Otherwise the limit points go to 0 and infinity and a
         crossing of c1 and c2 to 1; a spiral is oriented by chirality as
         ``standard_map`` states."""
-        T, tol = self.triple, self.tol
+        tol = self.tol
         if self.shape == CurveKind.CIRCLE:
-            return _map_cycle_to_unit_circle(T.c2, tol)
+            return _map_cycle_to_unit_circle(self.c2, tol)
         p, q = self.limit_points
-        crossings = intersect(T.c1, T.c2, tol)
+        crossings = intersect(self.c1, self.c2, tol)
         if len(crossings) != 2:
             raise DegenerateTriple("first and second cycle must cross at two points")
         u = max(crossings, key=_point_sort_key)
         M = map_to_zero_one_inf(p, u, q, tol)
         if self.shape == CurveKind.SPIRAL:
-            _, r3 = center_radius(canonicalize(apply_to_cycle(M, T.c3, tol), tol), tol)
-            if (r3 > 1.0) != (T.sign > 0):
+            _, r3 = center_radius(canonicalize(apply_to_cycle(M, self.c3, tol), tol), tol)
+            if (r3 > 1.0) != (self.sign > 0):
                 M = map_to_zero_one_inf(q, u, p, tol)
         return M
 
@@ -357,27 +366,36 @@ class Loxodrome:
         """The point cycle at p and the member of the disjoint pencil through
         it with its coefficient (see ``member_through``), kept for the last
         point: a membership test and the construction after it share it."""
-        if self._last is None or self._last[0] is not p:
+        last = self._last  # read once: another thread may replace it
+        if last is None or last[0] is not p:
             c0 = zero_radius_at(p)
-            self._last = (p, c0, *member_through(self.triple.c2, self.triple.c3, c0, self.tol))
-        return self._last[1:]
+            last = self._last = (p, c0, *_member_through(self._c2, self._c3, c0, self.tol))
+        return last[1:]
 
     def member_at(self, p: ExtendedPoint) -> Cycle:
         """The cycle of the disjoint pencil through a curve point."""
         if self.shape == CurveKind.CIRCLE:
-            return canonicalize(self.triple.c2, self.tol)
+            return self._c2
         _, ch, _ = self._through(p)
         if classify(ch, self.tol) == CycleKind.POINT:
             raise PointNotOnCurve("pencil member degenerates at a limit point")
         return ch
 
 
-def lambda_from_triple(
-    T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
-) -> SlsParameter:
+def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
+    """The prepared form of T at tol, kept on T by the first query for the
+    next ones; a query at other tolerances prepares T afresh."""
+    lox = vars(T).get("_loxodrome")
+    if lox is None or lox.tol != tol:
+        lox = Loxodrome(T, tol)
+        object.__setattr__(T, "_loxodrome", lox)
+    return lox
+
+
+def lambda_from_triple(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> SlsParameter:
     """Recover the spiral parameter (see ``Loxodrome.param``): coincident
     c2, c3 give the zero parameter, a point c3 the infinite one."""
-    return Loxodrome(T, tol).param
+    return _prepared(T, tol).param
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +413,7 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     choices differ by the branch swap); the tie-break picks the
     lexicographically larger point, infinity last.
     """
-    lox = Loxodrome(T, tol)
+    lox = _prepared(T, tol)
     if lox.shape != CurveKind.SPIRAL:
         raise DegenerateTriple("normal form needs a distinct, non-point third cycle")
     return lox.map
@@ -471,12 +489,12 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
     rotation in turns).  The congruence is decided on the second cycles
     and cross-checked on the third, warning on disagreement.
     """
-    lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
+    lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     if lox.shape != CurveKind.SPIRAL or loxp.shape != CurveKind.SPIRAL:
         raise DegenerateTriple("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
-    a2, a3, b2, b3 = (canonicalize(C, tol) for C in (T.c2, T.c3, Tp.c2, Tp.c3))
+    a2, a3, b2, b3 = lox._c2, lox._c3, loxp._c2, loxp._c3
     in_a, in_b = _span_test(a2, a3, tol), _span_test(b2, b3, tol)
     if not (in_a(b2) and in_a(b3) and in_b(a2) and in_b(a3)):
         return False
@@ -485,9 +503,9 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
         return False
     lam = abs(lox.param.lambda_tilde)
     rhs = clamped_acos(normalized_product(T.c1, Tp.c1, tol)) / TWO_PI
-    lhs2 = clamped_acosh(abs(normalized_product(T.c2, Tp.c2, tol))) / lam
+    lhs2 = clamped_acosh(abs(_cosine(a2, b2, *lox._n2, *loxp._n2, tol))) / lam
     ok2 = _congruent_folded(lhs2, rhs, tol)
-    lhs3 = clamped_acosh(abs(normalized_product(T.c3, Tp.c3, tol))) / lam
+    lhs3 = clamped_acosh(abs(_cosine(a3, b3, *lox._n3, *loxp._n3, tol))) / lam
     ok3 = _congruent_folded(lhs3, rhs, tol)
     if ok2 != ok3:
         message = "coupling congruence disagrees between second and third cycles"
@@ -530,42 +548,42 @@ def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) 
     False with a ``limit_point`` flag.  Degenerate triples dispatch to
     plain incidence with the curve cycle.
     """
-    return _contains(Loxodrome(T, tol), _as_point(p))
+    return _contains(_prepared(T, tol), _as_point(p))
 
 
 def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
-    T, tol = lox.triple, lox.tol
+    tol = lox.tol
     if lox.shape == CurveKind.CIRCLE:
-        return MembershipReport(member=passes(T.c2, p, tol))
+        return MembershipReport(member=passes(lox.c2, p, tol))
     if any(p.approx_eq(z, tol) for z in lox.limit_points):
         return MembershipReport(False, flags=("limit_point",))
     if lox.shape == CurveKind.LINE:
-        return MembershipReport(passes(T.c1, p, tol), flags=("degenerate_arc_unchecked",))
+        return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",))
 
     c0, ch, t = lox._through(p)
     flags = ("radical_member",) if t is None else ()
     if classify(ch, tol) == CycleKind.POINT:
         return MembershipReport(False, t, flags=flags + ("limit_point",))
     try:
-        ce = orthogonal_cycle_through(T.c2, T.c3, c0, tol)
+        ce = orthogonal_cycle_through(lox.c2, lox.c3, c0, tol)
         lam = abs(lox.param.lambda_tilde)
-        lhs = clamped_acosh(abs(normalized_product(ch, T.c2, tol))) / lam
-        rhs = clamped_acos(normalized_product(ce, T.c1, tol)) / TWO_PI
+        h = canonicalize(ch, tol)
+        lhs = clamped_acosh(abs(_cosine(h, lox._c2, *_norm_square(h), *lox._n2, tol))) / lam
+        e = canonicalize(ce, tol)
+        rhs = clamped_acos(_cosine(e, lox._c1, *_norm_square(e), *lox._n1, tol)) / TWO_PI
     except (RankDeficient, ZeroRadiusOperand):
         return MembershipReport(False, t, flags=flags + ("limit_point",))
     return MembershipReport(_congruent_folded(lhs, rhs, tol), t, lhs, rhs, flags)
 
 
-def contains_point_oracle(
-    T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def contains_point_oracle(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Ground truth by normalising: map the point to standard position and
     test it against the model curve directly.
 
     In standard position a point w is on the curve when its log modulus
     over the parameter agrees with its argument in turns modulo 1/2
     (the two branches differ by half a turn)."""
-    lox = Loxodrome(T, tol)
+    lox = _prepared(T, tol)
     z = lox._standard_point(_as_point(p))
     if z is None or z == 0:
         return False
@@ -607,12 +625,7 @@ def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> None:
         raise PointNotOnCurve(f"point {p.format()} is not on the curve")
 
 
-def intersection_angle(
-    T: LoxodromeTriple,
-    Tp: LoxodromeTriple,
-    p,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Crossing angle of two curves at a common point.
 
     The angle between the pencil members through the point, corrected by
@@ -625,7 +638,7 @@ def intersection_angle(
     supplement once representatives are canonicalised.
     """
     p = _as_point(p)
-    lox, loxp = Loxodrome(T, tol), Loxodrome(Tp, tol)
+    lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     _require_on_curves(p, lox, loxp)
     if p.is_infinity:
         # angles are preserved by conformal maps: move the point into view
@@ -639,9 +652,7 @@ def intersection_angle(
     return _fold_half_open(-psi - lox.crossing_angle + loxp.crossing_angle)
 
 
-def tangent_check(
-    T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Is the cycle tangent to the curve at the given curve point?
 
     Two conditions: the cycle passes the point, and its crossing angle
@@ -650,7 +661,7 @@ def tangent_check(
     if classify(C, tol) == CycleKind.POINT:
         raise ZeroRadiusCandidate("tangency candidate must not be a point cycle")
     p = _as_point(p)
-    lox = Loxodrome(T, tol)
+    lox = _prepared(T, tol)
     _require_on_curves(p, lox)
     if not passes(C, p, tol):
         return False
@@ -659,16 +670,14 @@ def tangent_check(
     return abs(crossing - abs(lox.crossing_angle)) <= tol.eps_angle
 
 
-def tangent_line_at(
-    T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Cycle:
+def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Tangent line of the curve at a finite curve point: of c1 or c2 for
     the line and circle shapes, else from the exact derivative of the
     normalised parametrisation."""
     p = _as_point(p)
     if p.is_infinity:
         raise InvalidInput("tangent line is constructed at finite points only")
-    lox = Loxodrome(T, tol)
+    lox = _prepared(T, tol)
     _require_on_curves(p, lox)
     if lox.shape == CurveKind.SPIRAL:
         z = lox._standard_point(p)
@@ -767,7 +776,7 @@ def sample_curve(
     signs = {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}.get(branch)
     if signs is None:
         raise InvalidInput(f"branch must be '+', '-' or 'both', got {branch!r}")
-    lox = Loxodrome(T, tol)
+    lox = _prepared(T, tol)
     return [
         ExtendedPoint._from_affine(z)
         for sgn in signs

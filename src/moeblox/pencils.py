@@ -17,8 +17,8 @@ import math
 from .cycles import (
     Cycle,
     PencilKind,
+    _pencil_kind,
     canonicalize,
-    classify_pencil,
     combine,
     pencil_discriminant,
     product,
@@ -38,8 +38,8 @@ def zero_radius_members(
     cancellation-free root pairing, so a near-point A does not degrade
     the second root.
     """
-    disc, _ = pencil_discriminant(A, B, tol)
-    if classify_pencil(A, B, tol) != PencilKind.HYPERBOLIC:
+    disc, scale = pencil_discriminant(A, B, tol)
+    if _pencil_kind(disc, scale, tol) != PencilKind.HYPERBOLIC:
         raise NotHyperbolic(f"pencil discriminant {disc!r} is not positive")
     a = product(A, A)
     b = product(A, B)
@@ -75,7 +75,8 @@ def orthogonal_cycle_through(
     and s0 s1 up to a relative O(s2^2 / s1^2), which leaves the
     threshold where the SVD put it.  The rows are first scaled by one
     power of two, which is exact and keeps the cubic cofactors and
-    their squares in range for any finite components.
+    their squares in range for any finite components: cofactors that
+    pass the rank test are a valid cycle without a second check.
     """
     e = math.frexp(max(A.scale(), B.scale(), P.scale()))[1]
     ldexp = math.ldexp
@@ -113,7 +114,7 @@ def orthogonal_cycle_through(
         raise RankDeficient(
             f"orthogonality system has rank < 3 (s2/s0 about {ratio!r})"
         )
-    return canonicalize(Cycle(v0, v1, v2, v3), tol)
+    return canonicalize(Cycle._from_floats(v0, v1, v2, v3), tol)
 
 
 def member_through(
@@ -129,8 +130,11 @@ def member_through(
     pencil the member collapses to that point; a point on both A and B
     selects no member and raises OnRadicalLocus.
     """
-    a = canonicalize(A, tol)
-    b = canonicalize(B, tol)
+    return _member_through(canonicalize(A, tol), canonicalize(B, tol), P, tol)
+
+
+def _member_through(a: Cycle, b: Cycle, P: Cycle, tol: Tolerances) -> tuple[Cycle, float | None]:
+    """``member_through`` on the canonical cycles a and b."""
     p = canonicalize(P, tol)
     alpha = product(b, p)
     beta = -product(a, p)

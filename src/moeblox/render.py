@@ -21,7 +21,7 @@ from .cycles import (
     point_of,
 )
 from .errors import InvalidInput, MoebloxError
-from .loxodrome import CurveKind, Loxodrome, LoxodromeTriple, _check_grid, _curve_points
+from .loxodrome import CurveKind, LoxodromeTriple, _check_grid, _curve_points, _prepared
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
 from .scene import Scene, SceneObject
 
@@ -218,7 +218,7 @@ def _polyline_runs(points: list[complex | None], guard: float):
         yield run
 
 
-def _emit_triple(out, scene, obj, lox, proj, config, tol, warnings_out):
+def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
     T: LoxodromeTriple = obj.value
     style = _style_attr(scene, obj.id, "")
     out.append(f"<g id={_quoteattr(obj.id)}>")
@@ -228,6 +228,7 @@ def _emit_triple(out, scene, obj, lox, proj, config, tol, warnings_out):
         except MoebloxError as exc:
             warnings_out.append(f"triple {obj.id!r}: {name} not drawn: {exc}")
     try:
+        lox = _prepared(T, tol)
         signs = (1.0,) if lox.shape == CurveKind.CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(
             abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0
@@ -258,14 +259,13 @@ def render_scene(
     """
     if warnings_out is None:
         warnings_out = []
-    loxodromes = {obj.id: Loxodrome(obj.value, tol) for obj in scene.objects if obj.kind == "triple"}
-    for object_id, lox in loxodromes.items():
+    for obj in [obj for obj in scene.objects if obj.kind == "triple"]:
         try:
             notes = [f"{v}" + (f" (residual {v.residual:.3e})" if v.residual is not None else "")
-                     for v in lox.violations()]
+                     for v in _prepared(obj.value, tol).violations()]
         except MoebloxError as exc:
             notes = [f"not checked: {exc}"]
-        warnings_out.extend(f"triple {object_id!r}: {note}" for note in notes)
+        warnings_out.extend(f"triple {obj.id!r}: {note}" for note in notes)
     bbox = _scene_bbox(scene, tol)
     proj = _Projector(bbox, config.width, config.height)
     p = config.precision
@@ -281,7 +281,7 @@ def render_scene(
         if obj.kind == "moebius":
             continue
         if obj.kind == "triple":
-            _emit_triple(out, scene, obj, loxodromes[obj.id], proj, config, tol, warnings_out)
+            _emit_triple(out, scene, obj, proj, config, tol, warnings_out)
         elif obj.kind == "point":
             _emit_point(out, obj.value, proj, _style_attr(scene, obj.id, ""), p)
         else:

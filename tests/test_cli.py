@@ -1002,6 +1002,23 @@ class TestCliContract:
             assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
             assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
 
+    def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
+        # the discriminant of c3 overflows above about 1.3e154: lambda and
+        # member refuse the triple naming c3, and render draws c2 and c3
+        # as nothing rather than as dots at 0
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(_triple(c2=[1e200, 0, 0, -1e200], c3=[1e200, 0, 0, -1e200 * E2])))
+        for argv in (["lambda"], ["member", "--point", "1,0"]):
+            assert main(argv + ["--scene", str(path), "--triple", "T"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "products of Cycle(k=1e+200, l=0.0, n=0.0, m=-7.38905609893065e+200) overflow" in captured.err
+        out = tmp_path / "out.svg"
+        assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
+        err = capsys.readouterr().err
+        assert "c2 not drawn" in err and "c3 not drawn" in err and "curve not drawn" in err
+        assert 'fill="currentColor"' not in out.read_text()  # no point dots
+
     def test_main_in_process(self, scene_path, capsys):
         code = main(["lambda", "--scene", scene_path, "--triple", "T"])
         assert code == 0

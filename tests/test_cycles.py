@@ -190,6 +190,17 @@ class TestCanonicalize:
             assert abs(a - b) <= 1e-14 * max(1.0, canon.scale())
         assert_projectively_equal(mx.canonicalize(t * C), canon, tol=1e-9)
 
+    @pytest.mark.parametrize("C, eps", [
+        (mx.Cycle(1e-310, 0, 0, 0), 1e-9),  # 1 / k overflows
+        (mx.Cycle(0, 0, 1e-310, 0), 1e-9),  # 1 / |(l, n)| overflows
+        (mx.Cycle(0, 0, 0, 1e-310), 1e-9),  # 1 / m overflows
+        (mx.Cycle(2e-5, 1e305, 0, 0), 1e-310),  # l / k overflows
+    ])
+    def test_overflowing_rescale_refused(self, C, eps):
+        # results are built unchecked only when finite
+        with pytest.raises(InvalidInput, match="cycle components must be finite"):
+            mx.canonicalize(C, mx.Tolerances(eps_product=eps))
+
 
 class TestNormalizedProduct:
     def test_concentric_cosh(self):
@@ -254,6 +265,14 @@ class TestOverflowRefused:
     def test_center_radius(self):
         with pytest.raises(NumericalBreakdown, match="overflow a float"):
             mx.center_radius(mx.Cycle(1e200, 0, 0, -1e200))
+
+    def test_classify(self):
+        # eps * s * s is inf above about 1.3e154, where every cycle used to
+        # pass the point test
+        for big in (1e155, 1e200):
+            with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+\d+.* overflow a float"):
+                mx.classify(mx.Cycle(big, 0, 0, -big))
+        assert mx.classify(self.BIG) == mx.CycleKind.CIRCLE
 
 
 class TestMoebiusAction:

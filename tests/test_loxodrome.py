@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
 import math
+import sys
+import threading
 
 import pytest
 
@@ -9,6 +12,7 @@ from moeblox.errors import (
     DegenerateTriple,
     DomainError,
     InvalidInput,
+    MoebloxError,
     NotDisjoint,
     NotFinite,
     NotOrthogonal,
@@ -824,20 +828,23 @@ class TestPreparedTriple:
             mx.Loxodrome(big).violations()
 
     def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
-        # the membership check and the construction after it share the member
+        # the prepared triple keeps the member through the last point asked:
+        # a fresh triple solves it once, later calls at that point reuse it
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
-        solve = lox.member_through
-        monkeypatch.setattr(lox, "member_through", lambda *a, **k: calls.append(a) or solve(*a, **k))
-        mx.tangent_check(T, mx.tangent_line_at(T, p), p)
-        assert len(calls) == 2  # one for tangent_line_at's guard, one for tangent_check
-        calls.clear()
+        solve = lox._member_through
+        monkeypatch.setattr(lox, "_member_through", lambda *a, **k: calls.append(a) or solve(*a, **k))
+        line = mx.tangent_line_at(T, p)
+        assert len(calls) == 1  # tangent_line_at's guard
+        mx.tangent_check(T, line, p)
         mx.intersection_angle(T, T, p)
-        assert len(calls) == 2  # one per curve
+        assert len(calls) == 1  # both reuse it, once per triple, not per curve
+        mx.intersection_angle(mx.apply_map(M, std(1.0)), T, p)
+        assert len(calls) == 2  # a fresh triple solves it once
 
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
@@ -852,6 +859,9 @@ class TestPreparedTriple:
         )
         mx.tangent_line_at(T, p)
         assert len(calls) == 1
+        mx.tangent_line_at(T, p)
+        mx.contains_point(T, p)
+        assert len(calls) == 1  # later calls on the triple pay nothing
 
     def test_oracle_recovers_lambda_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
@@ -881,3 +891,140 @@ class TestPreparedTriple:
         )
         assert mx.equivalent(T, copy)
         assert len(calls) == 4
+
+    def test_one_pencil_discriminant_per_decision(self, monkeypatch):
+        import moeblox.cycles as cycles
+        import moeblox.loxodrome as lox
+        import moeblox.pencils as pencils
+
+        calls = []
+        form = cycles.pencil_discriminant
+        for module in (cycles, pencils, lox):
+            monkeypatch.setattr(module, "pencil_discriminant", lambda *a, **k: calls.append(a) or form(*a, **k))
+        mx.zero_radius_members(UNIT, E_CIRCLE)
+        assert len(calls) == 1
+        calls.clear()
+        crossing = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.from_circle(1, 1))
+        violations = mx.Loxodrome(crossing).violations()
+        assert [str(v) for v in violations] == ["second and third cycle neither disjoint nor equal"]
+        assert len(calls) == 1
+
+
+def _questions(T, tol, points):
+    """One call of every query on T at tol, unasked."""
+    qs = [
+        lambda: mx.lambda_from_triple(T, tol),
+        lambda: mx.standard_map(T, tol),
+        lambda: mx.equivalent(T, T, tol),
+        lambda: mx.sample_curve(T, -1.0, 1.0, 9, "both", tol),
+    ]
+    for p in points:
+        qs += [
+            lambda p=p: mx.contains_point(T, p, tol),
+            lambda p=p: mx.contains_point_oracle(T, p, tol),
+            lambda p=p: mx.tangent_line_at(T, p, tol),
+            lambda p=p: mx.tangent_check(T, UNIT, p, tol),
+            lambda p=p: mx.intersection_angle(T, T, p, tol),
+        ]
+    return qs
+
+
+def _ask(question) -> str:
+    """The answer's repr, or the refusal's type and message."""
+    try:
+        return repr(question())
+    except MoebloxError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPreparedFormKept:
+    """The first query keeps the prepared form on its triple; later queries
+    at equal tolerances reuse it, and nothing else about the triple changes."""
+
+    LOOSE = mx.Tolerances(eps_product=5e-3)
+
+    @staticmethod
+    def near():
+        # c3 is 1e-3 off c2: coincident at eps_product 5e-3, a spiral with
+        # lambda_tilde about 3.5e-4 at the default
+        return mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -(1 + 1e-3)))
+
+    def test_each_tolerance_sees_its_own_preparation(self):
+        from moeblox.loxodrome import CurveKind
+
+        assert mx.Loxodrome(self.near(), self.LOOSE).shape == CurveKind.CIRCLE
+        assert mx.Loxodrome(self.near()).shape == CurveKind.SPIRAL
+        points = [pt(1), pt(-1), pt(1j), pt(2), INF]
+        tols = (self.LOOSE, mx.DEFAULT_TOLERANCES)
+        fresh = {tol: [_ask(q) for q in _questions(self.near(), tol, points)] for tol in tols}
+        assert fresh[self.LOOSE] != fresh[mx.DEFAULT_TOLERANCES]
+        for order in (tols, tols[::-1], tols + tols[::-1]):
+            T = self.near()
+            for tol in order:
+                assert [_ask(q) for q in _questions(T, tol, points)] == fresh[tol]
+        # question by question, alternating the tolerance
+        T = self.near()
+        got = {tol: [] for tol in tols}
+        for pair in zip(*(_questions(T, tol, points) for tol in tols)):
+            for tol, question in zip(tols, pair):
+                got[tol].append(_ask(question))
+        assert got == fresh
+
+    def test_triple_value_is_unchanged(self, rng):
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        twin = mx.LoxodromeTriple(T.c1, T.c2, T.c3, T.sign)
+        before = (repr(T), hash(T), T.to_json(), dataclasses.astuple(T))
+        p, _, _ = on_curve_point(rng, 1.0, M, t_range=(-1, 1))
+        for question in _questions(T, mx.DEFAULT_TOLERANCES, [p]) + _questions(T, self.LOOSE, [p]):
+            _ask(question)
+        assert set(vars(T)) > {f.name for f in dataclasses.fields(T)}  # the prepared form is kept
+        assert (repr(T), hash(T), T.to_json(), dataclasses.astuple(T)) == before
+        assert T == twin and twin == T and len({T, twin}) == 1
+
+    def test_transported_triples_carry_no_prepared_form(self, rng):
+        M = random_moebius(rng)
+        fields = {"c1", "c2", "c3", "sign"}
+        T = mx.apply_map(M, std(1.0))
+        assert set(vars(T)) == fields
+        mx.contains_point(T, pt(1))
+        U = mx.apply_map(M, T)
+        V = mx.validate_triple(T.c1, T.c2, T.c3, T.sign)
+        assert set(vars(U)) == set(vars(V)) == fields
+
+    def test_threads_share_one_prepared_form(self, rng, monkeypatch):
+        import time
+
+        from moeblox.loxodrome import Loxodrome
+
+        def read(lox):
+            time.sleep(0)  # another thread may run between any two reads of the last point
+            return vars(lox)["last"]
+
+        monkeypatch.setattr(Loxodrome, "_last", property(read, lambda lox, v: vars(lox).update(last=v)), raising=False)
+        M = random_moebius(rng)
+        groups = [[on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(3)] for _ in range(4)]
+        serial = [[_ask(q) for q in _questions(mx.apply_map(M, std(1.0)), mx.DEFAULT_TOLERANCES, g)]
+                  for g in groups]
+        T = mx.apply_map(M, std(1.0))
+        got = [[] for _ in groups]
+        start = threading.Barrier(len(groups))
+
+        def work(i):
+            start.wait(timeout=30)
+            for _ in range(20):
+                got[i].append([_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, groups[i])])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(groups))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for answers, expected in zip(got, serial):
+            assert answers == [expected] * 20
