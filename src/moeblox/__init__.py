@@ -21,7 +21,6 @@ from .cycles import (
     passes,
     point_of,
     product,
-    projectively_equal,
     self_product,
     zero_radius_at,
 )
@@ -44,7 +43,6 @@ from .loxodrome import (
     standard_triple,
     tangent_check,
     tangent_line_at,
-    triple_violations,
     validate_triple,
 )
 from .numerics import (
@@ -54,7 +52,7 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
 )
-from .pencils import member_through, orthogonal_cycle_through, zero_radius_members
+from .pencils import orthogonal_cycle_through, zero_radius_members
 from .render import RenderConfig, render_scene
 from .scene import Scene, SceneObject, load_scene, parse_scene
 

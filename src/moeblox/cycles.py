@@ -213,9 +213,6 @@ class Cycle:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "Cycle") -> "Cycle":
-        return Cycle(self.k + other.k, self.l + other.l, self.n + other.n, self.m + other.m)
-
     def __sub__(self, other: "Cycle") -> "Cycle":
         return Cycle(self.k - other.k, self.l - other.l, self.n - other.n, self.m - other.m)
 
@@ -417,12 +414,9 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     return Cycle._from_floats(k, l, n, m) if math.isfinite(k + l + n + m) else Cycle(k, l, n, m)
 
 
-def projectively_equal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    return _canonical_equal(canonicalize(C, tol), canonicalize(Cp, tol), tol)
-
-
 def _canonical_equal(a: Cycle, b: Cycle, tol: Tolerances) -> bool:
-    """``projectively_equal`` on canonical representatives."""
+    """Are the canonical cycles a and b projectively equal: every
+    component within eps_product of the other, relative to max(1, |a|, |b|)?"""
     thr = tol.eps_product * max(1.0, a.scale(), b.scale())
     return (
         abs(a.k - b.k) <= thr

@@ -196,13 +196,6 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, c3, 1 if lt > 0 else -1)
 
 
-def triple_violations(
-    c1: Cycle, c2: Cycle, c3: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list:
-    """All invariant violations of a candidate triple, empty when valid."""
-    return Loxodrome(LoxodromeTriple(c1, c2, c3), tol).violations()
-
-
 def validate_triple(
     c1: Cycle,
     c2: Cycle,
@@ -210,9 +203,10 @@ def validate_triple(
     sign: int = 1,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LoxodromeTriple:
-    """Checked triple; raises the first invariant violation otherwise."""
+    """Checked triple; raises the first of ``Loxodrome.violations``
+    otherwise.  The form that checks it is not kept on the triple."""
     T = LoxodromeTriple(c1, c2, c3, sign)
-    violations = triple_violations(c1, c2, c3, tol)
+    violations = Loxodrome(T, tol).violations()
     if violations:
         raise violations[0]
     return T
@@ -262,7 +256,7 @@ class Loxodrome:
     @cached_property
     def _pair_product(self) -> float:
         """|normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)."""
-        return abs(normalized_product(self.c2, self.c3, self.tol))
+        return abs(_cosine(self._c2, self._c3, *self._n2, *self._n3, self.tol))
 
     @cached_property
     def param(self) -> SlsParameter:
@@ -364,8 +358,9 @@ class Loxodrome:
 
     def _through(self, p: ExtendedPoint) -> tuple[Cycle, Cycle, float | None]:
         """The point cycle at p and the member of the disjoint pencil through
-        it with its coefficient (see ``member_through``), kept for the last
-        point: a membership test and the construction after it share it."""
+        it with its coefficient (``pencils._member_through``, called only
+        here), kept for the last point: a membership test and the
+        construction after it share it."""
         last = self._last  # read once: another thread may replace it
         if last is None or last[0] is not p:
             c0 = zero_radius_at(p)
@@ -502,7 +497,7 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
     if abs(x - xp) > tol.eps_product * max(1.0, x, xp):
         return False
     lam = abs(lox.param.lambda_tilde)
-    rhs = clamped_acos(normalized_product(T.c1, Tp.c1, tol)) / TWO_PI
+    rhs = clamped_acos(_cosine(lox._c1, loxp._c1, *lox._n1, *loxp._n1, tol)) / TWO_PI
     lhs2 = clamped_acosh(abs(_cosine(a2, b2, *lox._n2, *loxp._n2, tol))) / lam
     ok2 = _congruent_folded(lhs2, rhs, tol)
     lhs3 = clamped_acosh(abs(_cosine(a3, b3, *lox._n3, *loxp._n3, tol))) / lam

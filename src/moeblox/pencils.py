@@ -7,7 +7,8 @@ family (hyperbolic).  ``cycles.classify_pencil`` is the one routine that
 decides it.  A hyperbolic pencil contains exactly two point members, the
 limit points; the elliptic pencil orthogonal to it is the family of all
 cycles through both.  Every routine here takes the spanning pair as two
-arguments, ``(A, B, ..., tol)``.
+arguments, ``(A, B, ..., tol)``; ``_member_through``, the member through
+a point, takes it canonical, as the prepared triple keeps it.
 """
 
 from __future__ import annotations
@@ -117,24 +118,18 @@ def orthogonal_cycle_through(
     return canonicalize(Cycle._from_floats(v0, v1, v2, v3), tol)
 
 
-def member_through(
-    A: Cycle, B: Cycle, P: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[Cycle, float | None]:
-    """Member of the pencil of (A, B) through the point of the point cycle
-    P, in homogeneous form, with its affine coefficient.
-
-    Equivalent to the affine combination t A + (1 - t) B with
-    t = -<P,B>/<P,A-B> on canonical representatives, but stays defined
-    on the member where that t diverges (the radical member); there the
-    affine coefficient is reported as None.  At a limit point of the
-    pencil the member collapses to that point; a point on both A and B
-    selects no member and raises OnRadicalLocus.
-    """
-    return _member_through(canonicalize(A, tol), canonicalize(B, tol), P, tol)
-
-
 def _member_through(a: Cycle, b: Cycle, P: Cycle, tol: Tolerances) -> tuple[Cycle, float | None]:
-    """``member_through`` on the canonical cycles a and b."""
+    """Member of the pencil of the canonical cycles a and b through the
+    point of the point cycle P, in homogeneous form, with its affine
+    coefficient.
+
+    Equivalent to the affine combination t a + (1 - t) b with
+    t = -<P,b>/<P,a-b>, but stays defined on the member where that t
+    diverges (the radical member); there the affine coefficient is
+    reported as None.  At a limit point of the pencil the member
+    collapses to that point; a point on both a and b selects no member
+    and raises OnRadicalLocus.
+    """
     p = canonicalize(P, tol)
     alpha = product(b, p)
     beta = -product(a, p)

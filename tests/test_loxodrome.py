@@ -22,6 +22,7 @@ from moeblox.errors import (
     SceneError,
     ZeroRadiusCandidate,
 )
+from moeblox.pencils import _member_through
 
 from conftest import (
     assert_projectively_equal,
@@ -122,7 +123,7 @@ class TestValidateTriple:
             mx.validate_triple(REAL_AXIS, UNIT, E_CIRCLE, 2)
 
     def test_violation_report_carries_residual(self):
-        violations = mx.triple_violations(UNIT, UNIT, E_CIRCLE)
+        violations = mx.Loxodrome(mx.LoxodromeTriple(UNIT, UNIT, E_CIRCLE)).violations()
         assert violations and violations[0].residual == pytest.approx(2.0)
 
     MISSES = (C1NotInOrthogonalPencil, "first cycle misses a limit point of the pencil")
@@ -176,7 +177,7 @@ class TestValidateTriple:
         ],
     )
     def test_violation_table(self, triple, expected):
-        found = [(type(v), str(v)) for v in mx.triple_violations(*triple)]
+        found = [(type(v), str(v)) for v in mx.Loxodrome(mx.LoxodromeTriple(*triple)).violations()]
         assert found == expected
 
 
@@ -265,7 +266,7 @@ class TestLoxodromePair:
         T = std(0.0)
         lox = mx.Loxodrome(T)
         back = mx.apply_map(lox.map.inverse(), mx.standard_triple(lox.param))
-        assert mx.projectively_equal(back.c2, T.c2)
+        assert_projectively_equal(back.c2, T.c2)
 
 
 class TestEquivalence:
@@ -308,6 +309,14 @@ class TestEquivalence:
         with pytest.raises(DegenerateTriple):
             mx.equivalent(std(0.0), std(0.0))
 
+    def test_other_pencil_rejected(self):
+        # a translate keeps lambda_tilde and sign but moves the limit points,
+        # so its spanning pair leaves the span of the original's
+        T, moved = std(1.0), mx.apply_map(mx.MoebiusMap(1, 1, 0, 1), std(1.0))
+        assert mx.lambda_from_triple(moved) == mx.lambda_from_triple(T)
+        assert mx.Loxodrome(moved).limit_points != mx.Loxodrome(T).limit_points
+        assert not mx.equivalent(T, moved)
+
 
 def reference_in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
     """The span test of ``equivalent`` as first written: numpy's
@@ -346,7 +355,7 @@ class TestInSpanReference:
         inside = 0
         for _ in range(400):
             A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if mx.projectively_equal(A, B):
+            if projective_residual(A, B) <= 1e-9:
                 continue
             alpha, beta = rng.uniform(-3, 3, 2)
             X = self.perturbed(rng, combine(alpha, A, beta, B), size)
@@ -448,6 +457,13 @@ class TestMembershipOracle:
         assert mx.contains_point_oracle(inf_triple, pt(-4))
         assert not mx.contains_point_oracle(inf_triple, pt(1j))
 
+    def test_circle_shape_on_a_line(self):
+        # the curve is c2, here the real axis: normalised by the Cayley map
+        T = mx.validate_triple(UNIT, REAL_AXIS, REAL_AXIS)
+        assert mx.Loxodrome(T).shape == mx.loxodrome.CurveKind.CIRCLE
+        assert mx.contains_point_oracle(T, 5)
+        assert not mx.contains_point_oracle(T, 1j)
+
     def test_agreement_with_procedure(self, rng):
         for _ in range(300):
             lt = rng.uniform(0.25, 2.5) * (1 if rng.uniform() < 0.5 else -1)
@@ -459,6 +475,14 @@ class TestMembershipOracle:
 
 
 class TestIntersectionAngle:
+    def test_at_infinity(self):
+        # the point at infinity is a curve point here; the angle is taken
+        # after a swap of 0 and infinity moves it into view
+        w = cmath.exp(complex(1.0, TWO_PI) * 0.3)
+        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
+        assert mx.contains_point(T, INF).member
+        assert mx.intersection_angle(T, T, INF) == 0.0
+
     def test_documented_value(self):
         angle = mx.intersection_angle(std(0.0), std(1.0), pt(1))
         assert angle == pytest.approx(math.atan(1 / TWO_PI), abs=1e-9)
@@ -484,7 +508,9 @@ class TestIntersectionAngle:
             p, _, _ = on_curve_point(rng, lt, M, t_range=(-1, 1))
             if p.is_infinity:
                 continue
-            ch, _ = mx.member_through(T.c2, T.c3, mx.zero_radius_at(p))
+            ch, _ = _member_through(
+                mx.canonicalize(T.c2), mx.canonicalize(T.c3), mx.zero_radius_at(p), mx.DEFAULT_TOLERANCES
+            )
             z = p.as_complex()
             if mx.classify(ch) == mx.CycleKind.LINE:
                 u = complex(-ch.n, ch.l)
@@ -564,6 +590,10 @@ class TestTangency:
         line = mx.tangent_line_at(std(0.0), pt(1))
         assert_projectively_equal(line, mx.Cycle(0, 1, 0, 2), tol=1e-12)
 
+    def test_tangent_line_of_line_shape_is_c1(self):
+        T = mx.standard_triple(mx.SlsParameter(math.inf))
+        assert mx.tangent_line_at(T, pt(2)) == mx.Cycle(0, 0, 1, 0)
+
     def test_tangent_line_translates(self):
         shift = mx.MoebiusMap(1, 2, 0, 1)
         moved = mx.apply_map(shift, std(1.0))
@@ -622,6 +652,13 @@ class TestSampleCurve:
         minus = [p.as_complex() for p in mx.sample_curve(T, -1, 1, 5, "-")]
         assert all(z.real > 0 and abs(z.imag) < 1e-9 for z in plus)
         assert all(z.real < 0 and abs(z.imag) < 1e-9 for z in minus)
+
+    def test_circle_shape_on_a_line(self):
+        # c2 is the real axis: the grid runs along it through infinity at t = 0
+        T = mx.validate_triple(UNIT, REAL_AXIS, REAL_AXIS)
+        points = mx.sample_curve(T, -0.5, 0.5, 5, "+")
+        assert [p.is_infinity for p in points] == [False, False, True, False, False]
+        assert all(mx.passes(REAL_AXIS, p) for p in points)
 
 
 def reference_samples(T, t_min, t_max, count, branch):
@@ -870,27 +907,30 @@ class TestPreparedTriple:
         T = mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(-cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
-        norm = lox.normalized_product
-        monkeypatch.setattr(
-            lox, "normalized_product", lambda *a, **k: calls.append(a) or norm(*a, **k)
-        )
+        cosine = lox._cosine
+        monkeypatch.setattr(lox, "_cosine", lambda *a, **k: calls.append(a) or cosine(*a, **k))
         assert mx.contains_point_oracle(T, p)
         assert len(calls) == 1
 
     def test_equivalent_canonicalises_each_spanning_cycle_once(self, rng, monkeypatch):
-        # four canonical cycles and two span bases serve all four span tests
+        # one canonical form per cycle serves the span tests, the pair
+        # products and the c1 term, wherever the canonicalisation happens
+        import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         calls = []
-        canon = lox.canonicalize
-        monkeypatch.setattr(
-            lox, "canonicalize", lambda *a, **k: calls.append(a) or canon(*a, **k)
-        )
+        canon = cycles.canonicalize
+        for module in (cycles, lox):
+            monkeypatch.setattr(
+                module, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k)
+            )
         assert mx.equivalent(T, copy)
-        assert len(calls) == 4
+        six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
+        assert len(calls) == 6
+        assert all(sum(C is X for X in calls) == 1 for C in six)
 
     def test_one_pencil_discriminant_per_decision(self, monkeypatch):
         import moeblox.cycles as cycles

@@ -5,6 +5,7 @@ import pytest
 
 import moeblox as mx
 from moeblox.cycles import combine
+from moeblox.pencils import _member_through
 from moeblox.errors import (
     InvalidInput,
     NotHyperbolic,
@@ -14,6 +15,7 @@ from moeblox.errors import (
 
 from conftest import (
     assert_projectively_equal,
+    projective_residual,
     random_moebius,
     random_real_cycle,
 )
@@ -43,7 +45,7 @@ class TestPencilType:
     def test_type_is_transform_invariant(self, rng):
         for _ in range(200):
             A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if mx.projectively_equal(A, B):
+            if projective_residual(A, B) <= 1e-9:
                 continue
             kind = mx.classify_pencil(A, B)
             if kind == mx.PencilKind.PARABOLIC:
@@ -97,7 +99,7 @@ class TestZeroRadiusMembers:
         found = 0
         while found < 200:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if mx.projectively_equal(A, B):
+            if projective_residual(A, B) <= 1e-9:
                 continue
             P = (A, B)
             if mx.classify_pencil(*P) != mx.PencilKind.HYPERBOLIC:
@@ -131,7 +133,7 @@ class TestOrthogonalCycleThrough:
         found = 0
         while found < 100:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if mx.projectively_equal(A, B):
+            if projective_residual(A, B) <= 1e-9:
                 continue
             P = (A, B)
             if mx.classify_pencil(*P) != mx.PencilKind.HYPERBOLIC:
@@ -259,52 +261,57 @@ class TestOrthogonalCycleThroughReference:
             mx.orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(0)))
 
 
+TOL = mx.DEFAULT_TOLERANCES
+CANON_UNIT, CANON_E = mx.canonicalize(UNIT), mx.canonicalize(E_CIRCLE)
+
+
 class TestHyperbolicMemberThrough:
-    """member_through: the member of a (hyperbolic) pencil through a point."""
+    """_member_through: the member of a (hyperbolic) pencil through a point,
+    on canonical representatives of the spanning pair."""
 
     def test_point_one_gives_unit_circle(self):
-        ch, t = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(1)))
+        ch, t = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(1)), TOL)
         assert t == pytest.approx(1.0, abs=1e-12)
         assert_projectively_equal(ch, UNIT, tol=1e-12)
         assert mx.classify(ch) != mx.CycleKind.POINT
 
     def test_point_minus_sqrt_e(self):
         p = pt(-math.exp(0.5))
-        ch, t = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(p))
+        ch, t = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(p), TOL)
         assert t == pytest.approx(math.e / (math.e + 1), abs=1e-12)
         assert mx.canonicalize(ch).m == pytest.approx(-math.e, abs=1e-12)
         _, r = mx.center_radius(ch)
         assert r == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_limit_point_collapses(self):
-        ch, _ = mx.member_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(0)))
+        ch, _ = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(0)), TOL)
         assert mx.classify(ch) == mx.CycleKind.POINT
         assert_projectively_equal(ch, mx.Cycle(1, 0, 0, 0), tol=1e-9)
 
     def test_radical_member_defined(self):
         # where the affine coefficient t diverges the member still exists;
         # for a concentric pair it is the limit point at infinity
-        ch, t = mx.member_through(
-            UNIT, E_CIRCLE, mx.zero_radius_at(mx.ExtendedPoint.infinity())
+        ch, t = _member_through(
+            CANON_UNIT, CANON_E, mx.zero_radius_at(mx.ExtendedPoint.infinity()), TOL
         )
         assert t is None
         assert mx.point_of(ch).is_infinity
 
     def test_incident_with_both_raises(self):
         with pytest.raises(OnRadicalLocus):
-            mx.member_through(UNIT, REAL_AXIS, mx.zero_radius_at(pt(1)))
+            _member_through(CANON_UNIT, mx.canonicalize(REAL_AXIS), mx.zero_radius_at(pt(1)), TOL)
 
     def test_result_is_orthogonal_to_point(self, rng):
         found = 0
         while found < 100:
             A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if mx.projectively_equal(A, B):
+            if projective_residual(A, B) <= 1e-9:
                 continue
             if mx.classify_pencil(A, B) != mx.PencilKind.HYPERBOLIC:
                 continue
             C0 = mx.zero_radius_at(pt(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))))
             try:
-                ch, _ = mx.member_through(A, B, C0)
+                ch, _ = _member_through(mx.canonicalize(A), mx.canonicalize(B), C0, TOL)
             except OnRadicalLocus:
                 continue
             found += 1

@@ -1,6 +1,7 @@
 """The README's examples run as written against the package and its CLI,
-and the documented scenes are valid."""
+the documented scenes are valid, and every exported name has a user."""
 
+import ast
 import contextlib
 import io
 import json
@@ -67,3 +68,48 @@ def documented_scenes():
 def test_documented_scene_renders_to_xml(text):
     svg = render_scene(parse_scene(json.loads(text)))
     ET.fromstring(svg.encode("utf-8"))
+
+
+def exported_names():
+    """The public names ``moeblox/__init__.py`` imports from its modules."""
+    tree = ast.parse((ROOT / "src" / "moeblox" / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not alias.name.startswith("_")
+    }
+
+
+def referenced_names(tree):
+    """Names a module uses as code: loaded names, attributes and imports,
+    leaving out those inside the top-level definition of the same name."""
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+                continue
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_export_has_a_user():
+    # a public name only tests reach is API kept for nobody
+    sources = [p for p in (ROOT / "src" / "moeblox").glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    used = set()
+    for path in sources:
+        used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    (quickstart,) = fenced_blocks("python")
+    used |= referenced_names(ast.parse(quickstart))
+    assert sorted(exported_names() - used) == []
