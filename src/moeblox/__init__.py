@@ -52,7 +52,7 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
 )
-from .pencils import orthogonal_cycle_through, zero_radius_members
+from .pencils import zero_radius_members
 from .render import RenderConfig, render_scene
 from .scene import Scene, SceneObject, load_scene, parse_scene
 

@@ -14,9 +14,7 @@ import sys
 from .cycles import ExtendedPoint
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import (
-    MembershipReport,
     contains_point,
-    contains_point_oracle,
     equivalent,
     intersection_angle,
     lambda_from_triple,
@@ -69,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--triple", required=True)
     p.add_argument("--point", required=True, help="'x,y' or 'inf', or a point id")
-    p.add_argument("--oracle", action="store_true", help="decide by normalising instead")
 
     p = sub.add_parser("angle", help="intersection angle of two curves at a point")
     _common(p)
@@ -136,10 +133,7 @@ def _cmd_lambda(args, scene, tol) -> int:
 def _cmd_member(args, scene, tol) -> int:
     T = scene.triple(args.triple)
     point = _parse_point(scene, args.point)
-    if args.oracle:
-        report = MembershipReport(contains_point_oracle(T, point, tol), flags=("oracle",))
-    else:
-        report = contains_point(T, point, tol)
+    report = contains_point(T, point, tol)
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0 if report.member else 1
 

@@ -57,10 +57,6 @@ class NotHyperbolic(MoebloxError):
     """Operation requires a hyperbolic (disjoint) pencil."""
 
 
-class RankDeficient(MoebloxError):
-    """Linear system for the orthogonal cycle has a null space of dim > 1."""
-
-
 class OnRadicalLocus(MoebloxError):
     """The point is incident with both cycles spanning the pencil."""
 

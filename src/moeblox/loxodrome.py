@@ -16,12 +16,12 @@ cannot be read off the cycles (mirror spirals share them), so the triple
 carries it explicitly.
 
 A point is on the curve when the hyperbolic shift over ``lambda_tilde``
-agrees with the elliptic rotation in turns.  Every congruence here is
-taken modulo 1/2 with a sign fold: cycles are projective, so normalised
-products carry a residual +- ambiguity, lines are undirected, and the
-model curve has two branches.  Folding makes the checks well defined on
-exactly the data a triple carries; an unfolded modulo-1 comparison would
-reject genuine curve points.
+agrees with the elliptic rotation in turns.  Membership reads both in
+standard position, where they are log|w| / lambda_tilde and arg w / 2 pi,
+and compares them modulo 1/2: the model curve has two branches.  The
+congruence of ``equivalent`` is also taken with a sign fold: cycles are
+projective, so normalised products carry a residual +- ambiguity, and
+lines are undirected.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
 holds what is derived from it: its canonical cycles, its kind,
@@ -78,9 +78,7 @@ from .errors import (
     NotOrthogonal,
     PointNotOnBoth,
     PointNotOnCurve,
-    RankDeficient,
     ZeroRadiusCandidate,
-    ZeroRadiusOperand,
 )
 from .numerics import (
     DEFAULT_TOLERANCES,
@@ -90,7 +88,7 @@ from .numerics import (
     congruent_mod,
     _float,
 )
-from .pencils import _member_through, orthogonal_cycle_through, zero_radius_members
+from .pencils import _member_through, zero_radius_members
 
 TWO_PI = 2.0 * math.pi
 # lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
@@ -206,9 +204,7 @@ def validate_triple(
     """Checked triple; raises the first of ``Loxodrome.violations``
     otherwise.  The form that checks it is not kept on the triple."""
     T = LoxodromeTriple(c1, c2, c3, sign)
-    violations = Loxodrome(T, tol).violations()
-    if violations:
-        raise violations[0]
+    _checked(T, tol)
     return T
 
 
@@ -246,7 +242,6 @@ class Loxodrome:
             self.kind = CurveKind.LINE
         else:
             self.kind = CurveKind.SPIRAL
-        self._last = None  # ``_through`` of the last point asked
 
     _c1 = cached_property(lambda self: canonicalize(self.c1, self.tol))
     _n1 = cached_property(lambda self: _norm_square(self._c1))
@@ -283,7 +278,7 @@ class Loxodrome:
     @cached_property
     def _point_members(self) -> tuple[Cycle, Cycle]:
         """The point cycles of the pencil of (c2, c3)."""
-        return zero_radius_members(self.c2, self.c3, self.tol)
+        return zero_radius_members(self._c2, self._c3, self.tol)
 
     @cached_property
     def limit_points(self) -> tuple[ExtendedPoint, ExtendedPoint]:
@@ -356,25 +351,25 @@ class Loxodrome:
         w = apply_to_point(self.map, p)
         return None if w.is_infinity else w.as_complex()
 
-    def _through(self, p: ExtendedPoint) -> tuple[Cycle, Cycle, float | None]:
-        """The point cycle at p and the member of the disjoint pencil through
-        it with its coefficient (``pencils._member_through``, called only
-        here), kept for the last point: a membership test and the
-        construction after it share it."""
-        last = self._last  # read once: another thread may replace it
-        if last is None or last[0] is not p:
-            c0 = zero_radius_at(p)
-            last = self._last = (p, c0, *_member_through(self._c2, self._c3, c0, self.tol))
-        return last[1:]
-
     def member_at(self, p: ExtendedPoint) -> Cycle:
-        """The cycle of the disjoint pencil through a curve point."""
+        """The cycle of the disjoint pencil through a curve point
+        (``pencils._member_through``, called only here)."""
         if self.shape == CurveKind.CIRCLE:
             return self._c2
-        _, ch, _ = self._through(p)
+        ch, _ = _member_through(self._c2, self._c3, zero_radius_at(p), self.tol)
         if classify(ch, self.tol) == CycleKind.POINT:
             raise PointNotOnCurve("pencil member degenerates at a limit point")
         return ch
+
+
+def _checked(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
+    """A prepared form of T, not kept on it, once T has passed the checks
+    of ``validate_triple``."""
+    lox = Loxodrome(T, tol)
+    violations = lox.violations()
+    if violations:
+        raise violations[0]
+    return lox
 
 
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
@@ -515,7 +510,6 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
 @dataclass(frozen=True)
 class MembershipReport:
     member: bool
-    t_coeff: float | None = None
     lhs: float | None = None
     rhs: float | None = None
     flags: tuple[str, ...] = ()
@@ -531,13 +525,14 @@ def _as_point(p) -> ExtendedPoint:
 
 
 def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipReport:
-    """Decide curve membership from pencil data alone.
+    """Decide curve membership in standard position.
 
-    For the generic case the report carries the hyperbolic shift over
-    the parameter (lhs), read off the pencil member through the point,
-    and the elliptic rotation in turns (rhs), read off the orthogonal
-    cycle through it; membership is their congruence modulo 1/2 with
-    sign fold.
+    For a spiral, w is the image of the point under the normalising map
+    and the report carries the hyperbolic shift over the signed
+    parameter, lhs = log|w| / lambda_tilde, and the elliptic rotation in
+    turns, rhs = arg w / 2 pi; membership is their congruence modulo 1/2
+    (the two branches differ by half a turn).  The map is oriented by
+    the triple's chirality, so points of the mirror spiral are refused.
 
     The two asymptotic endpoints are not on the curve: those report
     False with a ``limit_point`` flag.  Degenerate triples dispatch to
@@ -554,41 +549,17 @@ def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
         return MembershipReport(False, flags=("limit_point",))
     if lox.shape == CurveKind.LINE:
         return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",))
-
-    c0, ch, t = lox._through(p)
-    flags = ("radical_member",) if t is None else ()
-    if classify(ch, tol) == CycleKind.POINT:
-        return MembershipReport(False, t, flags=flags + ("limit_point",))
-    try:
-        ce = orthogonal_cycle_through(lox.c2, lox.c3, c0, tol)
-        lam = abs(lox.param.lambda_tilde)
-        h = canonicalize(ch, tol)
-        lhs = clamped_acosh(abs(_cosine(h, lox._c2, *_norm_square(h), *lox._n2, tol))) / lam
-        e = canonicalize(ce, tol)
-        rhs = clamped_acos(_cosine(e, lox._c1, *_norm_square(e), *lox._n1, tol)) / TWO_PI
-    except (RankDeficient, ZeroRadiusOperand):
-        return MembershipReport(False, t, flags=flags + ("limit_point",))
-    return MembershipReport(_congruent_folded(lhs, rhs, tol), t, lhs, rhs, flags)
+    w = lox._standard_point(p)
+    if w is None or w == 0:
+        return MembershipReport(False, flags=("limit_point",))
+    lhs = math.log(abs(w)) / lox.param.lambda_tilde
+    rhs = cmath.phase(w) / TWO_PI
+    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs)
 
 
 def contains_point_oracle(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Ground truth by normalising: map the point to standard position and
-    test it against the model curve directly.
-
-    In standard position a point w is on the curve when its log modulus
-    over the parameter agrees with its argument in turns modulo 1/2
-    (the two branches differ by half a turn)."""
-    lox = _prepared(T, tol)
-    z = lox._standard_point(_as_point(p))
-    if z is None or z == 0:
-        return False
-    if lox.shape == CurveKind.CIRCLE:
-        return abs(math.log(abs(z))) <= tol.eps_mod
-    if lox.shape == CurveKind.LINE:
-        return abs(math.remainder(cmath.phase(z), math.pi)) <= TWO_PI * tol.eps_mod
-    rho = math.log(abs(z)) / lox.param.lambda_tilde
-    phi = cmath.phase(z) / TWO_PI
-    return congruent_mod(rho, phi, 0.5, tol)
+    """``contains_point(T, p, tol).member``."""
+    return _contains(_prepared(T, tol), _as_point(p)).member
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +607,13 @@ def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Toleranc
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     _require_on_curves(p, lox, loxp)
     if p.is_infinity:
-        # angles are preserved by conformal maps: move the point into view
+        # angles are preserved by conformal maps: move the point into view,
+        # with each image checked as apply_map checks it
         swap = MoebiusMap(0.0, 1.0, 1.0, 0.0)
-        lox = Loxodrome(apply_map(swap, T, tol), tol)
-        loxp = Loxodrome(apply_map(swap, Tp, tol), tol)
+        lox, loxp = (
+            _checked(LoxodromeTriple(*(apply_to_cycle(swap, C, tol) for C in (X.c1, X.c2, X.c3)), X.sign), tol)
+            for X in (T, Tp)
+        )
         p = apply_to_point(swap, p)
     ch = lox.member_at(p)
     chp = loxp.member_at(p)

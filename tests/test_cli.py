@@ -533,10 +533,8 @@ def cli_arguments(draw, ids, well_formed):
     for name, values in options.items():
         if well_formed or draw(st.booleans()):
             args.append(f"{name}={draw(values)}")
-    flags = {"member": ["--oracle"]}.get(command, [])
-    for flag in flags + ["--json"]:
-        if draw(st.booleans()):
-            args.append(flag)
+    if draw(st.booleans()):
+        args.append("--json")
     if draw(st.booleans()):
         args.append(f"--tol={draw(pick(['1e-9', '1e-9,1e-7,1e-6'], ['0', '1', 'x', '1e-9,1']))}")
     return args
@@ -637,13 +635,12 @@ class TestNoNumpyAtRuntime:
             (
                 ["member", "--triple", "T", "--point", "1,0"],
                 0,
-                '{"flags": [], "lhs": 0.0, "member": true, "rhs": 0.0, "t_coeff": 1.0}',
+                '{"flags": [], "lhs": 0.0, "member": true, "rhs": 0.0}',
             ),
             (
                 ["member", "--triple", "T", "--point", "0,1.105171"],
                 1,
-                '{"flags": [], "lhs": 0.10000007412821842, "member": false, "rhs": 0.25, '
-                '"t_coeff": 0.9653465338521512}',
+                '{"flags": [], "lhs": 0.10000007412821667, "member": false, "rhs": 0.25}',
             ),
             (["equiv", "--triple-a", "T", "--triple-b", "shifted", "--json"], 0, '{"equivalent": true}'),
             (["equiv", "--triple-a", "T", "--triple-b", "rotated", "--json"], 1, '{"equivalent": false}'),
@@ -696,7 +693,7 @@ class TestCliContract:
         assert member.returncode == 0
         report = json.loads(member.stdout)
         assert report["member"] is True
-        assert set(report) == {"member", "t_coeff", "lhs", "rhs", "flags"}
+        assert set(report) == {"member", "lhs", "rhs", "flags"}
 
         off = run_cli(
             ["member", "--scene", scene_path, "--triple", "T", "--point", "0,1.105171"]
@@ -708,8 +705,9 @@ class TestCliContract:
         assert bad.returncode == 2
 
     def test_member_oracle_flag(self, scene_path):
-        # exp(0.75 * (1 + 2 pi i)): on-curve, half a turn off in lhs - rhs
-        w = cmath.exp(0.75 * (1 + 2j * math.pi))
+        # -exp(0.75 * (1 + 2 pi i)): on-curve, half a turn off in lhs - rhs;
+        # --oracle, once a second decision route, is a usage error
+        w = -cmath.exp(0.75 * (1 + 2j * math.pi))
         point = f"--point={w.real},{w.imag}"  # leading '-' needs the = form
         folded = run_cli(["member", "--scene", scene_path, "--triple", "T", point])
         oracle = run_cli(
@@ -720,8 +718,16 @@ class TestCliContract:
         assert report["member"] is True
         assert report["lhs"] == pytest.approx(0.75, abs=1e-9)
         assert report["rhs"] == pytest.approx(0.25, abs=1e-9)
-        assert oracle.returncode == 0
-        assert json.loads(oracle.stdout)["flags"] == ["oracle"]
+        assert oracle.returncode == 2
+        assert oracle.stdout == ""
+
+    def test_member_refuses_the_mirror_spiral(self):
+        # conj(exp(0.3 (1 + 2 pi i))) lies on the mirror of the shipped spiral
+        scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
+        point = "--point=-0.4171293115476869,-1.2837920150235638"
+        result = run_cli(["member", "--scene", scene, "--triple", "spiral", point])
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["member"] is False
 
     def test_angle_command(self, tmp_path):
         path = tmp_path / "two.json"
@@ -992,15 +998,23 @@ class TestCliContract:
     def test_overflowing_products_are_refused(self, tmp_path, scale, capsys):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(_triple(c2=[scale, 0, 0, -scale], c3=[scale, 0, 0, -scale * E2])))
-        assert main(["member", "--scene", str(path), "--triple", "T", "--point", "1,0"]) == 2
-        assert "overflow a float" in capsys.readouterr().err
+        member = main(["member", "--scene", str(path), "--triple", "T", "--point", "1,0"])
+        captured = capsys.readouterr()
         out = tmp_path / "out.svg"
-        assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
+        render = main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"])
         err = capsys.readouterr().err
-        assert "triple 'T': not checked:" in err and "curve not drawn" in err and out.exists()
+        assert render == 0 and "triple 'T': not checked:" in err and out.exists()
         if scale == 1e100:
+            # the checks overflow on the raw cycles, but the parameter, the
+            # limit points and the map are solved on the canonical c2 and
+            # c3, whose products are finite: the queries answer
+            assert member == 0 and json.loads(captured.out)["member"] is True
+            assert "curve not drawn" not in err and out.read_text().count("<polyline ") == 2
             assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
             assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
+        else:
+            assert member == 2 and "overflow a float" in captured.err
+            assert "curve not drawn" in err
 
     def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
         # the discriminant of c3 overflows above about 1.3e154: lambda and

@@ -388,14 +388,13 @@ class TestInSpanReference:
 class TestMembership:
     def test_point_one(self):
         rep = mx.contains_point(std(1.0), pt(1))
-        assert rep.member and rep.t_coeff == pytest.approx(1.0)
+        assert rep.member
         assert rep.lhs == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_point_on_minus_branch(self):
         rep = mx.contains_point(std(1.0), pt(-math.exp(0.5)))
         assert rep.member
-        assert rep.t_coeff == pytest.approx(math.e / (math.e + 1), abs=1e-12)
         assert rep.lhs == pytest.approx(0.5, abs=1e-9)
         assert rep.rhs in (pytest.approx(0.0, abs=1e-9), pytest.approx(0.5, abs=1e-9))
 
@@ -407,8 +406,8 @@ class TestMembership:
 
     def test_fold_accepts_half_turn_offset(self):
         # lhs and rhs differ by 1/2, not by a whole turn: only the fold
-        # modulo 1/2 puts this curve point on the curve
-        p = pt(cmath.exp(0.75 * (1 + TWO_PI * 1j)))
+        # modulo 1/2 puts this point of the second branch on the curve
+        p = pt(-cmath.exp(0.75 * (1 + TWO_PI * 1j)))
         folded = mx.contains_point(std(1.0), p)
         assert folded.member
         assert mx.contains_point_oracle(std(1.0), p)
@@ -434,7 +433,21 @@ class TestMembership:
 
     def test_report_json_shape(self):
         rep = mx.contains_point(std(1.0), pt(1))
-        assert set(rep.to_json()) == {"member", "t_coeff", "lhs", "rhs", "flags"}
+        assert set(rep.to_json()) == {"member", "lhs", "rhs", "flags"}
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_mirror_spiral_refused(self, moved):
+        # conj(exp(t (1 + 2 pi i))) lies on the mirror spiral, which shares
+        # all three cycles with this one: only the sign tells them apart
+        M = mx.MoebiusMap(1, 2j, 0.5, 1) if moved else mx.MoebiusMap(1, 0, 0, 1)
+        T = mx.apply_map(M, std(1.0))
+        for branch in (1, -1):
+            for t in (-0.7, -0.3, 0.1, 0.3, 0.55):
+                w = branch * cmath.exp(t * complex(1.0, TWO_PI))
+                assert mx.contains_point(T, mx.apply_to_point(M, pt(w))).member
+                mirror = mx.apply_to_point(M, pt(w.conjugate()))
+                assert not mx.contains_point(T, mirror).member, (branch, t)
+                assert not mx.contains_point_oracle(T, mirror), (branch, t)
 
 
 class TestMembershipOracle:
@@ -474,6 +487,42 @@ class TestMembershipOracle:
             assert mx.contains_point_oracle(T, p)
 
 
+def band_points(rng, lt_range, t_range, triples=400):
+    """Triples moved by random maps, with 3 curve points each and each
+    point rotated 0.05 rad off the curve: (T, p, on_curve) triples."""
+    for _ in range(triples):
+        lt = rng.uniform(*lt_range) * (1 if rng.uniform() < 0.5 else -1)
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(lt))
+        for _ in range(3):
+            w = (1 if rng.uniform() < 0.5 else -1) * cmath.exp(complex(lt, TWO_PI) * rng.uniform(*t_range))
+            yield T, mx.apply_to_point(M, pt(w)), True
+            yield T, mx.apply_to_point(M, pt(w * cmath.exp(0.05j))), False
+
+
+class TestMembershipBands:
+    """Membership beside the acceptance envelope (|lambda_tilde| in
+    [0.25, 2.5], t in [-2, 2]), where the pencil route and the
+    normal-form route once disagreed."""
+
+    def test_pencil_route_agrees_inside_the_envelope(self, rng):
+        import pencil_route
+
+        for T, p, _ in band_points(rng, (0.25, 2.5), (-2.0, 2.0), triples=300):
+            assert pencil_route.contains_point(T, p) == mx.contains_point(T, p).member, (T, p)
+
+    @pytest.mark.parametrize(
+        "lt_range,t_range", [((0.25, 2.5), (-6.0, 6.0)), ((1e-4, 1e-2), (-2.0, 2.0))], ids=["long", "slow"]
+    )
+    def test_every_answer_right(self, rng, lt_range, t_range):
+        wrong = []
+        for T, p, on_curve in band_points(rng, lt_range, t_range):
+            answers = (mx.contains_point(T, p).member, mx.contains_point_oracle(T, p))
+            if answers != (on_curve, on_curve):
+                wrong.append((T, p, on_curve, answers))
+        assert wrong == []
+
+
 class TestIntersectionAngle:
     def test_at_infinity(self):
         # the point at infinity is a curve point here; the angle is taken
@@ -482,6 +531,22 @@ class TestIntersectionAngle:
         T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
         assert mx.contains_point(T, INF).member
         assert mx.intersection_angle(T, T, INF) == 0.0
+
+    def test_at_infinity_prepares_each_swapped_triple_once(self, monkeypatch):
+        # two spirals through infinity: each call checks and queries one
+        # form per swapped triple, and answers as on the swapped triples
+        w, v = (cmath.exp(complex(lt, TWO_PI) * 0.3) for lt in (1.0, 2.0))
+        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
+        Tp = mx.apply_map(mx.MoebiusMap(1, 0, 1, -v), std(2.0))
+        swap = mx.MoebiusMap(0, 1, 1, 0)
+        want = repr(mx.intersection_angle(mx.apply_map(swap, T), mx.apply_map(swap, Tp), pt(0)))
+        mx.contains_point(T, INF), mx.contains_point(Tp, INF)  # both kept prepared
+        built = []
+        prepare = mx.Loxodrome.__init__
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda lox, *a: built.append(a) or prepare(lox, *a))
+        for calls in (1, 2):
+            assert repr(mx.intersection_angle(T, Tp, INF)) == want
+            assert len(built) == 2 * calls
 
     def test_documented_value(self):
         angle = mx.intersection_angle(std(0.0), std(1.0), pt(1))
@@ -865,8 +930,7 @@ class TestPreparedTriple:
             mx.Loxodrome(big).violations()
 
     def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
-        # the prepared triple keeps the member through the last point asked:
-        # a fresh triple solves it once, later calls at that point reuse it
+        # membership solves no pencil member; each member_at solves its own
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
@@ -876,12 +940,13 @@ class TestPreparedTriple:
         solve = lox._member_through
         monkeypatch.setattr(lox, "_member_through", lambda *a, **k: calls.append(a) or solve(*a, **k))
         line = mx.tangent_line_at(T, p)
-        assert len(calls) == 1  # tangent_line_at's guard
+        assert len(calls) == 0  # tangent_line_at's guard
         mx.tangent_check(T, line, p)
+        assert len(calls) == 1
         mx.intersection_angle(T, T, p)
-        assert len(calls) == 1  # both reuse it, once per triple, not per curve
+        assert len(calls) == 3  # one per curve
         mx.intersection_angle(mx.apply_map(M, std(1.0)), T, p)
-        assert len(calls) == 2  # a fresh triple solves it once
+        assert len(calls) == 5
 
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
@@ -1032,16 +1097,7 @@ class TestPreparedFormKept:
         V = mx.validate_triple(T.c1, T.c2, T.c3, T.sign)
         assert set(vars(U)) == set(vars(V)) == fields
 
-    def test_threads_share_one_prepared_form(self, rng, monkeypatch):
-        import time
-
-        from moeblox.loxodrome import Loxodrome
-
-        def read(lox):
-            time.sleep(0)  # another thread may run between any two reads of the last point
-            return vars(lox)["last"]
-
-        monkeypatch.setattr(Loxodrome, "_last", property(read, lambda lox, v: vars(lox).update(last=v)), raising=False)
+    def test_threads_share_one_prepared_form(self, rng):
         M = random_moebius(rng)
         groups = [[on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(3)] for _ in range(4)]
         serial = [[_ask(q) for q in _questions(mx.apply_map(M, std(1.0)), mx.DEFAULT_TOLERANCES, g)]

@@ -10,7 +10,6 @@ from moeblox.errors import (
     InvalidInput,
     NotHyperbolic,
     OnRadicalLocus,
-    RankDeficient,
 )
 
 from conftest import (
@@ -19,6 +18,7 @@ from conftest import (
     random_moebius,
     random_real_cycle,
 )
+from pencil_route import RankDeficient, orthogonal_cycle_through
 
 UNIT = mx.Cycle(1, 0, 0, -1)
 REAL_AXIS = mx.Cycle(0, 0, 1, 0)
@@ -93,6 +93,31 @@ class TestZeroRadiusMembers:
         with pytest.raises(NotHyperbolic):
             mx.zero_radius_members(REAL_AXIS, mx.from_line(0, 1j))
 
+    @pytest.mark.parametrize("lt", [1e-4, 1e-3, 1e-2])
+    def test_nearby_cycles_lose_no_precision_to_cancellation(self, rng, lt):
+        # the limit points of moved concentric circles exp(lt) apart are the
+        # images of 0 and infinity, conditioned as 1 / lt by the rounded
+        # cycles; the discriminant formed as <A,B>^2 - <A,A><B,B> would
+        # cost them a relative error of eps / lt^2 (about 1e-14 / lt^2 here)
+        worst = 0.0
+        for _ in range(100):
+            M = random_moebius(rng)
+            A, B = (mx.apply_to_cycle(M, C) for C in (UNIT, mx.from_circle(0, math.exp(lt))))
+            want = [mx.apply_to_point(M, z) for z in (pt(0), mx.ExtendedPoint.infinity())]
+            got = [mx.point_of(Z) for Z in mx.zero_radius_members(*(mx.canonicalize(C) for C in (A, B)))]
+            if abs(got[0].as_complex() - want[0].as_complex()) > abs(got[1].as_complex() - want[0].as_complex()):
+                got.reverse()
+            for g, w in zip(got, want):
+                z = w.as_complex()
+                worst = max(worst, abs(g.as_complex() - z) / max(1.0, abs(z)))
+        assert worst * lt <= 2e-14
+
+    def test_two_point_cycles_are_their_own_members(self):
+        # the discriminant is all <A,B>^2 here: nothing cancels
+        A, B = mx.zero_radius_at(pt(1 + 2j)), mx.zero_radius_at(pt(-3))
+        got = sorted((mx.point_of(Z).as_complex() for Z in mx.zero_radius_members(A, B)), key=abs)
+        assert got == [pytest.approx(1 + 2j, abs=1e-15), pytest.approx(-3, abs=1e-15)]
+
     def test_members_are_points_in_span(self, rng):
         import numpy as np
 
@@ -118,16 +143,16 @@ class TestZeroRadiusMembers:
 
 class TestOrthogonalCycleThrough:
     def test_real_axis_through_two(self):
-        X = mx.orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2)))
+        X = orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2)))
         assert_projectively_equal(X, REAL_AXIS, tol=1e-12)
 
     def test_imaginary_axis_through_2i(self):
-        X = mx.orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2j)))
+        X = orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2j)))
         assert_projectively_equal(X, mx.Cycle(0, 1, 0, 0), tol=1e-12)
 
     def test_rank_deficient_at_limit_point(self):
         with pytest.raises(RankDeficient):
-            mx.orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(0)))
+            orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(0)))
 
     def test_solution_passes_both_limit_points(self, rng):
         found = 0
@@ -142,7 +167,7 @@ class TestOrthogonalCycleThrough:
             probe = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             C0 = mx.zero_radius_at(pt(probe))
             try:
-                X = mx.orthogonal_cycle_through(A, B, C0)
+                X = orthogonal_cycle_through(A, B, C0)
             except RankDeficient:
                 continue
             found += 1
@@ -197,7 +222,7 @@ class TestOrthogonalCycleThroughReference:
             for p in points:
                 c0 = mx.zero_radius_at(p)
                 want = outcome(reference_orthogonal_cycle_through, T.c2, T.c3, c0)
-                got = outcome(mx.orthogonal_cycle_through, T.c2, T.c3, c0)
+                got = outcome(orthogonal_cycle_through, T.c2, T.c3, c0)
                 if want is RankDeficient:
                     assert got is RankDeficient
                     continue
@@ -220,7 +245,7 @@ class TestOrthogonalCycleThroughReference:
                     p = pt(z.as_complex() + offset * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
                 c0 = mx.zero_radius_at(p)
                 want = outcome(reference_orthogonal_cycle_through, T.c2, T.c3, c0)
-                got = outcome(mx.orthogonal_cycle_through, T.c2, T.c3, c0)
+                got = outcome(orthogonal_cycle_through, T.c2, T.c3, c0)
                 assert (got is RankDeficient) == (want is RankDeficient), (T, p)
                 raised += want is RankDeficient
         if offset <= 1e-9:
@@ -237,7 +262,7 @@ class TestOrthogonalCycleThroughReference:
         with pytest.raises(RankDeficient):
             reference_orthogonal_cycle_through(A, B, P)
         with pytest.raises(RankDeficient):
-            mx.orthogonal_cycle_through(A, B, P)
+            orthogonal_cycle_through(A, B, P)
 
     def test_rank_one_rows_raise(self, rng):
         # rows equal up to rounding: the minors and cofactors are roundoff,
@@ -248,17 +273,17 @@ class TestOrthogonalCycleThroughReference:
             with pytest.raises(RankDeficient):
                 reference_orthogonal_cycle_through(A, B, P)
             with pytest.raises(RankDeficient):
-                mx.orthogonal_cycle_through(A, B, P)
+                orthogonal_cycle_through(A, B, P)
 
     @pytest.mark.parametrize("exponent", [-300, -150, 150, 300])
     def test_scale_invariant_over_the_whole_range(self, exponent):
         # cofactors are cubic in the components and their squares are of
         # degree six, so unscaled rows would overflow or underflow here
         f = 2.0**exponent
-        X = mx.orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(2)))
-        assert X == mx.orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2)))
+        X = orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(2)))
+        assert X == orthogonal_cycle_through(UNIT, E_CIRCLE, mx.zero_radius_at(pt(2)))
         with pytest.raises(RankDeficient):
-            mx.orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(0)))
+            orthogonal_cycle_through(f * UNIT, f * E_CIRCLE, f * mx.zero_radius_at(pt(0)))
 
 
 TOL = mx.DEFAULT_TOLERANCES
