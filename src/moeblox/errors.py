@@ -57,10 +57,6 @@ class NotHyperbolic(MoebloxError):
     """Operation requires a hyperbolic (disjoint) pencil."""
 
 
-class OnRadicalLocus(MoebloxError):
-    """The point is incident with both cycles spanning the pencil."""
-
-
 # loxodromes -----------------------------------------------------------------
 
 class TripleViolation(MoebloxError):

@@ -18,8 +18,9 @@ carries it explicitly.
 A point is on the curve when the hyperbolic shift over ``lambda_tilde``
 agrees with the elliptic rotation in turns.  Membership reads both in
 standard position, where they are log|w| / lambda_tilde and arg w / 2 pi,
-and compares them modulo 1/2: the model curve has two branches.  The
-congruence of ``equivalent`` is also taken with a sign fold: cycles are
+and compares them modulo 1/2: the model curve has two branches.  Angles
+and tangency read the curve's velocity there, pushed back through the
+map.  The congruence of ``equivalent`` is also taken with a sign fold: cycles are
 projective, so normalised products carry a residual +- ambiguity, and
 lines are undirected.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -62,12 +62,10 @@ from .cycles import (
     intersect,
     is_orthogonal,
     map_to_zero_one_inf,
-    normalized_product,
     passes,
     pencil_discriminant,
     point_of,
     product,
-    zero_radius_at,
 )
 from .errors import (
     C1NotInOrthogonalPencil,
@@ -88,7 +86,7 @@ from .numerics import (
     congruent_mod,
     _float,
 )
-from .pencils import _member_through, zero_radius_members
+from .pencils import zero_radius_members
 
 TWO_PI = 2.0 * math.pi
 # lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
@@ -204,7 +202,9 @@ def validate_triple(
     """Checked triple; raises the first of ``Loxodrome.violations``
     otherwise.  The form that checks it is not kept on the triple."""
     T = LoxodromeTriple(c1, c2, c3, sign)
-    _checked(T, tol)
+    violations = Loxodrome(T, tol).violations()
+    if violations:
+        raise violations[0]
     return T
 
 
@@ -270,10 +270,11 @@ class Loxodrome:
         return CurveKind.CIRCLE if lt == 0.0 else CurveKind.LINE if lt == math.inf else CurveKind.SPIRAL
 
     @property
-    def crossing_angle(self) -> float:
-        """The fixed angle arctan(lambda_tilde / 2 pi) at which the curve
-        crosses every cycle of its disjoint pencil."""
-        return math.atan(self.param.lambda_tilde / TWO_PI)
+    def rate(self) -> complex:
+        """The exponent of the model curve exp(rate t) in standard
+        position: lambda_tilde + 2 pi i, or 1 for the line shape, whose
+        model is the positive real axis."""
+        return complex(1.0, 0.0) if self.shape == CurveKind.LINE else self.param.rate
 
     @cached_property
     def _point_members(self) -> tuple[Cycle, Cycle]:
@@ -295,11 +296,13 @@ class Loxodrome:
         line needs its point c3 off c2 (the pencil of a cycle and a point
         is disjoint exactly when the point misses the cycle), a spiral
         needs a hyperbolic pencil.  Then c1 must pass both point members.
-        A product that overflows a float raises NumericalBreakdown.
+        Every product is formed on the canonical cycles, so a triple given
+        at a large scale is checked as at unit scale; a product that still
+        overflows a float raises NumericalBreakdown.
         """
-        c1, c2, c3, tol = self.c1, self.c2, self.c3, self.tol
+        c1, c2, c3, tol = self._c1, self._c2, self._c3, self.tol
         out = []
-        (s1, n1), (s2, n2), (s3, n3) = map(_norm_square, (c1, c2, c3))
+        (s1, n1), (s2, n2), (s3, n3) = self._n1, self._n2, self._n3
         if s1 <= tol.eps_product * n1:
             out.append(C1NotInOrthogonalPencil("first cycle must be a line or proper circle", s1))
         if s2 <= tol.eps_product * n2:
@@ -351,25 +354,19 @@ class Loxodrome:
         w = apply_to_point(self.map, p)
         return None if w.is_infinity else w.as_complex()
 
-    def member_at(self, p: ExtendedPoint) -> Cycle:
-        """The cycle of the disjoint pencil through a curve point
-        (``pencils._member_through``, called only here)."""
-        if self.shape == CurveKind.CIRCLE:
-            return self._c2
-        ch, _ = _member_through(self._c2, self._c3, zero_radius_at(p), self.tol)
-        if classify(ch, self.tol) == CycleKind.POINT:
-            raise PointNotOnCurve("pencil member degenerates at a limit point")
-        return ch
-
-
-def _checked(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
-    """A prepared form of T, not kept on it, once T has passed the checks
-    of ``validate_triple``."""
-    lox = Loxodrome(T, tol)
-    violations = lox.violations()
-    if violations:
-        raise violations[0]
-    return lox
+    def _velocity(self, p: ExtendedPoint) -> complex:
+        """The curve's velocity at the curve point p: the model velocity
+        ``rate * w`` at w = map(p), pushed through the inverse map.  It is
+        read in the affine chart at a finite p and in the chart 1/z at
+        infinity, there up to a sign that every curve shares.  Angles
+        are conformal, so this one derivative serves every question of
+        direction; a limit point has none and raises PointNotOnCurve."""
+        w = self._standard_point(p)
+        if w is None or w == 0:
+            raise PointNotOnCurve("point maps to a limit point under the normal form")
+        inv = self.map.inverse()
+        denom = inv.a * w + inv.b if p.is_infinity else inv.c * w + inv.d
+        return (inv.det / (denom * denom)) * (self.rate * w)
 
 
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
@@ -466,18 +463,13 @@ def _span_test(a: Cycle, b: Cycle, tol: Tolerances):
     return holds
 
 
-def _congruent_folded(lhs: float, rhs: float, tol: Tolerances) -> bool:
-    return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)
-
-
 def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do two non-degenerate triples parametrise the same curve?
 
     Checks, in order: equal chirality; mutual span membership of the
     hyperbolic pairs; equal recovered parameter; and the coupling
     congruence (hyperbolic shift over the parameter against the elliptic
-    rotation in turns).  The congruence is decided on the second cycles
-    and cross-checked on the third, warning on disagreement.
+    rotation in turns).  The congruence is decided on the second cycles.
     """
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     if lox.shape != CurveKind.SPIRAL or loxp.shape != CurveKind.SPIRAL:
@@ -493,14 +485,8 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
         return False
     lam = abs(lox.param.lambda_tilde)
     rhs = clamped_acos(_cosine(lox._c1, loxp._c1, *lox._n1, *loxp._n1, tol)) / TWO_PI
-    lhs2 = clamped_acosh(abs(_cosine(a2, b2, *lox._n2, *loxp._n2, tol))) / lam
-    ok2 = _congruent_folded(lhs2, rhs, tol)
-    lhs3 = clamped_acosh(abs(_cosine(a3, b3, *lox._n3, *loxp._n3, tol))) / lam
-    ok3 = _congruent_folded(lhs3, rhs, tol)
-    if ok2 != ok3:
-        message = "coupling congruence disagrees between second and third cycles"
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return ok2
+    lhs = clamped_acosh(abs(_cosine(a2, b2, *lox._n2, *loxp._n2, tol))) / lam
+    return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +561,12 @@ def _fold_half_open(x: float) -> float:
 
 
 def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> complex:
-    """A tangent direction (either orientation) of a cycle at a finite
-    point on it."""
+    """A tangent direction (either orientation) of a cycle at a point on
+    it.  At infinity it is read in the chart 1/z, which takes C to
+    (m, l, -n, k): its direction there is n + i l, the conjugate of a
+    line's own direction up to sign."""
+    if p.is_infinity:
+        return complex(C.n, C.l)
     if classify(C, tol) == CycleKind.LINE:
         return complex(-C.n, C.l)
     c, _ = center_radius(C, tol)
@@ -592,41 +582,20 @@ def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> None:
 
 
 def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Crossing angle of two curves at a common point.
-
-    The angle between the pencil members through the point, corrected by
-    each curve's fixed crossing angle arctan(lambda_tilde / 2 pi)
-    against its own pencil; folded modulo pi into (-pi/2, pi/2].
-
-    The cycle-cycle term is the arc cosine of the members' normalised
-    product with its branch pinned by their tangent directions at the
-    point; the cosine alone cannot separate an angle from its
-    supplement once representatives are canonicalised.
-    """
+    """Crossing angle of two curves at a common point: the phase of the
+    ratio of their velocities there (``Loxodrome._velocity``), folded
+    modulo pi into (-pi/2, pi/2]."""
     p = _as_point(p)
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     _require_on_curves(p, lox, loxp)
-    if p.is_infinity:
-        # angles are preserved by conformal maps: move the point into view,
-        # with each image checked as apply_map checks it
-        swap = MoebiusMap(0.0, 1.0, 1.0, 0.0)
-        lox, loxp = (
-            _checked(LoxodromeTriple(*(apply_to_cycle(swap, C, tol) for C in (X.c1, X.c2, X.c3)), X.sign), tol)
-            for X in (T, Tp)
-        )
-        p = apply_to_point(swap, p)
-    ch = lox.member_at(p)
-    chp = loxp.member_at(p)
-    psi = cmath.phase(_cycle_tangent_direction(chp, p, tol) / _cycle_tangent_direction(ch, p, tol))
-    return _fold_half_open(-psi - lox.crossing_angle + loxp.crossing_angle)
+    return _fold_half_open(cmath.phase(lox._velocity(p) / loxp._velocity(p)))
 
 
 def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Is the cycle tangent to the curve at the given curve point?
 
-    Two conditions: the cycle passes the point, and its crossing angle
-    with the pencil member through the point equals the curve's fixed
-    angle arctan(lambda_tilde / 2 pi) (both sign-folded)."""
+    Two conditions: the cycle passes the point, and its direction there
+    is parallel to the curve's velocity within eps_angle."""
     if classify(C, tol) == CycleKind.POINT:
         raise ZeroRadiusCandidate("tangency candidate must not be a point cycle")
     p = _as_point(p)
@@ -634,32 +603,19 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
     _require_on_curves(p, lox)
     if not passes(C, p, tol):
         return False
-    ch = lox.member_at(p)
-    crossing = abs(math.remainder(clamped_acos(normalized_product(C, ch, tol)), math.pi))
-    return abs(crossing - abs(lox.crossing_angle)) <= tol.eps_angle
+    turn = cmath.phase(_cycle_tangent_direction(C, p, tol) / lox._velocity(p))
+    return abs(math.remainder(turn, math.pi)) <= tol.eps_angle
 
 
 def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Tangent line of the curve at a finite curve point: of c1 or c2 for
-    the line and circle shapes, else from the exact derivative of the
-    normalised parametrisation."""
+    """Tangent line of the curve at a finite curve point, along the
+    curve's velocity there."""
     p = _as_point(p)
     if p.is_infinity:
         raise InvalidInput("tangent line is constructed at finite points only")
     lox = _prepared(T, tol)
     _require_on_curves(p, lox)
-    if lox.shape == CurveKind.SPIRAL:
-        z = lox._standard_point(p)
-        if z is None:
-            raise PointNotOnCurve("point maps to infinity under the normal form")
-        inv = lox.map.inverse()
-        denom = inv.c * z + inv.d
-        direction = (inv.det / (denom * denom)) * (lox.param.rate * z)
-    else:  # the curve lies on c1 (line) or c2 (circle)
-        C = T.c1 if lox.shape == CurveKind.LINE else T.c2
-        if classify(C, tol) == CycleKind.LINE:
-            return canonicalize(C, tol)
-        direction = _cycle_tangent_direction(C, p, tol)
+    direction = lox._velocity(p)
     speed = abs(direction)
     if speed == 0 or not math.isfinite(speed):
         raise PointNotOnCurve("curve direction is undefined at this point")
@@ -685,7 +641,7 @@ def _curve_points(
     overflows gives infinity as the image itself; an angle that
     overflows raises InvalidInput.
     """
-    rate = complex(1.0, 0.0) if lox.shape == CurveKind.LINE else lox.param.rate
+    rate = lox.rate
     back = lox.map.inverse()
     # the products apply_to_point forms on (z : 1) and on (1 : 0), so the
     # images equal ExtendedPoint arithmetic bit for bit, signed zeros too

@@ -7,8 +7,7 @@ family (hyperbolic).  ``cycles.classify_pencil`` is the one routine that
 decides it.  A hyperbolic pencil contains exactly two point members, the
 limit points; the elliptic pencil orthogonal to it is the family of all
 cycles through both.  Every routine here takes the spanning pair as two
-arguments, ``(A, B, ..., tol)``; ``_member_through``, the member through
-a point, takes it canonical, as the prepared triple keeps it.
+arguments, ``(A, B, ..., tol)``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .cycles import (
     pencil_discriminant,
     product,
 )
-from .errors import NotHyperbolic, OnRadicalLocus
+from .errors import NotHyperbolic
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -62,27 +61,3 @@ def zero_radius_members(
     ]
     members.sort(key=lambda z: (z.k, z.l, z.n, z.m))
     return members[0], members[1]
-
-
-def _member_through(a: Cycle, b: Cycle, P: Cycle, tol: Tolerances) -> tuple[Cycle, float | None]:
-    """Member of the pencil of the canonical cycles a and b through the
-    point of the point cycle P, in homogeneous form, with its affine
-    coefficient.
-
-    Equivalent to the affine combination t a + (1 - t) b with
-    t = -<P,b>/<P,a-b>, but stays defined on the member where that t
-    diverges (the radical member); there the affine coefficient is
-    reported as None.  At a limit point of the pencil the member
-    collapses to that point; a point on both a and b selects no member
-    and raises OnRadicalLocus.
-    """
-    p = canonicalize(P, tol)
-    alpha = product(b, p)
-    beta = -product(a, p)
-    scale = 4.0 * p.scale() * max(a.scale(), b.scale(), 1e-300)
-    if max(abs(alpha), abs(beta)) <= tol.eps_product * scale:
-        raise OnRadicalLocus("point is incident with both spanning cycles")
-    member = combine(alpha, a, beta, b)
-    s = alpha + beta
-    t = alpha / s if abs(s) > tol.eps_product * (abs(alpha) + abs(beta)) else None
-    return member, t

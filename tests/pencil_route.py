@@ -6,7 +6,8 @@ shift from the member of the disjoint pencil through the point, against
 c2, and the elliptic rotation from the cycle orthogonal to c2, c3 and
 the point, against c1.  Normalised products of projective cycles carry
 a sign, so the congruence is folded, and the route cannot tell a spiral
-from its mirror.
+from its mirror.  Its member through a point is also the reference for
+the curve's fixed crossing angle with that pencil.
 """
 
 from __future__ import annotations
@@ -14,17 +15,39 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import _cosine, _norm_square
+from moeblox.cycles import _cosine, _norm_square, combine
 from moeblox.errors import MoebloxError, ZeroRadiusOperand
 from moeblox.loxodrome import CurveKind, _as_point, _prepared
 from moeblox.numerics import clamped_acos, clamped_acosh, congruent_mod
-from moeblox.pencils import _member_through
 
 TWO_PI = 2.0 * math.pi
 
 
 class RankDeficient(MoebloxError):
     """Linear system for the orthogonal cycle has a null space of dim > 1."""
+
+
+class OnRadicalLocus(MoebloxError):
+    """The point is incident with both cycles spanning the pencil."""
+
+
+def _member_through(a, b, P, tol=mx.DEFAULT_TOLERANCES):
+    """Member of the pencil of the canonical cycles a and b through the
+    point of the point cycle P, in homogeneous form.
+
+    Equivalent to the affine combination t a + (1 - t) b with
+    t = -<P,b>/<P,a-b>, but stays defined on the member where that t
+    diverges (the radical member).  At a limit point of the pencil the
+    member collapses to that point; a point on both a and b selects no
+    member and raises OnRadicalLocus.
+    """
+    p = mx.canonicalize(P, tol)
+    alpha = mx.product(b, p)
+    beta = -mx.product(a, p)
+    scale = 4.0 * p.scale() * max(a.scale(), b.scale(), 1e-300)
+    if max(abs(alpha), abs(beta)) <= tol.eps_product * scale:
+        raise OnRadicalLocus("point is incident with both spanning cycles")
+    return combine(alpha, a, beta, b)
 
 
 def orthogonal_cycle_through(A, B, P, tol=mx.DEFAULT_TOLERANCES):
@@ -98,7 +121,7 @@ def contains_point(T, p, tol=mx.DEFAULT_TOLERANCES) -> bool:
     if lox.shape == CurveKind.LINE:
         return mx.passes(lox.c1, p, tol)
     c0 = mx.zero_radius_at(p)
-    ch, _ = _member_through(lox._c2, lox._c3, c0, tol)
+    ch = _member_through(lox._c2, lox._c3, c0, tol)
     if mx.classify(ch, tol) == mx.CycleKind.POINT:
         return False
     try:

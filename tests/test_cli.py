@@ -1003,18 +1003,19 @@ class TestCliContract:
         out = tmp_path / "out.svg"
         render = main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"])
         err = capsys.readouterr().err
-        assert render == 0 and "triple 'T': not checked:" in err and out.exists()
+        assert render == 0 and out.exists()
         if scale == 1e100:
-            # the checks overflow on the raw cycles, but the parameter, the
-            # limit points and the map are solved on the canonical c2 and
-            # c3, whose products are finite: the queries answer
+            # the checks, the parameter, the limit points and the map are
+            # all formed on the canonical c2 and c3, whose products are
+            # finite: the triple is checked and the queries answer
+            assert "triple 'T':" not in err
             assert member == 0 and json.loads(captured.out)["member"] is True
             assert "curve not drawn" not in err and out.read_text().count("<polyline ") == 2
             assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
             assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
         else:
             assert member == 2 and "overflow a float" in captured.err
-            assert "curve not drawn" in err
+            assert "triple 'T': not checked:" in err and "curve not drawn" in err
 
     def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
         # the discriminant of c3 overflows above about 1.3e154: lambda and

@@ -22,14 +22,13 @@ from moeblox.errors import (
     SceneError,
     ZeroRadiusCandidate,
 )
-from moeblox.pencils import _member_through
-
 from conftest import (
     assert_projectively_equal,
     on_curve_point,
     projective_residual,
     random_moebius,
 )
+from pencil_route import _member_through
 
 TWO_PI = 2 * math.pi
 UNIT = mx.Cycle(1, 0, 0, -1)
@@ -532,22 +531,6 @@ class TestIntersectionAngle:
         assert mx.contains_point(T, INF).member
         assert mx.intersection_angle(T, T, INF) == 0.0
 
-    def test_at_infinity_prepares_each_swapped_triple_once(self, monkeypatch):
-        # two spirals through infinity: each call checks and queries one
-        # form per swapped triple, and answers as on the swapped triples
-        w, v = (cmath.exp(complex(lt, TWO_PI) * 0.3) for lt in (1.0, 2.0))
-        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
-        Tp = mx.apply_map(mx.MoebiusMap(1, 0, 1, -v), std(2.0))
-        swap = mx.MoebiusMap(0, 1, 1, 0)
-        want = repr(mx.intersection_angle(mx.apply_map(swap, T), mx.apply_map(swap, Tp), pt(0)))
-        mx.contains_point(T, INF), mx.contains_point(Tp, INF)  # both kept prepared
-        built = []
-        prepare = mx.Loxodrome.__init__
-        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda lox, *a: built.append(a) or prepare(lox, *a))
-        for calls in (1, 2):
-            assert repr(mx.intersection_angle(T, Tp, INF)) == want
-            assert len(built) == 2 * calls
-
     def test_documented_value(self):
         angle = mx.intersection_angle(std(0.0), std(1.0), pt(1))
         assert angle == pytest.approx(math.atan(1 / TWO_PI), abs=1e-9)
@@ -573,9 +556,7 @@ class TestIntersectionAngle:
             p, _, _ = on_curve_point(rng, lt, M, t_range=(-1, 1))
             if p.is_infinity:
                 continue
-            ch, _ = _member_through(
-                mx.canonicalize(T.c2), mx.canonicalize(T.c3), mx.zero_radius_at(p), mx.DEFAULT_TOLERANCES
-            )
+            ch = _member_through(mx.canonicalize(T.c2), mx.canonicalize(T.c3), mx.zero_radius_at(p))
             z = p.as_complex()
             if mx.classify(ch) == mx.CycleKind.LINE:
                 u = complex(-ch.n, ch.l)
@@ -681,6 +662,32 @@ class TestTangency:
             rotated = mx.from_line(z, z + complex(-line.n, line.l) * cmath.exp(0.01j))
             assert not mx.tangent_check(T, rotated, p)
             checked += 1
+
+    def test_check_at_infinity_is_the_swapped_check_at_zero(self, rng):
+        # tangency is conformal: at infinity, read in the chart 1/z, each
+        # candidate gets the answer its image gets at 0 after the swap of
+        # 0 and infinity.  Every line passes infinity: a parallel of the
+        # tangent touches the curve there, a turned line crosses it
+        swap = mx.MoebiusMap(0, 1, 1, 0)
+        for _ in range(50):
+            lt = rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1)
+            w = cmath.exp(complex(lt, TWO_PI) * rng.uniform(-1, 1)) * (1 if rng.uniform() < 0.5 else -1)
+            scale = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+            shift = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            T = mx.apply_map(mx.MoebiusMap(scale, shift, 0, 1) @ mx.MoebiusMap(1, 0, 1, -w), std(lt))
+            swapped = mx.apply_map(swap, T)
+            tangent = mx.apply_to_cycle(swap, mx.tangent_line_at(swapped, pt(0)))
+            z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            d = complex(-tangent.n, tangent.l)
+            candidates = (
+                (tangent, True),
+                (mx.from_line(z0, z0 + d), True),
+                (mx.from_line(z0, z0 + d * cmath.exp(0.01j)), False),
+                (mx.from_circle(z0, 1.0), False),
+            )
+            for C, touches in candidates:
+                assert mx.tangent_check(T, C, INF) == touches
+                assert mx.tangent_check(swapped, mx.apply_to_cycle(swap, C), pt(0)) == touches
 
 
 class TestSampleCurve:
@@ -922,31 +929,55 @@ class TestPreparedTriple:
             mx.standard_map(near)
         assert mx.contains_point(near, pt(1)).member
         line = mx.Loxodrome(mx.standard_triple(mx.SlsParameter.infinite()))
-        assert (line.shape, line.crossing_angle) == (CurveKind.LINE, math.pi / 2)
+        assert (line.shape, line.rate) == (CurveKind.LINE, 1.0)
+
+    def test_large_scale_triple_is_checked_at_unit_scale(self):
+        # the raw products of c2 and c3 reach 1e200; the canonical ones are 1
+        big = (REAL_AXIS, 1e100 * UNIT, 1e100 * E_CIRCLE)
+        assert mx.Loxodrome(mx.LoxodromeTriple(*big)).violations() == []
+        T = mx.validate_triple(*big)
+        moved = mx.apply_map(mx.MoebiusMap(1, 2j, 0.5, 1), T)
+        assert mx.lambda_from_triple(moved).lambda_tilde == pytest.approx(1.0, abs=1e-9)
 
     def test_violations_refuse_overflowing_products(self):
         big = mx.LoxodromeTriple(REAL_AXIS, 1e200 * UNIT, 1e200 * E_CIRCLE)
         with pytest.raises(NumericalBreakdown, match=r"Cycle\(k=1e\+200"):
             mx.Loxodrome(big).violations()
 
-    def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
-        # membership solves no pencil member; each member_at solves its own
+    def test_direction_queries_read_the_kept_map(self, rng, monkeypatch):
+        # angles and tangency read each curve's velocity off its kept map:
+        # on prepared triples they build no form and move no cycle, at
+        # infinity too, where the angle is the one at 0 after the swap of
+        # 0 and infinity, as a conformal map keeps it
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        T = mx.apply_map(M, std(1.0))
+        S, Sp = mx.apply_map(M, std(1.0)), mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
-        calls = []
-        solve = lox._member_through
-        monkeypatch.setattr(lox, "_member_through", lambda *a, **k: calls.append(a) or solve(*a, **k))
-        line = mx.tangent_line_at(T, p)
-        assert len(calls) == 0  # tangent_line_at's guard
-        mx.tangent_check(T, line, p)
-        assert len(calls) == 1
-        mx.intersection_angle(T, T, p)
-        assert len(calls) == 3  # one per curve
-        mx.intersection_angle(mx.apply_map(M, std(1.0)), T, p)
-        assert len(calls) == 5
+        w, v = (cmath.exp(complex(lt, TWO_PI) * 0.3) for lt in (1.0, 2.0))
+        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
+        Tp = mx.apply_map(mx.MoebiusMap(1, 0, 1, -v), std(2.0))
+        swap = mx.MoebiusMap(0, 1, 1, 0)
+        swapped = mx.apply_map(swap, T)
+        want = mx.intersection_angle(swapped, mx.apply_map(swap, Tp), pt(0))
+        at_inf = mx.apply_to_cycle(swap, mx.tangent_line_at(swapped, pt(0)))
+        line = mx.tangent_line_at(S, p)
+        questions = (
+            lambda: mx.intersection_angle(T, Tp, INF),
+            lambda: mx.tangent_check(T, at_inf, INF),
+            lambda: mx.intersection_angle(S, Sp, p),
+            lambda: mx.tangent_check(S, line, p),
+            lambda: mx.tangent_line_at(S, p),
+        )
+        first = [question() for question in questions]  # prepares each triple
+        built, moved = [], []
+        prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
+        monkeypatch.setattr(lox, "apply_to_cycle", lambda *a, **k: moved.append(a) or move(*a, **k))
+        assert [question() for question in questions] == first
+        assert (built, moved) == ([], [])
+        assert first[0] == pytest.approx(want, abs=1e-12)
+        assert first[1] and first[3]
 
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox

@@ -5,11 +5,9 @@ import pytest
 
 import moeblox as mx
 from moeblox.cycles import combine
-from moeblox.pencils import _member_through
 from moeblox.errors import (
     InvalidInput,
     NotHyperbolic,
-    OnRadicalLocus,
 )
 
 from conftest import (
@@ -18,7 +16,7 @@ from conftest import (
     random_moebius,
     random_real_cycle,
 )
-from pencil_route import RankDeficient, orthogonal_cycle_through
+from pencil_route import OnRadicalLocus, RankDeficient, _member_through, orthogonal_cycle_through
 
 UNIT = mx.Cycle(1, 0, 0, -1)
 REAL_AXIS = mx.Cycle(0, 0, 1, 0)
@@ -295,31 +293,28 @@ class TestHyperbolicMemberThrough:
     on canonical representatives of the spanning pair."""
 
     def test_point_one_gives_unit_circle(self):
-        ch, t = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(1)), TOL)
-        assert t == pytest.approx(1.0, abs=1e-12)
+        ch = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(1)), TOL)
         assert_projectively_equal(ch, UNIT, tol=1e-12)
         assert mx.classify(ch) != mx.CycleKind.POINT
 
     def test_point_minus_sqrt_e(self):
         p = pt(-math.exp(0.5))
-        ch, t = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(p), TOL)
-        assert t == pytest.approx(math.e / (math.e + 1), abs=1e-12)
+        ch = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(p), TOL)
         assert mx.canonicalize(ch).m == pytest.approx(-math.e, abs=1e-12)
         _, r = mx.center_radius(ch)
         assert r == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_limit_point_collapses(self):
-        ch, _ = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(0)), TOL)
+        ch = _member_through(CANON_UNIT, CANON_E, mx.zero_radius_at(pt(0)), TOL)
         assert mx.classify(ch) == mx.CycleKind.POINT
         assert_projectively_equal(ch, mx.Cycle(1, 0, 0, 0), tol=1e-9)
 
     def test_radical_member_defined(self):
-        # where the affine coefficient t diverges the member still exists;
-        # for a concentric pair it is the limit point at infinity
-        ch, t = _member_through(
+        # where the affine coefficient t = -<P,b>/<P,a-b> diverges the member
+        # still exists; for a concentric pair it is the limit point at infinity
+        ch = _member_through(
             CANON_UNIT, CANON_E, mx.zero_radius_at(mx.ExtendedPoint.infinity()), TOL
         )
-        assert t is None
         assert mx.point_of(ch).is_infinity
 
     def test_incident_with_both_raises(self):
@@ -336,7 +331,7 @@ class TestHyperbolicMemberThrough:
                 continue
             C0 = mx.zero_radius_at(pt(complex(rng.uniform(-4, 4), rng.uniform(-4, 4))))
             try:
-                ch, _ = _member_through(mx.canonicalize(A), mx.canonicalize(B), C0, TOL)
+                ch = _member_through(mx.canonicalize(A), mx.canonicalize(B), C0, TOL)
             except OnRadicalLocus:
                 continue
             found += 1
