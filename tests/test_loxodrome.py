@@ -531,6 +531,30 @@ class TestIntersectionAngle:
         assert mx.contains_point(T, INF).member
         assert mx.intersection_angle(T, T, INF) == 0.0
 
+    def test_at_infinity_prepares_each_swapped_triple_once(self, monkeypatch):
+        # two spirals through infinity: the angle there is the one at 0
+        # after the swap of 0 and infinity, as a conformal map keeps it,
+        # and it is read off the kept forms, so no call builds a form or
+        # moves a cycle once both triples are prepared
+        import moeblox.loxodrome as lox
+
+        w, v = (cmath.exp(complex(lt, TWO_PI) * 0.3) for lt in (1.0, 2.0))
+        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
+        Tp = mx.apply_map(mx.MoebiusMap(1, 0, 1, -v), std(2.0))
+        swap = mx.MoebiusMap(0, 1, 1, 0)
+        swapped = mx.apply_map(swap, T)
+        want = mx.intersection_angle(swapped, mx.apply_map(swap, Tp), pt(0))
+        at_inf = mx.apply_to_cycle(swap, mx.tangent_line_at(swapped, pt(0)))
+        mx.contains_point(T, INF), mx.contains_point(Tp, INF)  # both kept prepared
+        built, moved = [], []
+        prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
+        monkeypatch.setattr(lox, "apply_to_cycle", lambda *a, **k: moved.append(a) or move(*a, **k))
+        for _ in range(2):
+            assert mx.intersection_angle(T, Tp, INF) == pytest.approx(want, abs=1e-12)
+            assert mx.tangent_check(T, at_inf, INF)
+        assert (built, moved) == ([], [])
+
     def test_documented_value(self):
         angle = mx.intersection_angle(std(0.0), std(1.0), pt(1))
         assert angle == pytest.approx(math.atan(1 / TWO_PI), abs=1e-9)
@@ -944,40 +968,29 @@ class TestPreparedTriple:
         with pytest.raises(NumericalBreakdown, match=r"Cycle\(k=1e\+200"):
             mx.Loxodrome(big).violations()
 
-    def test_direction_queries_read_the_kept_map(self, rng, monkeypatch):
-        # angles and tangency read each curve's velocity off its kept map:
-        # on prepared triples they build no form and move no cycle, at
-        # infinity too, where the angle is the one at 0 after the swap of
-        # 0 and infinity, as a conformal map keeps it
+    def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
+        # angles and tangency read the curve's velocity off the kept map, so
+        # no query of direction solves a pencil member: a fresh triple is
+        # prepared once, and later calls at the point build no form and
+        # move no cycle
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        S, Sp = mx.apply_map(M, std(1.0)), mx.apply_map(M, std(1.0))
+        T, fresh = mx.apply_map(M, std(1.0)), mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
-        w, v = (cmath.exp(complex(lt, TWO_PI) * 0.3) for lt in (1.0, 2.0))
-        T = mx.apply_map(mx.MoebiusMap(1, 0, 1, -w), std(1.0))
-        Tp = mx.apply_map(mx.MoebiusMap(1, 0, 1, -v), std(2.0))
-        swap = mx.MoebiusMap(0, 1, 1, 0)
-        swapped = mx.apply_map(swap, T)
-        want = mx.intersection_angle(swapped, mx.apply_map(swap, Tp), pt(0))
-        at_inf = mx.apply_to_cycle(swap, mx.tangent_line_at(swapped, pt(0)))
-        line = mx.tangent_line_at(S, p)
-        questions = (
-            lambda: mx.intersection_angle(T, Tp, INF),
-            lambda: mx.tangent_check(T, at_inf, INF),
-            lambda: mx.intersection_angle(S, Sp, p),
-            lambda: mx.tangent_check(S, line, p),
-            lambda: mx.tangent_line_at(S, p),
-        )
-        first = [question() for question in questions]  # prepares each triple
         built, moved = [], []
         prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
         monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
         monkeypatch.setattr(lox, "apply_to_cycle", lambda *a, **k: moved.append(a) or move(*a, **k))
-        assert [question() for question in questions] == first
-        assert (built, moved) == ([], [])
-        assert first[0] == pytest.approx(want, abs=1e-12)
-        assert first[1] and first[3]
+        line = mx.tangent_line_at(T, p)
+        assert len(built) == 1  # the first query prepares T
+        moved.clear()
+        assert mx.tangent_check(T, line, p)
+        assert mx.tangent_line_at(T, p) == line
+        assert mx.intersection_angle(T, T, p) == 0.0
+        assert (len(built), moved) == (1, [])  # all three reuse the kept form
+        mx.intersection_angle(fresh, T, p)
+        assert len(built) == 2  # a fresh triple is prepared once
 
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
