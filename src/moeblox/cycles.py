@@ -37,18 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    CoincidentCycles,
-    CollidingPoints,
-    DegenerateInput,
-    ImaginaryRadius,
-    InvalidInput,
-    InvalidRadius,
-    IsLine,
-    NumericalBreakdown,
-    SingularMap,
-    ZeroRadiusOperand,
-)
+from .errors import InvalidInput, NumericalBreakdown
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _quote
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
@@ -242,7 +231,7 @@ class MoebiusMap:
         top = max(abs(e) for e in entries)
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if abs(det) <= DEFAULT_TOLERANCES.eps_product * top * top:
-            raise SingularMap(f"matrix determinant {det!r} vanishes at scale {top!r}")
+            raise InvalidInput(f"matrix determinant {det!r} vanishes at scale {top!r}")
         for name, e in zip("abcd", entries):
             object.__setattr__(self, name, e)
 
@@ -283,7 +272,7 @@ class MoebiusMap:
 def from_circle(center: complex, radius: float) -> Cycle:
     """Cycle of the circle |z - center| = radius."""
     if radius <= 0:
-        raise InvalidRadius(f"radius must be positive, got {radius!r}")
+        raise InvalidInput(f"radius must be positive, got {radius!r}")
     c = complex(center)
     return Cycle(1.0, c.real, c.imag, c.real * c.real + c.imag * c.imag - radius * radius)
 
@@ -293,7 +282,7 @@ def from_line(p: complex, q: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> C
     p, q = complex(p), complex(q)
     d = q - p
     if abs(d) <= tol.eps_product * max(abs(p), abs(q), 1.0):
-        raise DegenerateInput(f"line needs two distinct points, got {p!r} twice")
+        raise InvalidInput(f"line needs two distinct points, got {p!r} twice")
     normal = 1j * d  # left normal of the direction
     l, n = normal.real, normal.imag
     m = 2.0 * (l * p.real + n * p.imag)
@@ -337,12 +326,12 @@ def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[compl
     """Centre and radius of a circle (radius 0 for a point cycle)."""
     s = C.scale()
     if abs(C.k) <= tol.eps_product * s:
-        raise IsLine(f"cycle {C!r} has no centre")
+        raise InvalidInput(f"cycle {C!r} has no centre")
     d, thr = C.disc, tol.eps_product * s * s
     if not (math.isfinite(d) and math.isfinite(thr)):
         raise _overflow(C)
     if d < -thr:
-        raise ImaginaryRadius(f"cycle {C!r} has negative discriminant {d!r}")
+        raise InvalidInput(f"cycle {C!r} has negative discriminant {d!r}")
     return complex(C.l / C.k, C.n / C.k), math.sqrt(max(d, 0.0)) / abs(C.k)
 
 
@@ -441,7 +430,7 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
 def _cosine(a: Cycle, b: Cycle, sa: float, ra: float, sb: float, rb: float, tol: Tolerances) -> float:
     """``normalized_product`` of canonical a and b given their ``_norm_square``."""
     if sa <= tol.eps_product * ra or sb <= tol.eps_product * rb:
-        raise ZeroRadiusOperand("normalised product needs two non-point cycles")
+        raise InvalidInput("normalised product needs two non-point cycles")
     return product(a, b) / math.sqrt(sa * sb)
 
 
@@ -598,7 +587,7 @@ def intersect(
     a = canonicalize(C, tol)
     b = canonicalize(Cp, tol)
     if _canonical_equal(a, b, tol):
-        raise CoincidentCycles("intersection of a cycle with itself is the cycle")
+        raise InvalidInput("intersection of a cycle with itself is the cycle")
     kind = classify_pencil(C, Cp, tol)
     if kind == PencilKind.HYPERBOLIC:
         return ()
@@ -642,7 +631,7 @@ def map_to_zero_one_inf(
     for i in range(3):
         for j in range(i + 1, 3):
             if pts[i].approx_eq(pts[j], tol):
-                raise CollidingPoints(f"points {i} and {j} coincide")
+                raise InvalidInput(f"points {i} and {j} coincide")
 
     def det(p: ExtendedPoint, q: ExtendedPoint) -> complex:
         return p.w1 * q.w2 - p.w2 * q.w1

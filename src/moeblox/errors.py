@@ -1,4 +1,5 @@
-"""Exception types raised by the geometry kernel."""
+"""Exception types raised by the geometry kernel: one for each thing a
+caller can do about a refusal.  The message says which check failed."""
 
 
 class MoebloxError(Exception):
@@ -6,61 +7,16 @@ class MoebloxError(Exception):
 
 
 class InvalidInput(MoebloxError):
-    """Malformed argument: wrong shape, non-finite number, bad literal."""
+    """Malformed or unusable argument: fix it and ask again."""
 
 
-class DomainError(MoebloxError):
-    """Scalar lies outside the tolerated domain of an inverse function."""
+class SceneError(InvalidInput):
+    """Scene file failed to parse or validate; message carries diagnostics."""
 
-
-# cycle construction and queries -------------------------------------------
-
-class InvalidRadius(MoebloxError):
-    """Circle radius must be strictly positive."""
-
-
-class DegenerateInput(MoebloxError):
-    """Two construction points coincide."""
-
-
-class IsLine(MoebloxError):
-    """Centre/radius requested for a cycle with vanishing quadratic term."""
-
-
-class ImaginaryRadius(MoebloxError):
-    """Cycle has negative discriminant: no real locus."""
-
-
-class ZeroRadiusOperand(MoebloxError):
-    """Normalised product is undefined for point (zero-radius) cycles."""
-
-
-class NumericalBreakdown(MoebloxError):
-    """An identity that holds exactly failed beyond tolerance in floats."""
-
-
-class CoincidentCycles(MoebloxError):
-    """Two cycles are projectively equal where distinct ones are required."""
-
-
-class CollidingPoints(MoebloxError):
-    """Points that must be pairwise distinct coincide."""
-
-
-class SingularMap(MoebloxError):
-    """Matrix of a Moebius map is (numerically) non-invertible."""
-
-
-# pencils --------------------------------------------------------------------
-
-class NotHyperbolic(MoebloxError):
-    """Operation requires a hyperbolic (disjoint) pencil."""
-
-
-# loxodromes -----------------------------------------------------------------
 
 class TripleViolation(MoebloxError):
-    """A three-cycle parametrisation invariant failed.
+    """The cycles are not a loxodrome triple, or not one the operation
+    takes (a circle or line degeneration where a spiral is needed).
 
     ``residual`` carries the magnitude of the violation when meaningful.
     """
@@ -70,37 +26,10 @@ class TripleViolation(MoebloxError):
         self.residual = residual
 
 
-class NotOrthogonal(TripleViolation):
-    """First cycle is not orthogonal to the other two."""
-
-
-class NotDisjoint(TripleViolation):
-    """Second and third cycle neither disjoint nor coincident."""
-
-
-class C1NotInOrthogonalPencil(TripleViolation):
-    """First cycle does not pass both limit points of the pencil."""
-
-
-class NotFinite(MoebloxError):
-    """Operation requires a finite spiral parameter."""
-
-
-class DegenerateTriple(MoebloxError):
-    """Operation undefined for this degenerate parametrisation."""
-
-
-class PointNotOnBoth(MoebloxError):
-    """Intersection angle requested at a point missing from a curve."""
-
-
-class ZeroRadiusCandidate(MoebloxError):
-    """Tangency test candidate must not be a point cycle."""
-
-
 class PointNotOnCurve(MoebloxError):
-    """Requested curve construction at a point off the curve."""
+    """A query needs a point of the curve (of both curves, for an angle)."""
 
 
-class SceneError(MoebloxError):
-    """Scene file failed to parse or validate; message carries diagnostics."""
+class NumericalBreakdown(MoebloxError):
+    """The input lies outside the range floats decide: a product
+    overflows, or an identity that holds exactly fails beyond tolerance."""

@@ -67,17 +67,7 @@ from .cycles import (
     point_of,
     product,
 )
-from .errors import (
-    C1NotInOrthogonalPencil,
-    DegenerateTriple,
-    InvalidInput,
-    NotDisjoint,
-    NotFinite,
-    NotOrthogonal,
-    PointNotOnBoth,
-    PointNotOnCurve,
-    ZeroRadiusCandidate,
-)
+from .errors import InvalidInput, PointNotOnCurve, TripleViolation
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -130,7 +120,7 @@ class SlsParameter:
     def rate(self) -> complex:
         """Normalised complex exponent lambda_tilde + 2 pi i."""
         if self.lambda_tilde == math.inf:
-            raise NotFinite("infinite parameter has no finite exponent")
+            raise InvalidInput("infinite parameter has no finite exponent")
         return complex(self.lambda_tilde, TWO_PI)
 
     @property
@@ -304,28 +294,28 @@ class Loxodrome:
         out = []
         (s1, n1), (s2, n2), (s3, n3) = self._n1, self._n2, self._n3
         if s1 <= tol.eps_product * n1:
-            out.append(C1NotInOrthogonalPencil("first cycle must be a line or proper circle", s1))
+            out.append(TripleViolation("first cycle must be a line or proper circle", s1))
         if s2 <= tol.eps_product * n2:
-            out.append(NotDisjoint("second cycle must be a line or proper circle", s2))
+            out.append(TripleViolation("second cycle must be a line or proper circle", s2))
         if s3 < -tol.eps_product * n3:
-            out.append(NotDisjoint("third cycle has no real locus", s3))
+            out.append(TripleViolation("third cycle has no real locus", s3))
         for name, C in (("second", c2), ("third", c3)):
             r = product(c1, C)
             if abs(r) > tol.eps_product * 4.0 * c1.scale() * C.scale():
-                out.append(NotOrthogonal(f"first and {name} cycle are not orthogonal", abs(r)))
+                out.append(TripleViolation(f"first and {name} cycle are not orthogonal", abs(r)))
 
         if self.kind == CurveKind.CIRCLE:
             return out
         if self.kind == CurveKind.LINE and is_orthogonal(c2, c3, tol):
-            return out + [NotDisjoint("third (point) cycle lies on the second cycle")]
+            return out + [TripleViolation("third (point) cycle lies on the second cycle")]
         if self.kind == CurveKind.SPIRAL:
             q, scale = pencil_discriminant(c2, c3, tol)
             if _pencil_kind(q, scale, tol) != PencilKind.HYPERBOLIC:
-                return out + [NotDisjoint("second and third cycle neither disjoint nor equal", q)]
+                return out + [TripleViolation("second and third cycle neither disjoint nor equal", q)]
         for z in self._point_members:
             r = product(c1, z)
             if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
-                out.append(C1NotInOrthogonalPencil("first cycle misses a limit point of the pencil", abs(r)))
+                out.append(TripleViolation("first cycle misses a limit point of the pencil", abs(r)))
         return out
 
     @cached_property
@@ -340,7 +330,7 @@ class Loxodrome:
         p, q = self.limit_points
         crossings = intersect(self.c1, self.c2, tol)
         if len(crossings) != 2:
-            raise DegenerateTriple("first and second cycle must cross at two points")
+            raise TripleViolation("first and second cycle must cross at two points")
         u = max(crossings, key=_point_sort_key)
         M = map_to_zero_one_inf(p, u, q, tol)
         if self.shape == CurveKind.SPIRAL:
@@ -402,7 +392,7 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     """
     lox = _prepared(T, tol)
     if lox.shape != CurveKind.SPIRAL:
-        raise DegenerateTriple("normal form needs a distinct, non-point third cycle")
+        raise TripleViolation("normal form needs a distinct, non-point third cycle")
     return lox.map
 
 
@@ -416,7 +406,7 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
         to_axis = MoebiusMap(1.0, -anchor, 0.0, direction)
         cayley = MoebiusMap(1.0, -1j, 1.0, 1j)
         return (cayley @ to_axis).normalized()
-    raise DegenerateTriple("curve cycle is a point")
+    raise TripleViolation("curve cycle is a point")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +463,7 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
     """
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     if lox.shape != CurveKind.SPIRAL or loxp.shape != CurveKind.SPIRAL:
-        raise DegenerateTriple("equivalence needs non-degenerate triples")
+        raise TripleViolation("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
     a2, a3, b2, b3 = lox._c2, lox._c3, loxp._c2, loxp._c3
@@ -576,19 +566,19 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> com
 def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> None:
     """Refuse a point that misses one of the curves."""
     if not all(_contains(lox, p).member for lox in curves):
-        if len(curves) > 1:
-            raise PointNotOnBoth(f"point {p.format()} is not on both curves")
-        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
+        where = "both curves" if len(curves) > 1 else "the curve"
+        raise PointNotOnCurve(f"point {p.format()} is not on {where}")
 
 
 def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Crossing angle of two curves at a common point: the phase of the
     ratio of their velocities there (``Loxodrome._velocity``), folded
-    modulo pi into (-pi/2, pi/2]."""
+    modulo pi into (-pi/2, pi/2].  It is read off v * conj(v'), which is
+    exactly real for v' = v, where the quotient v / v need not be 1."""
     p = _as_point(p)
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     _require_on_curves(p, lox, loxp)
-    return _fold_half_open(cmath.phase(lox._velocity(p) / loxp._velocity(p)))
+    return _fold_half_open(cmath.phase(lox._velocity(p) * loxp._velocity(p).conjugate()))
 
 
 def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -597,7 +587,7 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
     Two conditions: the cycle passes the point, and its direction there
     is parallel to the curve's velocity within eps_angle."""
     if classify(C, tol) == CycleKind.POINT:
-        raise ZeroRadiusCandidate("tangency candidate must not be a point cycle")
+        raise InvalidInput("tangency candidate must not be a point cycle")
     p = _as_point(p)
     lox = _prepared(T, tol)
     _require_on_curves(p, lox)

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, InvalidInput
+from .errors import InvalidInput, NumericalBreakdown
 
 _TOL_CEILING = 1e-2
 _EPS_DOMAIN = 1e-9  # permitted overshoot outside the domains of acos and acosh
@@ -99,14 +99,14 @@ def _float(value, name: str) -> float:
 def clamped_acos(x: float) -> float:
     """Arc cosine tolerating an overshoot of 1e-9 beyond [-1, 1]."""
     if x < -1.0 - _EPS_DOMAIN or x > 1.0 + _EPS_DOMAIN:
-        raise DomainError(f"acos argument {x!r} outside [-1-eps, 1+eps]")
+        raise NumericalBreakdown(f"acos argument {x!r} outside [-1-eps, 1+eps]")
     return math.acos(min(1.0, max(-1.0, x)))
 
 
 def clamped_acosh(x: float) -> float:
     """Inverse hyperbolic cosine tolerating an undershoot of 1e-9 below 1."""
     if x < 1.0 - _EPS_DOMAIN:
-        raise DomainError(f"acosh argument {x!r} below 1-eps")
+        raise NumericalBreakdown(f"acosh argument {x!r} below 1-eps")
     return math.acosh(max(1.0, x))
 
 

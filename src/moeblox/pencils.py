@@ -23,7 +23,7 @@ from .cycles import (
     pencil_discriminant,
     product,
 )
-from .errors import NotHyperbolic
+from .errors import InvalidInput
 from .numerics import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -32,7 +32,7 @@ def zero_radius_members(
 ) -> tuple[Cycle, Cycle]:
     """The two point members of the hyperbolic pencil of A and B,
     canonicalised and in a deterministic order; any other pencil,
-    coincident cycles included, raises NotHyperbolic.
+    coincident cycles included, raises InvalidInput.
 
     Solves <xA + yB, xA + yB> = 0 in homogeneous (x : y) with the
     cancellation-free root pairing, so a near-point A does not degrade
@@ -45,7 +45,7 @@ def zero_radius_members(
     """
     disc, scale = pencil_discriminant(A, B, tol)
     if _pencil_kind(disc, scale, tol) != PencilKind.HYPERBOLIC:
-        raise NotHyperbolic(f"pencil discriminant {disc!r} is not positive")
+        raise InvalidInput(f"pencil discriminant {disc!r} is not positive")
     a, c = product(A, A), product(B, B)
     if a * c > disc:
         if abs(c) > abs(a):

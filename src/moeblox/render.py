@@ -111,7 +111,7 @@ def _finite_bounds(obj: SceneObject, tol: Tolerances):
         try:
             c, r = center_radius(C, tol)
         except MoebloxError:
-            continue  # a line (IsLine), or not drawn either and noted by render_scene
+            continue  # a line has no centre; a cycle not drawn either is noted by render_scene
         boxes.append((c.real - r, c.imag - r, c.real + r, c.imag + r))
     return boxes
 

@@ -16,7 +16,7 @@ import math
 
 import moeblox as mx
 from moeblox.cycles import _cosine, _norm_square, combine
-from moeblox.errors import MoebloxError, ZeroRadiusOperand
+from moeblox.errors import InvalidInput, MoebloxError
 from moeblox.loxodrome import CurveKind, _as_point, _prepared
 from moeblox.numerics import clamped_acos, clamped_acosh, congruent_mod
 
@@ -29,6 +29,20 @@ class RankDeficient(MoebloxError):
 
 class OnRadicalLocus(MoebloxError):
     """The point is incident with both cycles spanning the pencil."""
+
+
+class PointOperand(MoebloxError):
+    """A normalised product met a point cycle."""
+
+
+def _cosine_of(a, b, na, nb, tol):
+    """``_cosine`` of canonical a and b given their ``_norm_square``, with
+    its refusal of a point cycle raised as PointOperand: the route reads
+    that refusal as "not a member", and no other InvalidInput."""
+    try:
+        return _cosine(a, b, *na, *nb, tol)
+    except InvalidInput as exc:
+        raise PointOperand(str(exc)) from None
 
 
 def _member_through(a, b, P, tol=mx.DEFAULT_TOLERANCES):
@@ -128,9 +142,9 @@ def contains_point(T, p, tol=mx.DEFAULT_TOLERANCES) -> bool:
         ce = orthogonal_cycle_through(lox.c2, lox.c3, c0, tol)
         lam = abs(lox.param.lambda_tilde)
         h = mx.canonicalize(ch, tol)
-        lhs = clamped_acosh(abs(_cosine(h, lox._c2, *_norm_square(h), *lox._n2, tol))) / lam
+        lhs = clamped_acosh(abs(_cosine_of(h, lox._c2, _norm_square(h), lox._n2, tol))) / lam
         e = mx.canonicalize(ce, tol)
-        rhs = clamped_acos(_cosine(e, lox._c1, *_norm_square(e), *lox._n1, tol)) / TWO_PI
-    except (RankDeficient, ZeroRadiusOperand):
+        rhs = clamped_acos(_cosine_of(e, lox._c1, _norm_square(e), lox._n1, tol)) / TWO_PI
+    except (RankDeficient, PointOperand):
         return False
     return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)

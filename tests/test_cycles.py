@@ -6,19 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import moeblox as mx
-from moeblox.errors import (
-    CoincidentCycles,
-    CollidingPoints,
-    DegenerateInput,
-    ImaginaryRadius,
-    InvalidInput,
-    InvalidRadius,
-    IsLine,
-    NumericalBreakdown,
-    SceneError,
-    SingularMap,
-    ZeroRadiusOperand,
-)
+from moeblox.errors import InvalidInput, NumericalBreakdown, SceneError
 
 from conftest import (
     assert_projectively_equal,
@@ -85,9 +73,9 @@ class TestConstructors:
         assert mx.from_circle(1j, 2) == mx.Cycle(1, 0, 1, -3)
 
     def test_from_circle_rejects_radius(self):
-        with pytest.raises(InvalidRadius):
+        with pytest.raises(InvalidInput, match=r"^radius must be positive, got 0\.0$"):
             mx.from_circle(0, 0.0)
-        with pytest.raises(InvalidRadius):
+        with pytest.raises(InvalidInput, match=r"^radius must be positive, got -1\.0$"):
             mx.from_circle(0, -1.0)
 
     def test_from_line_real_axis(self):
@@ -100,7 +88,7 @@ class TestConstructors:
         assert_projectively_equal(mx.from_line(0, 1 + 1j), mx.Cycle(0, 1, -1, 0))
 
     def test_from_line_rejects_equal_points(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidInput, match=r"^line needs two distinct points, got \(1\+1j\) twice$"):
             mx.from_line(1 + 1j, 1 + 1j)
 
     def test_zero_radius_origin(self):
@@ -127,9 +115,9 @@ class TestClassifyAndCoordinates:
         assert mx.center_radius(mx.Cycle(1, 0, 0, 0)) == (0, 0.0)
 
     def test_center_radius_errors(self):
-        with pytest.raises(IsLine):
+        with pytest.raises(InvalidInput, match=r"^cycle Cycle\(.*\) has no centre$"):
             mx.center_radius(REAL_AXIS)
-        with pytest.raises(ImaginaryRadius):
+        with pytest.raises(InvalidInput, match=r"^cycle Cycle\(.*\) has negative discriminant -1\.0$"):
             mx.center_radius(mx.Cycle(1, 0, 0, 1))
 
     def test_point_of(self):
@@ -222,7 +210,7 @@ class TestNormalizedProduct:
         assert mx.normalized_product(REAL_AXIS, REAL_AXIS) == pytest.approx(1.0)
 
     def test_rejects_points(self):
-        with pytest.raises(ZeroRadiusOperand):
+        with pytest.raises(InvalidInput, match="^normalised product needs two non-point cycles$"):
             mx.normalized_product(mx.Cycle(1, 0, 0, 0), UNIT)
 
     def test_invariant_under_rescaling_and_maps(self, rng):
@@ -309,7 +297,7 @@ class TestMoebiusAction:
         assert_projectively_equal(image, expected)
 
     def test_singular_map_rejected(self):
-        with pytest.raises(SingularMap):
+        with pytest.raises(InvalidInput, match=r"^matrix determinant 0j vanishes at scale 4\.0$"):
             mx.MoebiusMap(1, 2, 2, 4)
 
     def test_composition_law(self, rng):
@@ -398,7 +386,7 @@ class TestIntersect:
         assert len(points) == 1 and points[0].is_infinity
 
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentCycles):
+        with pytest.raises(InvalidInput, match="^intersection of a cycle with itself is the cycle$"):
             mx.intersect(UNIT, -3 * UNIT)
 
     def test_count_matches_pencil_classification(self, rng):
@@ -444,7 +432,7 @@ class TestMapToZeroOneInf:
         assert mx.apply_to_point(M, pt(3)).as_complex() == pytest.approx(1.5)
 
     def test_colliding_points_rejected(self):
-        with pytest.raises(CollidingPoints):
+        with pytest.raises(InvalidInput, match="^points 0 and 1 coincide$"):
             mx.map_to_zero_one_inf(pt(1), pt(1), INF)
 
     def test_random_triples(self, rng):

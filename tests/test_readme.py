@@ -113,3 +113,24 @@ def test_every_export_has_a_user():
     (quickstart,) = fenced_blocks("python")
     used |= referenced_names(ast.parse(quickstart))
     assert sorted(exported_names() - used) == []
+
+
+def error_classes():
+    """The classes ``moeblox/errors.py`` defines."""
+    tree = ast.parse((ROOT / "src" / "moeblox" / "errors.py").read_text(encoding="utf-8"))
+    return sorted(node.name for node in tree.body if isinstance(node, ast.ClassDef))
+
+
+def test_error_classes_are_the_documented_ones():
+    (section,) = re.findall(r"^## Errors\n(.*?)^## ", README, flags=re.S | re.M)
+    assert sorted(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == error_classes()
+
+
+def test_every_error_class_is_raised():
+    # a class nothing raises is a type callers are told to expect for nothing
+    raised = set()
+    for path in (ROOT / "src" / "moeblox").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert [name for name in error_classes() if name not in raised | {"MoebloxError"}] == []
