@@ -92,12 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render the scene to SVG")
     _common(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.add_argument("--samples", type=_INTEGER_ARG, default=RenderConfig.samples)
-    p.add_argument("--t-min", type=_DECIMAL_ARG, default=RenderConfig.t_min)
-    p.add_argument("--t-max", type=_DECIMAL_ARG, default=RenderConfig.t_max)
-    p.add_argument("--width", type=_INTEGER_ARG, default=RenderConfig.width)
-    p.add_argument("--height", type=_INTEGER_ARG, default=RenderConfig.height)
-    p.add_argument("--precision", type=_INTEGER_ARG, default=RenderConfig.precision)
+    defaults = RenderConfig._field_defaults
+    p.add_argument("--samples", type=_INTEGER_ARG, default=defaults["samples"])
+    p.add_argument("--t-min", type=_DECIMAL_ARG, default=defaults["t_min"])
+    p.add_argument("--t-max", type=_DECIMAL_ARG, default=defaults["t_max"])
+    p.add_argument("--width", type=_INTEGER_ARG, default=defaults["width"])
+    p.add_argument("--height", type=_INTEGER_ARG, default=defaults["height"])
+    p.add_argument("--precision", type=_INTEGER_ARG, default=defaults["precision"])
 
     p = sub.add_parser("sample", help="print curve points on a parameter grid")
     _common(p)

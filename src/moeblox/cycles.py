@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, NumericalBreakdown
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _quote
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -73,25 +73,25 @@ def _affine(w1: complex, w2: complex) -> complex | None:
     return None
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
+# Cycle, ExtendedPoint and MoebiusMap check their components in a static
+# ``__post_init__`` that ``__new__`` calls through the class and that
+# returns the fields; bench/spans.py wraps it to count constructions.
+class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
     """Point of the extended complex plane in homogeneous form (w1 : w2).
 
     Representatives are normalised at construction: finite points are
     stored as ``(z, 1)``, the point at infinity as ``(1, 0)``.
     """
 
-    w1: complex
-    w2: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        z = _affine(complex(self.w1), complex(self.w2))
-        if z is not None:
-            object.__setattr__(self, "w1", z)
-            object.__setattr__(self, "w2", complex(1.0))
-        else:
-            object.__setattr__(self, "w1", complex(1.0))
-            object.__setattr__(self, "w2", complex(0.0))
+    def __new__(cls, w1: complex, w2: complex):
+        return tuple.__new__(cls, cls.__post_init__(w1, w2))
+
+    @staticmethod
+    def __post_init__(w1, w2) -> tuple[complex, complex]:
+        z = _affine(complex(w1), complex(w2))
+        return (complex(1.0), complex(0.0)) if z is None else (z, complex(1.0))
 
     @classmethod
     def from_complex(cls, z: complex) -> "ExtendedPoint":
@@ -100,15 +100,6 @@ class ExtendedPoint:
     @classmethod
     def infinity(cls) -> "ExtendedPoint":
         return cls(1.0, 0.0)
-
-    @classmethod
-    def _from_affine(cls, z: complex | None) -> "ExtendedPoint":
-        """The point for a value ``_affine`` returned, which needs no
-        second check: (z : 1), or (1 : 0) for None."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "w1", complex(1.0) if z is None else z)
-        object.__setattr__(p, "w2", complex(0.0) if z is None else complex(1.0))
-        return p
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedPoint":
@@ -154,31 +145,21 @@ class ExtendedPoint:
 # cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Value, namedtuple("Cycle", "k l n m")):
     """Homogeneous quadruple (k, l, n, m) of a circle, line or point."""
 
-    k: float
-    l: float
-    n: float
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = (self.k, self.l, self.n, self.m)
-        if not all(math.isfinite(c) for c in comps):
+    def __new__(cls, k: float, l: float, n: float, m: float):
+        return tuple.__new__(cls, cls.__post_init__(k, l, n, m))
+
+    @staticmethod
+    def __post_init__(k, l, n, m) -> tuple[float, float, float, float]:
+        if not all(map(math.isfinite, (k, l, n, m))):
             raise InvalidInput("cycle components must be finite")
-        if all(c == 0 for c in comps):
+        if k == 0 and l == 0 and n == 0 and m == 0:
             raise InvalidInput("cycle components must not all vanish")
-        for name in ("k", "l", "n", "m"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    @classmethod
-    def _from_floats(cls, k: float, l: float, n: float, m: float) -> "Cycle":
-        """The cycle of finite float components, not all zero, unchecked."""
-        C = object.__new__(cls)
-        for name, value in (("k", k), ("l", l), ("n", n), ("m", m)):
-            object.__setattr__(C, name, value)
-        return C
+        return float(k), float(l), float(n), float(m)
 
     @property
     def L(self) -> complex:
@@ -206,34 +187,31 @@ class Cycle:
         return Cycle(self.k - other.k, self.l - other.l, self.n - other.n, self.m - other.m)
 
     def to_json(self):
-        return [self.k, self.l, self.n, self.m]
+        return list(self)
 
 
 # ---------------------------------------------------------------------------
 # Moebius maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(_Value, namedtuple("MoebiusMap", "a b c d")):
     """Invertible map z -> (a z + b) / (c z + d) of the extended plane."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = [complex(getattr(self, name)) for name in "abcd"]
-        if not all(
-            math.isfinite(e.real) and math.isfinite(e.imag) for e in entries
-        ):
+    def __new__(cls, a: complex, b: complex, c: complex, d: complex):
+        return tuple.__new__(cls, cls.__post_init__(a, b, c, d))
+
+    @staticmethod
+    def __post_init__(a, b, c, d) -> tuple[complex, complex, complex, complex]:
+        entries = (complex(a), complex(b), complex(c), complex(d))
+        if not all(cmath.isfinite(e) for e in entries):
             raise InvalidInput("matrix entries must be finite")
         top = max(abs(e) for e in entries)
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if abs(det) <= DEFAULT_TOLERANCES.eps_product * top * top:
             raise InvalidInput(f"matrix determinant {det!r} vanishes at scale {top!r}")
-        for name, e in zip("abcd", entries):
-            object.__setattr__(self, name, e)
+        return entries
 
     @property
     def det(self) -> complex:
@@ -255,14 +233,14 @@ class MoebiusMap:
     def normalized(self) -> "MoebiusMap":
         """Determinant-1 representative with a deterministic overall sign."""
         root = cmath.sqrt(self.det)
-        entries = [e / root for e in (self.a, self.b, self.c, self.d)]
+        entries = [e / root for e in self]
         lead = max(entries, key=abs)
         if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
             entries = [-e for e in entries]
         return MoebiusMap(*entries)
 
     def to_json(self):
-        return [[e.real, e.imag] for e in (self.a, self.b, self.c, self.d)]
+        return [[e.real, e.imag] for e in self]
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +377,14 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     else:
         t = 1.0 / C.m
         k, l, n, m = C.k * t, C.l * t, C.n * t, 1.0
-    # a unit pivot never vanishes; Cycle refuses a component that overflowed
-    return Cycle._from_floats(k, l, n, m) if math.isfinite(k + l + n + m) else Cycle(k, l, n, m)
+    return Cycle(k, l, n, m)  # refuses a component that overflowed
 
 
 def _canonical_equal(a: Cycle, b: Cycle, tol: Tolerances) -> bool:
     """Are the canonical cycles a and b projectively equal: every
     component within eps_product of the other, relative to max(1, |a|, |b|)?"""
     thr = tol.eps_product * max(1.0, a.scale(), b.scale())
-    return (
-        abs(a.k - b.k) <= thr
-        and abs(a.l - b.l) <= thr
-        and abs(a.n - b.n) <= thr
-        and abs(a.m - b.m) <= thr
-    )
+    return all(abs(x - y) <= thr for x, y in zip(a, b))
 
 
 def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -436,12 +408,7 @@ def _cosine(a: Cycle, b: Cycle, sa: float, ra: float, sb: float, rb: float, tol:
 
 def combine(alpha: float, C: Cycle, beta: float, Cp: Cycle) -> Cycle:
     """Componentwise alpha C + beta C' (safe for a vanishing coefficient)."""
-    return Cycle(
-        alpha * C.k + beta * Cp.k,
-        alpha * C.l + beta * Cp.l,
-        alpha * C.n + beta * Cp.n,
-        alpha * C.m + beta * Cp.m,
-    )
+    return Cycle(*(alpha * x + beta * y for x, y in zip(C, Cp)))
 
 
 def pencil_discriminant(
@@ -524,7 +491,7 @@ def apply_to_cycle(M: MoebiusMap, C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     NumericalBreakdown.
     """
     root = cmath.sqrt(M.det)
-    a, b, c, d = M.a / root, M.b / root, M.c / root, M.d / root
+    a, b, c, d = (e / root for e in M)
     inv = ((d, -b), (-c, a))
     conj = ((a.conjugate(), b.conjugate()), (c.conjugate(), d.conjugate()))
     R = _mat2mul(conj, _mat2mul(C.matrix(), inv))

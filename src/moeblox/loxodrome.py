@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -75,6 +75,8 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
     _float,
+    _index,
+    _Value,
 )
 from .pencils import zero_radius_members
 
@@ -94,16 +96,16 @@ BRANCH_SWAP = MoebiusMap(0.0, -1.0, 1.0, 0.0)
 # the spiral parameter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlsParameter:
+class SlsParameter(_Value, namedtuple("SlsParameter", "lambda_tilde")):
     """Extended real parameter of a spiral: a float, with 0 for the circle
     degeneration, or ``math.inf`` for the line degeneration."""
 
-    lambda_tilde: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lambda_tilde) or self.lambda_tilde == math.inf):
-            raise InvalidInput(f"parameter must be a float or math.inf, got {self.lambda_tilde!r}")
+    def __new__(cls, lambda_tilde: float):
+        if not (math.isfinite(lambda_tilde) or lambda_tilde == math.inf):
+            raise InvalidInput(f"parameter must be a float or math.inf, got {lambda_tilde!r}")
+        return tuple.__new__(cls, (lambda_tilde,))
 
     @classmethod
     def finite(cls, lambda_tilde: float) -> "SlsParameter":
@@ -144,18 +146,16 @@ def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
 # triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoxodromeTriple:
-    """Ordered cycles (c1, c2, c3) plus the chirality sign in {+1, -1}."""
+class LoxodromeTriple(_Value, namedtuple("LoxodromeTriple", "c1 c2 c3 sign")):
+    """Ordered cycles (c1, c2, c3) plus the chirality sign in {+1, -1}.
 
-    c1: Cycle
-    c2: Cycle
-    c3: Cycle
-    sign: int = 1
+    It has no ``__slots__``: its instance dict holds the prepared form
+    that ``_prepared`` keeps on it, which is not a field."""
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidInput(f"sign must be +1 or -1, got {self.sign!r}")
+    def __new__(cls, c1: Cycle, c2: Cycle, c3: Cycle, sign: int = 1):
+        if sign not in (1, -1):
+            raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (c1, c2, c3, sign))
 
     def to_json(self):
         return {
@@ -223,7 +223,7 @@ class Loxodrome:
     make no reference cycle for the garbage collector to find."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.c1, self.c2, self.c3, self.sign = triple.c1, triple.c2, triple.c3, triple.sign
+        self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
         self._c2, self._c3 = canonicalize(self.c2, tol), canonicalize(self.c3, tol)
         if _canonical_equal(self._c2, self._c3, tol):
@@ -364,8 +364,7 @@ def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     next ones; a query at other tolerances prepares T afresh."""
     lox = vars(T).get("_loxodrome")
     if lox is None or lox.tol != tol:
-        lox = Loxodrome(T, tol)
-        object.__setattr__(T, "_loxodrome", lox)
+        lox = T._loxodrome = Loxodrome(T, tol)
     return lox
 
 
@@ -429,7 +428,7 @@ def _span_test(a: Cycle, b: Cycle, tol: Tolerances):
     and serves every X tested against it.
     """
     hypot = math.hypot
-    na = hypot(a.k, a.l, a.n, a.m)
+    na = hypot(*a)
     q0, q1, q2, q3 = a.k / na, a.l / na, a.n / na, a.m / na
     u0, u1, u2, u3 = b.k, b.l, b.n, b.m
     for _ in range(2):
@@ -448,7 +447,7 @@ def _span_test(a: Cycle, b: Cycle, tol: Tolerances):
             d = w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
             r0, r1, r2, r3 = r0 - d * w0, r1 - d * w1, r2 - d * w2, r3 - d * w3
         residual = hypot(r0, r1, r2, r3)
-        return residual <= tol.eps_product * max(1.0, hypot(x.k, x.l, x.n, x.m))
+        return residual <= tol.eps_product * max(1.0, hypot(*x))
 
     return holds
 
@@ -483,15 +482,13 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
 # membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    lhs: float | None = None
-    rhs: float | None = None
-    flags: tuple[str, ...] = ()
+class MembershipReport(_Value, namedtuple("MembershipReport", "member lhs rhs flags", defaults=(None, None, ()))):
+    """``contains_point``'s answer: the congruence's two sides when one decided it, else flags."""
+
+    __slots__ = ()
 
     def to_json(self):
-        return dict(vars(self), flags=list(self.flags))
+        return dict(self._asdict(), flags=list(self.flags))
 
 
 def _as_point(p) -> ExtendedPoint:
@@ -618,10 +615,11 @@ def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES)
 # ---------------------------------------------------------------------------
 
 def _curve_points(
-    lox: Loxodrome, t_min: float, t_max: float, count: int, sign: float
-) -> list[complex | None]:
-    """One branch of the curve on a uniform parameter grid, as bare
-    complex numbers; None is the point at infinity.
+    lox: Loxodrome, t_min: float, t_max: float, count: int, sign: float, point=_affine
+) -> list:
+    """One branch of the curve on a uniform parameter grid, each image
+    made by ``point`` from its homogeneous components: by default a bare
+    complex number, with None for the point at infinity.
 
     Each model point ``sign * exp(rate t)`` is sent back by
     ``(a w + b) / (c w + d)`` with the rules of ``ExtendedPoint``: a
@@ -638,27 +636,29 @@ def _curve_points(
     one, zero = complex(1.0), complex(0.0)
     a, c = back.a, back.c
     b, d = back.b * one, back.d * one
-    far = _affine(a * one + back.b * zero, c * one + back.d * zero)
+    far, infinity = point(a * one + back.b * zero, c * one + back.d * zero), point(one, zero)
     step = (t_max - t_min) / (count - 1)
-    out: list[complex | None] = []
+    out = []
     for i in range(count):
         try:
             w = sign * cmath.exp(rate * (t_min + step * i))
         except OverflowError:
-            out.append(None)
+            out.append(infinity)
             continue
         except ValueError:  # rate * t overflowed into an infinite angle
             raise InvalidInput(
                 f"curve point at t={t_min + step * i!r} is undefined: rate * t is not finite"
             ) from None
         z = _affine(w, one)
-        out.append(far if z is None else _affine(a * z + b, c * z + d))
+        out.append(far if z is None else point(a * z + b, c * z + d))
     return out
 
 
 def _check_grid(t_min: float, t_max: float, count: int) -> None:
-    """Refuse a parameter grid whose bounds or step are not finite: its
-    points would be NaN or infinity, and no error would name the cause."""
+    """Refuse a parameter grid whose count is not an integer, or whose
+    bounds or step are not finite: its points would be NaN or infinity,
+    and no error would name the cause."""
+    _index(count, "sample count")
     for name, t in (("t_min", t_min), ("t_max", t_max)):
         if not math.isfinite(t):
             raise InvalidInput(f"{name} must be finite, got {t!r}")
@@ -692,11 +692,7 @@ def sample_curve(
     if signs is None:
         raise InvalidInput(f"branch must be '+', '-' or 'both', got {branch!r}")
     lox = _prepared(T, tol)
-    return [
-        ExtendedPoint._from_affine(z)
-        for sgn in signs
-        for z in _curve_points(lox, t_min, t_max, count, sgn)
-    ]
+    return [p for sgn in signs for p in _curve_points(lox, t_min, t_max, count, sgn, ExtendedPoint)]
 
 
 def apply_map(

@@ -12,8 +12,9 @@ decimal reader and one ASCII integer reader.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import InvalidInput, NumericalBreakdown
 
@@ -52,8 +53,29 @@ def _integer(text: str, what: str) -> int:
     raise InvalidInput(f"cannot parse {what}: {_quote(text)} is not an ASCII integer")
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Value(tuple):
+    """Base of the package's value types, each a ``namedtuple`` with one
+    checked ``__new__``: immutable, equal only to a value of its own type
+    (never to a bare tuple), hashed as the tuple of its fields, and
+    without the concatenation, repetition and order of tuples."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __ne__ = object.__ne__  # the inverse of __eq__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's would skip the check
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def _not_a_sequence(self, *other):
+        raise TypeError(f"{type(self).__name__} is a value: tuple arithmetic and order do not apply")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _not_a_sequence
+
+
+class Tolerances(_Value, namedtuple("Tolerances", "eps_product eps_angle eps_mod", defaults=(1e-9, 1e-7, 1e-6))):
     """Shared tolerance bundle.
 
     eps_product: relative tolerance for product-based predicates.
@@ -61,17 +83,14 @@ class Tolerances:
     eps_mod:     absolute tolerance for modular congruences (turn fractions).
     """
 
-    eps_product: float = 1e-9
-    eps_angle: float = 1e-7
-    eps_mod: float = 1e-6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, *args, **kwargs):
+        tol = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(tol._fields, tol):
             if not (0.0 < value < _TOL_CEILING):
-                raise InvalidInput(
-                    f"{f.name} must lie in (0, {_TOL_CEILING}), got {value!r}"
-                )
+                raise InvalidInput(f"{name} must lie in (0, {_TOL_CEILING}), got {value!r}")
+        return tol
 
     @classmethod
     def parse(cls, text: str) -> "Tolerances":
@@ -94,6 +113,15 @@ def _float(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise InvalidInput(f"{name} is too large for a float") from None
+
+
+def _index(value, name: str) -> int:
+    """``operator.index(value)``, with a value it refuses (a float, say)
+    refused as InvalidInput naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {_quote(value)}") from None
 
 
 def clamped_acos(x: float) -> float:

@@ -9,7 +9,7 @@ timestamped or random enters the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cycles import (
     Cycle,
@@ -22,31 +22,31 @@ from .cycles import (
 )
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import CurveKind, LoxodromeTriple, _check_grid, _curve_points, _prepared
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _float
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _float, _index, _Value
 from .scene import Scene, SceneObject
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    samples: int = 2048
-    t_min: float = -3.0
-    t_max: float = 3.0
-    width: int = 800
-    height: int = 600
-    precision: int = 6
+class RenderConfig(_Value, namedtuple("RenderConfig", "samples t_min t_max width height precision",
+                                      defaults=(2048, -3.0, 3.0, 800, 600, 6))):
+    """Samples per branch, the parameter range, the SVG size in pixels
+    and the decimal places of every number written."""
 
-    def __post_init__(self):
-        if self.samples < 16:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.samples < 16:
             raise InvalidInput("samples per branch must be at least 16")
-        if not 3 <= self.precision <= 12:
+        if not 3 <= _index(config.precision, "precision") <= 12:
             raise InvalidInput("precision must lie in [3, 12]")
-        if self.width <= 0 or self.height <= 0:
+        if config.width <= 0 or config.height <= 0:
             raise InvalidInput("output size must be positive")
         for name in ("width", "height"):  # the projector divides by both
-            _float(getattr(self, name), name)
-        _check_grid(self.t_min, self.t_max, self.samples)
-        if not self.t_max > self.t_min:
+            _float(getattr(config, name), name)
+        _check_grid(config.t_min, config.t_max, config.samples)
+        if not config.t_max > config.t_min:
             raise InvalidInput("t range must be non-empty")
+        return config
 
 
 _TRIPLE_STYLE = {

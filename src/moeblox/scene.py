@@ -33,12 +33,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cycles import Cycle, ExtendedPoint, MoebiusMap, from_circle, from_line
 from .errors import MoebloxError, SceneError
 from .loxodrome import LoxodromeTriple
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _quote
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _quote, _Value
 
 STYLE_WIDTH_MAX = 1000.0
 
@@ -49,18 +49,20 @@ _OPTIONAL = ("sign", "stroke", "width", "dash")  # the fields a scene may leave 
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-@dataclass(frozen=True)
-class SceneObject:
-    id: str
-    kind: str
-    value: object  # Cycle | ExtendedPoint | MoebiusMap | LoxodromeTriple
+class SceneObject(_Value, namedtuple("SceneObject", "id kind value")):
+    """A scene file's object; its value is a Cycle, ExtendedPoint, MoebiusMap or LoxodromeTriple."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Scene:
-    objects: list[SceneObject] = field(default_factory=list)
-    style: dict = field(default_factory=dict)
-    bbox: tuple[float, float, float, float] | None = None
+    """The objects of a scene file in file order, the style hints by
+    object id, and the view box, or None to fit the objects."""
+
+    def __init__(self, objects=None, style=None, bbox=None):
+        self.objects: list[SceneObject] = [] if objects is None else objects
+        self.style: dict = {} if style is None else style
+        self.bbox: tuple[float, float, float, float] | None = bbox
 
     def get(self, object_id: str) -> SceneObject:
         for obj in self.objects:

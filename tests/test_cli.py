@@ -255,6 +255,21 @@ class TestRender:
         with pytest.raises(InvalidInput, match=needle):
             RenderConfig(**bounds)
 
+    @pytest.mark.parametrize(
+        "field,value,needle",
+        [
+            ("samples", 100.5, "sample count must be an integer, got 100.5"),
+            ("samples", 100.0, "sample count must be an integer, got 100.0"),
+            ("precision", 6.5, "precision must be an integer, got 6.5"),
+        ],
+    )
+    def test_config_refuses_non_integer_sizes(self, field, value, needle):
+        # range() and the format spec would raise TypeError and ValueError
+        from moeblox.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match=re.escape(needle)):
+            RenderConfig(**{field: value})
+
     def test_style_override(self):
         raw = dict(STANDARD_SCENE, style={"T": {"stroke": "#123456", "dash": "2 2"}})
         svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
@@ -619,6 +634,15 @@ class TestNoNumpyAtRuntime:
             "print([m for m in ('numpy', 'urllib.request', 'xml.sax') if m in sys.modules])"
         )
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # the value types are namedtuples; dataclasses would import inspect.
+        # -S keeps site hooks from importing either one
+        env = dict(os.environ, PYTHONPATH=SRC)
+        probe = "import sys, moeblox.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import moeblox as mx
 from moeblox.errors import InvalidInput, NumericalBreakdown, SceneError
+from moeblox.scene import SceneObject
 
 from conftest import (
     assert_projectively_equal,
@@ -469,3 +470,51 @@ class TestSerialization:
         assert (again.a, again.b, again.c, again.d) == (M.a, M.b, M.c, M.d)
         with pytest.raises(SceneError, match="four"):
             read_back("moebius", M.to_json()[:3])
+
+
+# each value type, with its repr as the frozen dataclasses wrote it
+VALUES = [
+    (mx.Cycle(1, 0.5, -2, 3), "Cycle(k=1.0, l=0.5, n=-2.0, m=3.0)"),
+    (mx.ExtendedPoint(4 + 2j, 2), "ExtendedPoint(w1=(2+1j), w2=(1+0j))"),
+    (mx.MoebiusMap(1, 2j, 0.5, 1), "MoebiusMap(a=(1+0j), b=2j, c=(0.5+0j), d=(1+0j))"),
+    (mx.Tolerances(1e-8, 1e-6, 1e-5), "Tolerances(eps_product=1e-08, eps_angle=1e-06, eps_mod=1e-05)"),
+    (mx.SlsParameter(-0.5), "SlsParameter(lambda_tilde=-0.5)"),
+    (
+        mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -4), -1),
+        "LoxodromeTriple(c1=Cycle(k=0.0, l=0.0, n=1.0, m=0.0), c2=Cycle(k=1.0, l=0.0, n=0.0, m=-1.0), "
+        "c3=Cycle(k=1.0, l=0.0, n=0.0, m=-4.0), sign=-1)",
+    ),
+    (
+        mx.MembershipReport(False, flags=("limit_point",)),
+        "MembershipReport(member=False, lhs=None, rhs=None, flags=('limit_point',))",
+    ),
+    (
+        mx.RenderConfig(samples=64, t_max=2.5),
+        "RenderConfig(samples=64, t_min=-3.0, t_max=2.5, width=800, height=600, precision=6)",
+    ),
+    (SceneObject("P", "point", INF), "SceneObject(id='P', kind='point', value=ExtendedPoint(w1=(1+0j), w2=0j))"),
+]
+
+
+@pytest.mark.parametrize("value,text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_contract(value, text):
+    fields = tuple(value)
+    assert fields == tuple(getattr(value, name) for name in value._fields)
+    assert value == type(value)(*fields) and not value != type(value)(*fields)
+    assert value != fields and fields != value and not value == fields and not fields == value
+    assert repr(value) == text
+    assert hash(value) == hash(fields)  # a frozen dataclass's hash: that of its fields' tuple
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[0])
+    for tuple_op in (lambda: value + value, lambda: value < value, lambda: fields + value):
+        with pytest.raises(TypeError):
+            tuple_op()
+
+
+def test_derived_values_are_checked():
+    with pytest.raises(InvalidInput, match="must not all vanish"):
+        UNIT._replace(k=0, m=0)
+    with pytest.raises(InvalidInput, match="sign must be"):
+        mx.LoxodromeTriple._make([UNIT, UNIT, UNIT, 0])
+    with pytest.raises(InvalidInput, match="eps_mod"):
+        mx.DEFAULT_TOLERANCES._replace(eps_mod=1.0)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import sys
 import threading
@@ -840,6 +839,12 @@ class TestSampleCurveReference:
         with pytest.raises(InvalidInput, match=needle):
             mx.sample_curve(self.SHAPES["spiral"], t_min, t_max, 5, "both")
 
+    @pytest.mark.parametrize("count", [10.5, 10.0])
+    def test_non_integer_count_refused(self, count):
+        # range() would raise TypeError, which is no MoebloxError
+        with pytest.raises(InvalidInput, match="sample count must be an integer, got 10"):
+            mx.sample_curve(self.SHAPES["spiral"], -1.0, 1.0, count, "both")
+
     @pytest.mark.parametrize("shape", ["spiral", "circle"])
     def test_overflowing_angle_refused(self, shape):
         # every bound and the step are finite, but (lambda_tilde + 2 pi i) t
@@ -1129,23 +1134,24 @@ class TestPreparedFormKept:
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
         twin = mx.LoxodromeTriple(T.c1, T.c2, T.c3, T.sign)
-        before = (repr(T), hash(T), T.to_json(), dataclasses.astuple(T))
+        before = (repr(T), hash(T), T.to_json(), tuple(T))
         p, _, _ = on_curve_point(rng, 1.0, M, t_range=(-1, 1))
         for question in _questions(T, mx.DEFAULT_TOLERANCES, [p]) + _questions(T, self.LOOSE, [p]):
             _ask(question)
-        assert set(vars(T)) > {f.name for f in dataclasses.fields(T)}  # the prepared form is kept
-        assert (repr(T), hash(T), T.to_json(), dataclasses.astuple(T)) == before
+        assert vars(T) and not set(vars(T)) & set(T._fields)  # the prepared form is kept, not as a field
+        assert (repr(T), hash(T), T.to_json(), tuple(T)) == before
         assert T == twin and twin == T and len({T, twin}) == 1
 
     def test_transported_triples_carry_no_prepared_form(self, rng):
         M = random_moebius(rng)
-        fields = {"c1", "c2", "c3", "sign"}
+        fields = ("c1", "c2", "c3", "sign")
         T = mx.apply_map(M, std(1.0))
-        assert set(vars(T)) == fields
+        assert T._fields == fields and vars(T) == {}
         mx.contains_point(T, pt(1))
         U = mx.apply_map(M, T)
         V = mx.validate_triple(T.c1, T.c2, T.c3, T.sign)
-        assert set(vars(U)) == set(vars(V)) == fields
+        assert U._fields == V._fields == fields
+        assert vars(U) == vars(V) == {}
 
     def test_threads_share_one_prepared_form(self, rng):
         M = random_moebius(rng)
