@@ -38,7 +38,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, NumericalBreakdown
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _quote, _Value
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _finite, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -155,7 +155,12 @@ class Cycle(_Value, namedtuple("Cycle", "k l n m")):
 
     @staticmethod
     def __post_init__(k, l, n, m) -> tuple[float, float, float, float]:
-        if not all(map(math.isfinite, (k, l, n, m))):
+        isfinite = math.isfinite
+        try:
+            finite = isfinite(k) and isfinite(l) and isfinite(n) and isfinite(m)
+        except (TypeError, OverflowError):  # refused by name below
+            finite = all(_finite(x, f"cycle component {name}") for name, x in zip("klnm", (k, l, n, m)))
+        if not finite:
             raise InvalidInput("cycle components must be finite")
         if k == 0 and l == 0 and n == 0 and m == 0:
             raise InvalidInput("cycle components must not all vanish")
@@ -204,14 +209,14 @@ class MoebiusMap(_Value, namedtuple("MoebiusMap", "a b c d")):
 
     @staticmethod
     def __post_init__(a, b, c, d) -> tuple[complex, complex, complex, complex]:
-        entries = (complex(a), complex(b), complex(c), complex(d))
-        if not all(cmath.isfinite(e) for e in entries):
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise InvalidInput("matrix entries must be finite")
-        top = max(abs(e) for e in entries)
-        det = entries[0] * entries[3] - entries[1] * entries[2]
+        top = max(abs(a), abs(b), abs(c), abs(d))
+        det = a * d - b * c
         if abs(det) <= DEFAULT_TOLERANCES.eps_product * top * top:
             raise InvalidInput(f"matrix determinant {det!r} vanishes at scale {top!r}")
-        return entries
+        return a, b, c, d
 
     @property
     def det(self) -> complex:
@@ -369,6 +374,8 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     s = C.scale()
     eps = tol.eps_product * s
     if abs(C.k) > eps:
+        if C.k == 1.0:
+            return C
         t = 1.0 / C.k
         k, l, n, m = 1.0, C.l * t, C.n * t, C.m * t  # exact pivot
     elif (r := math.hypot(C.l, C.n)) > eps:
@@ -384,7 +391,7 @@ def _canonical_equal(a: Cycle, b: Cycle, tol: Tolerances) -> bool:
     """Are the canonical cycles a and b projectively equal: every
     component within eps_product of the other, relative to max(1, |a|, |b|)?"""
     thr = tol.eps_product * max(1.0, a.scale(), b.scale())
-    return all(abs(x - y) <= thr for x, y in zip(a, b))
+    return abs(a.k - b.k) <= thr and abs(a.l - b.l) <= thr and abs(a.n - b.n) <= thr and abs(a.m - b.m) <= thr
 
 
 def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -408,7 +415,8 @@ def _cosine(a: Cycle, b: Cycle, sa: float, ra: float, sb: float, rb: float, tol:
 
 def combine(alpha: float, C: Cycle, beta: float, Cp: Cycle) -> Cycle:
     """Componentwise alpha C + beta C' (safe for a vanishing coefficient)."""
-    return Cycle(*(alpha * x + beta * y for x, y in zip(C, Cp)))
+    return Cycle(alpha * C.k + beta * Cp.k, alpha * C.l + beta * Cp.l,
+                 alpha * C.n + beta * Cp.n, alpha * C.m + beta * Cp.m)
 
 
 def pencil_discriminant(
@@ -472,44 +480,29 @@ def apply_to_point(M: MoebiusMap, p: ExtendedPoint) -> ExtendedPoint:
     return ExtendedPoint(M.a * p.w1 + M.b * p.w2, M.c * p.w1 + M.d * p.w2)
 
 
-def _mat2mul(X, Y):
-    return (
-        (X[0][0] * Y[0][0] + X[0][1] * Y[1][0], X[0][0] * Y[0][1] + X[0][1] * Y[1][1]),
-        (X[1][0] * Y[0][0] + X[1][1] * Y[1][0], X[1][0] * Y[0][1] + X[1][1] * Y[1][1]),
-    )
+def apply_to_cycle(M: MoebiusMap, C: Cycle) -> Cycle:
+    """Image cycle of C under M: the matrix conj(M) C M^-1 for the
+    representative of M with |det| = 1, in closed form on (k, L, m),
 
+        k' = |d|^2 k + |c|^2 m + 2 Re(c conj(d) L)
+        m' = |b|^2 k + |a|^2 m + 2 Re(a conj(b) L)
+        L' = a conj(d) L + b conj(c) conj(L) + b conj(d) k + a conj(c) m.
 
-def apply_to_cycle(M: MoebiusMap, C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Image cycle with matrix conj(M) C M^-1 on the determinant-1
-    representative of M.
-
-    The normalisation matters: with a complex determinant the raw
-    conjugation returns the cycle matrix times a complex unit, which has
-    no real quadruple.  On the det-1 representative the result is exact
-    up to roundoff, so tiny imaginary residues on the k and m entries
-    get snapped to zero; a residue above tolerance raises
-    NumericalBreakdown.
+    M acts on cycles as a real linear map that keeps the pairing, so the
+    image is real by construction: there is no imaginary residue to snap.
     """
-    root = cmath.sqrt(M.det)
-    a, b, c, d = (e / root for e in M)
-    inv = ((d, -b), (-c, a))
-    conj = ((a.conjugate(), b.conjugate()), (c.conjugate(), d.conjugate()))
-    R = _mat2mul(conj, _mat2mul(C.matrix(), inv))
-    k2 = R[1][0]
-    m2 = -R[0][1]
-    # two independent estimates of L = l + i n: conj(R00) and -R11
-    L2 = (R[0][0].conjugate() - R[1][1]) / 2.0
-    scale = max(abs(R[0][0]), abs(R[0][1]), abs(R[1][0]), abs(R[1][1]), 1e-300)
-    residue = max(
-        abs(k2.imag),
-        abs(m2.imag),
-        abs(R[0][0].conjugate() + R[1][1]) / 2.0,
+    a, b, c, d = M
+    r = abs(a * d - b * c) ** -0.5
+    a, b, c, d = a * r, b * r, c * r, d * r
+    ca, cb, cc, cd = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    k, L, m = C.k, complex(C.l, C.n), C.m
+    image = a * cd * L + b * cc * L.conjugate() + b * cd * k + a * cc * m
+    return Cycle(
+        (d * cd).real * k + (c * cc).real * m + 2.0 * (c * cd * L).real,
+        image.real,
+        image.imag,
+        (b * cb).real * k + (a * ca).real * m + 2.0 * (a * cb * L).real,
     )
-    if residue > tol.eps_product * scale:
-        raise NumericalBreakdown(
-            f"imaginary residue {residue!r} exceeds tolerance at scale {scale!r}"
-        )
-    return Cycle(k2.real, L2.real, L2.imag, m2.real)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 
 from .cycles import (
     Cycle,
@@ -74,7 +73,7 @@ from .numerics import (
     clamped_acos,
     clamped_acosh,
     congruent_mod,
-    _float,
+    _finite,
     _index,
     _Value,
 )
@@ -217,10 +216,13 @@ class Loxodrome:
     ``shape``, the kind every query acts on, is read off lambda_tilde
     alone.  Canonical c2 and c3 are formed on construction; canonical
     c1, the self-products ``_n1`` to ``_n3`` of the canonical cycles,
-    the parameter, the limit points and the map on first use, at most
-    once.  Every query of this module gets one from ``_prepared``.  It
-    holds the triple's cycles, not the triple that keeps it, so the two
-    make no reference cycle for the garbage collector to find."""
+    the parameter, the shape, the limit points and the map on first
+    read, each by its entry in ``_DERIVE``, into its slot.  A
+    derivation is deterministic, so threads that race on one store
+    equal values.  Every query of this module gets one from
+    ``_prepared``.  It holds the triple's cycles, not the triple that
+    keeps it, so the two make no reference cycle for the garbage
+    collector to find."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
@@ -233,18 +235,16 @@ class Loxodrome:
         else:
             self.kind = CurveKind.SPIRAL
 
-    _c1 = cached_property(lambda self: canonicalize(self.c1, self.tol))
-    _n1 = cached_property(lambda self: _norm_square(self._c1))
-    _n2 = cached_property(lambda self: _norm_square(self._c2))
-    _n3 = cached_property(lambda self: _norm_square(self._c3))
+    def __getattr__(self, name: str):
+        """A derived field on its first read: only an empty slot gets here."""
+        derive = Loxodrome._DERIVE.get(name)
+        if derive is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = derive(self)
+        setattr(self, name, value)
+        return value
 
-    @cached_property
-    def _pair_product(self) -> float:
-        """|normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)."""
-        return abs(_cosine(self._c2, self._c3, *self._n2, *self._n3, self.tol))
-
-    @cached_property
-    def param(self) -> SlsParameter:
+    def _param(self) -> SlsParameter:
         """acosh of ``_pair_product``, signed by the triple's chirality;
         0 for the circle kind, inf for the line kind."""
         if self.kind == CurveKind.CIRCLE:
@@ -253,30 +253,51 @@ class Loxodrome:
             return SlsParameter.infinite()
         return SlsParameter.finite(self.sign * clamped_acosh(self._pair_product))
 
-    @property
-    def shape(self) -> CurveKind:
+    def _shape(self) -> CurveKind:
         """The kind the queries act on, read off lambda_tilde."""
         lt = self.param.lambda_tilde
         return CurveKind.CIRCLE if lt == 0.0 else CurveKind.LINE if lt == math.inf else CurveKind.SPIRAL
 
-    @property
-    def rate(self) -> complex:
-        """The exponent of the model curve exp(rate t) in standard
-        position: lambda_tilde + 2 pi i, or 1 for the line shape, whose
-        model is the positive real axis."""
-        return complex(1.0, 0.0) if self.shape == CurveKind.LINE else self.param.rate
+    def _map(self) -> MoebiusMap:
+        """The map to standard position.  The circle shape takes c2 to the
+        unit circle.  Otherwise the limit points go to 0 and infinity and a
+        crossing of c1 and c2 to 1; a spiral is oriented by chirality as
+        ``standard_map`` states, with the radius r3 of the image of c3
+        read off the point members P, Q that go to 0 and infinity before
+        any map is built: r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>)."""
+        tol = self.tol
+        if self.shape == CurveKind.CIRCLE:
+            return _map_cycle_to_unit_circle(self.c2, tol)
+        p, q = self.limit_points
+        crossings = intersect(self._c1, self._c2, tol)
+        if len(crossings) != 2:
+            raise TripleViolation("first and second cycle must cross at two points")
+        u = max(crossings, key=_point_sort_key)
+        if self.shape == CurveKind.SPIRAL:
+            (P, Q), c2, c3 = self._point_members, self._c2, self._c3
+            num, den = product(c3, P) * product(c2, Q), product(c3, Q) * product(c2, P)
+            if (num > den if den > 0 else num < den) != (self.sign > 0):
+                p, q = q, p
+        return map_to_zero_one_inf(p, u, q, tol)
 
-    @cached_property
-    def _point_members(self) -> tuple[Cycle, Cycle]:
-        """The point cycles of the pencil of (c2, c3)."""
-        return zero_radius_members(self._c2, self._c3, self.tol)
-
-    @cached_property
-    def limit_points(self) -> tuple[ExtendedPoint, ExtendedPoint]:
-        """The points of ``_point_members``: the asymptotic endpoints of
-        the curve."""
-        z1, z2 = self._point_members
-        return point_of(z1, self.tol), point_of(z2, self.tol)
+    _DERIVE = {
+        "_c1": lambda self: canonicalize(self.c1, self.tol),
+        "_n1": lambda self: _norm_square(self._c1),
+        "_n2": lambda self: _norm_square(self._c2),
+        "_n3": lambda self: _norm_square(self._c3),
+        # |normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)
+        "_pair_product": lambda self: abs(_cosine(self._c2, self._c3, *self._n2, *self._n3, self.tol)),
+        "param": _param,
+        "shape": _shape,
+        # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
+        # or 1 for the line shape, whose model is the positive real axis
+        "rate": lambda self: complex(1.0, 0.0) if self.shape == CurveKind.LINE else self.param.rate,
+        # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints
+        "_point_members": lambda self: zero_radius_members(self._c2, self._c3, self.tol),
+        "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
+        "map": _map,
+    }
+    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c2", "_c3", "kind", *_DERIVE)
 
     def violations(self) -> list:
         """All invariant violations of the triple, empty when valid.
@@ -299,9 +320,10 @@ class Loxodrome:
             out.append(TripleViolation("second cycle must be a line or proper circle", s2))
         if s3 < -tol.eps_product * n3:
             out.append(TripleViolation("third cycle has no real locus", s3))
+        r1 = c1.scale()
         for name, C in (("second", c2), ("third", c3)):
             r = product(c1, C)
-            if abs(r) > tol.eps_product * 4.0 * c1.scale() * C.scale():
+            if abs(r) > tol.eps_product * 4.0 * r1 * C.scale():
                 out.append(TripleViolation(f"first and {name} cycle are not orthogonal", abs(r)))
 
         if self.kind == CurveKind.CIRCLE:
@@ -314,30 +336,9 @@ class Loxodrome:
                 return out + [TripleViolation("second and third cycle neither disjoint nor equal", q)]
         for z in self._point_members:
             r = product(c1, z)
-            if abs(r) > tol.eps_product * 4.0 * c1.scale() * z.scale():
+            if abs(r) > tol.eps_product * 4.0 * r1 * z.scale():
                 out.append(TripleViolation("first cycle misses a limit point of the pencil", abs(r)))
         return out
-
-    @cached_property
-    def map(self) -> MoebiusMap:
-        """The map to standard position.  The circle shape takes c2 to the
-        unit circle.  Otherwise the limit points go to 0 and infinity and a
-        crossing of c1 and c2 to 1; a spiral is oriented by chirality as
-        ``standard_map`` states."""
-        tol = self.tol
-        if self.shape == CurveKind.CIRCLE:
-            return _map_cycle_to_unit_circle(self.c2, tol)
-        p, q = self.limit_points
-        crossings = intersect(self.c1, self.c2, tol)
-        if len(crossings) != 2:
-            raise TripleViolation("first and second cycle must cross at two points")
-        u = max(crossings, key=_point_sort_key)
-        M = map_to_zero_one_inf(p, u, q, tol)
-        if self.shape == CurveKind.SPIRAL:
-            _, r3 = center_radius(canonicalize(apply_to_cycle(M, self.c3, tol), tol), tol)
-            if (r3 > 1.0) != (self.sign > 0):
-                M = map_to_zero_one_inf(q, u, p, tol)
-        return M
 
     def _standard_point(self, p: ExtendedPoint) -> complex | None:
         """The image of p under ``map``; None for the point at infinity."""
@@ -656,13 +657,13 @@ def _curve_points(
 
 def _check_grid(t_min: float, t_max: float, count: int) -> None:
     """Refuse a parameter grid whose count is not an integer, or whose
-    bounds or step are not finite: its points would be NaN or infinity,
-    and no error would name the cause."""
+    bounds, count or step are not finite real numbers: its points would
+    be NaN or infinity, and no error would name the cause."""
     _index(count, "sample count")
-    for name, t in (("t_min", t_min), ("t_max", t_max)):
-        if not math.isfinite(t):
+    for name, t in (("t_min", t_min), ("t_max", t_max), ("sample count", count)):
+        if not _finite(t, name):
             raise InvalidInput(f"{name} must be finite, got {t!r}")
-    if not math.isfinite((t_max - t_min) / _float(count - 1, "sample count")):
+    if not math.isfinite((t_max - t_min) / (count - 1)):
         raise InvalidInput(
             f"t_min={t_min!r} to t_max={t_max!r} is too wide: the grid step is not finite"
         )
@@ -683,7 +684,7 @@ def sample_curve(
     line-degenerate curve the real exponential at unit rate is used as
     the model parametrisation.
     """
-    if count < 2:
+    if _index(count, "sample count") < 2:
         raise InvalidInput(f"need at least two samples, got {count!r}")
     _check_grid(t_min, t_max, count)
     if not t_max >= t_min:
@@ -701,9 +702,9 @@ def apply_map(
     """Transport a triple by a Moebius map; chirality is preserved and the
     image is re-validated."""
     return validate_triple(
-        apply_to_cycle(M, T.c1, tol),
-        apply_to_cycle(M, T.c2, tol),
-        apply_to_cycle(M, T.c3, tol),
+        apply_to_cycle(M, T.c1),
+        apply_to_cycle(M, T.c2),
+        apply_to_cycle(M, T.c3),
         T.sign,
         tol,
     )

@@ -106,11 +106,15 @@ class Tolerances(_Value, namedtuple("Tolerances", "eps_product eps_angle eps_mod
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _float(value, name: str) -> float:
-    """``float(value)``, with an integer too large for a float refused as
-    InvalidInput naming it; float() itself raises OverflowError."""
+def _finite(value, name: str) -> bool:
+    """``math.isfinite(value)``, with a value that is no real number (a
+    string, a complex, None) or an integer too large for a float refused
+    as InvalidInput naming it.  Nothing is coerced first: float() would
+    read the string "1" as a number."""
     try:
-        return float(value)
+        return math.isfinite(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be a real number, got {_quote(value)}") from None
     except OverflowError:
         raise InvalidInput(f"{name} is too large for a float") from None
 

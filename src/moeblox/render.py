@@ -22,7 +22,7 @@ from .cycles import (
 )
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import CurveKind, LoxodromeTriple, _check_grid, _curve_points, _prepared
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _float, _index, _Value
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _finite, _index, _Value
 from .scene import Scene, SceneObject
 
 
@@ -35,14 +35,14 @@ class RenderConfig(_Value, namedtuple("RenderConfig", "samples t_min t_max width
 
     def __new__(cls, *args, **kwargs):
         config = super().__new__(cls, *args, **kwargs)
-        if config.samples < 16:
+        if _index(config.samples, "sample count") < 16:
             raise InvalidInput("samples per branch must be at least 16")
         if not 3 <= _index(config.precision, "precision") <= 12:
             raise InvalidInput("precision must lie in [3, 12]")
+        for name in ("width", "height"):  # the projector divides by both
+            _finite(getattr(config, name), name)  # refuses a non-number by name
         if config.width <= 0 or config.height <= 0:
             raise InvalidInput("output size must be positive")
-        for name in ("width", "height"):  # the projector divides by both
-            _float(getattr(config, name), name)
         _check_grid(config.t_min, config.t_max, config.samples)
         if not config.t_max > config.t_min:
             raise InvalidInput("t range must be non-empty")

@@ -164,6 +164,14 @@ class TestCanonicalize:
         assert mx.canonicalize(mx.Cycle(0, 0, -3, 0)) == mx.Cycle(0, 0, 1, 0)
         assert mx.canonicalize(mx.Cycle(0, 0, 0, -5)) == mx.Cycle(0, 0, 0, 1)
 
+    def test_unit_pivot_is_returned_as_it_is(self):
+        # dividing by k = 1 changes no bit, so the cycle itself is canonical;
+        # a k of 1 that the pivot test calls vanishing is not
+        C = mx.Cycle(1.0, -0.0, 2.5, -3.0)
+        assert mx.canonicalize(C) is C
+        line = mx.Cycle(1.0, 1e12, 0.0, 0.0)
+        assert mx.canonicalize(line) == mx.Cycle(1e-12, 1.0, 0.0, 0.0)
+
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.floats(min_value=-100, max_value=100).filter(lambda t: abs(t) > 1e-3),
@@ -345,6 +353,33 @@ class TestMoebiusAction:
             Z = mx.zero_radius_at(mx.ExtendedPoint.from_complex(z))
             assert mx.classify(Z) == mx.CycleKind.POINT
             assert mx.self_product(Z) == 0.0
+
+    def test_closed_form_matches_conjugation(self, rng):
+        # maps of every determinant phase, |det| from 1e-6 to 1e6 and
+        # condition |G|^2 / |det G| up to 1e6, built as U diag(s, 1/s) V
+        # from determinant-1 U and V.  Either route rounds each component
+        # to eps of its largest term, which reaches condition * |C|: above
+        # the largest image component when the image cancels.
+        import cycle_action
+
+        checked, worst = 0, 0.0
+        while checked < 4000:
+            U, V = random_sl2(rng, -2.0, 2.0), random_sl2(rng, -2.0, 2.0)
+            s = 10 ** rng.uniform(0.0, 3.0)
+            scale = 10 ** rng.uniform(-3.0, 3.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            G = U @ mx.MoebiusMap(s, 0, 0, 1 / s) @ V
+            G = mx.MoebiusMap(*(scale * e for e in G))
+            condition = max(map(abs, G)) ** 2 / abs(G.det)
+            if condition > 1e6:
+                continue
+            C = random_cycle(rng) if checked % 2 else random_real_cycle(rng)
+            got, want = mx.apply_to_cycle(G, C), cycle_action.apply_to_cycle(G, C)
+            gap = max(abs(x - y) for x, y in zip(got, want))
+            assert gap <= 1e-13 * max(want.scale(), condition * C.scale()), (G, C)
+            if condition <= 10.0:
+                worst = max(worst, gap / want.scale())
+            checked += 1
+        assert worst <= 1e-13
 
 
 class TestPredicates:

@@ -1,7 +1,9 @@
 import cmath
 import math
+import re
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -226,6 +228,45 @@ class TestStandardMap:
         img3 = mx.apply_to_cycle(M, T.c3)
         _, r = mx.center_radius(mx.canonicalize(img3))
         assert r == pytest.approx(math.exp(-1), abs=1e-12)
+
+    @staticmethod
+    def reference_map(T, tol=mx.DEFAULT_TOLERANCES):
+        """``standard_map`` as first written: build the map, apply it to
+        c3 and build the other one when the radius of the image is on
+        the wrong side of 1 for the chirality."""
+        from moeblox.cycles import _point_sort_key
+
+        p, q = mx.Loxodrome(T, tol).limit_points
+        u = max(mx.intersect(T.c1, T.c2, tol), key=_point_sort_key)
+        M = mx.map_to_zero_one_inf(p, u, q, tol)
+        _, r3 = mx.center_radius(mx.canonicalize(mx.apply_to_cycle(M, T.c3), tol), tol)
+        if (r3 > 1.0) != (T.sign > 0):
+            M = mx.map_to_zero_one_inf(q, u, p, tol)
+        return M
+
+    def test_orientation_read_off_products_matches_the_image_of_c3(self, rng):
+        # the rule r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>) against the image
+        # of c3, over both signs and |lambda_tilde| in [1e-4, 8], with c1
+        # a circle, a line, and a line through a limit point at infinity
+        seen = set()
+        for i in range(1200):
+            lt = 10 ** rng.uniform(-4.0, math.log10(8.0)) * (1 if i % 2 else -1)
+            a, b = (complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(2))
+            x = rng.uniform(0.2, 3.0) * (1 if rng.uniform() < 0.5 else -1)
+            M = [random_moebius(rng), mx.MoebiusMap(a, b, 1, -x), mx.MoebiusMap(a, b, 0, 1)][i % 3]
+            if i % 3 == 2 and rng.uniform() < 0.5:
+                M = M @ mx.MoebiusMap(0, 1, 1, 0)  # the limit point 0 goes to infinity
+            T0 = std(lt)
+            T = mx.LoxodromeTriple(*(mx.apply_to_cycle(M, C) for C in T0[:3]), T0.sign)
+            lox = mx.Loxodrome(T)
+            seen.add((mx.classify(lox._c1), any(p.is_infinity for p in lox.limit_points)))
+            got, want = mx.standard_map(T), self.reference_map(T)
+            # the one limit point goes to 0 under both maps, or to infinity under both
+            p = lox.limit_points[0]
+            assert [abs(mx.apply_to_point(N, p).w1) < 1.0 for N in (got, want)] in ([True] * 2, [False] * 2)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * max(map(abs, want))
+        line, circle = mx.CycleKind.LINE, mx.CycleKind.CIRCLE
+        assert seen == {(circle, False), (line, False), (line, True)}
 
     def test_degenerate_rejected(self):
         with pytest.raises(TripleViolation, match="^normal form needs a distinct, non-point third cycle$"):
@@ -845,6 +886,26 @@ class TestSampleCurveReference:
         with pytest.raises(InvalidInput, match="sample count must be an integer, got 10"):
             mx.sample_curve(self.SHAPES["spiral"], -1.0, 1.0, count, "both")
 
+    @pytest.mark.parametrize(
+        "call,needle",
+        [
+            # the comparisons count < 2, samples < 16 and math.isfinite would
+            # raise TypeError; float() is no check, as it reads "1" as 1.0
+            (lambda T: mx.sample_curve(T, -1, 1, "10"), "sample count must be an integer, got '10'"),
+            (lambda T: mx.sample_curve(T, "-1", 1, 10), "t_min must be a real number, got '-1'"),
+            (lambda T: mx.sample_curve(T, -1, None, 10), "t_max must be a real number, got None"),
+            (lambda T: mx.RenderConfig(samples="64"), "sample count must be an integer, got '64'"),
+            (lambda T: mx.RenderConfig(t_min="0"), "t_min must be a real number, got '0'"),
+            (lambda T: mx.RenderConfig(width="800"), "width must be a real number, got '800'"),
+            (lambda T: mx.Cycle("1", 0, 0, 0), "cycle component k must be a real number, got '1'"),
+            (lambda T: mx.Cycle(1, 0, 1j, 0), "cycle component n must be a real number, got 1j"),
+            (lambda T: mx.Cycle(1, 0, 0, 10**400), "cycle component m is too large for a float"),
+        ],
+    )
+    def test_non_number_argument_refused_by_name(self, call, needle):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(needle)}$"):
+            call(self.SHAPES["spiral"])
+
     @pytest.mark.parametrize("shape", ["spiral", "circle"])
     def test_overflowing_angle_refused(self, shape):
         # every bound and the step are finite, but (lambda_tilde + 2 pi i) t
@@ -1180,3 +1241,70 @@ class TestPreparedFormKept:
         assert not any(thread.is_alive() for thread in threads)
         for answers, expected in zip(got, serial):
             assert answers == [expected] * 20
+
+    def test_form_is_slotted_and_each_field_filled_once(self, rng, monkeypatch):
+        # no instance dict: a derived field fills its slot on its first
+        # read, so after one round of every question a second round
+        # canonicalises no cycle and solves no pencil
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        assert not hasattr(mx.Loxodrome(T), "__dict__")
+        with pytest.raises(AttributeError, match="'Loxodrome' object has no attribute 'colour'"):
+            mx.Loxodrome(T).colour
+        points = [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(3)]
+        calls = []
+        for name in ("canonicalize", "zero_radius_members"):
+            monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
+        first = [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)]
+        assert sorted(calls) == ["canonicalize"] * 3 + ["zero_radius_members"]
+        for _ in range(2):
+            assert [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)] == first
+        assert len(calls) == 4
+
+    def test_threads_racing_on_a_fill_store_equal_values(self, rng):
+        # fills take no lock: threads that read an empty field at once each
+        # derive it, and every one of them stores and returns an equal value
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        serial = mx.Loxodrome(T)
+        want = (serial.map, serial.param, serial.limit_points, serial._n1)
+        forms = [mx.Loxodrome(T) for _ in range(10)]
+        got = [[] for _ in range(8)]
+        start = threading.Barrier(len(got))
+
+        def work(i):
+            start.wait(timeout=30)
+            for form in forms:
+                got[i].append((form.map, form.param, form.limit_points, form._n1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want] * len(forms)] * len(got)
+        assert all((form.map, form.param, form.limit_points, form._n1) == want for form in forms)
+
+    def test_transported_triple_holds_only_its_cycles(self, rng):
+        # a guard on peak memory: apply_map's output keeps no prepared form
+        # (a triple and three cycles of four floats, about 700 B on CPython
+        # 3.11; a kept form would add more than a kilobyte)
+        maps = [random_moebius(rng) for _ in range(500)]
+        T0 = std(1.0)
+        mx.apply_map(maps[0], T0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = [mx.apply_map(M, T0) for M in maps]
+            per_output = (tracemalloc.get_traced_memory()[0] - before) / len(out)
+        finally:
+            tracemalloc.stop()
+        assert per_output <= 800, per_output
