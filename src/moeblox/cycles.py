@@ -38,7 +38,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, NumericalBreakdown
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _finite, _quote, _Value
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _complex, _decimal, _finite, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -90,12 +90,12 @@ class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
 
     @staticmethod
     def __post_init__(w1, w2) -> tuple[complex, complex]:
-        z = _affine(complex(w1), complex(w2))
+        z = _affine(_complex(w1, "point component w1"), _complex(w2, "point component w2"))
         return (complex(1.0), complex(0.0)) if z is None else (z, complex(1.0))
 
     @classmethod
     def from_complex(cls, z: complex) -> "ExtendedPoint":
-        return cls(complex(z), 1.0)
+        return cls(z, 1.0)
 
     @classmethod
     def infinity(cls) -> "ExtendedPoint":
@@ -130,15 +130,12 @@ class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
         return f"{z.real:.{precision}f},{z.imag:.{precision}f}"
 
     def approx_eq(self, other: "ExtendedPoint", tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        cross = self.w1 * other.w2 - self.w2 * other.w1
-        scale = max(
-            abs(self.w1 * other.w1),
-            abs(self.w1 * other.w2),
-            abs(self.w2 * other.w1),
-            abs(self.w2 * other.w2),
-            1.0,
-        )
-        return abs(cross) <= tol.eps_product * scale
+        """Is the cross product w1 w2' - w2 w1' within eps_product of the
+        largest of the four products w_i w_j' and 1?"""
+        (w1, w2), (v1, v2) = self, other
+        p12, p21 = w1 * v2, w2 * v1
+        scale = max(abs(w1 * v1), abs(p12), abs(p21), abs(w2 * v2), 1.0)
+        return abs(p12 - p21) <= tol.eps_product * scale
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,8 @@ class MoebiusMap(_Value, namedtuple("MoebiusMap", "a b c d")):
 
     @staticmethod
     def __post_init__(a, b, c, d) -> tuple[complex, complex, complex, complex]:
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        a, b = _complex(a, "matrix entry a"), _complex(b, "matrix entry b")
+        c, d = _complex(c, "matrix entry c"), _complex(d, "matrix entry d")
         if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise InvalidInput("matrix entries must be finite")
         top = max(abs(a), abs(b), abs(c), abs(d))

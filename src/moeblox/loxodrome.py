@@ -53,7 +53,6 @@ from .cycles import (
     _pencil_kind,
     _point_sort_key,
     apply_to_cycle,
-    apply_to_point,
     canonicalize,
     center_radius,
     classify,
@@ -73,6 +72,7 @@ from .numerics import (
     clamped_acos,
     clamped_acosh,
     congruent_mod,
+    _complex,
     _finite,
     _index,
     _Value,
@@ -216,8 +216,10 @@ class Loxodrome:
     ``shape``, the kind every query acts on, is read off lambda_tilde
     alone.  Canonical c2 and c3 are formed on construction; canonical
     c1, the self-products ``_n1`` to ``_n3`` of the canonical cycles,
-    the parameter, the shape, the limit points and the map on first
-    read, each by its entry in ``_DERIVE``, into its slot.  A
+    the parameter, the shape, the limit points, the map and its inverse
+    ``_inverse`` on first read, each by its entry in ``_DERIVE``, into
+    its slot.  A point query maps its point once, reading the map's
+    entries, and builds no point and no map.  A
     derivation is deterministic, so threads that race on one store
     equal values.  Every query of this module gets one from
     ``_prepared``.  It holds the triple's cycles, not the triple that
@@ -296,6 +298,8 @@ class Loxodrome:
         "_point_members": lambda self: zero_radius_members(self._c2, self._c3, self.tol),
         "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
         "map": _map,
+        # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
+        "_inverse": lambda self: self.map.inverse(),
     }
     __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c2", "_c3", "kind", *_DERIVE)
 
@@ -341,21 +345,29 @@ class Loxodrome:
         return out
 
     def _standard_point(self, p: ExtendedPoint) -> complex | None:
-        """The image of p under ``map``; None for the point at infinity."""
-        w = apply_to_point(self.map, p)
-        return None if w.is_infinity else w.as_complex()
+        """The image of p under ``map``; None for the point at infinity.
+        It forms the products of ``apply_to_point`` and applies the rule
+        of ``ExtendedPoint`` to them, so it is that point's coordinate bit
+        for bit, with no point built."""
+        a, b, c, d = self.map
+        w1, w2 = p
+        return _affine(a * w1 + b * w2, c * w1 + d * w2)
 
-    def _velocity(self, p: ExtendedPoint) -> complex:
+    def _velocity(self, p: ExtendedPoint, w: complex | None) -> complex:
         """The curve's velocity at the curve point p: the model velocity
-        ``rate * w`` at w = map(p), pushed through the inverse map.  It is
+        ``rate * w`` at w = map(p), pushed through the inverse map.  w is
+        the image that membership read, or None: the degenerate shapes
+        decide membership by incidence and read no image, so p is mapped
+        here for them, and a spiral's membership refuses infinity.  It is
         read in the affine chart at a finite p and in the chart 1/z at
         infinity, there up to a sign that every curve shares.  Angles
         are conformal, so this one derivative serves every question of
         direction; a limit point has none and raises PointNotOnCurve."""
-        w = self._standard_point(p)
+        if w is None:
+            w = self._standard_point(p)
         if w is None or w == 0:
             raise PointNotOnCurve("point maps to a limit point under the normal form")
-        inv = self.map.inverse()
+        inv = self._inverse
         denom = inv.a * w + inv.b if p.is_infinity else inv.c * w + inv.d
         return (inv.det / (denom * denom)) * (self.rate * w)
 
@@ -363,8 +375,8 @@ class Loxodrome:
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     """The prepared form of T at tol, kept on T by the first query for the
     next ones; a query at other tolerances prepares T afresh."""
-    lox = vars(T).get("_loxodrome")
-    if lox is None or lox.tol != tol:
+    lox = T.__dict__.get("_loxodrome")
+    if lox is None or (lox.tol is not tol and lox.tol != tol):
         lox = T._loxodrome = Loxodrome(T, tol)
     return lox
 
@@ -495,7 +507,7 @@ class MembershipReport(_Value, namedtuple("MembershipReport", "member lhs rhs fl
 def _as_point(p) -> ExtendedPoint:
     if isinstance(p, ExtendedPoint):
         return p
-    return ExtendedPoint.from_complex(complex(p))
+    return ExtendedPoint.from_complex(_complex(p, "point"))
 
 
 def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> MembershipReport:
@@ -512,28 +524,32 @@ def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) 
     False with a ``limit_point`` flag.  Degenerate triples dispatch to
     plain incidence with the curve cycle.
     """
-    return _contains(_prepared(T, tol), _as_point(p))
+    return _contains(_prepared(T, tol), _as_point(p))[0]
 
 
-def _contains(lox: Loxodrome, p: ExtendedPoint) -> MembershipReport:
+def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
+    """The membership report at p, with the image w = map(p) that the
+    decision of a spiral read (None for infinity, and where no image was
+    read), so that a query of direction maps p no second time."""
     tol = lox.tol
     if lox.shape == CurveKind.CIRCLE:
-        return MembershipReport(member=passes(lox.c2, p, tol))
-    if any(p.approx_eq(z, tol) for z in lox.limit_points):
-        return MembershipReport(False, flags=("limit_point",))
+        return MembershipReport(member=passes(lox.c2, p, tol)), None
+    z0, z1 = lox.limit_points
+    if p.approx_eq(z0, tol) or p.approx_eq(z1, tol):
+        return MembershipReport(False, flags=("limit_point",)), None
     if lox.shape == CurveKind.LINE:
-        return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",))
+        return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",)), None
     w = lox._standard_point(p)
     if w is None or w == 0:
-        return MembershipReport(False, flags=("limit_point",))
+        return MembershipReport(False, flags=("limit_point",)), w
     lhs = math.log(abs(w)) / lox.param.lambda_tilde
     rhs = cmath.phase(w) / TWO_PI
-    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs)
+    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs), w
 
 
 def contains_point_oracle(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """``contains_point(T, p, tol).member``."""
-    return _contains(_prepared(T, tol), _as_point(p)).member
+    return _contains(_prepared(T, tol), _as_point(p))[0].member
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +577,17 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> com
     return 1j * (p.as_complex() - c)
 
 
-def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> None:
-    """Refuse a point that misses one of the curves."""
-    if not all(_contains(lox, p).member for lox in curves):
-        where = "both curves" if len(curves) > 1 else "the curve"
-        raise PointNotOnCurve(f"point {p.format()} is not on {where}")
+def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> list:
+    """Refuse a point that misses one of the curves; else the image of p
+    that each curve's membership read, for ``Loxodrome._velocity``."""
+    images = []
+    for lox in curves:
+        report, w = _contains(lox, p)
+        if not report.member:
+            where = "both curves" if len(curves) > 1 else "the curve"
+            raise PointNotOnCurve(f"point {p.format()} is not on {where}")
+        images.append(w)
+    return images
 
 
 def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -575,8 +597,8 @@ def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Toleranc
     exactly real for v' = v, where the quotient v / v need not be 1."""
     p = _as_point(p)
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
-    _require_on_curves(p, lox, loxp)
-    return _fold_half_open(cmath.phase(lox._velocity(p) * loxp._velocity(p).conjugate()))
+    w, wp = _require_on_curves(p, lox, loxp)
+    return _fold_half_open(cmath.phase(lox._velocity(p, w) * loxp._velocity(p, wp).conjugate()))
 
 
 def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -588,10 +610,10 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
         raise InvalidInput("tangency candidate must not be a point cycle")
     p = _as_point(p)
     lox = _prepared(T, tol)
-    _require_on_curves(p, lox)
+    (w,) = _require_on_curves(p, lox)
     if not passes(C, p, tol):
         return False
-    turn = cmath.phase(_cycle_tangent_direction(C, p, tol) / lox._velocity(p))
+    turn = cmath.phase(_cycle_tangent_direction(C, p, tol) / lox._velocity(p, w))
     return abs(math.remainder(turn, math.pi)) <= tol.eps_angle
 
 
@@ -602,8 +624,8 @@ def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES)
     if p.is_infinity:
         raise InvalidInput("tangent line is constructed at finite points only")
     lox = _prepared(T, tol)
-    _require_on_curves(p, lox)
-    direction = lox._velocity(p)
+    (w,) = _require_on_curves(p, lox)
+    direction = lox._velocity(p, w)
     speed = abs(direction)
     if speed == 0 or not math.isfinite(speed):
         raise PointNotOnCurve("curve direction is undefined at this point")
@@ -631,7 +653,7 @@ def _curve_points(
     overflows raises InvalidInput.
     """
     rate = lox.rate
-    back = lox.map.inverse()
+    back = lox._inverse
     # the products apply_to_point forms on (z : 1) and on (1 : 0), so the
     # images equal ExtendedPoint arithmetic bit for bit, signed zeros too
     one, zero = complex(1.0), complex(0.0)

@@ -11,6 +11,7 @@ decimal reader and one ASCII integer reader.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import re
@@ -117,6 +118,22 @@ def _finite(value, name: str) -> bool:
         raise InvalidInput(f"{name} must be a real number, got {_quote(value)}") from None
     except OverflowError:
         raise InvalidInput(f"{name} is too large for a float") from None
+
+
+def _complex(value, name: str) -> complex:
+    """``complex(value)``, with a value that is no number (a string, None)
+    or an integer too large for a float refused as InvalidInput naming
+    it.  Nothing is parsed: complex() would read the string "1+2j" as a
+    number.  A complex value is returned as it is."""
+    if type(value) is complex:
+        return value
+    try:
+        cmath.isfinite(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be a number, got {_quote(value)}") from None
+    except OverflowError:
+        raise InvalidInput(f"{name} is too large for a float") from None
+    return complex(value)
 
 
 def _index(value, name: str) -> int:

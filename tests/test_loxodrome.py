@@ -900,6 +900,23 @@ class TestSampleCurveReference:
             (lambda T: mx.Cycle("1", 0, 0, 0), "cycle component k must be a real number, got '1'"),
             (lambda T: mx.Cycle(1, 0, 1j, 0), "cycle component n must be a real number, got 1j"),
             (lambda T: mx.Cycle(1, 0, 0, 10**400), "cycle component m is too large for a float"),
+            # complex() would parse "1+2j" and raise ValueError or TypeError
+            # on the rest, neither of them a MoebloxError
+            (lambda T: mx.contains_point(T, "1,0"), "point must be a number, got '1,0'"),
+            (lambda T: mx.contains_point(T, None), "point must be a number, got None"),
+            (lambda T: mx.contains_point(T, "1+2j"), "point must be a number, got '1+2j'"),
+            (lambda T: mx.contains_point_oracle(T, b"1"), "point must be a number, got b'1'"),
+            (lambda T: mx.tangent_line_at(T, "1+2j"), "point must be a number, got '1+2j'"),
+            (lambda T: mx.tangent_check(T, UNIT, "1,0"), "point must be a number, got '1,0'"),
+            (lambda T: mx.intersection_angle(T, T, None), "point must be a number, got None"),
+            (lambda T: mx.contains_point(T, 10**400), "point is too large for a float"),
+            (lambda T: mx.MoebiusMap("1", 0, 0, "2"), "matrix entry a must be a number, got '1'"),
+            (lambda T: mx.MoebiusMap(1, 0, 0, "2"), "matrix entry d must be a number, got '2'"),
+            (lambda T: mx.MoebiusMap(None, 0, 0, 1), "matrix entry a must be a number, got None"),
+            (lambda T: mx.MoebiusMap(1, 10**400, 0, 1), "matrix entry b is too large for a float"),
+            (lambda T: mx.ExtendedPoint("1+2j", 1), "point component w1 must be a number, got '1+2j'"),
+            (lambda T: mx.ExtendedPoint(1, None), "point component w2 must be a number, got None"),
+            (lambda T: mx.ExtendedPoint.from_complex("1+2j"), "point component w1 must be a number, got '1+2j'"),
         ],
     )
     def test_non_number_argument_refused_by_name(self, call, needle):
@@ -1064,6 +1081,37 @@ class TestPreparedTriple:
         mx.intersection_angle(fresh, T, p)
         assert len(built) == 2  # a fresh triple is prepared once
 
+    def test_point_queries_map_each_point_once(self, rng, monkeypatch):
+        # after the first query on a triple, a point query reads the kept
+        # map and its inverse: it builds no map and no point, and maps the
+        # point once per curve
+        M = random_moebius(rng)
+        T = mx.apply_map(M, std(1.0))
+        copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
+        p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
+        line = mx.tangent_line_at(T, p)
+        assert mx.intersection_angle(copy, T, p) == pytest.approx(0.0, abs=1e-9)
+        built, mapped = [], []
+        for cls in (mx.MoebiusMap, mx.ExtendedPoint):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", staticmethod(
+                lambda *a, cls=cls, check=check: built.append(cls.__name__) or check(*a)))
+        standard_point = mx.Loxodrome._standard_point
+        monkeypatch.setattr(mx.Loxodrome, "_standard_point",
+                            lambda form, q: mapped.append(form) or standard_point(form, q))
+        form, copy_form = vars(T)["_loxodrome"], vars(copy)["_loxodrome"]
+        questions = [
+            (lambda: mx.contains_point(T, p).member, [form]),
+            (lambda: mx.contains_point_oracle(T, p), [form]),
+            (lambda: mx.tangent_line_at(T, p) == line, [form]),
+            (lambda: mx.tangent_check(T, line, p), [form]),
+            (lambda: abs(mx.intersection_angle(T, copy, p)) < 1e-9, [form, copy_form]),
+        ]
+        for question, curves in questions:
+            assert question()
+            assert (built, mapped) == ([], curves)
+            mapped.clear()
+
     def test_tangent_line_solves_limit_points_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
 
@@ -1156,6 +1204,68 @@ def _ask(question) -> str:
         return repr(question())
     except MoebloxError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+class TestPointRouteReference:
+    """Every per-point query answers as the route that built a point and a
+    map on every call (``point_route``): the same repr, or the same
+    refusal, on curve points, points off the curve, the limit points and
+    infinity."""
+
+    @staticmethod
+    def groups(rng, count):
+        """Per random map M: the triples it carries, and a pool of points
+        on and off each curve.  The triples are spirals with |lambda_tilde|
+        inside [0.25, 2.5] and beyond it up to 8, both signs, each followed
+        by a copy shifted along the curve, then the circle and line shapes;
+        all of them pass M(1) and M(-1)."""
+        for _ in range(count):
+            M = random_moebius(rng)
+            lts = [sign * rng.uniform(lo, hi) for lo, hi in ((0.25, 2.5), (2.5, 8.0)) for sign in (1, -1)]
+            triples = []
+            for lt in lts:
+                shift = mx.diagonal_flow(complex(lt, TWO_PI), rng.uniform(-1, 1))
+                triples += [mx.apply_map(M, std(lt)), mx.apply_map(M @ shift, std(lt))]
+            triples.append(mx.apply_map(M, mx.standard_triple(mx.SlsParameter(0.0))))
+            triples.append(mx.apply_map(M, mx.standard_triple(mx.SlsParameter.infinite())))
+            model = [1, -1, 0, INF]
+            for lt in lts:
+                t_max = 2.0 if abs(lt) <= 2.5 else 4.0
+                for _ in range(6):
+                    w = (1 if rng.uniform() < 0.5 else -1) * cmath.exp(complex(lt, TWO_PI) * rng.uniform(-t_max, t_max))
+                    model += [w, w * math.exp(0.05 * lt)] if rng.uniform() < 0.5 else [w]
+            model += [cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+            model += [rng.uniform(-3, 3) for _ in range(3)] + [complex(rng.uniform(-3, 3), 0.1)]
+            points = [INF] + [mx.apply_to_point(M, w if w is INF else pt(w)) for w in model]
+            points += [z for T in triples[:8:2] for z in mx.Loxodrome(T).limit_points]
+            yield triples, points
+
+    def test_answers_match(self, rng):
+        import point_route
+
+        asked = 0
+        for triples, points in self.groups(rng, 6):
+            for i, T in enumerate(triples):
+                partner = triples[(i + 1) % len(triples)]
+                for p in points:
+                    try:  # the tangent line where there is one, so tangent_check also answers True
+                        candidate = point_route.tangent_line_at(T, p)
+                    except MoebloxError:
+                        candidate = UNIT
+                    pairs = [
+                        (mx.contains_point, point_route.contains_point, (T, p)),
+                        (mx.contains_point_oracle, point_route.contains_point_oracle, (T, p)),
+                        (mx.tangent_line_at, point_route.tangent_line_at, (T, p)),
+                        (mx.tangent_check, point_route.tangent_check, (T, candidate, p)),
+                        (mx.tangent_check, point_route.tangent_check, (T, REAL_AXIS, p)),
+                        (mx.intersection_angle, point_route.intersection_angle, (T, T, p)),
+                        (mx.intersection_angle, point_route.intersection_angle, (T, partner, p)),
+                        (mx.intersection_angle, point_route.intersection_angle, (partner, T, p)),
+                    ]
+                    for query, reference, args in pairs:
+                        assert _ask(lambda: query(*args)) == _ask(lambda: reference(*args)), (query.__name__, args)
+                        asked += 1
+        assert asked > 10_000
 
 
 class TestPreparedFormKept:
