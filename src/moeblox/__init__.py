@@ -14,9 +14,7 @@ from .cycles import (
     classify_pencil,
     from_circle,
     from_line,
-    intersect,
     is_orthogonal,
-    map_to_zero_one_inf,
     normalized_product,
     passes,
     point_of,

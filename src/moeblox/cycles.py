@@ -252,15 +252,16 @@ class MoebiusMap(_Value, namedtuple("MoebiusMap", "a b c d")):
 
 def from_circle(center: complex, radius: float) -> Cycle:
     """Cycle of the circle |z - center| = radius."""
+    c = _complex(center, "center")
+    _finite(radius, "radius")  # refuses a radius that is no real number
     if radius <= 0:
         raise InvalidInput(f"radius must be positive, got {radius!r}")
-    c = complex(center)
     return Cycle(1.0, c.real, c.imag, c.real * c.real + c.imag * c.imag - radius * radius)
 
 
 def from_line(p: complex, q: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Canonicalised k = 0 cycle of the straight line through p and q."""
-    p, q = complex(p), complex(q)
+    p, q = _complex(p, "point p"), _complex(q, "point q")
     d = q - p
     if abs(d) <= tol.eps_product * max(abs(p), abs(q), 1.0):
         raise InvalidInput(f"line needs two distinct points, got {p!r} twice")
@@ -277,7 +278,7 @@ def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
             return Cycle(0.0, 0.0, 0.0, 1.0)
         z = p.as_complex()
     else:
-        z = complex(p)
+        z = _complex(p, "point")
     return Cycle(1.0, z.real, z.imag, z.real * z.real + z.imag * z.imag)
 
 
@@ -501,102 +502,3 @@ def apply_to_cycle(M: MoebiusMap, C: Cycle) -> Cycle:
         image.imag,
         (b * cb).real * k + (a * ca).real * m + 2.0 * (a * cb * L).real,
     )
-
-
-# ---------------------------------------------------------------------------
-# intersections
-# ---------------------------------------------------------------------------
-
-def _point_sort_key(p: ExtendedPoint):
-    if p.is_infinity:
-        return (1, 0.0, 0.0)
-    z = p.as_complex()
-    return (0, round(z.real, 9), round(z.imag, 9))
-
-
-def _line_circle_points(line: Cycle, circ: Cycle, tangent: bool, tol: Tolerances):
-    c, r = center_radius(circ, tol)
-    # canonical line: unit normal (l, n), offset m/2
-    l, n, h = line.l, line.n, line.m / 2.0
-    d = l * c.real + n * c.imag - h
-    foot = c - d * complex(l, n)
-    if tangent:
-        return [ExtendedPoint.from_complex(foot)]
-    half = math.sqrt(max(r * r - d * d, 0.0))
-    tdir = complex(-n, l)
-    return [
-        ExtendedPoint.from_complex(foot - half * tdir),
-        ExtendedPoint.from_complex(foot + half * tdir),
-    ]
-
-
-def intersect(
-    C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[ExtendedPoint, ...]:
-    """Real intersection points of two distinct cycles.
-
-    The count follows the pencil trichotomy by construction: two points
-    for a crossing (elliptic) pair, one for tangency (parabolic), none
-    for a disjoint (hyperbolic) pair.  Two crossing lines meet at their
-    finite point and at infinity; parallel lines only at infinity.
-    Circle pairs reduce to the radical line to avoid cancellation near
-    tangency.  Defined for real loci (lines, points, proper circles).
-    """
-    a = canonicalize(C, tol)
-    b = canonicalize(Cp, tol)
-    if _canonical_equal(a, b, tol):
-        raise InvalidInput("intersection of a cycle with itself is the cycle")
-    kind = classify_pencil(C, Cp, tol)
-    if kind == PencilKind.HYPERBOLIC:
-        return ()
-    tangent = kind == PencilKind.PARABOLIC
-
-    a_line = abs(a.k) <= tol.eps_product * a.scale()
-    b_line = abs(b.k) <= tol.eps_product * b.scale()
-
-    if a_line and b_line:
-        if tangent:  # parallel lines touch at infinity
-            return (ExtendedPoint.infinity(),)
-        det2 = a.l * b.n - a.n * b.l
-        x = (a.m / 2.0 * b.n - a.n * b.m / 2.0) / det2
-        y = (a.l * b.m / 2.0 - a.m / 2.0 * b.l) / det2
-        pts = [ExtendedPoint.from_complex(complex(x, y)), ExtendedPoint.infinity()]
-    elif a_line or b_line:
-        line, circ = (a, b) if a_line else (b, a)
-        pts = _line_circle_points(line, circ, tangent, tol)
-    else:
-        radical = canonicalize(a - b, tol)  # k = 0: the radical line
-        pts = _line_circle_points(radical, a, tangent, tol)
-    return tuple(sorted(pts, key=_point_sort_key))
-
-
-# ---------------------------------------------------------------------------
-# three-point normal form
-# ---------------------------------------------------------------------------
-
-def map_to_zero_one_inf(
-    p0: ExtendedPoint,
-    pu: ExtendedPoint,
-    pinf: ExtendedPoint,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> MoebiusMap:
-    """The Moebius map sending p0 -> 0, pu -> 1, pinf -> infinity.
-
-    Built from cross-ratio determinants on homogeneous coordinates, so
-    any of the three points may be infinity.
-    """
-    pts = (p0, pu, pinf)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if pts[i].approx_eq(pts[j], tol):
-                raise InvalidInput(f"points {i} and {j} coincide")
-
-    def det(p: ExtendedPoint, q: ExtendedPoint) -> complex:
-        return p.w1 * q.w2 - p.w2 * q.w1
-
-    duc = det(pu, pinf)
-    dua = det(pu, p0)
-    M = MoebiusMap(
-        p0.w2 * duc, -p0.w1 * duc, pinf.w2 * dua, -pinf.w1 * dua
-    )
-    return M.normalized()

@@ -51,21 +51,19 @@ from .cycles import (
     _line_frame,
     _norm_square,
     _pencil_kind,
-    _point_sort_key,
     apply_to_cycle,
     canonicalize,
     center_radius,
     classify,
+    classify_pencil,
     from_line,
-    intersect,
     is_orthogonal,
-    map_to_zero_one_inf,
     passes,
     pencil_discriminant,
     point_of,
     product,
 )
-from .errors import InvalidInput, PointNotOnCurve, TripleViolation
+from .errors import InvalidInput, NumericalBreakdown, PointNotOnCurve, TripleViolation
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -75,6 +73,7 @@ from .numerics import (
     _complex,
     _finite,
     _index,
+    _quote,
     _Value,
 )
 from .pencils import zero_radius_members
@@ -102,16 +101,15 @@ class SlsParameter(_Value, namedtuple("SlsParameter", "lambda_tilde")):
     __slots__ = ()
 
     def __new__(cls, lambda_tilde: float):
-        if not (math.isfinite(lambda_tilde) or lambda_tilde == math.inf):
+        if not (_finite(lambda_tilde, "lambda_tilde") or lambda_tilde == math.inf):
             raise InvalidInput(f"parameter must be a float or math.inf, got {lambda_tilde!r}")
         return tuple.__new__(cls, (lambda_tilde,))
 
     @classmethod
     def finite(cls, lambda_tilde: float) -> "SlsParameter":
-        lt = float(lambda_tilde)
-        if not math.isfinite(lt):
+        if not _finite(lambda_tilde, "lambda_tilde"):
             raise InvalidInput("finite parameter must be a finite float")
-        return cls(lt)
+        return cls(float(lambda_tilde))
 
     @classmethod
     def infinite(cls) -> "SlsParameter":
@@ -135,7 +133,8 @@ def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
     z -> branch * exp(lam t) z."""
     if branch not in (1, -1):
         raise InvalidInput("branch must be +1 or -1")
-    lam = complex(lam)
+    lam = _complex(lam, "lam")
+    _finite(t, "t")  # refuses a t that is no real number
     return MoebiusMap(
         branch * cmath.exp(lam * t / 2.0), 0.0, 0.0, cmath.exp(-lam * t / 2.0)
     )
@@ -172,6 +171,8 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     Degenerate cases: a zero parameter duplicates the unit circle, the
     infinite parameter uses the point cycle at infinity as third member.
     """
+    if not isinstance(param, SlsParameter):
+        raise InvalidInput(f"param must be an SlsParameter, got {_quote(param)}")
     lt = param.lambda_tilde
     if lt == math.inf:
         return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, Cycle(0.0, 0.0, 0.0, 1.0), 1)
@@ -266,21 +267,39 @@ class Loxodrome:
         crossing of c1 and c2 to 1; a spiral is oriented by chirality as
         ``standard_map`` states, with the radius r3 of the image of c3
         read off the point members P, Q that go to 0 and infinity before
-        any map is built: r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>)."""
+        any map is built: r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>).
+
+        The frame F = (z - p) / (z - q) of the oriented limit points p, q
+        takes c1 to a line through 0 with normal L = l + i n and c2 to a
+        circle of radius rho = sqrt(-m / k) centred at 0, so c1 and c2
+        cross at w = +-i rho L / |L|.  The map is F followed by z / w for
+        the crossing w whose preimage is the larger by
+        ``_point_sort_key``."""
         tol = self.tol
         if self.shape == CurveKind.CIRCLE:
             return _map_cycle_to_unit_circle(self.c2, tol)
         p, q = self.limit_points
-        crossings = intersect(self._c1, self._c2, tol)
-        if len(crossings) != 2:
+        c1, c2 = self._c1, self._c2
+        if _canonical_equal(c1, c2, tol) or classify_pencil(c1, c2, tol) != PencilKind.ELLIPTIC:
             raise TripleViolation("first and second cycle must cross at two points")
-        u = max(crossings, key=_point_sort_key)
         if self.shape == CurveKind.SPIRAL:
-            (P, Q), c2, c3 = self._point_members, self._c2, self._c3
+            (P, Q), c3 = self._point_members, self._c3
             num, den = product(c3, P) * product(c2, Q), product(c3, Q) * product(c2, P)
             if (num > den if den > 0 else num < den) != (self.sign > 0):
                 p, q = q, p
-        return map_to_zero_one_inf(p, u, q, tol)
+        F = MoebiusMap(p.w2, -p.w1, q.w2, -q.w1)
+        line, circle = apply_to_cycle(F, c1), apply_to_cycle(F, c2)
+        L = complex(line.l, line.n)
+        try:
+            w = 1j * math.sqrt(-circle.m / circle.k) * (L / abs(L))
+        except (ZeroDivisionError, ValueError):
+            w = 0j
+        if not (w and cmath.isfinite(w)):
+            raise NumericalBreakdown("first and second cycle have no crossing in the frame of the limit points")
+        a, b, c, d = F
+        if _point_sort_key(_affine(-d * w - b, c * w + a)) > _point_sort_key(_affine(d * w - b, a - c * w)):
+            w = -w
+        return MoebiusMap(a / w, b / w, c, d).normalized()
 
     _DERIVE = {
         "_c1": lambda self: canonicalize(self.c1, self.tol),
@@ -398,14 +417,26 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     infinity, a deterministically chosen crossing of c1 and c2 goes
     to 1.  Which limit point becomes the origin is fixed by chirality:
     the image of c3 must have radius above 1 for sign +1 and below 1
-    for sign -1.  Either crossing of c1 and c2 would do (the two
-    choices differ by the branch swap); the tie-break picks the
+    for sign -1.  The map is read off the frame of the limit points,
+    in which c1 is a line through 0 and c2 a circle centred at 0, so
+    no intersection is solved for (``Loxodrome._map``); c1 and c2 must
+    cross at two points.  Either crossing would do (the two choices
+    differ by the branch swap); the tie-break picks the
     lexicographically larger point, infinity last.
     """
     lox = _prepared(T, tol)
     if lox.shape != CurveKind.SPIRAL:
         raise TripleViolation("normal form needs a distinct, non-point third cycle")
     return lox.map
+
+
+def _point_sort_key(z: complex | None) -> tuple:
+    """The tie-break between the two crossings of c1 and c2: the larger
+    point by real, then imaginary part, each rounded to 9 decimals, with
+    the point at infinity (None) last."""
+    if z is None:
+        return (1, 0.0, 0.0)
+    return (0, round(z.real, 9), round(z.imag, 9))
 
 
 def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:

@@ -853,6 +853,37 @@ class TestCliContract:
         assert "warning" in result.stderr
         assert Path(out).exists()
 
+    def test_member_and_render_on_invalid_triples(self, rng, tmp_path, capsys):
+        # c1 off the limit points, equal to c2, tangent to c2 and disjoint
+        # from it, each moved by a seeded map: member answers or refuses
+        # (0, 1 or 2) and render draws the cycles with a warning
+        objects = []
+        for i in range(12):
+            G = mx.MoebiusMap(*(complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(4)))
+            lt = rng.uniform(0.3, 2.0)
+            c1 = [
+                mx.from_line(complex(0.0, rng.uniform(-0.9, 0.9)), complex(1.0, rng.uniform(-0.9, 0.9))),
+                mx.Cycle(1, 0, 0, -1),
+                mx.from_line(1, 1 + 1j),
+                mx.from_circle(complex(rng.uniform(3.0, 4.0), 0.0), rng.uniform(0.5, 1.5)),
+            ][i % 4]
+            cycles = [mx.apply_to_cycle(G, C) for C in (c1, mx.Cycle(1, 0, 0, -1), mx.Cycle(1, 0, 0, -math.exp(2 * lt)))]
+            data = {name: C.to_json() for name, C in zip(("c1", "c2", "c3"), cycles)}
+            objects.append({"id": f"T{i}", "kind": "triple", "data": data})
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps({"objects": objects, "bbox": [-3, -3, 3, 3]}))
+        codes = set()
+        for i in range(12):
+            for point in ("1,0", "0.5,-0.25", "inf"):
+                codes.add(main(["member", "--scene", str(path), "--triple", f"T{i}", "--point", point]))
+        assert codes <= {0, 1, 2} and 2 in codes
+        capsys.readouterr()
+        out = tmp_path / "invalid.svg"
+        result = run_cli(["render", "--scene", str(path), "--out", str(out), "--samples", "64"])
+        assert result.returncode == 0, result.stderr
+        assert "warning" in result.stderr and "Traceback" not in result.stderr
+        assert out.exists()
+
     def test_render_member_without_real_locus(self, tmp_path):
         path = tmp_path / "no_locus.json"
         data = {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, 0.5]}

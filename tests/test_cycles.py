@@ -17,6 +17,7 @@ from conftest import (
     random_real_cycle,
     random_sl2,
 )
+from map_route import intersect, map_to_zero_one_inf
 
 UNIT = mx.Cycle(1, 0, 0, -1)
 REAL_AXIS = mx.Cycle(0, 0, 1, 0)
@@ -248,7 +249,7 @@ class TestOverflowRefused:
     BIG_E = mx.Cycle(1e100, 0, 0, -1e100 * math.e**2)
 
     def test_pencil_routines(self):
-        for routine in (mx.classify_pencil, mx.zero_radius_members, mx.intersect):
+        for routine in (mx.classify_pencil, mx.zero_radius_members, intersect):
             with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+100.* overflow a float"):
                 routine(self.BIG, self.BIG_E)
 
@@ -328,7 +329,7 @@ class TestMoebiusAction:
     def test_incidence_preserved(self, rng):
         for _ in range(100):
             C = random_real_cycle(rng)
-            points = mx.intersect(C, random_real_cycle(rng))
+            points = intersect(C, random_real_cycle(rng))
             M = random_moebius(rng)
             image = mx.apply_to_cycle(M, C)
             for p in points:
@@ -400,30 +401,30 @@ class TestPredicates:
 
 class TestIntersect:
     def test_unit_circle_and_real_axis(self):
-        points = mx.intersect(UNIT, REAL_AXIS)
+        points = intersect(UNIT, REAL_AXIS)
         assert [p.format(6) for p in points] == ["-1.000000,0.000000", "1.000000,0.000000"]
 
     def test_disjoint_concentric(self):
-        assert mx.intersect(UNIT, mx.from_circle(0, 2)) == ()
+        assert intersect(UNIT, mx.from_circle(0, 2)) == ()
 
     def test_tangent_line(self):
-        points = mx.intersect(UNIT, mx.from_line(1j, 1 + 1j))
+        points = intersect(UNIT, mx.from_line(1j, 1 + 1j))
         assert len(points) == 1
         assert points[0].approx_eq(pt(1j))
 
     def test_crossing_lines_meet_at_infinity_too(self):
-        points = mx.intersect(REAL_AXIS, mx.from_line(0, 1j))
+        points = intersect(REAL_AXIS, mx.from_line(0, 1j))
         assert len(points) == 2
         assert points[0].approx_eq(pt(0))
         assert points[1].is_infinity
 
     def test_parallel_lines_touch_at_infinity(self):
-        points = mx.intersect(REAL_AXIS, mx.from_line(1j, 1 + 1j))
+        points = intersect(REAL_AXIS, mx.from_line(1j, 1 + 1j))
         assert len(points) == 1 and points[0].is_infinity
 
     def test_coincident_rejected(self):
         with pytest.raises(InvalidInput, match="^intersection of a cycle with itself is the cycle$"):
-            mx.intersect(UNIT, -3 * UNIT)
+            intersect(UNIT, -3 * UNIT)
 
     def test_count_matches_pencil_classification(self, rng):
         counts = {
@@ -438,38 +439,38 @@ class TestIntersect:
                 continue
             seen += 1
             kind = mx.classify_pencil(C, Cp)
-            assert len(mx.intersect(C, Cp)) == counts[kind]
+            assert len(intersect(C, Cp)) == counts[kind]
 
     def test_points_actually_lie_on_both(self, rng):
         for _ in range(300):
             C, Cp = random_real_cycle(rng), random_real_cycle(rng)
             if projective_residual(C, Cp) <= 1e-9:
                 continue
-            for p in mx.intersect(C, Cp):
+            for p in intersect(C, Cp):
                 assert mx.passes(C, p) and mx.passes(Cp, p)
 
 
 class TestMapToZeroOneInf:
     def test_identity_triple(self):
-        M = mx.map_to_zero_one_inf(pt(0), pt(1), INF)
+        M = map_to_zero_one_inf(pt(0), pt(1), INF)
         for z, w in ((0, 0), (1, 1), (5, 5)):
             assert mx.apply_to_point(M, pt(z)).as_complex() == pytest.approx(w)
 
     def test_inversion_triple(self):
-        M = mx.map_to_zero_one_inf(INF, pt(1), pt(0))
+        M = map_to_zero_one_inf(INF, pt(1), pt(0))
         assert mx.apply_to_point(M, INF).as_complex() == pytest.approx(0)
         assert mx.apply_to_point(M, pt(1)).as_complex() == pytest.approx(1)
         assert mx.apply_to_point(M, pt(0)).is_infinity
         assert mx.apply_to_point(M, pt(2)).as_complex() == pytest.approx(0.5)
 
     def test_halving_triple(self):
-        M = mx.map_to_zero_one_inf(pt(0), pt(2), INF)
+        M = map_to_zero_one_inf(pt(0), pt(2), INF)
         assert mx.apply_to_point(M, pt(2)).as_complex() == pytest.approx(1)
         assert mx.apply_to_point(M, pt(3)).as_complex() == pytest.approx(1.5)
 
     def test_colliding_points_rejected(self):
         with pytest.raises(InvalidInput, match="^points 0 and 1 coincide$"):
-            mx.map_to_zero_one_inf(pt(1), pt(1), INF)
+            map_to_zero_one_inf(pt(1), pt(1), INF)
 
     def test_random_triples(self, rng):
         for _ in range(100):
@@ -481,7 +482,7 @@ class TestMapToZeroOneInf:
             )
             if p0.approx_eq(pu) or pu.approx_eq(pinf) or p0.approx_eq(pinf):
                 continue
-            M = mx.map_to_zero_one_inf(p0, pu, pinf)
+            M = map_to_zero_one_inf(p0, pu, pinf)
             assert mx.apply_to_point(M, p0).as_complex() == pytest.approx(0, abs=1e-9)
             assert mx.apply_to_point(M, pu).as_complex() == pytest.approx(1, abs=1e-9)
             image_inf = mx.apply_to_point(M, pinf)

@@ -234,14 +234,14 @@ class TestStandardMap:
         """``standard_map`` as first written: build the map, apply it to
         c3 and build the other one when the radius of the image is on
         the wrong side of 1 for the chirality."""
-        from moeblox.cycles import _point_sort_key
+        from map_route import _point_sort_key, intersect, map_to_zero_one_inf
 
         p, q = mx.Loxodrome(T, tol).limit_points
-        u = max(mx.intersect(T.c1, T.c2, tol), key=_point_sort_key)
-        M = mx.map_to_zero_one_inf(p, u, q, tol)
+        u = max(intersect(T.c1, T.c2, tol), key=_point_sort_key)
+        M = map_to_zero_one_inf(p, u, q, tol)
         _, r3 = mx.center_radius(mx.canonicalize(mx.apply_to_cycle(M, T.c3), tol), tol)
         if (r3 > 1.0) != (T.sign > 0):
-            M = mx.map_to_zero_one_inf(q, u, p, tol)
+            M = map_to_zero_one_inf(q, u, p, tol)
         return M
 
     def test_orientation_read_off_products_matches_the_image_of_c3(self, rng):
@@ -285,6 +285,122 @@ class TestStandardMap:
                     ref = mx.standard_triple(mx.lambda_from_triple(T))
                     for a, b in ((back.c1, ref.c1), (back.c2, ref.c2), (back.c3, ref.c3)):
                         assert projective_residual(a, b) <= 1e-8
+
+
+def turn_residual(M, G, lt):
+    """The worst distance in turns from the model curve of model points
+    pushed back through M and then through G^-1, at 40 digits: 0 when M
+    takes the curve G(model) to standard position exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def inverse(N):
+            a, b, c, d = (mpmath.mpc(e.real, e.imag) for e in N)
+            return lambda w: (d * w - b) / (a - c * w)
+
+        back, model = inverse(M), inverse(G)
+        rate, worst = mpmath.mpc(lt, 2 * mpmath.pi), 0
+        for t in range(-4, 5):
+            for branch in (1, -1):
+                v = model(back(branch * mpmath.exp(rate * t / 4)))
+                x = mpmath.log(abs(v)) / lt - mpmath.arg(v) / (2 * mpmath.pi)
+                worst = max(worst, abs(x - mpmath.nint(2 * x) / 2))
+        return float(worst)
+
+
+class TestMapRouteReference:
+    """``Loxodrome._map`` reads the crossing off the frame of the limit
+    points; ``tests/map_route.py`` solves for it with ``intersect`` and
+    builds the map through three points with ``map_to_zero_one_inf``."""
+
+    def test_same_map_as_the_reference_route(self, rng):
+        # |lambda_tilde| in three bands, both signs, well-conditioned maps.
+        # Both routes take the same limit point to 0 and the same crossing
+        # to 1. Where the entries part by more than 1e-12 of the largest,
+        # the map read off the frame pushes the model curve at least as
+        # close to the known curve, up to 64 eps / |lambda_tilde| turns:
+        # lhs = log|w| / lambda_tilde turns a few ulps of the triple's own
+        # rounding, which both routes share, into that much.
+        import map_route
+
+        pytest.importorskip("mpmath")
+        parted = []
+        for i in range(1500):
+            lo, hi = [(1e-4, 1e-2), (0.25, 2.5), (2.5, 8.0)][i % 3]
+            lt = math.exp(rng.uniform(math.log(lo), math.log(hi))) * (1 if i % 2 else -1)
+            G, T0 = random_moebius(rng), std(lt)
+            T = mx.LoxodromeTriple(*(mx.apply_to_cycle(G, C) for C in T0[:3]), T0.sign)
+            got, want = mx.standard_map(T), map_route.normalising_map(mx.Loxodrome(T))
+            N = got @ want.inverse()
+            assert abs(N.b / N.d) < 0.5, (G, lt)  # 0 stays at 0
+            assert abs((N.a + N.b) / (N.c + N.d) - 1) < 0.5, (G, lt)  # 1 stays at 1
+            gap = max(abs(g - w) for g, w in zip(got, want)) / max(map(abs, want))
+            if gap > 1e-12:
+                parted.append(gap)
+                floor = 64 * sys.float_info.epsilon / abs(lt)
+                assert turn_residual(got, G, lt) <= turn_residual(want, G, lt) + floor, (G, lt)
+        assert parted  # the seed reaches triples where the routes part
+
+    def test_small_lambda_point_is_a_member(self):
+        # an on-curve point at lambda_tilde = -5.2e-4, model t = -1.793 on
+        # the + branch: the route through intersect read lhs -1.8335 and
+        # refused it; lhs here is -1.7930000006
+        lt = -5.225923175830076e-4
+        G = mx.MoebiusMap(0.00711 + 0.01455j, 0.01404 - 0.02683j, -0.00183 + 0.00607j, 0.01029 - 0.03413j)
+        T = mx.apply_map(G, std(lt))
+        p = mx.apply_to_point(G, pt(cmath.exp(complex(lt, TWO_PI) * -1.793)))
+        report = mx.contains_point(T, p)
+        assert report.member
+        assert report.lhs == pytest.approx(-1.793, abs=1e-6)
+
+    def test_normal_form_round_trip_of_a_fresh_triple(self):
+        # a query_fresh triple of bench seed 1 whose normal form the route
+        # through intersect left 2.5e-8 off the standard triple (1.25e-8 by
+        # the benchmark's residual); it is 4.6e-16 off here
+        G = mx.MoebiusMap(
+            0.8935214245416616 - 1.2448487830047772j, 0.3501189167418781 - 1.3473014405286468j,
+            1.6003189145123349 + 0.9217783307406426j, 0.028877074356604915 + 0.016759554530695553j,
+        )
+        lt = -0.3522738728184313
+        copy_map = mx.MoebiusMap(
+            0.21316853684840695 - 0.9572137204514986j, -1.3296215699550473 + 1.7214350930831377j,
+            0.020745173383707557 + 0.011085033499192862j, -2.2243052866315938 - 1.3874260949411612j,
+        )
+        T = mx.apply_map(G, std(lt))
+        back = mx.apply_map(mx.standard_map(T), T)
+        for got, want in zip(back[:3], std(mx.lambda_from_triple(T).lambda_tilde)[:3]):
+            assert projective_residual(got, want) <= 1e-12
+        assert mx.equivalent(T, mx.apply_map(copy_map, std(lt)))
+
+    def test_invalid_triples_answer_or_refuse(self, rng):
+        # c1 off the limit points, equal to c2, tangent to c2 or disjoint
+        # from it, moved by a seeded map: every query answers or raises a
+        # MoebloxError, nothing else
+        seen = set()
+        for i in range(400):
+            lt = rng.uniform(0.3, 2.0) * (1 if i % 2 else -1)
+            z = cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+            c1 = [
+                mx.from_line(complex(0.0, rng.uniform(-0.9, 0.9)), complex(1.0, rng.uniform(-0.9, 0.9))),
+                UNIT,
+                mx.from_line(z, z + 1j * z),
+                mx.from_circle(complex(rng.uniform(3.0, 4.0), 0.0), rng.uniform(0.5, 1.5)),
+            ][i % 4]
+            G, T0 = random_moebius(rng), std(lt)
+            T = mx.LoxodromeTriple(*(mx.apply_to_cycle(G, C) for C in (c1, T0.c2, T0.c3)), T0.sign)
+            p = mx.apply_to_point(G, pt(cmath.exp(complex(lt, TWO_PI) * rng.uniform(-1.0, 1.0))))
+            for query in (
+                lambda: mx.standard_map(T),
+                lambda: mx.contains_point(T, p),
+                lambda: mx.tangent_line_at(T, p),
+                lambda: mx.intersection_angle(T, T, p),
+                lambda: mx.sample_curve(T, -1.0, 1.0, 8, "both"),
+            ):
+                try:
+                    query()
+                    seen.add((i % 4, "answer"))
+                except MoebloxError as exc:
+                    seen.add((i % 4, type(exc).__name__))
+        assert (1, "TripleViolation") in seen and (0, "answer") in seen
 
 
 class TestLoxodromePair:
@@ -917,6 +1033,19 @@ class TestSampleCurveReference:
             (lambda T: mx.ExtendedPoint("1+2j", 1), "point component w1 must be a number, got '1+2j'"),
             (lambda T: mx.ExtendedPoint(1, None), "point component w2 must be a number, got None"),
             (lambda T: mx.ExtendedPoint.from_complex("1+2j"), "point component w1 must be a number, got '1+2j'"),
+            # the constructors' complex() and float() parsed these, and the
+            # comparisons and attribute reads raised TypeError or AttributeError
+            (lambda T: mx.from_circle("1+2j", 1), "center must be a number, got '1+2j'"),
+            (lambda T: mx.from_circle(None, 1), "center must be a number, got None"),
+            (lambda T: mx.from_circle(0, "2"), "radius must be a real number, got '2'"),
+            (lambda T: mx.from_line("0", "1j"), "point p must be a number, got '0'"),
+            (lambda T: mx.from_line(0, None), "point q must be a number, got None"),
+            (lambda T: mx.zero_radius_at("2"), "point must be a number, got '2'"),
+            (lambda T: mx.diagonal_flow("1+2j", 0.5), "lam must be a number, got '1+2j'"),
+            (lambda T: mx.diagonal_flow(1 + 2j, "0.5"), "t must be a real number, got '0.5'"),
+            (lambda T: mx.SlsParameter.finite("1.5"), "lambda_tilde must be a real number, got '1.5'"),
+            (lambda T: mx.SlsParameter("1.5"), "lambda_tilde must be a real number, got '1.5'"),
+            (lambda T: mx.standard_triple(1.0), "param must be an SlsParameter, got 1.0"),
         ],
     )
     def test_non_number_argument_refused_by_name(self, call, needle):
