@@ -28,7 +28,9 @@ lines are undirected.
 holds what is derived from it: its canonical cycles, its kind,
 lambda_tilde (0 for a circle, inf for a line), the point members of the
 pencil of (c2, c3) and the normalising map.  The first query on a triple
-keeps it on the triple; later ones pay only their per-point work.
+keeps it on the triple; later ones pay only their per-point work.  A
+triple from ``validate_triple`` (so from ``apply_map``) holds no form:
+the form that checked it is handed to its first query.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ _LSTSQ_RCOND = 4.0 * sys.float_info.epsilon
 
 _REAL_AXIS = Cycle(0.0, 0.0, 1.0, 0.0)
 _UNIT_CIRCLE = Cycle(1.0, 0.0, 0.0, -1.0)
+_checked = (None, None)  # the last triple validate_triple passed, and its form
 
 #: Branch-swapping reflection z -> -1/z; together with the diagonal flow
 #: it generates the stabiliser of the model curve.
@@ -190,11 +193,14 @@ def validate_triple(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> LoxodromeTriple:
     """Checked triple; raises the first of ``Loxodrome.violations``
-    otherwise.  The form that checks it is not kept on the triple."""
+    otherwise.  It holds no form: the checking one goes to its first query."""
+    global _checked
     T = LoxodromeTriple(c1, c2, c3, sign)
-    violations = Loxodrome(T, tol).violations()
+    form = Loxodrome(T, tol)
+    violations = form.violations()
     if violations:
         raise violations[0]
+    _checked = (T, form)
     return T
 
 
@@ -210,6 +216,10 @@ class CurveKind(Enum):
     LINE = "line"  # infinite parameter: the curve is an arc of c1
 
 
+# bound once: a member read through its class costs ~0.12 us on CPython 3.11
+_SPIRAL, _CIRCLE, _LINE = CurveKind.SPIRAL, CurveKind.CIRCLE, CurveKind.LINE
+
+
 class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
@@ -220,10 +230,10 @@ class Loxodrome:
     the parameter, the shape, the limit points, the map and its inverse
     ``_inverse`` on first read, each by its entry in ``_DERIVE``, into
     its slot.  A point query maps its point once, reading the map's
-    entries, and builds no point and no map.  A
-    derivation is deterministic, so threads that race on one store
-    equal values.  Every query of this module gets one from
-    ``_prepared``.  It holds the triple's cycles, not the triple that
+    entries, and builds no point and no map.  A derivation is
+    deterministic, so threads that race on one store equal values.
+    Every query gets one from ``_prepared``: ``validate_triple``'s, or
+    a new one.  It holds the triple's cycles, not the triple that
     keeps it, so the two make no reference cycle for the garbage
     collector to find."""
 
@@ -232,11 +242,11 @@ class Loxodrome:
         self.tol = tol
         self._c2, self._c3 = canonicalize(self.c2, tol), canonicalize(self.c3, tol)
         if _canonical_equal(self._c2, self._c3, tol):
-            self.kind = CurveKind.CIRCLE
+            self.kind = _CIRCLE
         elif classify(self.c3, tol) == CycleKind.POINT:
-            self.kind = CurveKind.LINE
+            self.kind = _LINE
         else:
-            self.kind = CurveKind.SPIRAL
+            self.kind = _SPIRAL
 
     def __getattr__(self, name: str):
         """A derived field on its first read: only an empty slot gets here."""
@@ -250,16 +260,16 @@ class Loxodrome:
     def _param(self) -> SlsParameter:
         """acosh of ``_pair_product``, signed by the triple's chirality;
         0 for the circle kind, inf for the line kind."""
-        if self.kind == CurveKind.CIRCLE:
+        if self.kind is _CIRCLE:
             return SlsParameter(0.0)
-        if self.kind == CurveKind.LINE:
+        if self.kind is _LINE:
             return SlsParameter.infinite()
         return SlsParameter.finite(self.sign * clamped_acosh(self._pair_product))
 
     def _shape(self) -> CurveKind:
         """The kind the queries act on, read off lambda_tilde."""
         lt = self.param.lambda_tilde
-        return CurveKind.CIRCLE if lt == 0.0 else CurveKind.LINE if lt == math.inf else CurveKind.SPIRAL
+        return _CIRCLE if lt == 0.0 else _LINE if lt == math.inf else _SPIRAL
 
     def _map(self) -> MoebiusMap:
         """The map to standard position.  The circle shape takes c2 to the
@@ -276,13 +286,13 @@ class Loxodrome:
         the crossing w whose preimage is the larger by
         ``_point_sort_key``."""
         tol = self.tol
-        if self.shape == CurveKind.CIRCLE:
+        if self.shape is _CIRCLE:
             return _map_cycle_to_unit_circle(self.c2, tol)
         p, q = self.limit_points
         c1, c2 = self._c1, self._c2
         if _canonical_equal(c1, c2, tol) or classify_pencil(c1, c2, tol) != PencilKind.ELLIPTIC:
             raise TripleViolation("first and second cycle must cross at two points")
-        if self.shape == CurveKind.SPIRAL:
+        if self.shape is _SPIRAL:
             (P, Q), c3 = self._point_members, self._c3
             num, den = product(c3, P) * product(c2, Q), product(c3, Q) * product(c2, P)
             if (num > den if den > 0 else num < den) != (self.sign > 0):
@@ -312,7 +322,7 @@ class Loxodrome:
         "shape": _shape,
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis
-        "rate": lambda self: complex(1.0, 0.0) if self.shape == CurveKind.LINE else self.param.rate,
+        "rate": lambda self: complex(1.0, 0.0) if self.shape is _LINE else self.param.rate,
         # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints
         "_point_members": lambda self: zero_radius_members(self._c2, self._c3, self.tol),
         "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
@@ -349,11 +359,11 @@ class Loxodrome:
             if abs(r) > tol.eps_product * 4.0 * r1 * C.scale():
                 out.append(TripleViolation(f"first and {name} cycle are not orthogonal", abs(r)))
 
-        if self.kind == CurveKind.CIRCLE:
+        if self.kind is _CIRCLE:
             return out
-        if self.kind == CurveKind.LINE and is_orthogonal(c2, c3, tol):
+        if self.kind is _LINE and is_orthogonal(c2, c3, tol):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
-        if self.kind == CurveKind.SPIRAL:
+        if self.kind is _SPIRAL:
             q, scale = pencil_discriminant(c2, c3, tol)
             if _pencil_kind(q, scale, tol) != PencilKind.HYPERBOLIC:
                 return out + [TripleViolation("second and third cycle neither disjoint nor equal", q)]
@@ -393,10 +403,15 @@ class Loxodrome:
 
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     """The prepared form of T at tol, kept on T by the first query for the
-    next ones; a query at other tolerances prepares T afresh."""
+    next ones; a query at other tolerances prepares T afresh.  The first
+    query keeps the form that checked T, if ``_checked`` holds T at tol:
+    it is rebound as one tuple, so a racing thread only prepares T again."""
     lox = T.__dict__.get("_loxodrome")
     if lox is None or (lox.tol is not tol and lox.tol != tol):
-        lox = T._loxodrome = Loxodrome(T, tol)
+        checked, lox = _checked
+        if checked is not T or (lox.tol is not tol and lox.tol != tol):
+            lox = Loxodrome(T, tol)
+        T._loxodrome = lox
     return lox
 
 
@@ -425,7 +440,7 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     lexicographically larger point, infinity last.
     """
     lox = _prepared(T, tol)
-    if lox.shape != CurveKind.SPIRAL:
+    if lox.shape is not _SPIRAL:
         raise TripleViolation("normal form needs a distinct, non-point third cycle")
     return lox.map
 
@@ -505,7 +520,7 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
     rotation in turns).  The congruence is decided on the second cycles.
     """
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
-    if lox.shape != CurveKind.SPIRAL or loxp.shape != CurveKind.SPIRAL:
+    if lox.shape is not _SPIRAL or loxp.shape is not _SPIRAL:
         raise TripleViolation("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
@@ -563,12 +578,12 @@ def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, compl
     decision of a spiral read (None for infinity, and where no image was
     read), so that a query of direction maps p no second time."""
     tol = lox.tol
-    if lox.shape == CurveKind.CIRCLE:
+    if lox.shape is _CIRCLE:
         return MembershipReport(member=passes(lox.c2, p, tol)), None
     z0, z1 = lox.limit_points
     if p.approx_eq(z0, tol) or p.approx_eq(z1, tol):
         return MembershipReport(False, flags=("limit_point",)), None
-    if lox.shape == CurveKind.LINE:
+    if lox.shape is _LINE:
         return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",)), None
     w = lox._standard_point(p)
     if w is None or w == 0:
@@ -753,7 +768,7 @@ def apply_map(
     M: MoebiusMap, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> LoxodromeTriple:
     """Transport a triple by a Moebius map; chirality is preserved and the
-    image is re-validated."""
+    image is re-validated, and its first query keeps the checking form."""
     return validate_triple(
         apply_to_cycle(M, T.c1),
         apply_to_cycle(M, T.c2),

@@ -21,7 +21,7 @@ from .cycles import (
     point_of,
 )
 from .errors import InvalidInput, MoebloxError
-from .loxodrome import CurveKind, LoxodromeTriple, _check_grid, _curve_points, _prepared
+from .loxodrome import _CIRCLE, LoxodromeTriple, _check_grid, _curve_points, _prepared
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _finite, _index, _Value
 from .scene import Scene, SceneObject
 
@@ -229,7 +229,7 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
             warnings_out.append(f"triple {obj.id!r}: {name} not drawn: {exc}")
     try:
         lox = _prepared(T, tol)
-        signs = (1.0,) if lox.shape == CurveKind.CIRCLE else (1.0, -1.0)  # one branch covers a circle
+        signs = (1.0,) if lox.shape is _CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(
             abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0
         )

@@ -1,9 +1,11 @@
 import cmath
+import gc
 import math
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -1194,7 +1196,7 @@ class TestPreparedTriple:
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        T, fresh = mx.apply_map(M, std(1.0)), mx.apply_map(M, std(1.0))
+        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         built, moved = [], []
         prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
@@ -1207,8 +1209,10 @@ class TestPreparedTriple:
         assert mx.tangent_line_at(T, p) == line
         assert mx.intersection_angle(T, T, p) == 0.0
         assert (len(built), moved) == (1, [])  # all three reuse the kept form
+        fresh = mx.apply_map(M, std(1.0))
+        assert len(built) == 2  # the check prepares a transported triple
         mx.intersection_angle(fresh, T, p)
-        assert len(built) == 2  # a fresh triple is prepared once
+        assert len(built) == 2  # and its first query keeps that form
 
     def test_point_queries_map_each_point_once(self, rng, monkeypatch):
         # after the first query on a triple, a point query reads the kept
@@ -1246,6 +1250,7 @@ class TestPreparedTriple:
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
+        U = mx.LoxodromeTriple(*T)  # equal to T, not validated
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
         solve = lox.zero_radius_members
@@ -1253,10 +1258,13 @@ class TestPreparedTriple:
             lox, "zero_radius_members", lambda *a, **k: calls.append(a) or solve(*a, **k)
         )
         mx.tangent_line_at(T, p)
+        assert len(calls) == 0  # the check solved them, and handed its form on
+        mx.tangent_line_at(U, p)
         assert len(calls) == 1
-        mx.tangent_line_at(T, p)
-        mx.contains_point(T, p)
-        assert len(calls) == 1  # later calls on the triple pay nothing
+        for triple in (T, U):
+            mx.tangent_line_at(triple, p)
+            mx.contains_point(triple, p)
+        assert len(calls) == 1  # later calls on the triples pay nothing
 
     def test_oracle_recovers_lambda_once(self, rng, monkeypatch):
         import moeblox.loxodrome as lox
@@ -1277,14 +1285,15 @@ class TestPreparedTriple:
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        T = mx.apply_map(M, std(1.0))
-        copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
+        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
         calls = []
         canon = cycles.canonicalize
         for module in (cycles, lox):
             monkeypatch.setattr(
                 module, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k)
             )
+        # the check of the copy canonicalises its cycles; the query keeps them
+        copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
         six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
         assert len(calls) == 6
@@ -1489,6 +1498,7 @@ class TestPreparedFormKept:
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
+        U = mx.LoxodromeTriple(*T)  # equal to T, not validated
         assert not hasattr(mx.Loxodrome(T), "__dict__")
         with pytest.raises(AttributeError, match="'Loxodrome' object has no attribute 'colour'"):
             mx.Loxodrome(T).colour
@@ -1497,9 +1507,12 @@ class TestPreparedFormKept:
         for name in ("canonicalize", "zero_radius_members"):
             monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
         first = [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)]
+        assert calls == []  # T's queries keep the form that checked it
+        assert [_ask(q) for q in _questions(U, mx.DEFAULT_TOLERANCES, points)] == first
         assert sorted(calls) == ["canonicalize"] * 3 + ["zero_radius_members"]
         for _ in range(2):
-            assert [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)] == first
+            for triple in (T, U):
+                assert [_ask(q) for q in _questions(triple, mx.DEFAULT_TOLERANCES, points)] == first
         assert len(calls) == 4
 
     def test_threads_racing_on_a_fill_store_equal_values(self, rng):
@@ -1547,3 +1560,97 @@ class TestPreparedFormKept:
         finally:
             tracemalloc.stop()
         assert per_output <= 800, per_output
+
+    def test_first_query_on_a_transported_triple_prepares_nothing(self, rng, monkeypatch):
+        # apply_map hands the form that checked its output to the output's
+        # first query: whichever query comes first, on any shape, it builds
+        # no form, canonicalises no cycle and solves no pencil
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        points = [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(2)]
+        calls = []
+        prepare = mx.Loxodrome.__init__
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: calls.append("Loxodrome") or prepare(form, *a))
+        for name in ("canonicalize", "zero_radius_members"):
+            monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
+        shapes = (std(1.0), std(-0.7), mx.standard_triple(mx.SlsParameter(0.0)),
+                  mx.standard_triple(mx.SlsParameter.infinite()))
+        for T0 in shapes:
+            for i in range(len(_questions(T0, mx.DEFAULT_TOLERANCES, points))):
+                T = mx.apply_map(M, T0)
+                calls.clear()
+                _ask(_questions(T, mx.DEFAULT_TOLERANCES, points)[i])
+                assert calls == [], (T0, i)
+
+    def test_handoff_is_kept_only_at_its_own_tolerance(self):
+        # checked at LOOSE, the triple is a circle; its first query at the
+        # default tolerance prepares it afresh and sees the spiral
+        T = mx.validate_triple(*self.near(), tol=self.LOOSE)
+        spiral = mx.lambda_from_triple(self.near()).lambda_tilde
+        assert spiral != 0.0
+        assert mx.lambda_from_triple(T).lambda_tilde == spiral
+        assert mx.lambda_from_triple(T, self.LOOSE).lambda_tilde == 0.0
+
+    def test_validated_triples_leave_at_most_one_form(self, rng, monkeypatch):
+        # only the triple checked last holds a handoff: 100 unqueried
+        # outputs carry no form, and at most one of their forms outlives
+        # the checks
+        import moeblox.loxodrome as lox
+
+        forms = []
+
+        class Watched(mx.Loxodrome):
+            __slots__ = ("__weakref__",)  # a form itself takes no weak reference
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                forms.append(weakref.ref(self))
+
+        monkeypatch.setattr(lox, "Loxodrome", Watched)
+        T0 = std(1.0)
+        out = [mx.apply_map(random_moebius(rng), T0) for _ in range(100)]
+        gc.collect()
+        assert len(forms) == 100
+        assert all(vars(T) == {} for T in out)
+        assert sum(form() is not None for form in forms) <= 1
+
+    def test_threads_validating_their_own_triples_answer_as_alone(self, rng):
+        # the handoff is one slot for all threads: a check in one thread
+        # replaces another's handoff, whose triple's first query then
+        # prepares it afresh; queries at the other tolerance prepare anew
+        tols = (mx.DEFAULT_TOLERANCES, self.LOOSE)
+        work_items = [
+            [(M, [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(2)])
+             for M in [random_moebius(rng) for _ in range(6)]]
+            for _ in range(4)
+        ]
+
+        def answers(i):
+            out = []
+            for M, points in work_items[i]:
+                T = mx.apply_map(M, std(1.0), tols[i % 2])
+                out += [_ask(q) for tol in (tols[i % 2], tols[1 - i % 2]) for q in _questions(T, tol, points)]
+            return out
+
+        serial = [answers(i) for i in range(len(work_items))]
+        got = [[] for _ in work_items]
+        start = threading.Barrier(len(work_items))
+
+        def work(i):
+            start.wait(timeout=30)
+            for _ in range(5):
+                got[i].append(answers(i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(work_items))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[expected] * 5 for expected in serial]
