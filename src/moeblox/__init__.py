@@ -19,8 +19,8 @@ from .cycles import (
     passes,
     point_of,
     product,
-    self_product,
     zero_radius_at,
+    zero_radius_members,
 )
 from .errors import MoebloxError
 from .loxodrome import (
@@ -50,7 +50,6 @@ from .numerics import (
     clamped_acosh,
     congruent_mod,
 )
-from .pencils import zero_radius_members
 from .render import RenderConfig, render_scene
 from .scene import Scene, SceneObject, load_scene, parse_scene
 

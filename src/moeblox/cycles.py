@@ -23,6 +23,11 @@ invariant under that action.  The pairing is indefinite; its sign and
 normalisation carry all the geometry used downstream (incidence,
 orthogonality, angles, inversive distance).
 
+A pencil is the projective line of cycles ``alpha A + beta B``; the
+Cauchy-Schwarz trichotomy of the indefinite pairing makes it crossing
+(elliptic), tangent (parabolic) or disjoint (hyperbolic), and a
+disjoint pencil holds exactly two point members, its limit points.
+
 Because cycles are projective, the *sign* of the quadruple is a free
 choice.  :func:`canonicalize` fixes one representative per cycle and
 every signed quantity in this package is defined on canonical
@@ -185,9 +190,6 @@ class Cycle(_Value, namedtuple("Cycle", "k l n m")):
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "Cycle") -> "Cycle":
-        return Cycle(self.k - other.k, self.l - other.l, self.n - other.n, self.m - other.m)
-
     def to_json(self):
         return list(self)
 
@@ -346,10 +348,6 @@ def product(C: Cycle, Cp: Cycle) -> float:
     return 2.0 * (C.l * Cp.l + C.n * Cp.n) - C.m * Cp.k - C.k * Cp.m
 
 
-def self_product(C: Cycle) -> float:
-    return product(C, C)
-
-
 def _overflow(*cycles: Cycle) -> NumericalBreakdown:
     """The refusal of a zero test on products of the cycles that are not
     finite: a test against inf or NaN decides nothing."""
@@ -360,7 +358,7 @@ def _norm_square(C: Cycle) -> tuple[float, float]:
     """<C,C> and the square of C's largest component, the scale of a zero
     test on <C,C>, both refused when not finite."""
     n = C.scale()
-    s, n = self_product(C), n * n
+    s, n = product(C, C), n * n
     if not (math.isfinite(s) and math.isfinite(n)):
         raise _overflow(C)
     return s, n
@@ -430,7 +428,7 @@ def pencil_discriminant(
     the sign test meaningful for cancelling configurations.
     """
     ab = product(C, Cp)
-    ab2, ss = ab * ab, self_product(C) * self_product(Cp)
+    ab2, ss = ab * ab, product(C, C) * product(Cp, Cp)
     floor = tol.eps_product * 4.0 * C.scale() * Cp.scale()
     floor *= floor
     if not (math.isfinite(ab2) and math.isfinite(ss) and math.isfinite(floor)):
@@ -454,6 +452,40 @@ def _pencil_kind(q: float, scale: float, tol: Tolerances) -> PencilKind:
     if q <= thr:
         return PencilKind.PARABOLIC
     return PencilKind.HYPERBOLIC
+
+
+def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Cycle, Cycle]:
+    """The two point members of the hyperbolic pencil of A and B,
+    canonicalised and in a deterministic order; any other pencil,
+    coincident cycles included, raises InvalidInput.
+
+    Solves <xA + yB, xA + yB> = 0 in homogeneous (x : y) with the
+    cancellation-free root pairing, so a near-point A does not degrade
+    the second root.  The discriminant <A,B>^2 - <A,A><B,B> of nearby
+    cycles is the difference of two nearly equal terms, which would cost
+    the roots a relative error of eps over its size.  So when those
+    terms outweigh it, A becomes the cycle of larger |<A,A>| and B is
+    replaced by B - (<A,B>/<A,A>) A: the same pencil, spanned by two
+    orthogonal cycles, whose discriminant -<A,A><B,B> cancels nothing.
+    """
+    disc, scale = pencil_discriminant(A, B, tol)
+    if _pencil_kind(disc, scale, tol) != PencilKind.HYPERBOLIC:
+        raise InvalidInput(f"pencil discriminant {disc!r} is not positive")
+    a, c = product(A, A), product(B, B)
+    if a * c > disc:
+        if abs(c) > abs(a):
+            A, B, a = B, A, c
+        B = combine(1.0, B, -product(A, B) / a, A)
+    b, c = product(A, B), product(B, B)
+    root = math.sqrt(b * b - a * c)
+    sb = 1.0 if b >= 0 else -1.0
+    qq = -(b + sb * root)
+    members = [
+        canonicalize(combine(qq, A, a, B), tol),
+        canonicalize(combine(c, A, qq, B), tol),
+    ]
+    members.sort(key=lambda z: (z.k, z.l, z.n, z.m))
+    return members[0], members[1]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ from .cycles import (
     pencil_discriminant,
     point_of,
     product,
+    zero_radius_members,
 )
 from .errors import InvalidInput, NumericalBreakdown, PointNotOnCurve, TripleViolation
 from .numerics import (
@@ -78,7 +79,6 @@ from .numerics import (
     _quote,
     _Value,
 )
-from .pencils import zero_radius_members
 
 TWO_PI = 2.0 * math.pi
 # lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)

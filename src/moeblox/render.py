@@ -58,9 +58,11 @@ _TRIPLE_STYLE = {
 
 def _quoteattr(value) -> str:
     """An XML attribute value in double quotes, with the characters that
-    would end or break it escaped (xml.sax.saxutils.quoteattr would do,
-    but importing it pulls in urllib.request)."""
+    would end or break it escaped, and tab, LF and CR, which a parser reads
+    as spaces, as references (xml.sax.saxutils.quoteattr would do, but
+    importing it pulls in urllib.request)."""
     text = str(value).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    text = text.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
     return f'"{text}"'
 
 

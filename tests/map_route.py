@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import _canonical_equal, center_radius
+from moeblox.cycles import _canonical_equal, center_radius, combine
 from moeblox.errors import InvalidInput, TripleViolation
 
 
@@ -72,7 +72,7 @@ def intersect(C: mx.Cycle, Cp: mx.Cycle, tol: mx.Tolerances = mx.DEFAULT_TOLERAN
         line, circ = (a, b) if a_line else (b, a)
         pts = _line_circle_points(line, circ, tangent, tol)
     else:
-        radical = mx.canonicalize(a - b, tol)  # k = 0: the radical line
+        radical = mx.canonicalize(combine(1.0, a, -1.0, b), tol)  # k = 0: the radical line
         pts = _line_circle_points(radical, a, tangent, tol)
     return tuple(sorted(pts, key=_point_sort_key))
 

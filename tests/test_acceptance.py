@@ -53,13 +53,13 @@ def test_c02_structural_identities():
         (a11, a12), (a21, a22) = C.matrix()
         det = a11 * a22 - a12 * a21
         assert det.imag == 0.0
-        assert abs(mx.self_product(C) - (-2.0 * det.real)) <= 1e-12
+        assert abs(mx.product(C, C) - (-2.0 * det.real)) <= 1e-12
 
         center = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         radius = rng.uniform(0.1, 5.0)
         circle = mx.from_circle(center, radius)
         _, r = mx.center_radius(circle)
-        assert abs(r * r - mx.self_product(circle) / 2.0) <= 1e-12
+        assert abs(r * r - mx.product(circle, circle) / 2.0) <= 1e-12
     _report("C2 structural identities (det pairing, radius squared)")
 
 

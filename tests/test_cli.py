@@ -279,19 +279,20 @@ class TestRender:
         import xml.etree.ElementTree as ET
 
         # a hostile stroke is refused by the style grammar (test_diagnostics);
-        # an id has no grammar, so it must be escaped
-        hostile = 'a"><script>x</script>'
+        # an id has no grammar, so it must be escaped, and a tab, LF or CR
+        # written as a reference, or a parser reads it back as a space
         stroke = "#123abc"
-        raw = {
-            "objects": [dict(STANDARD_SCENE["objects"][0], id=hostile)],
-            "style": {hostile: {"stroke": stroke}},
-        }
-        svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
-        root = ET.fromstring(svg.encode("utf-8"))
-        groups = [g for g in root.iter("{http://www.w3.org/2000/svg}g") if "id" in g.attrib]
-        assert [g.get("id") for g in groups] == [hostile]
-        assert {el.get("stroke") for el in groups[0]} == {stroke}
-        assert "<script>" not in svg
+        for hostile in ('a"><script>x</script>', "T\tx", "T\nx", "T\rx"):
+            raw = {
+                "objects": [dict(STANDARD_SCENE["objects"][0], id=hostile)],
+                "style": {hostile: {"stroke": stroke}},
+            }
+            svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
+            root = ET.fromstring(svg.encode("utf-8"))
+            groups = [g for g in root.iter("{http://www.w3.org/2000/svg}g") if "id" in g.attrib]
+            assert [g.get("id") for g in groups] == [hostile]
+            assert {el.get("stroke") for el in groups[0]} == {stroke}
+            assert "<script>" not in svg
 
     @pytest.mark.parametrize("bbox", [[-8.9e307, -1, 8.9e307, 1], [-1e308, -1e308, 1e308, 1e308]])
     def test_overflowing_view_box_is_refused(self, bbox, tmp_path):

@@ -341,19 +341,19 @@ class TestMoebiusAction:
             C = random_cycle(rng)
             (a11, _), (_, a22) = C.matrix()
             det = a11 * (-C.L) - (-C.m) * C.k
-            assert mx.self_product(C) == pytest.approx(-2.0 * det.real, abs=1e-9)
+            assert mx.product(C, C) == pytest.approx(-2.0 * det.real, abs=1e-9)
             assert det.imag == 0.0
 
     def test_point_kind_iff_null_self_product(self, rng):
         for _ in range(300):
             C = random_cycle(rng)
-            null = abs(mx.self_product(C)) <= 2e-9 * C.scale() ** 2
+            null = abs(mx.product(C, C)) <= 2e-9 * C.scale() ** 2
             assert (mx.classify(C) == mx.CycleKind.POINT) == null
         # exact point cycles land on the kind boundary from either side
         for z in (0, 1 + 2j, -3j):
             Z = mx.zero_radius_at(mx.ExtendedPoint.from_complex(z))
             assert mx.classify(Z) == mx.CycleKind.POINT
-            assert mx.self_product(Z) == 0.0
+            assert mx.product(Z, Z) == 0.0
 
     def test_closed_form_matches_conjugation(self, rng):
         # maps of every determinant phase, |det| from 1e-6 to 1e6 and

@@ -342,6 +342,22 @@ class TestMapRouteReference:
                 assert turn_residual(got, G, lt) <= turn_residual(want, G, lt) + floor, (G, lt)
         assert parted  # the seed reaches triples where the routes part
 
+    def test_crossing_at_infinity(self):
+        # c1 and c2 are lines, so they cross at 0 and at infinity; the
+        # reference sorts infinity last and takes it to 1, as the frame does
+        import map_route
+
+        T = mx.LoxodromeTriple(REAL_AXIS, IMAG_AXIS, mx.Cycle(1, 3, 0, 8), 1)
+        lox = mx.Loxodrome(T)
+        assert mx.lambda_from_triple(T).lambda_tilde == pytest.approx(math.acosh(3), rel=1e-14)
+        root8 = 2 * math.sqrt(2)
+        assert sorted(p.as_complex().real for p in lox.limit_points) == pytest.approx([-root8, root8])
+        crossings = map_route.intersect(lox._c1, lox._c2, lox.tol)
+        assert [p.is_infinity for p in crossings] == [False, True]
+        got, want = mx.standard_map(T), map_route.normalising_map(lox)
+        assert mx.apply_to_point(got, INF).approx_eq(pt(1))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * max(map(abs, want))
+
     def test_small_lambda_point_is_a_member(self):
         # an on-curve point at lambda_tilde = -5.2e-4, model t = -1.793 on
         # the + branch: the route through intersect read lhs -1.8335 and
@@ -1048,6 +1064,10 @@ class TestSampleCurveReference:
             (lambda T: mx.SlsParameter.finite("1.5"), "lambda_tilde must be a real number, got '1.5'"),
             (lambda T: mx.SlsParameter("1.5"), "lambda_tilde must be a real number, got '1.5'"),
             (lambda T: mx.standard_triple(1.0), "param must be an SlsParameter, got 1.0"),
+            (lambda T: mx.diagonal_flow(1j, 0.0, branch=0), "branch must be +1 or -1"),
+            (lambda T: mx.sample_curve(T, -1.0, 1.0, 8, "x"), "branch must be '+', '-' or 'both', got 'x'"),
+            (lambda T: mx.ExtendedPoint.infinity().as_complex(), "point at infinity has no complex coordinate"),
+            (lambda T: mx.MoebiusMap(math.inf, 0, 0, 1), "matrix entries must be finite"),
         ],
     )
     def test_non_number_argument_refused_by_name(self, call, needle):
@@ -1292,21 +1312,24 @@ class TestPreparedTriple:
             monkeypatch.setattr(
                 module, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k)
             )
-        # the check of the copy canonicalises its cycles; the query keeps them
+        # the check of the copy canonicalises its cycles and the two point
+        # members of its pencil, solved in cycles; the query keeps them all
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
         six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
-        assert len(calls) == 6
+        assert len(calls) == 8
         assert all(sum(C is X for X in calls) == 1 for C in six)
+        members = [X for X in calls if not any(X is C for C in six)]
+        assert len(members) == 2
+        assert all(mx.classify(X) == mx.CycleKind.POINT for X in members)
 
     def test_one_pencil_discriminant_per_decision(self, monkeypatch):
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
-        import moeblox.pencils as pencils
 
         calls = []
         form = cycles.pencil_discriminant
-        for module in (cycles, pencils, lox):
+        for module in (cycles, lox):
             monkeypatch.setattr(module, "pencil_discriminant", lambda *a, **k: calls.append(a) or form(*a, **k))
         mx.zero_radius_members(UNIT, E_CIRCLE)
         assert len(calls) == 1

@@ -127,7 +127,7 @@ class TestZeroRadiusMembers:
             found += 1
             for Z in mx.zero_radius_members(*P):
                 scale = max(1.0, Z.scale() ** 2)
-                assert abs(mx.self_product(Z)) <= 1e-9 * scale
+                assert abs(mx.product(Z, Z)) <= 1e-9 * scale
                 S = np.array([A.to_json(), B.to_json()], dtype=float).T
                 v = np.array(Z.to_json(), dtype=float)
                 coef, *_ = np.linalg.lstsq(S, v, rcond=None)
