@@ -31,5 +31,6 @@ class PointNotOnCurve(MoebloxError):
 
 
 class NumericalBreakdown(MoebloxError):
-    """The input lies outside the range floats decide: a product
-    overflows, or an identity that holds exactly fails beyond tolerance."""
+    """The input lies outside the range floats decide: a product or the
+    exponential of a parameter overflows, or an identity that holds
+    exactly fails beyond tolerance."""

@@ -42,6 +42,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .cycles import (
+    _COORD_CAP,
     Cycle,
     CycleKind,
     ExtendedPoint,
@@ -128,7 +129,10 @@ class SlsParameter(_Value, namedtuple("SlsParameter", "lambda_tilde")):
     @property
     def a(self) -> float:
         """Modulus gained per full turn: exp(lambda_tilde), infinity for a line."""
-        return math.exp(self.lambda_tilde)
+        try:
+            return math.exp(self.lambda_tilde)
+        except OverflowError:
+            raise NumericalBreakdown(f"exp(lambda_tilde) overflows at {self!r}") from None
 
 
 def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
@@ -138,9 +142,11 @@ def diagonal_flow(lam: complex, t: float, branch: int = 1) -> MoebiusMap:
         raise InvalidInput("branch must be +1 or -1")
     lam = _complex(lam, "lam")
     _finite(t, "t")  # refuses a t that is no real number
-    return MoebiusMap(
-        branch * cmath.exp(lam * t / 2.0), 0.0, 0.0, cmath.exp(-lam * t / 2.0)
-    )
+    try:
+        grow, shrink = cmath.exp(lam * t / 2.0), cmath.exp(-lam * t / 2.0)
+    except OverflowError:
+        raise NumericalBreakdown(f"exp(+-lam t / 2) overflows at lam={lam!r}, t={t!r}") from None
+    return MoebiusMap(branch * grow, 0.0, 0.0, shrink)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +187,10 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
         return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, Cycle(0.0, 0.0, 0.0, 1.0), 1)
     if lt == 0.0:
         return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, _UNIT_CIRCLE, 1)
-    c3 = Cycle(1.0, 0.0, 0.0, -math.exp(2.0 * lt))
+    try:
+        c3 = Cycle(1.0, 0.0, 0.0, -math.exp(2.0 * lt))
+    except OverflowError:
+        raise NumericalBreakdown(f"exp(2 lambda_tilde) overflows at lambda_tilde={lt!r}") from None
     return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, c3, 1 if lt > 0 else -1)
 
 
@@ -696,7 +705,9 @@ def _curve_points(
     its image is a / c; an image beyond the cap is infinity; a
     non-finite component raises InvalidInput.  An exponential that
     overflows gives infinity as the image itself; an angle that
-    overflows raises InvalidInput.
+    overflows raises InvalidInput.  The model point's rule, ``_affine``
+    on ``(w : 1)``, is applied inline in the loop below, to save a call
+    per sample; the image's is applied by ``point``.
     """
     rate = lox.rate
     back = lox._inverse
@@ -718,8 +729,13 @@ def _curve_points(
             raise InvalidInput(
                 f"curve point at t={t_min + step * i!r} is undefined: rate * t is not finite"
             ) from None
-        z = _affine(w, one)
-        out.append(far if z is None else point(a * z + b, c * z + d))
+        if not cmath.isfinite(w):
+            raise InvalidInput("homogeneous components must be finite")
+        if abs(w) > _COORD_CAP:
+            out.append(far)
+        else:
+            z = w / one
+            out.append(point(a * z + b, c * z + d))
     return out
 
 

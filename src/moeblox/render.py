@@ -80,9 +80,14 @@ def _fmt(x: float, precision: int) -> str:
 
 def _coords(points: list[complex], proj: _Projector, precision: int) -> str:
     """A polyline's points in pixels, "x,y x,y ...", each number as
-    ``_fmt`` writes it."""
-    pair = f"%.{precision}f,%.{precision}f"
-    return _clear_negative_zero(" ".join([pair % proj.to_px(z) for z in points]), precision)
+    ``_fmt`` writes it.  Each point is projected as ``proj.to_px`` does,
+    without the call, and the run is formatted in one operation."""
+    ox, oy, scale = proj.ox, proj.oy, proj.scale
+    xy = [0.0] * (2 * len(points))
+    xy[0::2] = [ox + scale * z.real for z in points]
+    xy[1::2] = [oy - scale * z.imag for z in points]
+    pairs = " ".join([f"%.{precision}f,%.{precision}f"] * len(points))
+    return _clear_negative_zero(pairs % tuple(xy), precision)
 
 
 _STYLE_ATTRS = (("stroke", "stroke"), ("width", "stroke-width"), ("dash", "stroke-dasharray"))
@@ -210,7 +215,7 @@ def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol
 def _polyline_runs(points: list[complex | None], guard: float):
     run: list[complex] = []
     for z in points:
-        if z is not None and max(abs(z.real), abs(z.imag)) <= guard:
+        if z is not None and -guard <= z.real <= guard and -guard <= z.imag <= guard:
             run.append(z)
         else:
             if len(run) >= 2:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import moeblox as mx
+from conftest import random_moebius
 from moeblox.cli import main
 from moeblox.errors import SceneError
 from moeblox.render import RenderConfig, render_scene
@@ -359,8 +361,9 @@ class TestRender:
         from moeblox.render import _coords, _fmt
 
         assert _fmt(x, precision) == round_then_format(x, precision)
-        proj = SimpleNamespace(to_px=lambda z: (z.real, z.imag))
-        z = complex(x, -x)
+        # projects z = x + x i to exactly (x, -x), signed zeros and infinities too
+        proj = SimpleNamespace(ox=-0.0, oy=-0.0, scale=1.0)
+        z = complex(x, x)
         assert _coords([z, z], proj, precision) == " ".join(
             [f"{round_then_format(x, precision)},{round_then_format(-x, precision)}"] * 2
         )
@@ -378,6 +381,68 @@ class TestRender:
             }
             svg = render_scene(parse_scene(raw), RenderConfig(samples=64))
             assert svg.count("<polyline ") == polylines
+
+
+class TestRenderRouteReference:
+    """Every polyline that ``render_scene`` writes is the one that the
+    passes as first written (``render_route``) write: the same points
+    string, per triple, branch and run."""
+
+    NS = "{http://www.w3.org/2000/svg}"
+
+    @staticmethod
+    def seeded(seed):
+        """Four spirals in the bench's envelope, |lambda_tilde| in
+        [0.25, 2.5] of either sign, each moved by a random map."""
+        rng = random.Random(seed)
+        lts = [rng.choice((1, -1)) * rng.uniform(0.25, 2.5) for _ in range(4)]
+        return [mx.apply_map(random_moebius(rng), mx.standard_triple(mx.SlsParameter.finite(lt))) for lt in lts]
+
+    @staticmethod
+    def shapes():
+        from test_loxodrome import TestSampleCurveReference
+
+        return list(TestSampleCurveReference.SHAPES.values())
+
+    @classmethod
+    def cases(cls):
+        spirals = [mx.standard_triple(mx.SlsParameter.finite(lt)) for lt in (1.5, -2.0, 3.0)]
+        wide = dict(samples=401, t_min=-1000.0, t_max=1000.0)  # exp overflows beyond t = 709.78
+        return {
+            "seeded": [(cls.seeded(seed), [-4, -4, 4, 4], {}) for seed in (1, 2, 3)],
+            "shapes": [(cls.shapes(), None, dict(samples=257))],
+            # the view guard is 50 here, and these curves leave it
+            "guard": [(spirals, [-0.01, -0.01, 0.01, 0.01], dict(samples=512))],
+            "overflow": [(cls.shapes() + cls.seeded(4), [-4, -4, 4, 4], wide)],
+        }
+
+    @pytest.mark.parametrize("case", ["seeded", "shapes", "guard", "overflow"])
+    @pytest.mark.parametrize("precision", [3, 6, 12])
+    def test_points_match(self, case, precision):
+        import xml.etree.ElementTree as ET
+
+        import render_route
+        from moeblox.render import _coords, _Projector, _scene_bbox
+
+        tol = mx.DEFAULT_TOLERANCES
+        written = 0
+        for triples, bbox, fields in self.cases()[case]:
+            objects = [{"id": f"T{i}", "kind": "triple", "data": T.to_json()} for i, T in enumerate(triples)]
+            scene = parse_scene({"objects": objects} if bbox is None else {"objects": objects, "bbox": bbox})
+            config = RenderConfig(precision=precision, **fields)
+            proj = _Projector(_scene_bbox(scene, tol), config.width, config.height)
+            root = ET.fromstring(render_scene(scene, config))
+            for obj in scene.objects:
+                group = next(g for g in root.iter(self.NS + "g") if g.get("id") == obj.id)
+                got = [line.get("points") for line in group.iter(self.NS + "polyline")]
+                runs = render_route.runs(obj.value, proj, config, tol)
+                assert got == [render_route._coords(run, proj, precision) for run in runs], (case, obj.id)
+                # precision 0, which RenderConfig refuses, on the same runs
+                assert [_coords(run, proj, 0) for run in runs] == [render_route._coords(run, proj, 0) for run in runs]
+                written += len(got)
+                if case == "guard":  # spirals only: two branches, cut where they leave the guard
+                    assert sum(map(len, runs)) < 2 * config.samples, obj.id
+        assert written > 0
 
 
 # 10**400 is a JSON integer no float holds

@@ -58,6 +58,13 @@ class TestSlsParameter:
         with pytest.raises(InvalidInput):
             mx.SlsParameter.finite(math.inf)
 
+    def test_turn_modulus_overflow_is_a_breakdown(self):
+        # math.exp raises OverflowError, which is no MoebloxError
+        assert mx.SlsParameter.finite(709.0).a < math.inf
+        needle = r"^exp\(lambda_tilde\) overflows at SlsParameter\(lambda_tilde=710.0\)$"
+        with pytest.raises(NumericalBreakdown, match=needle):
+            mx.SlsParameter.finite(710.0).a
+
 
 class TestDiagonalFlow:
     def test_identity_at_zero(self):
@@ -73,6 +80,11 @@ class TestDiagonalFlow:
         minus = mx.diagonal_flow(1 + TWO_PI * 1j, 0.0, branch=-1)
         assert mx.apply_to_point(minus, pt(1)).as_complex() == pytest.approx(-1)
         assert mx.apply_to_point(mx.BRANCH_SWAP, pt(1)).as_complex() == -1
+
+    @pytest.mark.parametrize("t", [2000.0, -2000.0])  # the first entry overflows, then the second
+    def test_overflow_is_a_breakdown(self, t):
+        with pytest.raises(NumericalBreakdown, match=rf"^exp\(\+-lam t / 2\) overflows at lam=\(1\+0j\), t={t!r}$"):
+            mx.diagonal_flow(1.0, t)
 
 
 class TestStandardTriple:
@@ -90,6 +102,12 @@ class TestStandardTriple:
     def test_line_degenerate(self):
         T = mx.standard_triple(mx.SlsParameter.infinite())
         assert T.c3 == mx.Cycle(0, 0, 0, 1)
+
+    def test_radius_overflow_is_a_breakdown(self):
+        # c3's m is -exp(2 lambda_tilde), which overflows past lambda_tilde = 354.89
+        assert std(354.0).c3.m > -math.inf
+        with pytest.raises(NumericalBreakdown, match=r"overflows at lambda_tilde=355.0$"):
+            std(355.0)
 
 
 class TestValidateTriple:
@@ -1000,6 +1018,13 @@ class TestSampleCurveReference:
         assert all(p == far for p in points[35:709])
         assert all(p.is_infinity for p in points[710:])
         assert points == reference_samples(T, 0.0, 1000.0, 1001, "+")
+
+    def test_non_finite_model_point_refused(self):
+        # rate * t is inf + 1.57e308j, whose exponential is nan+nanj without
+        # an OverflowError: the model point is refused, not drawn as the far
+        # point or as infinity
+        with pytest.raises(InvalidInput, match="^homogeneous components must be finite$"):
+            mx.sample_curve(std(8.0), 0.0, 2.5e307, 2, "+")
 
     @pytest.mark.parametrize(
         "t_min,t_max,needle",
