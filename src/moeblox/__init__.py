@@ -46,7 +46,6 @@ from .loxodrome import (
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acos,
     clamped_acosh,
     congruent_mod,
 )

@@ -49,7 +49,6 @@ def _common(parser):
     parser.add_argument(
         "--tol", help="tolerances: <eps_product>[,<eps_angle>,<eps_mod>]"
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_INTEGER_ARG, default=65)
     p.add_argument("--branch", choices=["+", "-", "both"], default="both")
 
+    # member always prints JSON and render writes SVG, so neither takes --json
+    for name in ("lambda", "angle", "tangent", "equiv", "normalize", "sample"):
+        sub.choices[name].add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -199,14 +201,7 @@ def _cmd_normalize(args, scene, tol) -> int:
 
 
 def _cmd_render(args, scene, tol) -> int:
-    config = RenderConfig(
-        samples=args.samples,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        width=args.width,
-        height=args.height,
-        precision=args.precision,
-    )
+    config = RenderConfig(*(getattr(args, name) for name in RenderConfig._fields))
     notes: list[str] = []
     svg = render_scene(scene, config, tol, warnings_out=notes)
     for note in notes:

@@ -348,6 +348,26 @@ def product(C: Cycle, Cp: Cycle) -> float:
     return 2.0 * (C.l * Cp.l + C.n * Cp.n) - C.m * Cp.k - C.k * Cp.m
 
 
+def _accurate_product(C: Cycle, Cp: Cycle) -> float:
+    """``product``, correctly rounded where it cancels below 1e-2 of the
+    sum of its terms' sizes (as for a small circle far from the origin),
+    else its float value.  Each term x y is split into p + e exactly by
+    Dekker's TwoProduct, and ``math.fsum`` sums the parts (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26(6), 2005).  A pencil whose
+    ``pencil_discriminant`` is finite has cycles that split without overflow."""
+    (k, l, n, m), (k2, l2, n2, m2) = C, Cp
+    ll, nn, mk, km = l * l2, n * n2, m * k2, k * m2
+    value = 2.0 * (ll + nn) - mk - km
+    if abs(value) > 1e-2 * (2.0 * (abs(ll) + abs(nn)) + abs(mk) + abs(km)):
+        return value
+    parts = []
+    for x, y, p, w in ((l, l2, ll, 2.0), (n, n2, nn, 2.0), (m, k2, mk, -1.0), (k, m2, km, -1.0)):
+        xh, yh = (t := 134217729.0 * x) - (t - x), (u := 134217729.0 * y) - (u - y)
+        xl, yl = x - xh, y - yh
+        parts += (w * p, w * (xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)))
+    return math.fsum(parts)
+
+
 def _overflow(*cycles: Cycle) -> NumericalBreakdown:
     """The refusal of a zero test on products of the cycles that are not
     finite: a test against inf or NaN decides nothing."""
@@ -467,16 +487,17 @@ def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     terms outweigh it, A becomes the cycle of larger |<A,A>| and B is
     replaced by B - (<A,B>/<A,A>) A: the same pencil, spanned by two
     orthogonal cycles, whose discriminant -<A,A><B,B> cancels nothing.
+    Those products are ``_accurate_product``s: correctly rounded where they cancel.
     """
     disc, scale = pencil_discriminant(A, B, tol)
     if _pencil_kind(disc, scale, tol) != PencilKind.HYPERBOLIC:
         raise InvalidInput(f"pencil discriminant {disc!r} is not positive")
-    a, c = product(A, A), product(B, B)
+    a, c = _accurate_product(A, A), _accurate_product(B, B)
     if a * c > disc:
         if abs(c) > abs(a):
             A, B, a = B, A, c
-        B = combine(1.0, B, -product(A, B) / a, A)
-    b, c = product(A, B), product(B, B)
+        B = combine(1.0, B, -_accurate_product(A, B) / a, A)
+    b, c = _accurate_product(A, B), _accurate_product(B, B)
     root = math.sqrt(b * b - a * c)
     sb = 1.0 if b >= 0 else -1.0
     qq = -(b + sb * root)

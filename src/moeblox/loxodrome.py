@@ -20,9 +20,10 @@ agrees with the elliptic rotation in turns.  Membership reads both in
 standard position, where they are log|w| / lambda_tilde and arg w / 2 pi,
 and compares them modulo 1/2: the model curve has two branches.  Angles
 and tangency read the curve's velocity there, pushed back through the
-map.  The congruence of ``equivalent`` is also taken with a sign fold: cycles are
-projective, so normalised products carry a residual +- ambiguity, and
-lines are undirected.
+map.  Equivalence is read there too: triples of equal sign, parameter
+and limit points draw the same curve exactly when a crossing of the
+second's c1 and c2 lies on the first's curve.  ``zero_radius_members``
+keeps the limit points accurate with products compensated where they cancel.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
 holds what is derived from it: its canonical cycles, its kind,
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -71,7 +71,6 @@ from .errors import InvalidInput, NumericalBreakdown, PointNotOnCurve, TripleVio
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acos,
     clamped_acosh,
     congruent_mod,
     _complex,
@@ -82,8 +81,6 @@ from .numerics import (
 )
 
 TWO_PI = 2.0 * math.pi
-# lstsq's default rcond for a 4x2 system: machine epsilon times max(4, 2)
-_LSTSQ_RCOND = 4.0 * sys.float_info.epsilon
 
 _REAL_AXIS = Cycle(0.0, 0.0, 1.0, 0.0)
 _UNIT_CIRCLE = Cycle(1.0, 0.0, 0.0, -1.0)
@@ -229,6 +226,13 @@ class CurveKind(Enum):
 _SPIRAL, _CIRCLE, _LINE = CurveKind.SPIRAL, CurveKind.CIRCLE, CurveKind.LINE
 
 
+def _binary_scaled(C: Cycle) -> Cycle:
+    """C as given, or scaled exactly by a power of two to a largest component
+    in [0.5, 1) when its scale is beyond 2^+-100, where products may overflow."""
+    e = math.frexp(C.scale())[1]
+    return C if -100 < e < 100 else C * math.ldexp(1.0, -e)
+
+
 class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
@@ -286,14 +290,10 @@ class Loxodrome:
         crossing of c1 and c2 to 1; a spiral is oriented by chirality as
         ``standard_map`` states, with the radius r3 of the image of c3
         read off the point members P, Q that go to 0 and infinity before
-        any map is built: r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>).
-
-        The frame F = (z - p) / (z - q) of the oriented limit points p, q
-        takes c1 to a line through 0 with normal L = l + i n and c2 to a
-        circle of radius rho = sqrt(-m / k) centred at 0, so c1 and c2
-        cross at w = +-i rho L / |L|.  The map is F followed by z / w for
-        the crossing w whose preimage is the larger by
-        ``_point_sort_key``."""
+        any map is built: r3^2 = <c3,P><c2,Q> / (<c3,Q><c2,P>).  The map
+        is the frame F = (z - p) / (z - q) of the oriented limit points
+        followed by z / w, for the ``_crossing`` w of c1 and c2 in that
+        frame whose preimage is the larger by ``_point_sort_key``."""
         tol = self.tol
         if self.shape is _CIRCLE:
             return _map_cycle_to_unit_circle(self.c2, tol)
@@ -307,14 +307,7 @@ class Loxodrome:
             if (num > den if den > 0 else num < den) != (self.sign > 0):
                 p, q = q, p
         F = MoebiusMap(p.w2, -p.w1, q.w2, -q.w1)
-        line, circle = apply_to_cycle(F, c1), apply_to_cycle(F, c2)
-        L = complex(line.l, line.n)
-        try:
-            w = 1j * math.sqrt(-circle.m / circle.k) * (L / abs(L))
-        except (ZeroDivisionError, ValueError):
-            w = 0j
-        if not (w and cmath.isfinite(w)):
-            raise NumericalBreakdown("first and second cycle have no crossing in the frame of the limit points")
+        w = _crossing(F, c1, c2)
         a, b, c, d = F
         if _point_sort_key(_affine(-d * w - b, c * w + a)) > _point_sort_key(_affine(d * w - b, a - c * w)):
             w = -w
@@ -332,8 +325,9 @@ class Loxodrome:
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis
         "rate": lambda self: complex(1.0, 0.0) if self.shape is _LINE else self.param.rate,
-        # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints
-        "_point_members": lambda self: zero_radius_members(self._c2, self._c3, self.tol),
+        # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints;
+        # solved on the cycles as given, as canonical ones lose the far point of two nearby small circles
+        "_point_members": lambda self: zero_radius_members(_binary_scaled(self.c2), _binary_scaled(self.c3), self.tol),
         "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
         "map": _map,
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
@@ -476,74 +470,48 @@ def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
     raise TripleViolation("curve cycle is a point")
 
 
+def _crossing(F: MoebiusMap, c1: Cycle, c2: Cycle) -> complex:
+    """A crossing w of c1 and c2 in the frame of a map F that takes their
+    triple's limit points to 0 and infinity: there c1 is a line through 0
+    with normal L = l + i n and c2 a circle of radius rho = sqrt(-m / k)
+    centred at 0, so w = i rho L / |L|, and -w is the other crossing."""
+    line, circle = apply_to_cycle(F, c1), apply_to_cycle(F, c2)
+    L = complex(line.l, line.n)
+    try:
+        w = 1j * math.sqrt(-circle.m / circle.k) * (L / abs(L))
+    except (ZeroDivisionError, ValueError):
+        w = 0j
+    if not (w and cmath.isfinite(w)):
+        raise NumericalBreakdown("first and second cycle have no crossing in the frame of the limit points")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
 
-def _span_test(a: Cycle, b: Cycle, tol: Tolerances):
-    """The test whether a canonical cycle X is within eps_product of the
-    span of the canonical cycles a and b, relative to max(1, |X|).
-
-    Least squares by two-pass Gram-Schmidt: b is orthogonalised against
-    a twice, which leaves the basis orthonormal to roundoff, and the
-    residual of X is formed as a vector, so its norm is accurate down to
-    the roundoff of |X|.  A residual taken from |X|^2 minus the squared
-    projections, or a Gram determinant, would square the threshold below
-    double precision.  As with lstsq's default rcond, b is dropped when
-    the smaller singular value of [a b] is at most 4 machine epsilons of
-    the larger: their product is |a| |b'| for the orthogonal part b' of
-    b, and their squares sum to |a|^2 + |b|^2.  The basis is built once
-    and serves every X tested against it.
-    """
-    hypot = math.hypot
-    na = hypot(*a)
-    q0, q1, q2, q3 = a.k / na, a.l / na, a.n / na, a.m / na
-    u0, u1, u2, u3 = b.k, b.l, b.n, b.m
-    for _ in range(2):
-        d = q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3
-        u0, u1, u2, u3 = u0 - d * q0, u1 - d * q1, u2 - d * q2, u3 - d * q3
-    nu = hypot(u0, u1, u2, u3)
-    h = hypot(na, b.k, b.l, b.n, b.m)
-    full_rank = (na / h) * (nu / h) > _LSTSQ_RCOND
-    if full_rank:
-        w0, w1, w2, w3 = u0 / nu, u1 / nu, u2 / nu, u3 / nu
-
-    def holds(x: Cycle) -> bool:
-        d = q0 * x.k + q1 * x.l + q2 * x.n + q3 * x.m
-        r0, r1, r2, r3 = x.k - d * q0, x.l - d * q1, x.n - d * q2, x.m - d * q3
-        if full_rank:
-            d = w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
-            r0, r1, r2, r3 = r0 - d * w0, r1 - d * w1, r2 - d * w2, r3 - d * w3
-        residual = hypot(r0, r1, r2, r3)
-        return residual <= tol.eps_product * max(1.0, hypot(*x))
-
-    return holds
-
-
 def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do two non-degenerate triples parametrise the same curve?
 
-    Checks, in order: equal chirality; mutual span membership of the
-    hyperbolic pairs; equal recovered parameter; and the coupling
-    congruence (hyperbolic shift over the parameter against the elliptic
-    rotation in turns).  The congruence is decided on the second cycles.
-    """
+    Checks, in order: equal chirality; equal parameter, on the pair
+    products; the same limit points, as a set; and a ``_crossing`` of
+    Tp's c1 and c2, taken in T's standard position, on T's model curve.
+    Then N N'^-1, for the normal forms N of T and N' of Tp, fixes {0,
+    infinity} and takes 1 onto the model curve: it is a diagonal flow,
+    with or without the branch swap, so it keeps the curve."""
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     if lox.shape is not _SPIRAL or loxp.shape is not _SPIRAL:
         raise TripleViolation("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
-    a2, a3, b2, b3 = lox._c2, lox._c3, loxp._c2, loxp._c3
-    in_a, in_b = _span_test(a2, a3, tol), _span_test(b2, b3, tol)
-    if not (in_a(b2) and in_a(b3) and in_b(a2) and in_b(a3)):
-        return False
     x, xp = lox._pair_product, loxp._pair_product
     if abs(x - xp) > tol.eps_product * max(1.0, x, xp):
         return False
-    lam = abs(lox.param.lambda_tilde)
-    rhs = clamped_acos(_cosine(lox._c1, loxp._c1, *lox._n1, *loxp._n1, tol)) / TWO_PI
-    lhs = clamped_acosh(abs(_cosine(a2, b2, *lox._n2, *loxp._n2, tol))) / lam
-    return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)
+    (p, q), (pp, qp) = lox.limit_points, loxp.limit_points
+    if not (p.approx_eq(pp, tol) and q.approx_eq(qp, tol) or p.approx_eq(qp, tol) and q.approx_eq(pp, tol)):
+        return False
+    w = _crossing(lox.map, loxp._c1, loxp._c2)
+    return _spiral_report(w, lox.param.lambda_tilde, tol).member
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +565,16 @@ def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, compl
     w = lox._standard_point(p)
     if w is None or w == 0:
         return MembershipReport(False, flags=("limit_point",)), w
-    lhs = math.log(abs(w)) / lox.param.lambda_tilde
+    return _spiral_report(w, lox.param.lambda_tilde, tol), w
+
+
+def _spiral_report(w: complex, lambda_tilde: float, tol: Tolerances) -> MembershipReport:
+    """Is w, a point of standard position other than 0 and infinity, on the
+    model spiral: is lhs = log|w| / lambda_tilde congruent to rhs = arg w / 2 pi
+    modulo 1/2, as the two branches differ by half a turn?"""
+    lhs = math.log(abs(w)) / lambda_tilde
     rhs = cmath.phase(w) / TWO_PI
-    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs), w
+    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs)
 
 
 def contains_point_oracle(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

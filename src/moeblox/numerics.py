@@ -1,12 +1,12 @@
 """Tolerance policy and guarded scalar functions.
 
 A single :class:`Tolerances` value is threaded through every geometric
-predicate in the package; the one fixed epsilon is the overshoot that
-the clamped inverse functions forgive.  Quantities compared against zero
-are always scaled by the magnitude of their inputs first, so rescaling a
-homogeneous representative cannot flip a predicate.  Numbers written as
-text (tolerance specs, point literals, CLI numbers) are read by one ASCII
-decimal reader and one ASCII integer reader.
+predicate in the package; the one fixed epsilon is the undershoot that
+the clamped inverse hyperbolic cosine forgives.  Quantities compared
+against zero are always scaled by the magnitude of their inputs first,
+so rescaling a homogeneous representative cannot flip a predicate.
+Numbers written as text (tolerance specs, point literals, CLI numbers)
+are read by one ASCII decimal reader and one ASCII integer reader.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import namedtuple
 from .errors import InvalidInput, NumericalBreakdown
 
 _TOL_CEILING = 1e-2
-_EPS_DOMAIN = 1e-9  # permitted overshoot outside the domains of acos and acosh
+_EPS_DOMAIN = 1e-9  # permitted undershoot below the domain of acosh
 _QUOTE_MAX = 80
 # sign, digits with an optional fraction, optional exponent; ASCII only
 _DECIMAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?\s*", re.ASCII)
@@ -143,13 +143,6 @@ def _index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {_quote(value)}") from None
-
-
-def clamped_acos(x: float) -> float:
-    """Arc cosine tolerating an overshoot of 1e-9 beyond [-1, 1]."""
-    if x < -1.0 - _EPS_DOMAIN or x > 1.0 + _EPS_DOMAIN:
-        raise NumericalBreakdown(f"acos argument {x!r} outside [-1-eps, 1+eps]")
-    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def clamped_acosh(x: float) -> float:

@@ -16,11 +16,18 @@ import math
 
 import moeblox as mx
 from moeblox.cycles import _cosine, _norm_square, combine
-from moeblox.errors import InvalidInput, MoebloxError
+from moeblox.errors import InvalidInput, MoebloxError, NumericalBreakdown
 from moeblox.loxodrome import CurveKind, _as_point, _prepared
-from moeblox.numerics import clamped_acos, clamped_acosh, congruent_mod
+from moeblox.numerics import clamped_acosh, congruent_mod
 
 TWO_PI = 2.0 * math.pi
+
+
+def clamped_acos(x: float) -> float:
+    """Arc cosine tolerating an overshoot of 1e-9 beyond [-1, 1]."""
+    if x < -1.0 - 1e-9 or x > 1.0 + 1e-9:
+        raise NumericalBreakdown(f"acos argument {x!r} outside [-1-eps, 1+eps]")
+    return math.acos(min(1.0, max(-1.0, x)))
 
 
 class RankDeficient(MoebloxError):

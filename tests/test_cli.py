@@ -242,6 +242,26 @@ class TestRender:
         with pytest.raises(InvalidInput):
             RenderConfig(precision=2)
 
+    @pytest.mark.parametrize("size", [{"width": 0}, {"height": -1}])
+    def test_config_refuses_empty_output(self, size):
+        from moeblox.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match="^output size must be positive$"):
+            RenderConfig(**size)
+
+    def test_map_without_bbox_renders(self):
+        # a moebius object is not drawn and bounds nothing: the view is the triple's
+        objects = STANDARD_SCENE["objects"] + [{"id": "G", "kind": "moebius", "data": [[1, 0], [0, 2], [0.5, 0], [1, 0]]}]
+        svg = render_scene(parse_scene({"objects": objects}), RenderConfig(samples=64))
+        assert svg == render_scene(parse_scene(STANDARD_SCENE), RenderConfig(samples=64))
+
+    @pytest.mark.parametrize("line", [{"p": [0, 100], "q": [1, 100]}, {"p": [100, 0], "q": [0, 100]}])
+    def test_line_outside_view_draws_nothing(self, line):
+        # a horizontal line above the view, and a slanted one that misses it
+        scene = {"objects": [{"id": "L", "kind": "line", "data": line}], "bbox": [-5, -5, 5, 5]}
+        svg = render_scene(parse_scene(scene), RenderConfig(samples=16))
+        assert "<svg" in svg and "<line " not in svg
+
     @pytest.mark.parametrize(
         "bounds,needle",
         [
@@ -810,6 +830,16 @@ class TestCliContract:
         assert report["rhs"] == pytest.approx(0.25, abs=1e-9)
         assert oracle.returncode == 2
         assert oracle.stdout == ""
+
+    @pytest.mark.parametrize("command", ["render", "member"])
+    def test_json_flag_refused_where_it_changes_nothing(self, scene_path, tmp_path, command):
+        # member always prints JSON and render writes SVG
+        out = tmp_path / "out.svg"
+        args = ["--out", str(out)] if command == "render" else ["--triple", "T", "--point", "1,0"]
+        result = run_cli([command, "--scene", scene_path, *args, "--json"])
+        assert result.returncode == 2
+        assert "error: unrecognized arguments: --json" in result.stderr
+        assert result.stdout == "" and not out.exists()
 
     def test_member_refuses_the_mirror_spiral(self):
         # conj(exp(0.3 (1 + 2 pi i))) lies on the mirror of the shipped spiral

@@ -1,11 +1,14 @@
 import cmath
 import math
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import moeblox as mx
+from moeblox.cycles import _accurate_product
 from moeblox.errors import InvalidInput, NumericalBreakdown, SceneError
 from moeblox.scene import SceneObject
 
@@ -157,6 +160,39 @@ class TestProduct:
         )
         assert trace.imag == pytest.approx(0.0, abs=1e-9)
         assert mx.product(C, Cp) == pytest.approx(trace.real, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def _exact_product(C, Cp):
+        (k, l, n, m), (k2, l2, n2, m2) = map(Fraction, C), map(Fraction, Cp)
+        return 2 * (l * l2 + n * n2) - m * k2 - k * m2
+
+    def test_accurate_product_correctly_rounded_where_it_cancels(self):
+        # small circles far from the origin: |c|^2 and m nearly cancel in <C, C'>
+        rng = random.Random(5)
+        float_missed = 0
+        for _ in range(200):
+            c = cmath.rect(10 ** rng.uniform(2, 5), rng.uniform(-math.pi, math.pi))
+            r = 10 ** rng.uniform(-4, -1)
+            C = mx.from_circle(c, r)
+            Cp = mx.from_circle(c + r * rng.uniform(-1, 1), r * rng.uniform(0.5, 2))
+            for X, Y in ((C, C), (C, Cp), (Cp, Cp)):
+                exact = float(self._exact_product(X, Y))
+                assert _accurate_product(X, Y) == exact
+                float_missed += mx.product(X, Y) != exact
+        assert float_missed > 100
+
+    def test_accurate_product_is_the_float_product_elsewhere(self):
+        rng = random.Random(6)
+        checked = 0
+        for _ in range(200):
+            C = mx.Cycle(*(rng.uniform(-5, 5) for _ in range(4)))
+            Cp = mx.Cycle(*(rng.uniform(-5, 5) for _ in range(4)))
+            (k, l, n, m), (k2, l2, n2, m2) = C, Cp
+            terms = 2 * (abs(l * l2) + abs(n * n2)) + abs(m * k2) + abs(k * m2)
+            if abs(mx.product(C, Cp)) > 1e-2 * terms:
+                assert _accurate_product(C, Cp) == mx.product(C, Cp)
+                checked += 1
+        assert checked > 150
 
 
 class TestCanonicalize:

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import math
+import random
 import re
 import sys
 import threading
@@ -502,71 +503,103 @@ class TestEquivalence:
         assert not mx.equivalent(T, moved)
 
 
-def reference_in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
-    """The span test of ``equivalent`` as first written: numpy's
-    ``lstsq`` with its default rcond, and the residual norm of its
-    solution."""
-    import numpy as np
-
-    S = np.array([mx.canonicalize(A, tol).to_json(), mx.canonicalize(B, tol).to_json()]).T
-    v = np.array(mx.canonicalize(X, tol).to_json())
-    coef, *_ = np.linalg.lstsq(S, v, rcond=None)
-    residual = float(np.linalg.norm(S @ coef - v))
-    return residual <= tol.eps_product * max(1.0, float(np.linalg.norm(v)))
+# a map of condition 1,940 that takes the standard triple of lambda_tilde
+# 1.0378 to c2 and c3 of radius about 2e-3, 0.22 from the other limit point
+FAR_SMALL_MAP = mx.MoebiusMap(
+    -19.695279956757574 + 13.896534898321013j,
+    -0.001918079586989496 + 0.050424794820567616j,
+    -28.38978268153267 + 16.126440834737117j,
+    0.012595612209748372 + 0.07419242873988832j,
+)
 
 
-def in_span(A, B, X, tol=mx.DEFAULT_TOLERANCES):
-    """The span test of ``equivalent``, on the canonical forms it uses."""
-    from moeblox.loxodrome import _span_test
+def squeezed_moebius(rng):
+    """``random_moebius`` after diag(s, 1/s), log10 s in [0, 1.5]: its
+    condition is up to 1e3 times that of the map."""
+    s = 10 ** rng.uniform(0, 1.5)
+    return random_moebius(rng) @ mx.MoebiusMap(s, 0, 0, 1 / s)
 
-    return _span_test(mx.canonicalize(A, tol), mx.canonicalize(B, tol), tol)(
-        mx.canonicalize(X, tol)
+
+def chordal(z, w):
+    """Chordal distance of two points of the extended plane, None for infinity."""
+    if z is None or w is None:
+        return 0.0 if z is w else 1 / math.sqrt(1 + abs(w if z is None else z) ** 2)
+    return abs(z - w) / math.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
+
+
+def limit_point_error(G, T):
+    """Chordal error of T's limit points, as a set, against G(0) and G(infinity)."""
+    got = [None if p.is_infinity else p.as_complex() for p in mx.Loxodrome(T).limit_points]
+    known = [G.b / G.d if G.d else None, G.a / G.c if G.c else None]
+    return min(
+        max(chordal(got[0], known[0]), chordal(got[1], known[1])),
+        max(chordal(got[0], known[1]), chordal(got[1], known[0])),
     )
 
 
-class TestInSpanReference:
-    """The Gram-Schmidt span test against lstsq."""
+class TestLimitPointAccuracy:
+    """The self-products of small circles far from the other limit point
+    cancel; ``zero_radius_members`` forms them compensated."""
 
-    @staticmethod
-    def perturbed(rng, X, size):
-        return mx.Cycle(*(c + size * rng.normal() for c in X.to_json()))
+    def test_small_circles_far_from_the_other_limit_point(self):
+        T = mx.apply_map(FAR_SMALL_MAP, std(1.0378))
+        got = [p.as_complex() for p in mx.Loxodrome(T).limit_points]
+        for known in (FAR_SMALL_MAP.b / FAR_SMALL_MAP.d, FAR_SMALL_MAP.a / FAR_SMALL_MAP.c):
+            assert min(abs(z - known) for z in got) <= 1e-9
 
-    @pytest.mark.parametrize("size", [0.0, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-2])
-    def test_members_and_perturbed_non_members(self, rng, size):
-        from moeblox.cycles import combine
-        from conftest import random_real_cycle
-
-        inside = 0
-        for _ in range(400):
-            A, B = random_real_cycle(rng), random_real_cycle(rng)
-            if projective_residual(A, B) <= 1e-9:
-                continue
-            alpha, beta = rng.uniform(-3, 3, 2)
-            X = self.perturbed(rng, combine(alpha, A, beta, B), size)
-            want = reference_in_span(A, B, X)
-            assert in_span(A, B, X) == want, (A, B, X)
-            inside += want
-        if size <= 1e-12:
-            assert inside >= 390
-        if size >= 1e-6:
-            assert inside == 0
-
-    @pytest.mark.parametrize("kind", ["scaled", "nearly"])
-    def test_rank_one_spans(self, rng, kind):
-        # a second column within lstsq's rcond of the first is dropped, so
-        # the span is the line of A alone
-        from conftest import random_real_cycle
-
+    def test_squeezed_maps(self):
+        rng = random.Random(20261019)
+        worst = 0.0
         for _ in range(300):
-            A = random_real_cycle(rng)
-            if kind == "scaled":
-                B = float(rng.uniform(0.5, 4)) * A
-            else:
-                e = 10 ** rng.uniform(-17, -14)
-                B = mx.Cycle(A.k * (1 + e * rng.normal()), A.l, A.n, A.m * (1 + e * rng.normal()))
-            for X in (3.0 * A, random_real_cycle(rng), self.perturbed(rng, A, 1e-9)):
-                want = reference_in_span(A, B, X)
-                assert in_span(A, B, X) == want, (A, B, X)
+            G = squeezed_moebius(rng)
+            T = mx.apply_map(G, std(rng.uniform(0.25, 2.5) * rng.choice((1, -1))))
+            worst = max(worst, limit_point_error(G, T))
+        assert worst <= 1e-8
+
+
+def sweep_pair(rng, kind, G, lt, shift=None):
+    """T moved by G and a copy of kind "true" (moved along the stabiliser),
+    "rotated" or "twisted" (c1 turned about 0 in standard position),
+    "perturbed" (lambda_tilde changed) or "shifted" (the limit point 0
+    moved, by ``shift`` if given), with the copy's expected equivalence."""
+    lam, Gp = lt, G
+    if kind == "true":
+        Gp = G @ mx.diagonal_flow(complex(lt, TWO_PI), rng.uniform(-1, 1))
+        if rng.random() < 0.5:
+            Gp = Gp @ mx.BRANCH_SWAP
+    elif kind in ("rotated", "twisted"):
+        angle = rng.uniform(0.05, math.pi - 0.05) if kind == "rotated" else rng.choice((1e-3, 1e-4, 1e-5))
+        Gp = G @ mx.MoebiusMap(cmath.exp(1j * angle), 0, 0, 1)
+    elif kind == "perturbed":
+        lam = lt * (1 + rng.choice((1e-3, 1e-5)))
+    else:
+        eps = shift or rng.choice((1e-3, 1e-5, 1e-6, 1e-7, 1e-8))
+        Gp = G @ mx.MoebiusMap(1, eps * cmath.exp(1j * rng.uniform(0, TWO_PI)), 0, 1)
+    return mx.apply_map(G, std(lt)), mx.apply_map(Gp, std(lam)), kind == "true"
+
+
+class TestEquivalenceSweep:
+    """Seeded pairs with |lambda_tilde| in [0.25, 2.5]."""
+
+    @pytest.mark.parametrize("kind", ["true", "rotated", "perturbed", "shifted", "twisted"])
+    def test_well_conditioned_maps(self, kind):
+        rng = random.Random(11)
+        for _ in range(60):
+            lt = rng.uniform(0.25, 2.5) * rng.choice((1, -1))
+            T, Tp, want = sweep_pair(rng, kind, random_moebius(rng), lt)
+            assert mx.equivalent(T, Tp) is want
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8])
+    def test_nearby_pencils_under_squeezed_maps_refused(self, eps):
+        # limit point 0 moved by eps: the span test took such pencils as one
+        rng = random.Random(11)
+        for _ in range(150):
+            lt = rng.uniform(0.25, 2.5) * rng.choice((1, -1))
+            try:
+                T, Tp, _ = sweep_pair(rng, "shifted", squeezed_moebius(rng), lt, eps)
+            except TripleViolation:
+                continue  # a copy refused as invalid is no answer
+            assert not mx.equivalent(T, Tp)
 
 
 class TestMembership:
@@ -928,6 +961,10 @@ class TestSampleCurve:
     def test_count_validation(self):
         with pytest.raises(InvalidInput):
             mx.sample_curve(std(1.0), 0, 1, 1, "+")
+
+    def test_reversed_range_refused(self):
+        with pytest.raises(InvalidInput, match="^empty parameter range$"):
+            mx.sample_curve(std(1.0), 1.0, -1.0, 8)
 
     def test_both_branches(self):
         points = mx.sample_curve(std(1.0), 0, 1, 3, "both")
@@ -1324,8 +1361,8 @@ class TestPreparedTriple:
         assert len(calls) == 1
 
     def test_equivalent_canonicalises_each_spanning_cycle_once(self, rng, monkeypatch):
-        # one canonical form per cycle serves the span tests, the pair
-        # products and the c1 term, wherever the canonicalisation happens
+        # one canonical form per cycle serves the pair products, the limit
+        # points, T's map and the crossing, wherever the canonicalisation happens
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
@@ -1338,14 +1375,15 @@ class TestPreparedTriple:
                 module, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k)
             )
         # the check of the copy canonicalises its cycles and the two point
-        # members of its pencil, solved in cycles; the query keeps them all
+        # members of its pencil, solved in cycles; the query keeps them all.
+        # T is not validated, so the query solves T's pencil for T's map
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
         six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
-        assert len(calls) == 8
+        assert len(calls) == 10
         assert all(sum(C is X for X in calls) == 1 for C in six)
         members = [X for X in calls if not any(X is C for C in six)]
-        assert len(members) == 2
+        assert len(members) == 4
         assert all(mx.classify(X) == mx.CycleKind.POINT for X in members)
 
     def test_one_pencil_discriminant_per_decision(self, monkeypatch):

@@ -8,19 +8,10 @@ from hypothesis import assume, example, given, strategies as st
 from moeblox import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acos,
     clamped_acosh,
     congruent_mod,
 )
 from moeblox.errors import InvalidInput, NumericalBreakdown
-
-
-def _acos_newton(value, x0=1.5):
-    """Invert the cosine by Newton iteration; independent of math.acos."""
-    x = x0
-    for _ in range(60):
-        x -= (math.cos(x) - value) / (-math.sin(x))
-    return x
 
 
 def _acosh_exponential(value):
@@ -60,30 +51,6 @@ class TestTolerances:
         with pytest.raises(InvalidInput) as info:
             Tolerances.parse("x" * 100_000)
         assert len(str(info.value)) < 300
-
-
-class TestClampedAcos:
-    def test_boundaries(self):
-        assert clamped_acos(1.0) == 0.0
-        assert clamped_acos(-1.0) == pytest.approx(math.pi)
-
-    def test_cos_of_one(self):
-        value = 0.5403023  # cos(1) rounded; oracle refines below
-        assert clamped_acos(value) == pytest.approx(_acos_newton(value), abs=1e-12)
-        assert clamped_acos(math.cos(1.0)) == pytest.approx(1.0, abs=1e-7)
-
-    def test_overshoot_tolerated(self):
-        assert clamped_acos(1.0 + 5e-10) == 0.0
-        assert clamped_acos(-1.0 - 5e-10) == pytest.approx(math.pi)
-
-    @pytest.mark.parametrize("x", [1.1, -1.1, 1.0 + 1e-8])
-    def test_domain_error(self, x):
-        with pytest.raises(NumericalBreakdown, match=r"^acos argument .* outside \[-1-eps, 1\+eps\]$"):
-            clamped_acos(x)
-
-    @given(st.floats(min_value=1e-7, max_value=math.pi - 1e-7))
-    def test_left_inverse_of_cos(self, x):
-        assert abs(clamped_acos(math.cos(x)) - x) <= DEFAULT_TOLERANCES.eps_angle
 
 
 class TestClampedAcosh:
