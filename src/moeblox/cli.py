@@ -23,7 +23,7 @@ from .loxodrome import (
     standard_triple,
     tangent_check,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _decimal, _integer
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _decimal, _integer
 from .render import RenderConfig, render_scene
 from .scene import load_scene
 
@@ -189,11 +189,7 @@ def _cmd_normalize(args, scene, tol) -> int:
             sort_keys=True,
         ))
         return 0
-    def f6(x: float) -> str:
-        r = round(x, 6)
-        return f"{r if r != 0.0 else 0.0:.6f}"
-
-    entries = ",".join(f"[{f6(e.real)},{f6(e.imag)}]" for e in (M.a, M.b, M.c, M.d))
+    entries = _clear_negative_zero(",".join(f"[{e.real:.6f},{e.imag:.6f}]" for e in (M.a, M.b, M.c, M.d)), 6)
     print(f"map=[{entries}]")
     print(f"standard_triple={json.dumps(std.to_json(), sort_keys=True)}")
     print(f"lambda_tilde={param.lambda_tilde:.6f}")

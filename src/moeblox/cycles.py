@@ -43,7 +43,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInput, NumericalBreakdown
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _complex, _decimal, _finite, _quote, _Value
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _complex, _decimal, _finite, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 
@@ -132,7 +132,7 @@ class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
         if self.is_infinity:
             return "inf"
         z = self.as_complex()
-        return f"{z.real:.{precision}f},{z.imag:.{precision}f}"
+        return _clear_negative_zero(f"{z.real:.{precision}f},{z.imag:.{precision}f}", precision)
 
     def approx_eq(self, other: "ExtendedPoint", tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         """Is the cross product w1 w2' - w2 w1' within eps_product of the
@@ -513,10 +513,16 @@ def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
 # predicates
 # ---------------------------------------------------------------------------
 
+def _orthogonality_residual(C: Cycle, Cp: Cycle, tol: Tolerances) -> float:
+    """0.0 when the product of C and C' vanishes relative to their
+    component scales; else its size, the residual of the violation."""
+    r = abs(product(C, Cp))
+    return 0.0 if r <= tol.eps_product * 4.0 * max(C.scale() * Cp.scale(), 1e-300) else r
+
+
 def is_orthogonal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Vanishing product relative to the component scales."""
-    thr = tol.eps_product * 4.0 * max(C.scale() * Cp.scale(), 1e-300)
-    return abs(product(C, Cp)) <= thr
+    return not _orthogonality_residual(C, Cp, tol)
 
 
 def passes(C: Cycle, p: ExtendedPoint | complex, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

@@ -26,12 +26,12 @@ second's c1 and c2 lies on the first's curve.  ``zero_radius_members``
 keeps the limit points accurate with products compensated where they cancel.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
-holds what is derived from it: its canonical cycles, its kind,
+holds what is derived from it: its canonical cycles, its shape,
 lambda_tilde (0 for a circle, inf for a line), the point members of the
 pencil of (c2, c3) and the normalising map.  The first query on a triple
-keeps it on the triple; later ones pay only their per-point work.  A
-triple from ``validate_triple`` (so from ``apply_map``) holds no form:
-the form that checked it is handed to its first query.
+checks it and keeps the form on it; later ones pay only their per-point
+work.  A triple from ``validate_triple`` (so from ``apply_map``) holds
+no form: the form that checked it is handed to its first query.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ from .cycles import (
     _cosine,
     _line_frame,
     _norm_square,
+    _orthogonality_residual,
     _pencil_kind,
     apply_to_cycle,
     canonicalize,
     center_radius,
     classify,
-    classify_pencil,
     from_line,
     is_orthogonal,
     passes,
@@ -157,8 +157,8 @@ class LoxodromeTriple(_Value, namedtuple("LoxodromeTriple", "c1 c2 c3 sign")):
     that ``_prepared`` keeps on it, which is not a field."""
 
     def __new__(cls, c1: Cycle, c2: Cycle, c3: Cycle, sign: int = 1):
-        if sign not in (1, -1):
-            raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
+        if type(sign) is not int or sign not in (1, -1):  # written out as given, so no bool or float
+            raise InvalidInput(f"sign must be the int 1 or -1, got {_quote(sign)}")
         return tuple.__new__(cls, (c1, c2, c3, sign))
 
     def to_json(self):
@@ -202,12 +202,17 @@ def validate_triple(
     otherwise.  It holds no form: the checking one goes to its first query."""
     global _checked
     T = LoxodromeTriple(c1, c2, c3, sign)
+    _checked = (T, _checked_form(T, tol))
+    return T
+
+
+def _checked_form(T: LoxodromeTriple, tol: Tolerances) -> "Loxodrome":
+    """A new form of T at tol; the first of its ``violations``, if any, is raised."""
     form = Loxodrome(T, tol)
     violations = form.violations()
     if violations:
         raise violations[0]
-    _checked = (T, form)
-    return T
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +241,27 @@ def _binary_scaled(C: Cycle) -> Cycle:
 class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
-    ``kind`` is what the cycles say; ``param`` follows from it, and
-    ``shape``, the kind every query acts on, is read off lambda_tilde
-    alone.  Canonical c2 and c3 are formed on construction; canonical
-    c1, the self-products ``_n1`` to ``_n3`` of the canonical cycles,
-    the parameter, the shape, the limit points, the map and its inverse
-    ``_inverse`` on first read, each by its entry in ``_DERIVE``, into
-    its slot.  A point query maps its point once, reading the map's
-    entries, and builds no point and no map.  A derivation is
-    deterministic, so threads that race on one store equal values.
-    Every query gets one from ``_prepared``: ``validate_triple``'s, or
-    a new one.  It holds the triple's cycles, not the triple that
-    keeps it, so the two make no reference cycle for the garbage
-    collector to find."""
+    ``shape`` is what the cycles say, read on construction with canonical
+    c2 and c3; the rest is derived on first read, each field by its entry
+    in ``_DERIVE``, into its slot: canonical c1, the self-products ``_n1``
+    to ``_n3``, the parameter, the limit points, the map and its inverse
+    ``_inverse``.  A derivation is deterministic, so threads that race on
+    one store equal values.  The derived fields assume a triple with no
+    ``violations``, and every query gets such a form from ``_prepared``:
+    ``validate_triple``'s, or a new one.  It holds the triple's cycles,
+    not the triple that keeps it, so the two make no reference cycle for
+    the garbage collector to find."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
         self._c2, self._c3 = canonicalize(self.c2, tol), canonicalize(self.c3, tol)
         if _canonical_equal(self._c2, self._c3, tol):
-            self.kind = _CIRCLE
+            self.shape = _CIRCLE
         elif classify(self.c3, tol) == CycleKind.POINT:
-            self.kind = _LINE
+            self.shape = _LINE
         else:
-            self.kind = _SPIRAL
+            self.shape = _SPIRAL
 
     def __getattr__(self, name: str):
         """A derived field on its first read: only an empty slot gets here."""
@@ -272,17 +274,16 @@ class Loxodrome:
 
     def _param(self) -> SlsParameter:
         """acosh of ``_pair_product``, signed by the triple's chirality;
-        0 for the circle kind, inf for the line kind."""
-        if self.kind is _CIRCLE:
+        0 for the circle shape, inf for the line shape.  A spiral whose
+        acosh rounds to 0 raises NumericalBreakdown: floats lose its parameter."""
+        if self.shape is _CIRCLE:
             return SlsParameter(0.0)
-        if self.kind is _LINE:
+        if self.shape is _LINE:
             return SlsParameter.infinite()
-        return SlsParameter.finite(self.sign * clamped_acosh(self._pair_product))
-
-    def _shape(self) -> CurveKind:
-        """The kind the queries act on, read off lambda_tilde."""
-        lt = self.param.lambda_tilde
-        return _CIRCLE if lt == 0.0 else _LINE if lt == math.inf else _SPIRAL
+        lt = clamped_acosh(self._pair_product)
+        if lt == 0.0:
+            raise NumericalBreakdown("second and third cycle are disjoint, but their parameter rounds to 0")
+        return SlsParameter.finite(self.sign * lt)
 
     def _map(self) -> MoebiusMap:
         """The map to standard position.  The circle shape takes c2 to the
@@ -294,13 +295,10 @@ class Loxodrome:
         is the frame F = (z - p) / (z - q) of the oriented limit points
         followed by z / w, for the ``_crossing`` w of c1 and c2 in that
         frame whose preimage is the larger by ``_point_sort_key``."""
-        tol = self.tol
         if self.shape is _CIRCLE:
-            return _map_cycle_to_unit_circle(self.c2, tol)
+            return _map_cycle_to_unit_circle(self.c2, self.tol)
         p, q = self.limit_points
         c1, c2 = self._c1, self._c2
-        if _canonical_equal(c1, c2, tol) or classify_pencil(c1, c2, tol) != PencilKind.ELLIPTIC:
-            raise TripleViolation("first and second cycle must cross at two points")
         if self.shape is _SPIRAL:
             (P, Q), c3 = self._point_members, self._c3
             num, den = product(c3, P) * product(c2, Q), product(c3, Q) * product(c2, P)
@@ -321,7 +319,6 @@ class Loxodrome:
         # |normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)
         "_pair_product": lambda self: abs(_cosine(self._c2, self._c3, *self._n2, *self._n3, self.tol)),
         "param": _param,
-        "shape": _shape,
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis
         "rate": lambda self: complex(1.0, 0.0) if self.shape is _LINE else self.param.rate,
@@ -333,13 +330,13 @@ class Loxodrome:
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
         "_inverse": lambda self: self.map.inverse(),
     }
-    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c2", "_c3", "kind", *_DERIVE)
+    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c2", "_c3", "shape", *_DERIVE)
 
     def violations(self) -> list:
         """All invariant violations of the triple, empty when valid.
 
         After the checks of each cycle and of c1's orthogonality, the
-        spanning pair is checked by kind: a circle needs nothing more, a
+        spanning pair is checked by shape: a circle needs nothing more, a
         line needs its point c3 off c2 (the pencil of a cycle and a point
         is disjoint exactly when the point misses the cycle), a spiral
         needs a hyperbolic pencil.  Then c1 must pass both point members.
@@ -356,24 +353,21 @@ class Loxodrome:
             out.append(TripleViolation("second cycle must be a line or proper circle", s2))
         if s3 < -tol.eps_product * n3:
             out.append(TripleViolation("third cycle has no real locus", s3))
-        r1 = c1.scale()
         for name, C in (("second", c2), ("third", c3)):
-            r = product(c1, C)
-            if abs(r) > tol.eps_product * 4.0 * r1 * C.scale():
-                out.append(TripleViolation(f"first and {name} cycle are not orthogonal", abs(r)))
+            if r := _orthogonality_residual(c1, C, tol):
+                out.append(TripleViolation(f"first and {name} cycle are not orthogonal", r))
 
-        if self.kind is _CIRCLE:
+        if self.shape is _CIRCLE:
             return out
-        if self.kind is _LINE and is_orthogonal(c2, c3, tol):
+        if self.shape is _LINE and is_orthogonal(c2, c3, tol):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
-        if self.kind is _SPIRAL:
+        if self.shape is _SPIRAL:
             q, scale = pencil_discriminant(c2, c3, tol)
             if _pencil_kind(q, scale, tol) != PencilKind.HYPERBOLIC:
                 return out + [TripleViolation("second and third cycle neither disjoint nor equal", q)]
         for z in self._point_members:
-            r = product(c1, z)
-            if abs(r) > tol.eps_product * 4.0 * r1 * z.scale():
-                out.append(TripleViolation("first cycle misses a limit point of the pencil", abs(r)))
+            if r := _orthogonality_residual(c1, z, tol):
+                out.append(TripleViolation("first cycle misses a limit point of the pencil", r))
         return out
 
     def _standard_point(self, p: ExtendedPoint) -> complex | None:
@@ -405,15 +399,16 @@ class Loxodrome:
 
 
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
-    """The prepared form of T at tol, kept on T by the first query for the
-    next ones; a query at other tolerances prepares T afresh.  The first
-    query keeps the form that checked T, if ``_checked`` holds T at tol:
-    it is rebound as one tuple, so a racing thread only prepares T again."""
+    """The checked form of T at tol, kept on T by the first query for the
+    next ones; a query at other tolerances checks T afresh, and an invalid
+    T raises its first violation to every query.  The first query keeps
+    the form that checked T, if ``_checked`` holds T at tol: it is rebound
+    as one tuple, so a racing thread only prepares T again."""
     lox = T.__dict__.get("_loxodrome")
     if lox is None or (lox.tol is not tol and lox.tol != tol):
         checked, lox = _checked
         if checked is not T or (lox.tol is not tol and lox.tol != tol):
-            lox = Loxodrome(T, tol)
+            lox = _checked_form(T, tol)
         T._loxodrome = lox
     return lox
 

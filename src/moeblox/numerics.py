@@ -145,6 +145,13 @@ def _index(value, name: str) -> int:
         raise InvalidInput(f"{name} must be an integer, got {_quote(value)}") from None
 
 
+def _clear_negative_zero(text: str, precision: int) -> str:
+    """The one negative-zero rule for every number the package writes: in text
+    of numbers with ``precision`` places, each "-0.0..." becomes "0.0..."."""
+    negative_zero = f"{-0.0:.{precision}f}"
+    return text.replace(negative_zero, negative_zero[1:])
+
+
 def clamped_acosh(x: float) -> float:
     """Inverse hyperbolic cosine tolerating an undershoot of 1e-9 below 1."""
     if x < 1.0 - _EPS_DOMAIN:

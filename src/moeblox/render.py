@@ -20,9 +20,9 @@ from .cycles import (
     classify,
     point_of,
 )
-from .errors import InvalidInput, MoebloxError
-from .loxodrome import _CIRCLE, LoxodromeTriple, _check_grid, _curve_points, _prepared
-from .numerics import DEFAULT_TOLERANCES, Tolerances, _finite, _index, _Value
+from .errors import InvalidInput, MoebloxError, TripleViolation
+from .loxodrome import _CIRCLE, Loxodrome, LoxodromeTriple, _check_grid, _curve_points, _prepared
+from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _finite, _index, _Value
 from .scene import Scene, SceneObject
 
 
@@ -39,8 +39,10 @@ class RenderConfig(_Value, namedtuple("RenderConfig", "samples t_min t_max width
             raise InvalidInput("samples per branch must be at least 16")
         if not 3 <= _index(config.precision, "precision") <= 12:
             raise InvalidInput("precision must lie in [3, 12]")
-        for name in ("width", "height"):  # the projector divides by both
-            _finite(getattr(config, name), name)  # refuses a non-number by name
+        for name in ("width", "height"):  # the projector divides by both, and both are written out
+            value = getattr(config, name)  # _finite refuses a non-number by name
+            if isinstance(value, bool) or not _finite(value, name):
+                raise InvalidInput(f"{name} must be a finite number, got {value!r}")
         if config.width <= 0 or config.height <= 0:
             raise InvalidInput("output size must be positive")
         _check_grid(config.t_min, config.t_max, config.samples)
@@ -64,14 +66,6 @@ def _quoteattr(value) -> str:
     text = str(value).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
     text = text.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
     return f'"{text}"'
-
-
-def _clear_negative_zero(text: str, precision: int) -> str:
-    """Numbers written with ``precision`` places, with every "-0.0..."
-    turned into "0.0..."; a minus sign only ever starts a number, so
-    the text may hold many."""
-    negative_zero = "-0." + "0" * precision
-    return text.replace(negative_zero, negative_zero[1:])
 
 
 def _fmt(x: float, precision: int) -> str:
@@ -237,9 +231,7 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
     try:
         lox = _prepared(T, tol)
         signs = (1.0,) if lox.shape is _CIRCLE else (1.0, -1.0)  # one branch covers a circle
-        guard = 50.0 * max(
-            abs(proj.bbox[0]), abs(proj.bbox[1]), abs(proj.bbox[2]), abs(proj.bbox[3]), 1.0
-        )
+        guard = 50.0 * max(*map(abs, proj.bbox), 1.0)
         curve_style = style or _TRIPLE_STYLE["curve"]
         for sign in signs:
             pts = _curve_points(lox, config.t_min, config.t_max, config.samples, sign)
@@ -259,17 +251,20 @@ def render_scene(
 ) -> str:
     """Render a scene to SVG text.
 
-    Invalid triples are still drawn from their raw cycles; the curve is
-    skipped and a note appended to ``warnings_out``, after one note per
-    invariant violation of each triple, or one for a triple whose check
-    itself fails.
+    Every triple is checked before anything is drawn.  An invalid one is
+    still drawn from its raw cycles, without its curve; ``warnings_out``
+    gets a note per violation (or one for a check that itself fails),
+    then one for the curve not drawn.
     """
     if warnings_out is None:
         warnings_out = []
     for obj in [obj for obj in scene.objects if obj.kind == "triple"]:
         try:
+            _prepared(obj.value, tol)
+            continue
+        except TripleViolation:
             notes = [f"{v}" + (f" (residual {v.residual:.3e})" if v.residual is not None else "")
-                     for v in _prepared(obj.value, tol).violations()]
+                     for v in Loxodrome(obj.value, tol).violations()]
         except MoebloxError as exc:
             notes = [f"not checked: {exc}"]
         warnings_out.extend(f"triple {obj.id!r}: {note}" for note in notes)

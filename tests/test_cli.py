@@ -242,6 +242,14 @@ class TestRender:
         with pytest.raises(InvalidInput):
             RenderConfig(precision=2)
 
+    @pytest.mark.parametrize("size", [{"width": True}, {"height": False}, {"width": math.inf}])
+    def test_config_refuses_sizes_it_cannot_write(self, size):
+        # a bool would be written as "True", an infinity as "inf"
+        from moeblox.errors import InvalidInput
+
+        with pytest.raises(InvalidInput, match="^(width|height) must be a finite number, got "):
+            RenderConfig(**size)
+
     @pytest.mark.parametrize("size", [{"width": 0}, {"height": -1}])
     def test_config_refuses_empty_output(self, size):
         from moeblox.errors import InvalidInput
@@ -1125,25 +1133,76 @@ class TestCliContract:
         assert "width is too large for a float" in result.stderr
         assert not out.exists()
 
-    # c2 and c3 pair to a normalised product that rounds to 1: the
-    # parameter is 0, so the queries take the triple as the circle c2
+    # c2 and c3 pair to a normalised product that rounds to 1, yet are
+    # not equal: their pencil is neither disjoint nor one cycle, so the
+    # triple fails its check and no query answers, lambda included
     NEAR_CIRCLE = {"c1": [0, 0, 1, 0], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -(1 + 1e-9)], "sign": 1}
 
     @pytest.mark.parametrize(
-        "args,needle",
-        [
-            (["equiv", "--triple-a", "T", "--triple-b", "T"], "equivalence needs non-degenerate triples"),
-            (["normalize", "--triple", "T"], "normal form needs a distinct, non-point third cycle"),
-        ],
+        "args",
+        [["equiv", "--triple-a", "T", "--triple-b", "T"], ["normalize", "--triple", "T"]],
+        ids=["equiv", "normalize"],
     )
-    def test_zero_parameter_pair_is_degenerate(self, tmp_path, args, needle, capsys):
+    def test_zero_parameter_pair_is_degenerate(self, tmp_path, args, capsys):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(_triple(**self.NEAR_CIRCLE)))
-        assert main([args[0], "--scene", str(path), *args[1:]]) == 2
+        for argv in (args, ["lambda", "--triple", "T"]):
+            assert main([argv[0], "--scene", str(path), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: second and third cycle neither disjoint nor equal\n"
+
+    # c1 is the line x = -0.3, which misses the limit points 0 and infinity
+    # of the pencil of c2 and c3: the triple fails its check
+    OFF_LIMIT_POINTS = {"c1": [0, 1, 0, 0.6], "c2": [1, 0, 0, -1], "c3": [1, 0, 0, -7.38905609893065], "sign": 1}
+
+    def _off_limit_points_scene(self, tmp_path):
+        document = _triple(**self.OFF_LIMIT_POINTS)
+        document["objects"].append({"id": "C", "kind": "cycle", "data": [1, 0, 0, -1]})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lambda", "--triple", "T"],
+            ["member", "--triple", "T", "--point", "1,0"],
+            ["angle", "--triple-a", "T", "--triple-b", "T", "--point", "1,0"],
+            ["tangent", "--triple", "T", "--cycle", "C", "--point", "1,0"],
+            ["equiv", "--triple-a", "T", "--triple-b", "T"],
+            ["normalize", "--triple", "T"],
+            ["sample", "--triple", "T"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_invalid_triple_is_data_error(self, tmp_path, args, capsys):
+        assert main([args[0], "--scene", self._off_limit_points_scene(tmp_path), *args[1:]]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and needle in captured.err
-        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
-        assert capsys.readouterr().out == "lambda_tilde=0 a=1\n"
+        assert (captured.out, captured.err) == ("", "error: first and second cycle are not orthogonal\n")
+
+    def test_invalid_triple_renders_its_cycles_only(self, tmp_path, capsys):
+        import xml.etree.ElementTree as ET
+
+        out = tmp_path / "out.svg"
+        assert main(["render", "--scene", self._off_limit_points_scene(tmp_path), "--out", str(out)]) == 0
+        group = ET.parse(out).getroot().find(".//{http://www.w3.org/2000/svg}g[@id='T']")
+        assert [child.tag.rpartition("}")[2] for child in group] == ["line", "circle", "circle"]
+        assert "<polyline" not in out.read_text()
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: triple 'T': first and second cycle are not orthogonal (residual 6.000e-01)",
+            "warning: triple 'T': first and third cycle are not orthogonal (residual 6.000e-01)",
+            "warning: triple 'T': first cycle misses a limit point of the pencil (residual 6.000e-01)",
+            "warning: triple 'T': curve not drawn: first and second cycle are not orthogonal",
+        ]
+
+    def test_sample_writes_no_negative_zero(self, capsys):
+        # the points of the spiral on the axes: -0.000000 at the parent
+        scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
+        assert main(["sample", "--scene", scene, "--triple", "spiral", "--count", "9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "-0.223130,0.000000" in lines and "0.000000,0.472367" in lines
+        assert not any(re.search(r"(^|,)-0\.0+(,|$)", line) for line in lines)
 
     @pytest.mark.parametrize("scale", [1e100, 1e200])
     def test_overflowing_products_are_refused(self, tmp_path, scale, capsys):

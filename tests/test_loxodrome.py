@@ -136,6 +136,65 @@ class TestValidateTriple:
         with pytest.raises(InvalidInput):
             mx.validate_triple(REAL_AXIS, UNIT, E_CIRCLE, 2)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_sign_must_be_an_int(self, sign):
+        # to_json writes the sign as given, and a scene takes only the int
+        with pytest.raises(InvalidInput, match=r"^sign must be the int 1 or -1, got (True|1\.0|-1\.0)$"):
+            mx.LoxodromeTriple(REAL_AXIS, UNIT, E_CIRCLE, sign)
+
+    def test_queries_refuse_an_invalid_triple(self):
+        # c1 is the line x = -0.3, which misses the limit points 0 and
+        # infinity: every query checks the triple and raises its first
+        # violation, and no form is kept on it
+        T, p = mx.LoxodromeTriple(mx.Cycle(0, 1, 0, 0.6), UNIT, mx.Cycle(1, 0, 0, -7.38905609893065)), pt(1)
+        assert len(mx.Loxodrome(T).violations()) == 3
+        for query in (
+            lambda: mx.lambda_from_triple(T),
+            lambda: mx.contains_point(T, p),
+            lambda: mx.contains_point_oracle(T, p),
+            lambda: mx.intersection_angle(T, std(1.0), p),
+            lambda: mx.tangent_check(T, UNIT, p),
+            lambda: mx.tangent_line_at(T, p),
+            lambda: mx.equivalent(std(1.0), T),
+            lambda: mx.standard_map(T),
+            lambda: mx.sample_curve(T, -1.0, 1.0, 8),
+        ):
+            with pytest.raises(TripleViolation, match="^first and second cycle are not orthogonal$"):
+                query()
+        assert "_loxodrome" not in vars(T)
+
+    def test_disjoint_pair_whose_parameter_rounds_to_zero(self):
+        # at eps_product 1e-30 these concentric circles pass as disjoint,
+        # but acosh of their normalised product rounds to 0: the triple is
+        # checked, and a query that needs its parameter breaks down
+        tol = mx.Tolerances(eps_product=1e-30)
+        T = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -(1 + 3.9890575444857154e-08)))
+        assert mx.Loxodrome(T, tol).violations() == []
+        for query in (
+            lambda: mx.lambda_from_triple(T, tol),
+            lambda: mx.contains_point(T, pt(1), tol),
+            lambda: mx.sample_curve(T, -1.0, 1.0, 8, tol=tol),
+        ):
+            with pytest.raises(NumericalBreakdown, match="^second and third cycle are disjoint, but their parameter rounds to 0$"):
+                query()
+
+    def test_orthogonality_violations_read_is_orthogonal(self, rng):
+        # c1 moved off the real axis by up to 1e-6 of its size, then with
+        # the triple by a seeded map: a violation names c1 and c2 (or c3)
+        # exactly when is_orthogonal refuses their canonical cycles
+        seen = set()
+        for _ in range(400):
+            nudge = mx.Cycle(*(10 ** rng.uniform(-12, -6) * rng.standard_normal() for _ in range(4)))
+            c1 = mx.Cycle(*(a + b for a, b in zip(REAL_AXIS, nudge)))
+            G = random_moebius(rng)
+            lox = mx.Loxodrome(mx.LoxodromeTriple(*(mx.apply_to_cycle(G, C) for C in (c1, UNIT, E_CIRCLE))))
+            names = {str(v) for v in lox.violations()}
+            for name, C in (("second", lox._c2), ("third", lox._c3)):
+                found = f"first and {name} cycle are not orthogonal" in names
+                assert found == (not mx.is_orthogonal(lox._c1, C, lox.tol))
+                seen.add(found)
+        assert seen == {True, False}
+
     def test_violation_report_carries_residual(self):
         violations = mx.Loxodrome(mx.LoxodromeTriple(UNIT, UNIT, E_CIRCLE)).violations()
         assert violations and violations[0].residual == pytest.approx(2.0)
@@ -219,9 +278,13 @@ class TestLambdaFromTriple:
             )
 
     def test_crossing_pair_raises_domain_error(self):
+        # the query checks the triple first; the unchecked form's parameter
+        # still meets the domain of acosh
         T = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.from_circle(1, 1), 1)
-        with pytest.raises(NumericalBreakdown, match=r"^acosh argument .* below 1-eps$"):
+        with pytest.raises(TripleViolation, match="^second and third cycle neither disjoint nor equal$"):
             mx.lambda_from_triple(T)
+        with pytest.raises(NumericalBreakdown, match=r"^acosh argument .* below 1-eps$"):
+            mx.Loxodrome(T).param
 
 
 class TestStandardMap:
@@ -410,9 +473,7 @@ class TestMapRouteReference:
 
     def test_invalid_triples_answer_or_refuse(self, rng):
         # c1 off the limit points, equal to c2, tangent to c2 or disjoint
-        # from it, moved by a seeded map: every query answers or raises a
-        # MoebloxError, nothing else
-        seen = set()
+        # from it, moved by a seeded map: every query refuses the triple
         for i in range(400):
             lt = rng.uniform(0.3, 2.0) * (1 if i % 2 else -1)
             z = cmath.exp(1j * rng.uniform(0.0, TWO_PI))
@@ -432,12 +493,8 @@ class TestMapRouteReference:
                 lambda: mx.intersection_angle(T, T, p),
                 lambda: mx.sample_curve(T, -1.0, 1.0, 8, "both"),
             ):
-                try:
+                with pytest.raises(TripleViolation):
                     query()
-                    seen.add((i % 4, "answer"))
-                except MoebloxError as exc:
-                    seen.add((i % 4, type(exc).__name__))
-        assert (1, "TripleViolation") in seen and (0, "answer") in seen
 
 
 class TestLoxodromePair:
@@ -1244,16 +1301,22 @@ class TestPreparedTriple:
     def test_shape_is_read_off_lambda(self):
         from moeblox.loxodrome import CurveKind
 
-        # the normalised product of c2 and c3 rounds to 1, so lambda_tilde
-        # is 0: every query, equivalent and standard_map too, sees a circle
+        # the normalised product of c2 and c3 rounds to 1, yet the cycles
+        # are not equal: the shape is a spiral, the pencil is neither
+        # disjoint nor one cycle, and every query refuses the triple
         near = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -(1 + 1e-9)))
         lox = mx.Loxodrome(near)
-        assert (lox.kind, lox.param.lambda_tilde, lox.shape) == (CurveKind.SPIRAL, 0.0, CurveKind.CIRCLE)
-        with pytest.raises(TripleViolation, match="^equivalence needs non-degenerate triples$"):
-            mx.equivalent(near, near)
-        with pytest.raises(TripleViolation, match="^normal form needs a distinct, non-point third cycle$"):
-            mx.standard_map(near)
-        assert mx.contains_point(near, pt(1)).member
+        assert lox.shape is CurveKind.SPIRAL
+        assert [str(v) for v in lox.violations()] == ["second and third cycle neither disjoint nor equal"]
+        for query in (
+            lambda: mx.lambda_from_triple(near),
+            lambda: mx.equivalent(near, near),
+            lambda: mx.standard_map(near),
+            lambda: mx.contains_point(near, pt(1)),
+            lambda: mx.sample_curve(near, -1.0, 1.0, 8),
+        ):
+            with pytest.raises(TripleViolation, match="^second and third cycle neither disjoint nor equal$"):
+                query()
         line = mx.Loxodrome(mx.standard_triple(mx.SlsParameter.infinite()))
         assert (line.shape, line.rate) == (CurveKind.LINE, 1.0)
 

@@ -112,3 +112,24 @@ class TestCongruentMod:
         distance = abs(math.remainder(a - b, modulus))
         assume(abs(distance - DEFAULT_TOLERANCES.eps_mod) > roundoff)
         assert congruent_mod(a, b, modulus) == congruent_mod(a + j * modulus, b, modulus)
+
+
+class TestNegativeZero:
+    @given(st.floats(min_value=-1e6, max_value=1e6), st.integers(0, 12))
+    @example(-1e-9, 6)
+    @example(-0.0, 0)
+    @example(-0.4, 0)
+    def test_one_rule_for_every_number_written(self, x, precision):
+        # a number that rounds to zero is written "0.0...", without a sign,
+        # by the rule itself, by a point's format and by every caller
+        from moeblox import ExtendedPoint
+        from moeblox.numerics import _clear_negative_zero
+
+        text = f"{x:.{precision}f}"
+        cleared = _clear_negative_zero(f"{text},{text} {text}", precision)
+        want = text if float(text) != 0.0 else f"{0.0:.{precision}f}"
+        assert cleared == f"{want},{want} {want}"
+        assert ExtendedPoint.from_complex(complex(x, -x)).format(precision) == ",".join(
+            [want, _clear_negative_zero(f"{-x:.{precision}f}", precision)]
+        )
+        assert not re.search(r"(^|,)-0(\.0*)?(,|$)", ExtendedPoint.from_complex(complex(x, -x)).format(precision))
