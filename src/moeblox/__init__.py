@@ -46,7 +46,6 @@ from .loxodrome import (
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acosh,
     congruent_mod,
 )
 from .render import RenderConfig, render_scene

@@ -29,10 +29,10 @@ Cauchy-Schwarz trichotomy of the indefinite pairing makes it crossing
 disjoint pencil holds exactly two point members, its limit points.
 
 Because cycles are projective, the *sign* of the quadruple is a free
-choice.  :func:`canonicalize` fixes one representative per cycle and
-every signed quantity in this package is defined on canonical
-representatives; callers that need sign-independence fold the residual
-ambiguity explicitly (see the loxodrome module).
+choice.  :func:`canonicalize` fixes one representative per cycle, and
+the signed quantities of this module are defined on canonical
+representatives; the loxodrome module reads only quantities that are
+invariant under the scale and sign of each cycle.
 """
 
 from __future__ import annotations
@@ -68,11 +68,15 @@ def _affine(w1: complex, w2: complex) -> complex | None:
     """The coordinate w1 / w2 of the homogeneous point (w1 : w2), or None
     for the point at infinity, which also takes every point beyond the
     coordinate cap.  The one normalisation rule of ``ExtendedPoint``;
-    curve sampling applies it to bare complex numbers."""
+    curve sampling applies it to bare complex numbers.  A component whose
+    modulus is beyond the float range is refused as InvalidInput."""
     if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
         raise InvalidInput("homogeneous components must be finite")
-    if w2 and abs(w1) <= _COORD_CAP * abs(w2):
-        return w1 / w2
+    try:
+        if w2 and abs(w1) <= _COORD_CAP * abs(w2):
+            return w1 / w2
+    except OverflowError:  # abs of a complex beyond the float range
+        raise InvalidInput(f"point ({w1!r} : {w2!r}) has a modulus beyond the float range") from None
     if not w1:
         raise InvalidInput("(0, 0) is not a point of the projective line")
     return None
@@ -117,7 +121,11 @@ class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
         if len(parts) != 2:
             raise InvalidInput(f"point literal must be 'x,y' or 'inf', got {_quote(text)}")
         what = f"point literal {_quote(text)}"
-        return cls.from_complex(complex(_decimal(parts[0], what), _decimal(parts[1], what)))
+        z = complex(_decimal(parts[0], what), _decimal(parts[1], what))
+        try:
+            return cls.from_complex(z)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{what}: {exc}") from None
 
     @property
     def is_infinity(self) -> bool:
@@ -183,7 +191,8 @@ class Cycle(_Value, namedtuple("Cycle", "k l n m")):
         return ((L.conjugate(), complex(-self.m)), (complex(self.k), -L))
 
     def scale(self) -> float:
-        return max(abs(self.k), abs(self.l), abs(self.n), abs(self.m))
+        k, l, n, m = self
+        return max(abs(k), abs(l), abs(n), abs(m))
 
     def __mul__(self, t: float) -> "Cycle":
         return Cycle(t * self.k, t * self.l, t * self.n, t * self.m)
@@ -353,8 +362,8 @@ def _accurate_product(C: Cycle, Cp: Cycle) -> float:
     sum of its terms' sizes (as for a small circle far from the origin),
     else its float value.  Each term x y is split into p + e exactly by
     Dekker's TwoProduct, and ``math.fsum`` sums the parts (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26(6), 2005).  A pencil whose
-    ``pencil_discriminant`` is finite has cycles that split without overflow."""
+    Oishi, SIAM J. Sci. Comput. 26(6), 2005).  Components below about
+    1e300, as of every binary-scaled cycle, split without overflow."""
     (k, l, n, m), (k2, l2, n2, m2) = C, Cp
     ll, nn, mk, km = l * l2, n * n2, m * k2, k * m2
     value = 2.0 * (ll + nn) - mk - km
@@ -404,13 +413,6 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     return Cycle(k, l, n, m)  # refuses a component that overflowed
 
 
-def _canonical_equal(a: Cycle, b: Cycle, tol: Tolerances) -> bool:
-    """Are the canonical cycles a and b projectively equal: every
-    component within eps_product of the other, relative to max(1, |a|, |b|)?"""
-    thr = tol.eps_product * max(1.0, a.scale(), b.scale())
-    return abs(a.k - b.k) <= thr and abs(a.l - b.l) <= thr and abs(a.n - b.n) <= thr and abs(a.m - b.m) <= thr
-
-
 def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """<C,C'> / sqrt(<C,C> <C',C'>) evaluated on canonical representatives.
 
@@ -420,11 +422,7 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     canonicalisation picked.
     """
     a, b = canonicalize(C, tol), canonicalize(Cp, tol)
-    return _cosine(a, b, *_norm_square(a), *_norm_square(b), tol)
-
-
-def _cosine(a: Cycle, b: Cycle, sa: float, ra: float, sb: float, rb: float, tol: Tolerances) -> float:
-    """``normalized_product`` of canonical a and b given their ``_norm_square``."""
+    (sa, ra), (sb, rb) = _norm_square(a), _norm_square(b)
     if sa <= tol.eps_product * ra or sb <= tol.eps_product * rb:
         raise InvalidInput("normalised product needs two non-point cycles")
     return product(a, b) / math.sqrt(sa * sb)
@@ -436,36 +434,55 @@ def combine(alpha: float, C: Cycle, beta: float, Cp: Cycle) -> Cycle:
                  alpha * C.n + beta * Cp.n, alpha * C.m + beta * Cp.m)
 
 
-def pencil_discriminant(
-    C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, float]:
-    """(<C,C'>^2 - <C,C><C',C'>, comparison scale) for pencil trichotomy.
+_Pencil = namedtuple("_Pencil", "a c disc scale coincident frame")
 
-    The scale follows the products themselves, not the component norms:
-    products are invariants, component sizes are an artifact of the
-    representative (a far-translated circle has huge components but the
-    same products).  A floor at the products' own roundoff level keeps
-    the sign test meaningful for cancelling configurations.
-    """
-    ab = product(C, Cp)
-    ab2, ss = ab * ab, product(C, C) * product(Cp, Cp)
-    floor = tol.eps_product * 4.0 * C.scale() * Cp.scale()
+
+def _pencil(A: Cycle, B: Cycle, tol: Tolerances) -> _Pencil:
+    """The ``_accurate_product``s of the pencil of A and B, formed once for
+    every question on it: a = <A,A>, c = <B,B>, disc = b^2 - ac for
+    b = <A,B>, the scale of its zero test (the products', floored at their
+    roundoff), whether A and B are one cycle, and a frame (A', B', <A',A'>,
+    <A',B'>, <B',B'>) of the pencil.  Where b^2 and ac outweigh disc, A' is
+    the cycle of larger |<A,A>| and B' the other less its projection on A',
+    so disc = -<A',A'><B',B'> cancels nothing.  The pair is one cycle when
+    B' is within 4 eps_product of its source and their canonical forms
+    agree to eps_product of max(1, their scales).  Overflow raises
+    NumericalBreakdown."""
+    a, b, c = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
+    ac, bb = a * c, b * b
+    floor = tol.eps_product * 4.0 * A.scale() * B.scale()
     floor *= floor
-    if not (math.isfinite(ab2) and math.isfinite(ss) and math.isfinite(floor)):
-        raise _overflow(C, Cp)
-    return ab2 - ss, max(ab2, abs(ss), floor, 1e-300)
+    if not (math.isfinite(bb) and math.isfinite(ac) and math.isfinite(floor)):
+        raise _overflow(A, B)
+    disc, frame, coincident = bb - ac, (A, B, a, b, c), False
+    if ac > disc:
+        X, Y, x = (B, A, c) if abs(c) > abs(a) else (A, B, a)
+        t = b / x
+        k, l, n, m = Y.k - t * X.k, Y.l - t * X.l, Y.n - t * X.n, Y.m - t * X.m
+        if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * Y.scale():
+            P, Q = canonicalize(A, tol), canonicalize(B, tol)
+            thr = tol.eps_product * max(1.0, P.scale(), Q.scale())
+            coincident = all(abs(p - q) <= thr for p, q in zip(P, Q))
+        if k or l or n or m:
+            Y = Cycle(k, l, n, m)
+            y, z = _accurate_product(X, Y), _accurate_product(Y, Y)
+            disc, frame = y * y - x * z, (X, Y, x, y, z)
+        else:  # B' vanishes to the last bit: the pencil is one cycle
+            disc = 0.0
+    return _Pencil(a, c, disc, max(bb, abs(ac), floor, 1e-300), coincident, frame)
 
 
 def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
     """Type of the pencil of C and C': <C,C'>^2 less than <C,C><C',C'> is
     elliptic (crossing), equal parabolic (tangent), greater hyperbolic
-    (disjoint), each up to eps_product of the ``pencil_discriminant``
-    scale.  The one place that draws these lines."""
-    return _pencil_kind(*pencil_discriminant(C, Cp, tol), tol)
+    (disjoint), each up to eps_product of the ``_pencil`` scale.  The
+    one place that draws these lines."""
+    pencil = _pencil(C, Cp, tol)
+    return _pencil_kind(pencil.disc, pencil.scale, tol)
 
 
 def _pencil_kind(q: float, scale: float, tol: Tolerances) -> PencilKind:
-    """``classify_pencil`` on a ``pencil_discriminant`` already formed."""
+    """``classify_pencil`` on a discriminant and scale already formed."""
     thr = tol.eps_product * scale
     if q < -thr:
         return PencilKind.ELLIPTIC
@@ -477,36 +494,22 @@ def _pencil_kind(q: float, scale: float, tol: Tolerances) -> PencilKind:
 def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Cycle, Cycle]:
     """The two point members of the hyperbolic pencil of A and B,
     canonicalised and in a deterministic order; any other pencil,
-    coincident cycles included, raises InvalidInput.
+    coincident cycles included, raises InvalidInput."""
+    return _root_pairing(_pencil(A, B, tol), tol)
 
-    Solves <xA + yB, xA + yB> = 0 in homogeneous (x : y) with the
-    cancellation-free root pairing, so a near-point A does not degrade
-    the second root.  The discriminant <A,B>^2 - <A,A><B,B> of nearby
-    cycles is the difference of two nearly equal terms, which would cost
-    the roots a relative error of eps over its size.  So when those
-    terms outweigh it, A becomes the cycle of larger |<A,A>| and B is
-    replaced by B - (<A,B>/<A,A>) A: the same pencil, spanned by two
-    orthogonal cycles, whose discriminant -<A,A><B,B> cancels nothing.
-    Those products are ``_accurate_product``s: correctly rounded where they cancel.
-    """
-    disc, scale = pencil_discriminant(A, B, tol)
-    if _pencil_kind(disc, scale, tol) != PencilKind.HYPERBOLIC:
-        raise InvalidInput(f"pencil discriminant {disc!r} is not positive")
-    a, c = _accurate_product(A, A), _accurate_product(B, B)
-    if a * c > disc:
-        if abs(c) > abs(a):
-            A, B, a = B, A, c
-        B = combine(1.0, B, -_accurate_product(A, B) / a, A)
-    b, c = _accurate_product(A, B), _accurate_product(B, B)
-    root = math.sqrt(b * b - a * c)
+
+def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
+    """``zero_radius_members`` of a formed pencil: <xA' + yB', xA' + yB'> = 0
+    solved on its frame in homogeneous (x : y) by the cancellation-free
+    root pairing, so a near-point A' does not degrade the second root."""
+    if _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
+        raise InvalidInput(f"pencil discriminant {pencil.disc!r} is not positive")
+    A, B, a, b, c = pencil.frame
+    root = math.sqrt(pencil.disc)
     sb = 1.0 if b >= 0 else -1.0
     qq = -(b + sb * root)
-    members = [
-        canonicalize(combine(qq, A, a, B), tol),
-        canonicalize(combine(c, A, qq, B), tol),
-    ]
-    members.sort(key=lambda z: (z.k, z.l, z.n, z.m))
-    return members[0], members[1]
+    P, Q = canonicalize(combine(qq, A, a, B), tol), canonicalize(combine(c, A, qq, B), tol)
+    return (P, Q) if tuple.__le__(P, Q) else (Q, P)  # in the order of their components
 
 
 # ---------------------------------------------------------------------------

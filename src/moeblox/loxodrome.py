@@ -10,8 +10,9 @@ turn.
 A loxodrome is encoded by an ordered triple of cycles plus a chirality
 sign: ``c1`` is a cycle of the elliptic pencil through the two
 asymptotic endpoints, ``c2`` and ``c3`` span the orthogonal hyperbolic
-pencil and sit one full turn apart on the curve.  The inverse hyperbolic
-cosine of their normalised product recovers ``|lambda_tilde|``; the sign
+pencil and sit one full turn apart on the curve.  Their pencil's
+products recover ``|lambda_tilde|`` = asinh sqrt(disc / (<c2,c2><c3,c3>))
+for disc = <c2,c3>^2 - <c2,c2><c3,c3>, with no cancellation; the sign
 cannot be read off the cycles (mirror spirals share them), so the triple
 carries it explicitly.
 
@@ -22,16 +23,15 @@ and compares them modulo 1/2: the model curve has two branches.  Angles
 and tangency read the curve's velocity there, pushed back through the
 map.  Equivalence is read there too: triples of equal sign, parameter
 and limit points draw the same curve exactly when a crossing of the
-second's c1 and c2 lies on the first's curve.  ``zero_radius_members``
-keeps the limit points accurate with products compensated where they cancel.
+second's c1 and c2 lies on the first's curve.
 
 ``Loxodrome`` is the prepared form of a triple and the one place that
-holds what is derived from it: its canonical cycles, its shape,
-lambda_tilde (0 for a circle, inf for a line), the point members of the
-pencil of (c2, c3) and the normalising map.  The first query on a triple
-checks it and keeps the form on it; later ones pay only their per-point
-work.  A triple from ``validate_triple`` (so from ``apply_map``) holds
-no form: the form that checked it is handed to its first query.
+holds what is derived from it: the products of the pencil of (c2, c3),
+its shape, lambda_tilde (0 for a circle, inf for a line), the limit
+points and the normalising map.  The first query on a triple checks it
+and keeps the form on it; later ones pay only their per-point work.  A
+triple from ``validate_triple`` (so from ``apply_map``) holds no form:
+the form that checked it is handed to its first query.
 """
 
 from __future__ import annotations
@@ -49,29 +49,25 @@ from .cycles import (
     MoebiusMap,
     PencilKind,
     _affine,
-    _canonical_equal,
-    _cosine,
     _line_frame,
     _norm_square,
     _orthogonality_residual,
+    _pencil,
     _pencil_kind,
+    _root_pairing,
     apply_to_cycle,
-    canonicalize,
     center_radius,
     classify,
     from_line,
     is_orthogonal,
     passes,
-    pencil_discriminant,
     point_of,
     product,
-    zero_radius_members,
 )
 from .errors import InvalidInput, NumericalBreakdown, PointNotOnCurve, TripleViolation
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acosh,
     congruent_mod,
     _complex,
     _finite,
@@ -202,17 +198,12 @@ def validate_triple(
     otherwise.  It holds no form: the checking one goes to its first query."""
     global _checked
     T = LoxodromeTriple(c1, c2, c3, sign)
-    _checked = (T, _checked_form(T, tol))
-    return T
-
-
-def _checked_form(T: LoxodromeTriple, tol: Tolerances) -> "Loxodrome":
-    """A new form of T at tol; the first of its ``violations``, if any, is raised."""
     form = Loxodrome(T, tol)
     violations = form.violations()
     if violations:
         raise violations[0]
-    return form
+    _checked = (T, form)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +224,8 @@ _SPIRAL, _CIRCLE, _LINE = CurveKind.SPIRAL, CurveKind.CIRCLE, CurveKind.LINE
 
 def _binary_scaled(C: Cycle) -> Cycle:
     """C as given, or scaled exactly by a power of two to a largest component
-    in [0.5, 1) when its scale is beyond 2^+-100, where products may overflow."""
+    in [0.5, 1) when its scale is beyond 2^+-100, where products may overflow
+    or underflow."""
     e = math.frexp(C.scale())[1]
     return C if -100 < e < 100 else C * math.ldexp(1.0, -e)
 
@@ -241,24 +233,26 @@ def _binary_scaled(C: Cycle) -> Cycle:
 class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
-    ``shape`` is what the cycles say, read on construction with canonical
-    c2 and c3; the rest is derived on first read, each field by its entry
-    in ``_DERIVE``, into its slot: canonical c1, the self-products ``_n1``
-    to ``_n3``, the parameter, the limit points, the map and its inverse
-    ``_inverse``.  A derivation is deterministic, so threads that race on
-    one store equal values.  The derived fields assume a triple with no
-    ``violations``, and every query gets such a form from ``_prepared``:
-    ``validate_triple``'s, or a new one.  It holds the triple's cycles,
-    not the triple that keeps it, so the two make no reference cycle for
-    the garbage collector to find."""
+    On construction it scales the cycles by ``_binary_scaled`` into
+    ``_c1`` to ``_c3``, forms the ``_pencil`` of c2 and c3 and reads
+    ``shape`` off it.  The rest is derived on first read, each field by
+    its entry in ``_DERIVE``, into its slot: the self-product ``_n1`` of
+    c1, the parameter, the limit points, the map and its inverse
+    ``_inverse``.  No given cycle is canonicalised.  A derivation is
+    deterministic, so threads that race on one store equal values.  The
+    derived fields assume a triple with no ``violations``, and every
+    query gets such a form from ``_prepared``: ``validate_triple``'s, or a
+    new one.  It holds the triple's cycles, not the triple that keeps it,
+    so the two make no reference cycle for the garbage collector to find."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
-        self._c2, self._c3 = canonicalize(self.c2, tol), canonicalize(self.c3, tol)
-        if _canonical_equal(self._c2, self._c3, tol):
+        self._c1, self._c2, self._c3 = map(_binary_scaled, (self.c1, self.c2, self.c3))
+        self._pencil = _pencil(self._c2, self._c3, tol)
+        if self._pencil.coincident:
             self.shape = _CIRCLE
-        elif classify(self.c3, tol) == CycleKind.POINT:
+        elif classify(self._c3, tol) == CycleKind.POINT:
             self.shape = _LINE
         else:
             self.shape = _SPIRAL
@@ -273,17 +267,18 @@ class Loxodrome:
         return value
 
     def _param(self) -> SlsParameter:
-        """acosh of ``_pair_product``, signed by the triple's chirality;
-        0 for the circle shape, inf for the line shape.  A spiral whose
-        acosh rounds to 0 raises NumericalBreakdown: floats lose its parameter."""
+        """asinh sqrt(disc / (<c2,c2><c3,c3>)) off ``_pencil``, signed by the
+        triple's chirality; 0 for the circle shape, inf for the line shape.
+        An unchecked pencil that is not disjoint raises NumericalBreakdown."""
         if self.shape is _CIRCLE:
             return SlsParameter(0.0)
         if self.shape is _LINE:
             return SlsParameter.infinite()
-        lt = clamped_acosh(self._pair_product)
-        if lt == 0.0:
-            raise NumericalBreakdown("second and third cycle are disjoint, but their parameter rounds to 0")
-        return SlsParameter.finite(self.sign * lt)
+        pencil = self._pencil
+        ac = pencil.a * pencil.c
+        if not (pencil.disc > 0.0 and ac > 0.0):
+            raise NumericalBreakdown("second and third cycle are not disjoint: their pencil has no spiral parameter")
+        return SlsParameter.finite(self.sign * math.asinh(math.sqrt(pencil.disc / ac)))
 
     def _map(self) -> MoebiusMap:
         """The map to standard position.  The circle shape takes c2 to the
@@ -296,7 +291,7 @@ class Loxodrome:
         followed by z / w, for the ``_crossing`` w of c1 and c2 in that
         frame whose preimage is the larger by ``_point_sort_key``."""
         if self.shape is _CIRCLE:
-            return _map_cycle_to_unit_circle(self.c2, self.tol)
+            return _map_cycle_to_unit_circle(self._c2, self.tol)
         p, q = self.limit_points
         c1, c2 = self._c1, self._c2
         if self.shape is _SPIRAL:
@@ -312,25 +307,22 @@ class Loxodrome:
         return MoebiusMap(a / w, b / w, c, d).normalized()
 
     _DERIVE = {
-        "_c1": lambda self: canonicalize(self.c1, self.tol),
         "_n1": lambda self: _norm_square(self._c1),
-        "_n2": lambda self: _norm_square(self._c2),
-        "_n3": lambda self: _norm_square(self._c3),
-        # |normalised product| of c2 and c3 (canonical disjoint cycles may pair negatively)
-        "_pair_product": lambda self: abs(_cosine(self._c2, self._c3, *self._n2, *self._n3, self.tol)),
+        # cosh lambda_tilde, the |normalised product| of c2 and c3
+        "_pair_product": lambda self: math.cosh(self.param.lambda_tilde),
         "param": _param,
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis
         "rate": lambda self: complex(1.0, 0.0) if self.shape is _LINE else self.param.rate,
         # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints;
-        # solved on the cycles as given, as canonical ones lose the far point of two nearby small circles
-        "_point_members": lambda self: zero_radius_members(_binary_scaled(self.c2), _binary_scaled(self.c3), self.tol),
+        # solved on the scaled cycles, as canonical ones lose the far point of two nearby small circles
+        "_point_members": lambda self: _root_pairing(self._pencil, self.tol),
         "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
         "map": _map,
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
         "_inverse": lambda self: self.map.inverse(),
     }
-    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c2", "_c3", "shape", *_DERIVE)
+    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_pencil", "shape", *_DERIVE)
 
     def violations(self) -> list:
         """All invariant violations of the triple, empty when valid.
@@ -340,18 +332,17 @@ class Loxodrome:
         line needs its point c3 off c2 (the pencil of a cycle and a point
         is disjoint exactly when the point misses the cycle), a spiral
         needs a hyperbolic pencil.  Then c1 must pass both point members.
-        Every product is formed on the canonical cycles, so a triple given
-        at a large scale is checked as at unit scale; a product that still
-        overflows a float raises NumericalBreakdown.
+        Every test is invariant under the scale and sign of each cycle, and
+        reads the scaled cycles, so no float scale of the input overflows.
         """
-        c1, c2, c3, tol = self._c1, self._c2, self._c3, self.tol
+        c1, c2, c3, tol, pencil = self._c1, self._c2, self._c3, self.tol, self._pencil
         out = []
-        (s1, n1), (s2, n2), (s3, n3) = self._n1, self._n2, self._n3
+        (s1, n1), s2, s3 = self._n1, pencil.a, pencil.c
         if s1 <= tol.eps_product * n1:
             out.append(TripleViolation("first cycle must be a line or proper circle", s1))
-        if s2 <= tol.eps_product * n2:
+        if s2 <= tol.eps_product * c2.scale() ** 2:
             out.append(TripleViolation("second cycle must be a line or proper circle", s2))
-        if s3 < -tol.eps_product * n3:
+        if s3 < -tol.eps_product * c3.scale() ** 2:
             out.append(TripleViolation("third cycle has no real locus", s3))
         for name, C in (("second", c2), ("third", c3)):
             if r := _orthogonality_residual(c1, C, tol):
@@ -361,10 +352,8 @@ class Loxodrome:
             return out
         if self.shape is _LINE and is_orthogonal(c2, c3, tol):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
-        if self.shape is _SPIRAL:
-            q, scale = pencil_discriminant(c2, c3, tol)
-            if _pencil_kind(q, scale, tol) != PencilKind.HYPERBOLIC:
-                return out + [TripleViolation("second and third cycle neither disjoint nor equal", q)]
+        if self.shape is _SPIRAL and _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
+            return out + [TripleViolation("second and third cycle neither disjoint nor equal", pencil.disc)]
         for z in self._point_members:
             if r := _orthogonality_residual(c1, z, tol):
                 out.append(TripleViolation("first cycle misses a limit point of the pencil", r))
@@ -401,16 +390,29 @@ class Loxodrome:
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     """The checked form of T at tol, kept on T by the first query for the
     next ones; a query at other tolerances checks T afresh, and an invalid
-    T raises its first violation to every query.  The first query keeps
-    the form that checked T, if ``_checked`` holds T at tol: it is rebound
-    as one tuple, so a racing thread only prepares T again."""
+    T raises its first violation to every query."""
+    lox = T.__dict__.get("_loxodrome")
+    if lox is None or (lox.tol is not tol and lox.tol != tol):
+        lox, violations = _check(T, tol)
+        if violations:
+            raise violations[0]
+    return lox
+
+
+def _check(T: LoxodromeTriple, tol: Tolerances) -> tuple[Loxodrome, list]:
+    """T's form at tol and its violations: the kept one, the one in
+    ``_checked`` (one tuple, so a racing thread only prepares T again), or
+    a new one, kept on T when valid."""
     lox = T.__dict__.get("_loxodrome")
     if lox is None or (lox.tol is not tol and lox.tol != tol):
         checked, lox = _checked
         if checked is not T or (lox.tol is not tol and lox.tol != tol):
-            lox = _checked_form(T, tol)
+            lox = Loxodrome(T, tol)
+            violations = lox.violations()
+            if violations:
+                return lox, violations
         T._loxodrome = lox
-    return lox
+    return lox, []
 
 
 def lambda_from_triple(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> SlsParameter:

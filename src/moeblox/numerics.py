@@ -1,8 +1,7 @@
 """Tolerance policy and guarded scalar functions.
 
 A single :class:`Tolerances` value is threaded through every geometric
-predicate in the package; the one fixed epsilon is the undershoot that
-the clamped inverse hyperbolic cosine forgives.  Quantities compared
+predicate in the package, and no other epsilon is fixed.  Quantities compared
 against zero are always scaled by the magnitude of their inputs first,
 so rescaling a homogeneous representative cannot flip a predicate.
 Numbers written as text (tolerance specs, point literals, CLI numbers)
@@ -17,10 +16,9 @@ import operator
 import re
 from collections import namedtuple
 
-from .errors import InvalidInput, NumericalBreakdown
+from .errors import InvalidInput
 
 _TOL_CEILING = 1e-2
-_EPS_DOMAIN = 1e-9  # permitted undershoot below the domain of acosh
 _QUOTE_MAX = 80
 # sign, digits with an optional fraction, optional exponent; ASCII only
 _DECIMAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:[.][0-9]*)?|[.][0-9]+)(?:[eE][+-]?[0-9]+)?\s*", re.ASCII)
@@ -150,13 +148,6 @@ def _clear_negative_zero(text: str, precision: int) -> str:
     of numbers with ``precision`` places, each "-0.0..." becomes "0.0..."."""
     negative_zero = f"{-0.0:.{precision}f}"
     return text.replace(negative_zero, negative_zero[1:])
-
-
-def clamped_acosh(x: float) -> float:
-    """Inverse hyperbolic cosine tolerating an undershoot of 1e-9 below 1."""
-    if x < 1.0 - _EPS_DOMAIN:
-        raise NumericalBreakdown(f"acosh argument {x!r} below 1-eps")
-    return math.acosh(max(1.0, x))
 
 
 def congruent_mod(

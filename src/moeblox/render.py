@@ -20,8 +20,8 @@ from .cycles import (
     classify,
     point_of,
 )
-from .errors import InvalidInput, MoebloxError, TripleViolation
-from .loxodrome import _CIRCLE, Loxodrome, LoxodromeTriple, _check_grid, _curve_points, _prepared
+from .errors import InvalidInput, MoebloxError
+from .loxodrome import _CIRCLE, LoxodromeTriple, _check, _check_grid, _curve_points, _prepared
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _finite, _index, _Value
 from .scene import Scene, SceneObject
 
@@ -219,7 +219,9 @@ def _polyline_runs(points: list[complex | None], guard: float):
         yield run
 
 
-def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
+def _emit_triple(out, scene, obj, proj, config, tol, warnings_out, refusal):
+    """The triple's cycles, then its curve unless ``refusal``, the
+    refusal of its check, says why it is not drawn."""
     T: LoxodromeTriple = obj.value
     style = _style_attr(scene, obj.id, "")
     out.append(f"<g id={_quoteattr(obj.id)}>")
@@ -229,6 +231,8 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
         except MoebloxError as exc:
             warnings_out.append(f"triple {obj.id!r}: {name} not drawn: {exc}")
     try:
+        if refusal is not None:
+            raise refusal
         lox = _prepared(T, tol)
         signs = (1.0,) if lox.shape is _CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(*map(abs, proj.bbox), 1.0)
@@ -251,22 +255,23 @@ def render_scene(
 ) -> str:
     """Render a scene to SVG text.
 
-    Every triple is checked before anything is drawn.  An invalid one is
-    still drawn from its raw cycles, without its curve; ``warnings_out``
-    gets a note per violation (or one for a check that itself fails),
-    then one for the curve not drawn.
+    Every triple is checked, by one form, before anything is drawn.  An
+    invalid one is still drawn from its raw cycles, without its curve;
+    ``warnings_out`` gets a note per violation (or one for a check that
+    itself fails), then one for the curve not drawn.
     """
     if warnings_out is None:
         warnings_out = []
+    refusals = {}  # the first refusal of each triple whose curve is not drawn, by id
     for obj in [obj for obj in scene.objects if obj.kind == "triple"]:
         try:
-            _prepared(obj.value, tol)
-            continue
-        except TripleViolation:
+            violations = _check(obj.value, tol)[1]
             notes = [f"{v}" + (f" (residual {v.residual:.3e})" if v.residual is not None else "")
-                     for v in Loxodrome(obj.value, tol).violations()]
+                     for v in violations]
         except MoebloxError as exc:
-            notes = [f"not checked: {exc}"]
+            violations, notes = [exc], [f"not checked: {exc}"]
+        if violations:
+            refusals[obj.id] = violations[0]
         warnings_out.extend(f"triple {obj.id!r}: {note}" for note in notes)
     bbox = _scene_bbox(scene, tol)
     proj = _Projector(bbox, config.width, config.height)
@@ -283,7 +288,7 @@ def render_scene(
         if obj.kind == "moebius":
             continue
         if obj.kind == "triple":
-            _emit_triple(out, scene, obj, proj, config, tol, warnings_out)
+            _emit_triple(out, scene, obj, proj, config, tol, warnings_out, refusals.get(obj.id))
         elif obj.kind == "point":
             _emit_point(out, obj.value, proj, _style_attr(scene, obj.id, ""), p)
         else:

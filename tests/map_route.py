@@ -16,8 +16,15 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import _canonical_equal, center_radius, combine
+from moeblox.cycles import center_radius, combine
 from moeblox.errors import InvalidInput, TripleViolation
+
+
+def _canonical_equal(a: mx.Cycle, b: mx.Cycle, tol: mx.Tolerances) -> bool:
+    """Are the canonical cycles a and b projectively equal: every
+    component within eps_product of the other, relative to max(1, |a|, |b|)?"""
+    thr = tol.eps_product * max(1.0, a.scale(), b.scale())
+    return abs(a.k - b.k) <= thr and abs(a.l - b.l) <= thr and abs(a.n - b.n) <= thr and abs(a.m - b.m) <= thr
 
 
 def _point_sort_key(p: mx.ExtendedPoint):
@@ -103,16 +110,17 @@ def map_to_zero_one_inf(
 
 def normalising_map(lox: mx.Loxodrome) -> mx.MoebiusMap:
     """``Loxodrome._map`` of a spiral or line shape by this route: the
-    same limit points and orientation, the crossing of the canonical c1
-    and c2 solved for, the map through three points."""
+    same limit points and orientation, read on canonical cycles, the
+    crossing of c1 and c2 solved for, the map through three points."""
     tol = lox.tol
     p, q = lox.limit_points
-    crossings = intersect(lox._c1, lox._c2, tol)
+    c1, c2, c3 = (mx.canonicalize(C, tol) for C in (lox.c1, lox.c2, lox.c3))
+    crossings = intersect(c1, c2, tol)
     if len(crossings) != 2:
         raise TripleViolation("first and second cycle must cross at two points")
     u = max(crossings, key=_point_sort_key)
     if lox.shape == mx.loxodrome.CurveKind.SPIRAL:
-        (P, Q), c2, c3 = lox._point_members, lox._c2, lox._c3
+        P, Q = lox._point_members
         num, den = mx.product(c3, P) * mx.product(c2, Q), mx.product(c3, Q) * mx.product(c2, P)
         if (num > den if den > 0 else num < den) != (lox.sign > 0):
             p, q = q, p

@@ -15,12 +15,19 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import _cosine, _norm_square, combine
+from moeblox.cycles import combine
 from moeblox.errors import InvalidInput, MoebloxError, NumericalBreakdown
 from moeblox.loxodrome import CurveKind, _as_point, _prepared
-from moeblox.numerics import clamped_acosh, congruent_mod
+from moeblox.numerics import congruent_mod
 
 TWO_PI = 2.0 * math.pi
+
+
+def clamped_acosh(x: float) -> float:
+    """Inverse hyperbolic cosine tolerating an undershoot of 1e-9 below 1."""
+    if x < 1.0 - 1e-9:
+        raise NumericalBreakdown(f"acosh argument {x!r} below 1-eps")
+    return math.acosh(max(1.0, x))
 
 
 def clamped_acos(x: float) -> float:
@@ -42,12 +49,12 @@ class PointOperand(MoebloxError):
     """A normalised product met a point cycle."""
 
 
-def _cosine_of(a, b, na, nb, tol):
-    """``_cosine`` of canonical a and b given their ``_norm_square``, with
-    its refusal of a point cycle raised as PointOperand: the route reads
-    that refusal as "not a member", and no other InvalidInput."""
+def _cosine_of(a, b, tol):
+    """``normalized_product`` of canonical a and b, with its refusal of a
+    point cycle raised as PointOperand: the route reads that refusal as
+    "not a member", and no other InvalidInput."""
     try:
-        return _cosine(a, b, *na, *nb, tol)
+        return mx.normalized_product(a, b, tol)
     except InvalidInput as exc:
         raise PointOperand(str(exc)) from None
 
@@ -142,16 +149,17 @@ def contains_point(T, p, tol=mx.DEFAULT_TOLERANCES) -> bool:
     if lox.shape == CurveKind.LINE:
         return mx.passes(lox.c1, p, tol)
     c0 = mx.zero_radius_at(p)
-    ch = _member_through(lox._c2, lox._c3, c0, tol)
+    c1, c2, c3 = (mx.canonicalize(C, tol) for C in (lox.c1, lox.c2, lox.c3))
+    ch = _member_through(c2, c3, c0, tol)
     if mx.classify(ch, tol) == mx.CycleKind.POINT:
         return False
     try:
         ce = orthogonal_cycle_through(lox.c2, lox.c3, c0, tol)
         lam = abs(lox.param.lambda_tilde)
         h = mx.canonicalize(ch, tol)
-        lhs = clamped_acosh(abs(_cosine_of(h, lox._c2, _norm_square(h), lox._n2, tol))) / lam
+        lhs = clamped_acosh(abs(_cosine_of(h, c2, tol))) / lam
         e = mx.canonicalize(ce, tol)
-        rhs = clamped_acos(_cosine_of(e, lox._c1, _norm_square(e), lox._n1, tol)) / TWO_PI
+        rhs = clamped_acos(_cosine_of(e, c1, tol)) / TWO_PI
     except (RankDeficient, PointOperand):
         return False
     return congruent_mod(lhs, rhs, 0.5, tol) or congruent_mod(lhs, -rhs, 0.5, tol)

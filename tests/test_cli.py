@@ -1196,6 +1196,44 @@ class TestCliContract:
             "warning: triple 'T': curve not drawn: first and second cycle are not orthogonal",
         ]
 
+    def test_invalid_triple_is_prepared_once_per_render(self, tmp_path, monkeypatch):
+        # one form checks the triple, gives the notes and skips the curve
+        scene = mx.load_scene(self._off_limit_points_scene(tmp_path))
+        built = []
+        prepare = mx.Loxodrome.__init__
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
+        outputs = []
+        for renders in (1, 2, 3):
+            notes = []
+            outputs.append((render_scene(scene, RenderConfig(samples=16), warnings_out=notes), notes))
+            assert len(built) == renders
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1][-1] == "triple 'T': curve not drawn: first and second cycle are not orthogonal"
+
+    def test_point_literal_beyond_the_float_range_is_refused(self, capsys):
+        # each coordinate is a float, but the modulus is not
+        scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
+        assert main(["member", "--scene", scene, "--triple", "spiral", "--point", "1.5e308,1.5e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: point literal '1.5e308,1.5e308': ")
+        assert captured.err.endswith("has a modulus beyond the float range\n")
+
+    def test_tiny_scaled_spiral_answers_as_shipped(self, tmp_path, capsys):
+        # the shipped spiral with every component times 1e-200: the raw c3's
+        # discriminant underflows to 0, which read it as a point; its binary
+        # scaled copy reads as the shipped one (5 is no curve point)
+        document = json.loads((Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json").read_text())
+        data = document["objects"][0]["data"]
+        for name in ("c1", "c2", "c3"):
+            data[name] = [1e-200 * x for x in data[name]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(document))
+        assert main(["lambda", "--scene", str(path), "--triple", "spiral"]) == 0
+        assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
+        assert main(["member", "--scene", str(path), "--triple", "spiral", "--point", "5,0"]) == 1
+        assert main(["member", "--scene", str(path), "--triple", "spiral", "--point", "1,0"]) == 0
+
     def test_sample_writes_no_negative_zero(self, capsys):
         # the points of the spiral on the axes: -0.000000 at the parent
         scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
@@ -1205,43 +1243,39 @@ class TestCliContract:
         assert not any(re.search(r"(^|,)-0\.0+(,|$)", line) for line in lines)
 
     @pytest.mark.parametrize("scale", [1e100, 1e200])
-    def test_overflowing_products_are_refused(self, tmp_path, scale, capsys):
+    def test_far_scaled_products_answer_as_at_unit_scale(self, tmp_path, scale, capsys):
+        # the checks, the parameter, the limit points and the map are all
+        # formed on c2 and c3 scaled exactly by a power of two, whose
+        # products are finite: the triple is checked and the queries answer
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(_triple(c2=[scale, 0, 0, -scale], c3=[scale, 0, 0, -scale * E2])))
         member = main(["member", "--scene", str(path), "--triple", "T", "--point", "1,0"])
         captured = capsys.readouterr()
-        out = tmp_path / "out.svg"
-        render = main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"])
-        err = capsys.readouterr().err
-        assert render == 0 and out.exists()
-        if scale == 1e100:
-            # the checks, the parameter, the limit points and the map are
-            # all formed on the canonical c2 and c3, whose products are
-            # finite: the triple is checked and the queries answer
-            assert "triple 'T':" not in err
-            assert member == 0 and json.loads(captured.out)["member"] is True
-            assert "curve not drawn" not in err and out.read_text().count("<polyline ") == 2
-            assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
-            assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
-        else:
-            assert member == 2 and "overflow a float" in captured.err
-            assert "triple 'T': not checked:" in err and "curve not drawn" in err
-
-    def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
-        # the discriminant of c3 overflows above about 1.3e154: lambda and
-        # member refuse the triple naming c3, and render draws c2 and c3
-        # as nothing rather than as dots at 0
-        path = tmp_path / "scene.json"
-        path.write_text(json.dumps(_triple(c2=[1e200, 0, 0, -1e200], c3=[1e200, 0, 0, -1e200 * E2])))
-        for argv in (["lambda"], ["member", "--point", "1,0"]):
-            assert main(argv + ["--scene", str(path), "--triple", "T"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "products of Cycle(k=1e+200, l=0.0, n=0.0, m=-7.38905609893065e+200) overflow" in captured.err
+        assert member == 0 and json.loads(captured.out)["member"] is True
+        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
+        assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
         out = tmp_path / "out.svg"
         assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
         err = capsys.readouterr().err
-        assert "c2 not drawn" in err and "c3 not drawn" in err and "curve not drawn" in err
+        assert "triple 'T': not checked" not in err and "curve not drawn" not in err
+        assert out.read_text().count("<polyline ") == 2
+        # render draws the raw cycles, and notes each one it cannot draw
+        assert ("c2 not drawn" in err) == ("c3 not drawn" in err) == (scale == 1e200)
+
+    def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
+        # the discriminant of the raw c3 overflows above about 1.3e154:
+        # lambda and member answer as at unit scale (5 is no curve point),
+        # and render draws c2 and c3 as nothing rather than as dots at 0
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(_triple(c2=[1e200, 0, 0, -1e200], c3=[1e200, 0, 0, -1e200 * E2])))
+        assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
+        assert capsys.readouterr().out == "lambda_tilde=1.000000 a=2.718282\n"
+        assert main(["member", "--scene", str(path), "--triple", "T", "--point", "5,0"]) == 1
+        assert json.loads(capsys.readouterr().out)["member"] is False
+        out = tmp_path / "out.svg"
+        assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
+        err = capsys.readouterr().err
+        assert "c2 not drawn" in err and "c3 not drawn" in err and "curve not drawn" not in err
         assert 'fill="currentColor"' not in out.read_text()  # no point dots
 
     def test_main_in_process(self, scene_path, capsys):

@@ -164,19 +164,17 @@ class TestValidateTriple:
         assert "_loxodrome" not in vars(T)
 
     def test_disjoint_pair_whose_parameter_rounds_to_zero(self):
-        # at eps_product 1e-30 these concentric circles pass as disjoint,
-        # but acosh of their normalised product rounds to 0: the triple is
-        # checked, and a query that needs its parameter breaks down
+        # at eps_product 1e-30 these concentric circles pass as disjoint;
+        # acosh of their normalised product rounds to 0, but asinh of the
+        # pencil's orthogonal frame recovers the parameter, log r3
         tol = mx.Tolerances(eps_product=1e-30)
         T = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.Cycle(1, 0, 0, -(1 + 3.9890575444857154e-08)))
         assert mx.Loxodrome(T, tol).violations() == []
-        for query in (
-            lambda: mx.lambda_from_triple(T, tol),
-            lambda: mx.contains_point(T, pt(1), tol),
-            lambda: mx.sample_curve(T, -1.0, 1.0, 8, tol=tol),
-        ):
-            with pytest.raises(NumericalBreakdown, match="^second and third cycle are disjoint, but their parameter rounds to 0$"):
-                query()
+        lt = mx.lambda_from_triple(T, tol).lambda_tilde
+        assert lt == pytest.approx(0.5 * math.log(-T.c3.m), rel=1e-8)
+        assert lt == pytest.approx(1.9945e-8, rel=1e-4)
+        assert mx.contains_point(T, pt(1), tol).member
+        assert len(mx.sample_curve(T, -1.0, 1.0, 8, tol=tol)) == 8
 
     def test_orthogonality_violations_read_is_orthogonal(self, rng):
         # c1 moved off the real axis by up to 1e-6 of its size, then with
@@ -278,12 +276,14 @@ class TestLambdaFromTriple:
             )
 
     def test_crossing_pair_raises_domain_error(self):
-        # the query checks the triple first; the unchecked form's parameter
-        # still meets the domain of acosh
+        # the query checks the triple first; the unchecked form's crossing
+        # pencil has no parameter, and says so
         T = mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.from_circle(1, 1), 1)
         with pytest.raises(TripleViolation, match="^second and third cycle neither disjoint nor equal$"):
             mx.lambda_from_triple(T)
-        with pytest.raises(NumericalBreakdown, match=r"^acosh argument .* below 1-eps$"):
+        with pytest.raises(
+            NumericalBreakdown, match="^second and third cycle are not disjoint: their pencil has no spiral parameter$"
+        ):
             mx.Loxodrome(T).param
 
 
@@ -612,6 +612,29 @@ class TestLimitPointAccuracy:
             T = mx.apply_map(G, std(rng.uniform(0.25, 2.5) * rng.choice((1, -1))))
             worst = max(worst, limit_point_error(G, T))
         assert worst <= 1e-8
+
+
+class TestSmallLambdaSqueezed:
+    """|lambda_tilde| log-uniform in [1e-4, 1e-2] under squeezed maps: c2
+    and c3 are nearby small circles, some with canonical forms within
+    eps_product of each other, and their pair product rounds near 1.  The
+    orthogonal frame of their pencil reads them as a spiral, with its
+    parameter; the limit-point check still refuses some (about 1 in 9)."""
+
+    def test_no_circle_and_lambda_within_1e_6(self):
+        from moeblox.loxodrome import CurveKind
+
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(300):
+            lt = math.copysign(10 ** rng.uniform(-4, -2), rng.random() - 0.5)
+            G, T0 = squeezed_moebius(rng), std(lt)
+            lox = mx.Loxodrome(mx.LoxodromeTriple(*(mx.apply_to_cycle(G, C) for C in T0[:3]), T0.sign))
+            assert lox.shape is CurveKind.SPIRAL
+            if not lox.violations():
+                checked += 1
+                assert lox.param.lambda_tilde == pytest.approx(lt, rel=1e-6)
+        assert checked >= 250
 
 
 def sweep_pair(rng, kind, G, lt, shift=None):
@@ -1298,6 +1321,26 @@ class TestPreparedTriple:
                         mx.tangent_line_at(S, on), mx.tangent_line_at(T, on), tol=1e-8
                     )
 
+    def test_power_of_two_scaling_changes_no_answer(self):
+        # scaling a cycle by 2^k is exact, and every product is homogeneous
+        # in each cycle: lambda_tilde, membership and the normal form stay
+        # bit for bit, far beyond the range where raw products over- or underflow
+        M = mx.MoebiusMap(1, 2j, 0.5, 1)
+        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))
+        points = [mx.apply_to_point(M, pt(w)) for w in (cmath.exp(complex(1.0, TWO_PI) * 0.3), 1.3j, -2.0)]
+
+        def answers(triple):
+            members = [mx.contains_point(triple, p).member for p in points]
+            return mx.lambda_from_triple(triple), members, mx.standard_map(triple)
+
+        want = answers(T)
+        assert want[1] == [True, False, False]
+        for index in range(3):
+            for k in (-900, -300, 300, 900):
+                cycles = list(T[:3])
+                cycles[index] = math.ldexp(1.0, k) * cycles[index]
+                assert answers(mx.LoxodromeTriple(*cycles, T.sign)) == want, (index, k)
+
     def test_shape_is_read_off_lambda(self):
         from moeblox.loxodrome import CurveKind
 
@@ -1328,10 +1371,13 @@ class TestPreparedTriple:
         moved = mx.apply_map(mx.MoebiusMap(1, 2j, 0.5, 1), T)
         assert mx.lambda_from_triple(moved).lambda_tilde == pytest.approx(1.0, abs=1e-9)
 
-    def test_violations_refuse_overflowing_products(self):
+    def test_far_scaled_pair_answers_as_at_unit_scale(self):
+        # the raw products of c2 and c3 overflow a float; the binary-scaled ones are finite
         big = mx.LoxodromeTriple(REAL_AXIS, 1e200 * UNIT, 1e200 * E_CIRCLE)
-        with pytest.raises(NumericalBreakdown, match=r"Cycle\(k=1e\+200"):
-            mx.Loxodrome(big).violations()
+        assert mx.Loxodrome(big).violations() == []
+        assert mx.lambda_from_triple(big).lambda_tilde == pytest.approx(1.0, abs=1e-12)
+        _assert_maps_projectively_equal(mx.standard_map(big), mx.standard_map(std(1.0)), 1e-12)
+        assert mx.contains_point(big, pt(1)).member and not mx.contains_point(big, pt(5)).member
 
     def test_pencil_member_solved_once_per_point(self, rng, monkeypatch):
         # angles and tangency read the curve's velocity off the kept map, so
@@ -1398,10 +1444,8 @@ class TestPreparedTriple:
         U = mx.LoxodromeTriple(*T)  # equal to T, not validated
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
-        solve = lox.zero_radius_members
-        monkeypatch.setattr(
-            lox, "zero_radius_members", lambda *a, **k: calls.append(a) or solve(*a, **k)
-        )
+        solve = lox._root_pairing
+        monkeypatch.setattr(lox, "_root_pairing", lambda *a, **k: calls.append(a) or solve(*a, **k))
         mx.tangent_line_at(T, p)
         assert len(calls) == 0  # the check solved them, and handed its form on
         mx.tangent_line_at(U, p)
@@ -1412,51 +1456,47 @@ class TestPreparedTriple:
         assert len(calls) == 1  # later calls on the triples pay nothing
 
     def test_oracle_recovers_lambda_once(self, rng, monkeypatch):
-        import moeblox.loxodrome as lox
-
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(-cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
-        cosine = lox._cosine
-        monkeypatch.setattr(lox, "_cosine", lambda *a, **k: calls.append(a) or cosine(*a, **k))
+        param = mx.Loxodrome._DERIVE["param"]
+        monkeypatch.setitem(mx.Loxodrome._DERIVE, "param", lambda form: calls.append(form) or param(form))
         assert mx.contains_point_oracle(T, p)
         assert len(calls) == 1
 
-    def test_equivalent_canonicalises_each_spanning_cycle_once(self, rng, monkeypatch):
-        # one canonical form per cycle serves the pair products, the limit
-        # points, T's map and the crossing, wherever the canonicalisation happens
+    def test_equivalent_forms_each_pencil_once(self, rng, monkeypatch):
+        # one pass over each triple's pencil serves the shape, the check,
+        # the pair products, the limit points and T's map; no given cycle
+        # is canonicalised, only the point members of the two pencils
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
         T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
-        calls = []
-        canon = cycles.canonicalize
-        for module in (cycles, lox):
-            monkeypatch.setattr(
-                module, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k)
-            )
-        # the check of the copy canonicalises its cycles and the two point
-        # members of its pencil, solved in cycles; the query keeps them all.
-        # T is not validated, so the query solves T's pencil for T's map
+        calls, pencils = [], []
+        canon, pencil = cycles.canonicalize, lox._pencil
+        monkeypatch.setattr(cycles, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k))
+        monkeypatch.setattr(lox, "_pencil", lambda *a, **k: pencils.append(a) or pencil(*a, **k))
+        # the check of the copy forms its pencil and solves its point
+        # members; the query keeps them.  T is not validated, so the query
+        # forms T's pencil and solves it for T's map
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
+        assert len(pencils) == 2
         six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
-        assert len(calls) == 10
-        assert all(sum(C is X for X in calls) == 1 for C in six)
-        members = [X for X in calls if not any(X is C for C in six)]
-        assert len(members) == 4
-        assert all(mx.classify(X) == mx.CycleKind.POINT for X in members)
+        assert len(calls) == 4
+        assert not any(X is C for X in calls for C in six)
+        assert all(mx.classify(X) == mx.CycleKind.POINT for X in calls)
 
-    def test_one_pencil_discriminant_per_decision(self, monkeypatch):
+    def test_one_pencil_per_decision(self, monkeypatch):
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
         calls = []
-        form = cycles.pencil_discriminant
+        form = cycles._pencil
         for module in (cycles, lox):
-            monkeypatch.setattr(module, "pencil_discriminant", lambda *a, **k: calls.append(a) or form(*a, **k))
+            monkeypatch.setattr(module, "_pencil", lambda *a, **k: calls.append(a) or form(*a, **k))
         mx.zero_radius_members(UNIT, E_CIRCLE)
         assert len(calls) == 1
         calls.clear()
@@ -1642,7 +1682,7 @@ class TestPreparedFormKept:
     def test_form_is_slotted_and_each_field_filled_once(self, rng, monkeypatch):
         # no instance dict: a derived field fills its slot on its first
         # read, so after one round of every question a second round
-        # canonicalises no cycle and solves no pencil
+        # forms no pencil and solves none
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
@@ -1653,16 +1693,16 @@ class TestPreparedFormKept:
             mx.Loxodrome(T).colour
         points = [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(3)]
         calls = []
-        for name in ("canonicalize", "zero_radius_members"):
+        for name in ("_pencil", "_root_pairing"):
             monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
         first = [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)]
         assert calls == []  # T's queries keep the form that checked it
         assert [_ask(q) for q in _questions(U, mx.DEFAULT_TOLERANCES, points)] == first
-        assert sorted(calls) == ["canonicalize"] * 3 + ["zero_radius_members"]
+        assert calls == ["_pencil", "_root_pairing"]
         for _ in range(2):
             for triple in (T, U):
                 assert [_ask(q) for q in _questions(triple, mx.DEFAULT_TOLERANCES, points)] == first
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_threads_racing_on_a_fill_store_equal_values(self, rng):
         # fills take no lock: threads that read an empty field at once each
@@ -1713,7 +1753,7 @@ class TestPreparedFormKept:
     def test_first_query_on_a_transported_triple_prepares_nothing(self, rng, monkeypatch):
         # apply_map hands the form that checked its output to the output's
         # first query: whichever query comes first, on any shape, it builds
-        # no form, canonicalises no cycle and solves no pencil
+        # no form, forms no pencil and solves none
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
@@ -1721,7 +1761,7 @@ class TestPreparedFormKept:
         calls = []
         prepare = mx.Loxodrome.__init__
         monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: calls.append("Loxodrome") or prepare(form, *a))
-        for name in ("canonicalize", "zero_radius_members"):
+        for name in ("_pencil", "_root_pairing"):
             monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
         shapes = (std(1.0), std(-0.7), mx.standard_triple(mx.SlsParameter(0.0)),
                   mx.standard_triple(mx.SlsParameter.infinite()))

@@ -8,15 +8,9 @@ from hypothesis import assume, example, given, strategies as st
 from moeblox import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    clamped_acosh,
     congruent_mod,
 )
-from moeblox.errors import InvalidInput, NumericalBreakdown
-
-
-def _acosh_exponential(value):
-    """Exponential-based inverse of cosh: log(v + sqrt(v^2 - 1))."""
-    return math.log(value + math.sqrt(value * value - 1.0))
+from moeblox.errors import InvalidInput
 
 
 class TestTolerances:
@@ -51,30 +45,6 @@ class TestTolerances:
         with pytest.raises(InvalidInput) as info:
             Tolerances.parse("x" * 100_000)
         assert len(str(info.value)) < 300
-
-
-class TestClampedAcosh:
-    def test_boundary(self):
-        assert clamped_acosh(1.0) == 0.0
-
-    def test_cosh_of_one(self):
-        value = 1.5430806
-        assert clamped_acosh(value) == pytest.approx(
-            _acosh_exponential(value), abs=1e-12
-        )
-        assert clamped_acosh(math.cosh(1.0)) == pytest.approx(1.0, abs=1e-7)
-
-    def test_undershoot_tolerated(self):
-        assert clamped_acosh(1.0 - 5e-10) == 0.0
-
-    def test_domain_error(self):
-        with pytest.raises(NumericalBreakdown, match=r"^acosh argument 0\.9 below 1-eps$"):
-            clamped_acosh(0.9)
-
-    @given(st.floats(min_value=1e-7, max_value=20.0))
-    def test_left_inverse_of_cosh(self, x):
-        err = abs(clamped_acosh(math.cosh(x)) - x)
-        assert err <= DEFAULT_TOLERANCES.eps_angle * (1.0 + abs(x))
 
 
 class TestCongruentMod:
