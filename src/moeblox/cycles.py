@@ -46,6 +46,7 @@ from .errors import InvalidInput, NumericalBreakdown
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _complex, _decimal, _finite, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
+_KEPT_LOW, _KEPT_HIGH = 2.0 ** -100, 2.0 ** 99  # a cycle of scale in [low, high) has finite products
 
 
 class CycleKind(Enum):
@@ -297,41 +298,50 @@ def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
 # classification and coordinates
 # ---------------------------------------------------------------------------
 
-def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
-    """LINE for k ~ 0, POINT for vanishing discriminant, CIRCLE otherwise.
+def _binary_scaled(C: Cycle) -> tuple[Cycle, float]:
+    """C and its scale: as given when its scale is in [2^-100, 2^99), else
+    scaled exactly by a power of two to a largest component in [0.5, 1),
+    as products of it may overflow or underflow a float there."""
+    if _KEPT_LOW <= (s := C.scale()) < _KEPT_HIGH:
+        return C, s
+    m, e = math.frexp(s)
+    return Cycle(*(math.ldexp(x, -e) for x in C)), m
 
-    The discriminant test runs first so the point at infinity (0,0,0,1)
-    classifies as a point, not a line.  A discriminant or threshold that
-    overflows a float raises NumericalBreakdown.
-    """
-    s = C.scale()
-    d, thr = C.disc, tol.eps_product * s * s
-    if not (math.isfinite(d) and math.isfinite(thr)):
-        raise _overflow(C)
-    if abs(d) <= thr:
+
+def _kind(C: Cycle, s: float, tol: Tolerances) -> CycleKind:
+    """``classify`` of a cycle of scale s in [2^-100, 2^99), whose products are finite."""
+    if abs(C.disc) <= tol.eps_product * s * s:
         return CycleKind.POINT
     if abs(C.k) <= tol.eps_product * s:
         return CycleKind.LINE
     return CycleKind.CIRCLE
 
 
+def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
+    """LINE for k ~ 0, POINT for vanishing discriminant, CIRCLE otherwise,
+    read on C binary-scaled, so at any float scale as at unit scale.
+
+    The discriminant test runs first so the point at infinity (0,0,0,1)
+    classifies as a point, not a line.
+    """
+    return _kind(*_binary_scaled(C), tol)
+
+
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
-    """Centre and radius of a circle (radius 0 for a point cycle)."""
-    s = C.scale()
-    if abs(C.k) <= tol.eps_product * s:
+    """Centre and radius of a circle (radius 0 for a point cycle), read on
+    C binary-scaled, so at any float scale as at unit scale."""
+    B, s = _binary_scaled(C)
+    if abs(B.k) <= tol.eps_product * s:
         raise InvalidInput(f"cycle {C!r} has no centre")
-    d, thr = C.disc, tol.eps_product * s * s
-    if not (math.isfinite(d) and math.isfinite(thr)):
-        raise _overflow(C)
-    if d < -thr:
+    if (d := B.disc) < -tol.eps_product * s * s:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d!r}")
-    return complex(C.l / C.k, C.n / C.k), math.sqrt(max(d, 0.0)) / abs(C.k)
+    return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d, 0.0)) / abs(B.k)
 
 
 def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, complex]:
-    """A point and a unit direction of a line: the foot of its normal from
-    the origin, and its canonical unit normal turned by a quarter turn."""
-    line = canonicalize(C, tol)
+    """A point and a unit direction of a line, read binary-scaled: the foot of
+    its normal from the origin, and its canonical unit normal turned a quarter turn."""
+    line = canonicalize(_binary_scaled(C)[0], tol)
     normal = complex(line.l, line.n)
     return (line.m / 2.0) * normal, 1j * normal
 
@@ -397,19 +407,28 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Fix the projective scale: k = +1 when k does not vanish, else a
     unit normal (l, n) with its first nonvanishing component positive,
     else m = +1."""
-    s = C.scale()
+    return _canonical(*C, tol, C)
+
+
+def _canonical(k: float, l: float, n: float, m: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:
+    """``canonicalize`` of the quadruple (k, l, n, m), built as one Cycle;
+    ``given``, the quadruple's Cycle if one is built, is returned when
+    it is canonical already."""
+    s = max(abs(k), abs(l), abs(n), abs(m))
+    if not 0.0 < s < math.inf:
+        Cycle(k, l, n, m)  # no cycle has these components: refused as Cycle words it
     eps = tol.eps_product * s
-    if abs(C.k) > eps:
-        if C.k == 1.0:
-            return C
-        t = 1.0 / C.k
-        k, l, n, m = 1.0, C.l * t, C.n * t, C.m * t  # exact pivot
-    elif (r := math.hypot(C.l, C.n)) > eps:
-        t = math.copysign(1.0, C.l if abs(C.l) > eps else C.n) / r
-        k, l, n, m = C.k * t, C.l * t, C.n * t, C.m * t
+    if abs(k) > eps:
+        if k == 1.0 and given is not None:
+            return given
+        t = 1.0 / k
+        k, l, n, m = 1.0, l * t, n * t, m * t  # exact pivot
+    elif (r := math.hypot(l, n)) > eps:
+        t = math.copysign(1.0, l if abs(l) > eps else n) / r
+        k, l, n, m = k * t, l * t, n * t, m * t
     else:
-        t = 1.0 / C.m
-        k, l, n, m = C.k * t, C.l * t, C.n * t, 1.0
+        t = 1.0 / m
+        k, l, n, m = k * t, l * t, n * t, 1.0
     return Cycle(k, l, n, m)  # refuses a component that overflowed
 
 
@@ -428,43 +447,41 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     return product(a, b) / math.sqrt(sa * sb)
 
 
-def combine(alpha: float, C: Cycle, beta: float, Cp: Cycle) -> Cycle:
-    """Componentwise alpha C + beta C' (safe for a vanishing coefficient)."""
-    return Cycle(alpha * C.k + beta * Cp.k, alpha * C.l + beta * Cp.l,
-                 alpha * C.n + beta * Cp.n, alpha * C.m + beta * Cp.m)
-
-
 _Pencil = namedtuple("_Pencil", "a c disc scale coincident frame")
 
 
-def _pencil(A: Cycle, B: Cycle, tol: Tolerances) -> _Pencil:
-    """The ``_accurate_product``s of the pencil of A and B, formed once for
-    every question on it: a = <A,A>, c = <B,B>, disc = b^2 - ac for
-    b = <A,B>, the scale of its zero test (the products', floored at their
-    roundoff), whether A and B are one cycle, and a frame (A', B', <A',A'>,
-    <A',B'>, <B',B'>) of the pencil.  Where b^2 and ac outweigh disc, A' is
-    the cycle of larger |<A,A>| and B' the other less its projection on A',
-    so disc = -<A',A'><B',B'> cancels nothing.  The pair is one cycle when
-    B' is within 4 eps_product of its source and their canonical forms
-    agree to eps_product of max(1, their scales).  Overflow raises
-    NumericalBreakdown."""
+def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Pencil:
+    """The ``_accurate_product``s of the pencil of A and B, of scales sa and
+    sb, formed once for every question on it: a = <A,A>, c = <B,B>,
+    disc = b^2 - ac for b = <A,B>, the scale of its zero test (the
+    products', floored at their roundoff), whether A and B are one cycle,
+    and a frame (A', B', <A',A'>, <A',B'>, <B',B'>) of the pencil.  Where
+    b^2 and ac outweigh disc, A' is the cycle of larger |<A,A>| and B' the
+    other less its projection on A', so disc = -<A',A'><B',B'> cancels
+    nothing.  The pair is one cycle when B' is within 4 eps_product of its
+    source and their canonical forms agree to eps_product of max(1, their
+    scales).  Overflow raises NumericalBreakdown: cycles scaled by
+    ``_binary_scaled`` have none."""
     a, b, c = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
     ac, bb = a * c, b * b
-    floor = tol.eps_product * 4.0 * A.scale() * B.scale()
+    floor = tol.eps_product * 4.0 * sa * sb
     floor *= floor
     if not (math.isfinite(bb) and math.isfinite(ac) and math.isfinite(floor)):
         raise _overflow(A, B)
     disc, frame, coincident = bb - ac, (A, B, a, b, c), False
     if ac > disc:
-        X, Y, x = (B, A, c) if abs(c) > abs(a) else (A, B, a)
+        X, Y, x, sy = (B, A, c, sa) if abs(c) > abs(a) else (A, B, a, sb)
         t = b / x
         k, l, n, m = Y.k - t * X.k, Y.l - t * X.l, Y.n - t * X.n, Y.m - t * X.m
-        if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * Y.scale():
+        if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * sy:
             P, Q = canonicalize(A, tol), canonicalize(B, tol)
             thr = tol.eps_product * max(1.0, P.scale(), Q.scale())
             coincident = all(abs(p - q) <= thr for p, q in zip(P, Q))
         if k or l or n or m:
             Y = Cycle(k, l, n, m)
+            # compensated, though <A',B'> is near 0 by construction: as a float
+            # product, TestLimitPointAccuracy::test_squeezed_maps misses its
+            # 1e-8 bound by 1e4 (worst 1.0e-4), and the pass is no faster
             y, z = _accurate_product(X, Y), _accurate_product(Y, Y)
             disc, frame = y * y - x * z, (X, Y, x, y, z)
         else:  # B' vanishes to the last bit: the pencil is one cycle
@@ -475,9 +492,9 @@ def _pencil(A: Cycle, B: Cycle, tol: Tolerances) -> _Pencil:
 def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
     """Type of the pencil of C and C': <C,C'>^2 less than <C,C><C',C'> is
     elliptic (crossing), equal parabolic (tangent), greater hyperbolic
-    (disjoint), each up to eps_product of the ``_pencil`` scale.  The
-    one place that draws these lines."""
-    pencil = _pencil(C, Cp, tol)
+    (disjoint), each up to eps_product of the ``_pencil`` scale, formed on
+    C and C' binary-scaled.  The one place that draws these lines."""
+    pencil = _pencil(*_binary_scaled(C), *_binary_scaled(Cp), tol)
     return _pencil_kind(pencil.disc, pencil.scale, tol)
 
 
@@ -493,22 +510,25 @@ def _pencil_kind(q: float, scale: float, tol: Tolerances) -> PencilKind:
 
 def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Cycle, Cycle]:
     """The two point members of the hyperbolic pencil of A and B,
-    canonicalised and in a deterministic order; any other pencil,
-    coincident cycles included, raises InvalidInput."""
-    return _root_pairing(_pencil(A, B, tol), tol)
+    canonicalised and in a deterministic order, solved on A and B
+    binary-scaled; any other pencil, coincident cycles included, raises
+    InvalidInput."""
+    return _root_pairing(_pencil(*_binary_scaled(A), *_binary_scaled(B), tol), tol)
 
 
 def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
     """``zero_radius_members`` of a formed pencil: <xA' + yB', xA' + yB'> = 0
     solved on its frame in homogeneous (x : y) by the cancellation-free
-    root pairing, so a near-point A' does not degrade the second root."""
+    root pairing, so a near-point A' does not degrade the second root.
+    Each member is formed componentwise and canonicalised as one Cycle."""
     if _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
         raise InvalidInput(f"pencil discriminant {pencil.disc!r} is not positive")
     A, B, a, b, c = pencil.frame
     root = math.sqrt(pencil.disc)
     sb = 1.0 if b >= 0 else -1.0
     qq = -(b + sb * root)
-    P, Q = canonicalize(combine(qq, A, a, B), tol), canonicalize(combine(c, A, qq, B), tol)
+    P = _canonical(qq * A.k + a * B.k, qq * A.l + a * B.l, qq * A.n + a * B.n, qq * A.m + a * B.m, tol)
+    Q = _canonical(c * A.k + qq * B.k, c * A.l + qq * B.l, c * A.n + qq * B.n, c * A.m + qq * B.m, tol)
     return (P, Q) if tuple.__le__(P, Q) else (Q, P)  # in the order of their components
 
 
@@ -516,16 +536,16 @@ def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
 # predicates
 # ---------------------------------------------------------------------------
 
-def _orthogonality_residual(C: Cycle, Cp: Cycle, tol: Tolerances) -> float:
-    """0.0 when the product of C and C' vanishes relative to their
-    component scales; else its size, the residual of the violation."""
+def _orthogonality_residual(C: Cycle, Cp: Cycle, scale: float, tol: Tolerances) -> float:
+    """0.0 when the product of C and C' vanishes relative to ``scale``, the product
+    of their component scales; else its size, the residual of the violation."""
     r = abs(product(C, Cp))
-    return 0.0 if r <= tol.eps_product * 4.0 * max(C.scale() * Cp.scale(), 1e-300) else r
+    return 0.0 if r <= tol.eps_product * 4.0 * max(scale, 1e-300) else r
 
 
 def is_orthogonal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Vanishing product relative to the component scales."""
-    return not _orthogonality_residual(C, Cp, tol)
+    return not _orthogonality_residual(C, Cp, C.scale() * Cp.scale(), tol)
 
 
 def passes(C: Cycle, p: ExtendedPoint | complex, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -552,15 +572,23 @@ def apply_to_cycle(M: MoebiusMap, C: Cycle) -> Cycle:
     M acts on cycles as a real linear map that keeps the pairing, so the
     image is real by construction: there is no imaginary residue to snap.
     """
+    return _act(_cycle_action(M), C)
+
+
+def _cycle_action(M: MoebiusMap) -> tuple:
+    """M's action on cycles, formed once for all it moves (``_act`` applies it):
+    the ten products of its |det| = 1 entries in ``apply_to_cycle``'s form."""
     a, b, c, d = M
     r = abs(a * d - b * c) ** -0.5
     a, b, c, d = a * r, b * r, c * r, d * r
     ca, cb, cc, cd = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    return a * cd, b * cc, b * cd, a * cc, c * cd, a * cb, (a * ca).real, (b * cb).real, (c * cc).real, (d * cd).real
+
+
+def _act(action: tuple, C: Cycle) -> Cycle:
+    """The image of C under a ``_cycle_action``."""
+    a_cd, b_cc, b_cd, a_cc, c_cd, a_cb, a2, b2, c2, d2 = action
     k, L, m = C.k, complex(C.l, C.n), C.m
-    image = a * cd * L + b * cc * L.conjugate() + b * cd * k + a * cc * m
-    return Cycle(
-        (d * cd).real * k + (c * cc).real * m + 2.0 * (c * cd * L).real,
-        image.real,
-        image.imag,
-        (b * cb).real * k + (a * ca).real * m + 2.0 * (a * cb * L).real,
-    )
+    image = a_cd * L + b_cc * L.conjugate() + b_cd * k + a_cc * m
+    return Cycle(d2 * k + c2 * m + 2.0 * (c_cd * L).real, image.real, image.imag,
+                 b2 * k + a2 * m + 2.0 * (a_cb * L).real)

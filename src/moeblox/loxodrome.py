@@ -48,18 +48,19 @@ from .cycles import (
     ExtendedPoint,
     MoebiusMap,
     PencilKind,
+    _act,
     _affine,
+    _binary_scaled,
+    _cycle_action,
+    _kind,
     _line_frame,
-    _norm_square,
     _orthogonality_residual,
     _pencil,
     _pencil_kind,
     _root_pairing,
-    apply_to_cycle,
     center_radius,
     classify,
     from_line,
-    is_orthogonal,
     passes,
     point_of,
     product,
@@ -222,22 +223,15 @@ class CurveKind(Enum):
 _SPIRAL, _CIRCLE, _LINE = CurveKind.SPIRAL, CurveKind.CIRCLE, CurveKind.LINE
 
 
-def _binary_scaled(C: Cycle) -> Cycle:
-    """C as given, or scaled exactly by a power of two to a largest component
-    in [0.5, 1) when its scale is beyond 2^+-100, where products may overflow
-    or underflow."""
-    e = math.frexp(C.scale())[1]
-    return C if -100 < e < 100 else C * math.ldexp(1.0, -e)
-
-
 class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
     On construction it scales the cycles by ``_binary_scaled`` into
-    ``_c1`` to ``_c3``, forms the ``_pencil`` of c2 and c3 and reads
-    ``shape`` off it.  The rest is derived on first read, each field by
-    its entry in ``_DERIVE``, into its slot: the self-product ``_n1`` of
-    c1, the parameter, the limit points, the map and its inverse
+    ``_c1`` to ``_c3`` and keeps their scales ``_s1`` to ``_s3``, which
+    every zero test on them reads, forms the ``_pencil`` of c2 and c3 and
+    reads ``shape`` off it.  The rest is derived on first read, each field
+    by its entry in ``_DERIVE``, into its slot: the self-product ``_n1``
+    of c1, the parameter, the limit points, the map and its inverse
     ``_inverse``.  No given cycle is canonicalised.  A derivation is
     deterministic, so threads that race on one store equal values.  The
     derived fields assume a triple with no ``violations``, and every
@@ -248,11 +242,11 @@ class Loxodrome:
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
-        self._c1, self._c2, self._c3 = map(_binary_scaled, (self.c1, self.c2, self.c3))
-        self._pencil = _pencil(self._c2, self._c3, tol)
+        (self._c1, self._s1), (self._c2, self._s2), (self._c3, self._s3) = map(_binary_scaled, triple[:3])
+        self._pencil = _pencil(self._c2, self._s2, self._c3, self._s3, tol)
         if self._pencil.coincident:
             self.shape = _CIRCLE
-        elif classify(self._c3, tol) == CycleKind.POINT:
+        elif _kind(self._c3, self._s3, tol) is CycleKind.POINT:
             self.shape = _LINE
         else:
             self.shape = _SPIRAL
@@ -307,7 +301,7 @@ class Loxodrome:
         return MoebiusMap(a / w, b / w, c, d).normalized()
 
     _DERIVE = {
-        "_n1": lambda self: _norm_square(self._c1),
+        "_n1": lambda self: product(self._c1, self._c1),
         # cosh lambda_tilde, the |normalised product| of c2 and c3
         "_pair_product": lambda self: math.cosh(self.param.lambda_tilde),
         "param": _param,
@@ -322,7 +316,7 @@ class Loxodrome:
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
         "_inverse": lambda self: self.map.inverse(),
     }
-    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_pencil", "shape", *_DERIVE)
+    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_s1", "_s2", "_s3", "_pencil", "shape", *_DERIVE)
 
     def violations(self) -> list:
         """All invariant violations of the triple, empty when valid.
@@ -336,26 +330,26 @@ class Loxodrome:
         reads the scaled cycles, so no float scale of the input overflows.
         """
         c1, c2, c3, tol, pencil = self._c1, self._c2, self._c3, self.tol, self._pencil
+        s1, s2, s3 = self._s1, self._s2, self._s3
         out = []
-        (s1, n1), s2, s3 = self._n1, pencil.a, pencil.c
-        if s1 <= tol.eps_product * n1:
-            out.append(TripleViolation("first cycle must be a line or proper circle", s1))
-        if s2 <= tol.eps_product * c2.scale() ** 2:
-            out.append(TripleViolation("second cycle must be a line or proper circle", s2))
-        if s3 < -tol.eps_product * c3.scale() ** 2:
-            out.append(TripleViolation("third cycle has no real locus", s3))
-        for name, C in (("second", c2), ("third", c3)):
-            if r := _orthogonality_residual(c1, C, tol):
+        if (n1 := self._n1) <= tol.eps_product * (s1 * s1):
+            out.append(TripleViolation("first cycle must be a line or proper circle", n1))
+        if pencil.a <= tol.eps_product * s2 ** 2:
+            out.append(TripleViolation("second cycle must be a line or proper circle", pencil.a))
+        if pencil.c < -tol.eps_product * s3 ** 2:
+            out.append(TripleViolation("third cycle has no real locus", pencil.c))
+        for name, C, s in (("second", c2, s2), ("third", c3, s3)):
+            if r := _orthogonality_residual(c1, C, s1 * s, tol):
                 out.append(TripleViolation(f"first and {name} cycle are not orthogonal", r))
 
         if self.shape is _CIRCLE:
             return out
-        if self.shape is _LINE and is_orthogonal(c2, c3, tol):
+        if self.shape is _LINE and not _orthogonality_residual(c2, c3, s2 * s3, tol):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
         if self.shape is _SPIRAL and _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
             return out + [TripleViolation("second and third cycle neither disjoint nor equal", pencil.disc)]
         for z in self._point_members:
-            if r := _orthogonality_residual(c1, z, tol):
+            if r := _orthogonality_residual(c1, z, s1 * z.scale(), tol):
                 out.append(TripleViolation("first cycle misses a limit point of the pencil", r))
         return out
 
@@ -471,8 +465,10 @@ def _crossing(F: MoebiusMap, c1: Cycle, c2: Cycle) -> complex:
     """A crossing w of c1 and c2 in the frame of a map F that takes their
     triple's limit points to 0 and infinity: there c1 is a line through 0
     with normal L = l + i n and c2 a circle of radius rho = sqrt(-m / k)
-    centred at 0, so w = i rho L / |L|, and -w is the other crossing."""
-    line, circle = apply_to_cycle(F, c1), apply_to_cycle(F, c2)
+    centred at 0, so w = i rho L / |L|, and -w is the other crossing.  One
+    ``_cycle_action`` of F moves both."""
+    action = _cycle_action(F)
+    line, circle = _act(action, c1), _act(action, c2)
     L = complex(line.l, line.n)
     try:
         w = 1j * math.sqrt(-circle.m / circle.k) * (L / abs(L))
@@ -755,12 +751,8 @@ def sample_curve(
 def apply_map(
     M: MoebiusMap, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> LoxodromeTriple:
-    """Transport a triple by a Moebius map; chirality is preserved and the
-    image is re-validated, and its first query keeps the checking form."""
-    return validate_triple(
-        apply_to_cycle(M, T.c1),
-        apply_to_cycle(M, T.c2),
-        apply_to_cycle(M, T.c3),
-        T.sign,
-        tol,
-    )
+    """Transport a triple's cycles by one ``_cycle_action`` of a Moebius map;
+    chirality is preserved, the image re-validated, and its first query
+    keeps the checking form."""
+    action = _cycle_action(M)
+    return validate_triple(_act(action, T.c1), _act(action, T.c2), _act(action, T.c3), T.sign, tol)

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import center_radius, combine
+from moeblox.cycles import _pencil, _pencil_kind, center_radius
 from moeblox.errors import InvalidInput, TripleViolation
+
+from pencil_route import combine
 
 
 def _canonical_equal(a: mx.Cycle, b: mx.Cycle, tol: mx.Tolerances) -> bool:
@@ -60,7 +62,10 @@ def intersect(C: mx.Cycle, Cp: mx.Cycle, tol: mx.Tolerances = mx.DEFAULT_TOLERAN
     b = mx.canonicalize(Cp, tol)
     if _canonical_equal(a, b, tol):
         raise InvalidInput("intersection of a cycle with itself is the cycle")
-    kind = mx.classify_pencil(C, Cp, tol)
+    # the pencil of C and C' as given, not binary-scaled as classify_pencil
+    # forms it, so products that overflow a float are refused
+    pencil = _pencil(C, C.scale(), Cp, Cp.scale(), tol)
+    kind = _pencil_kind(pencil.disc, pencil.scale, tol)
     if kind == mx.PencilKind.HYPERBOLIC:
         return ()
     tangent = kind == mx.PencilKind.PARABOLIC

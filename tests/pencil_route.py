@@ -7,7 +7,10 @@ c2, and the elliptic rotation from the cycle orthogonal to c2, c3 and
 the point, against c1.  Normalised products of projective cycles carry
 a sign, so the congruence is folded, and the route cannot tell a spiral
 from its mirror.  Its member through a point is also the reference for
-the curve's fixed crossing angle with that pencil.
+the curve's fixed crossing angle with that pencil.  ``combine`` and
+``root_pairing`` keep the point members as first built, a combination
+canonicalised afterwards, which ``cycles._root_pairing`` matches bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import combine
 from moeblox.errors import InvalidInput, MoebloxError, NumericalBreakdown
 from moeblox.loxodrome import CurveKind, _as_point, _prepared
 from moeblox.numerics import congruent_mod
@@ -35,6 +37,22 @@ def clamped_acos(x: float) -> float:
     if x < -1.0 - 1e-9 or x > 1.0 + 1e-9:
         raise NumericalBreakdown(f"acos argument {x!r} outside [-1-eps, 1+eps]")
     return math.acos(min(1.0, max(-1.0, x)))
+
+
+def combine(alpha: float, C: mx.Cycle, beta: float, Cp: mx.Cycle) -> mx.Cycle:
+    """Componentwise alpha C + beta C' (safe for a vanishing coefficient)."""
+    return mx.Cycle(alpha * C.k + beta * Cp.k, alpha * C.l + beta * Cp.l,
+                    alpha * C.n + beta * Cp.n, alpha * C.m + beta * Cp.m)
+
+
+def root_pairing(pencil, tol=mx.DEFAULT_TOLERANCES):
+    """``cycles._root_pairing`` as first written: each point member built
+    by ``combine`` and then canonicalised, two cycles per member."""
+    A, B, a, b, c = pencil.frame
+    root = math.sqrt(pencil.disc)
+    qq = -(b + (1.0 if b >= 0 else -1.0) * root)
+    P, Q = mx.canonicalize(combine(qq, A, a, B), tol), mx.canonicalize(combine(c, A, qq, B), tol)
+    return (P, Q) if tuple.__le__(P, Q) else (Q, P)
 
 
 class RankDeficient(MoebloxError):

@@ -1234,6 +1234,26 @@ class TestCliContract:
         assert main(["member", "--scene", str(path), "--triple", "spiral", "--point", "5,0"]) == 1
         assert main(["member", "--scene", str(path), "--triple", "spiral", "--point", "1,0"]) == 0
 
+    def test_render_at_2_to_the_minus_700_is_the_shipped_render(self, tmp_path, capsys):
+        # the shipped scene's triple scaled exactly by 2^-700: its raw
+        # products underflow, which read c1 as a point at infinity and c2
+        # and c3 as dots; read binary-scaled, every cycle and the curve
+        # come out byte for byte as shipped, with no note
+        shipped = Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json"
+        document = json.loads(shipped.read_text())
+        data = document["objects"][0]["data"]
+        for name in ("c1", "c2", "c3"):
+            data[name] = [math.ldexp(x, -700) for x in data[name]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(document))
+        outputs = []
+        for scene in (shipped, path):
+            out = tmp_path / f"{len(outputs)}.svg"
+            assert main(["render", "--scene", str(scene), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_sample_writes_no_negative_zero(self, capsys):
         # the points of the spiral on the axes: -0.000000 at the parent
         scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
@@ -1259,13 +1279,15 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "triple 'T': not checked" not in err and "curve not drawn" not in err
         assert out.read_text().count("<polyline ") == 2
-        # render draws the raw cycles, and notes each one it cannot draw
-        assert ("c2 not drawn" in err) == ("c3 not drawn" in err) == (scale == 1e200)
+        # render draws the cycles read binary-scaled, so at any scale: a
+        # line and two circles, and no note
+        assert "not drawn" not in err
+        assert out.read_text().count("<circle ") == 2 and out.read_text().count("<line ") == 1
 
     def test_overflowing_cycle_is_not_read_as_a_point(self, tmp_path, capsys):
         # the discriminant of the raw c3 overflows above about 1.3e154:
         # lambda and member answer as at unit scale (5 is no curve point),
-        # and render draws c2 and c3 as nothing rather than as dots at 0
+        # and render draws c2 and c3 as the circles they are, not as dots
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(_triple(c2=[1e200, 0, 0, -1e200], c3=[1e200, 0, 0, -1e200 * E2])))
         assert main(["lambda", "--scene", str(path), "--triple", "T"]) == 0
@@ -1275,8 +1297,9 @@ class TestCliContract:
         out = tmp_path / "out.svg"
         assert main(["render", "--scene", str(path), "--out", str(out), "--samples", "16"]) == 0
         err = capsys.readouterr().err
-        assert "c2 not drawn" in err and "c3 not drawn" in err and "curve not drawn" not in err
+        assert "not drawn" not in err
         assert 'fill="currentColor"' not in out.read_text()  # no point dots
+        assert out.read_text().count("<circle ") == 2
 
     def test_main_in_process(self, scene_path, capsys):
         code = main(["lambda", "--scene", scene_path, "--triple", "T"])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import moeblox as mx
-from moeblox.cycles import _accurate_product
-from moeblox.errors import InvalidInput, NumericalBreakdown, SceneError
+from moeblox.cycles import _accurate_product, _line_frame
+from moeblox.errors import InvalidInput, MoebloxError, NumericalBreakdown, SceneError
 from moeblox.scene import SceneObject
 
 from conftest import (
@@ -277,17 +277,24 @@ class TestNormalizedProduct:
 
 
 class TestOverflowRefused:
-    """A zero test on products that overflow a float decides nothing: it
-    is refused with NumericalBreakdown naming the cycles, not left to
-    raise OverflowError or to compare against inf."""
+    """A zero test on products that overflow a float decides nothing.  The
+    classifiers read their cycles binary-scaled, where no product
+    overflows, and answer as at unit scale; ``normalized_product`` and the
+    ``intersect`` reference refuse such products with NumericalBreakdown
+    naming the cycles, rather than raise OverflowError or compare against
+    inf."""
 
     BIG = mx.Cycle(1e100, 0, 0, -1e100)
     BIG_E = mx.Cycle(1e100, 0, 0, -1e100 * math.e**2)
 
     def test_pencil_routines(self):
-        for routine in (mx.classify_pencil, mx.zero_radius_members, intersect):
-            with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+100.* overflow a float"):
-                routine(self.BIG, self.BIG_E)
+        E = mx.Cycle(1, 0, 0, -math.e**2)
+        assert mx.classify_pencil(self.BIG, self.BIG_E) == mx.classify_pencil(UNIT, E) == mx.PencilKind.HYPERBOLIC
+        for got, want in zip(mx.zero_radius_members(self.BIG, self.BIG_E), mx.zero_radius_members(UNIT, E)):
+            assert_projectively_equal(got, want, tol=1e-15)  # the points 0 and infinity
+        # the reference forms the pencil of the cycles as given
+        with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+100.* overflow a float"):
+            intersect(self.BIG, self.BIG_E)
 
     def test_normalized_product(self):
         # canonical cycles stay below 1 / eps_product, so only a tiny
@@ -298,16 +305,67 @@ class TestOverflowRefused:
             mx.normalized_product(mx.Cycle(1e-100, 0, 0, -1e100), UNIT, tiny)
 
     def test_center_radius(self):
-        with pytest.raises(NumericalBreakdown, match="overflow a float"):
-            mx.center_radius(mx.Cycle(1e200, 0, 0, -1e200))
+        assert mx.center_radius(mx.Cycle(1e200, 0, 0, -1e200)) == (0j, 1.0)
 
     def test_classify(self):
         # eps * s * s is inf above about 1.3e154, where every cycle used to
         # pass the point test
         for big in (1e155, 1e200):
-            with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+\d+.* overflow a float"):
-                mx.classify(mx.Cycle(big, 0, 0, -big))
+            assert mx.classify(mx.Cycle(big, 0, 0, -big)) == mx.CycleKind.CIRCLE
         assert mx.classify(self.BIG) == mx.CycleKind.CIRCLE
+
+
+class TestAnyFloatScale:
+    """``classify``, ``center_radius``, ``classify_pencil`` and
+    ``zero_radius_members`` read their cycles binary-scaled: beyond 2^+-100
+    each is scaled exactly by a power of two to a largest component in
+    [0.5, 1), within it kept as given."""
+
+    @pytest.mark.parametrize("k", [-900, -560, 560, 900])
+    def test_power_of_two_scaling_changes_no_answer(self, rng, k):
+        # products of components overflow a float at 2^560 and underflow at
+        # 2^-560; a refusal is compared by its class, as it names the cycle
+        def answer(routine, *cycles):
+            try:
+                return repr(routine(*cycles))
+            except MoebloxError as exc:
+                return type(exc)
+
+        def scaled(C, e):
+            return mx.Cycle(*(math.ldexp(x, e) for x in C))
+
+        fixed = [UNIT, REAL_AXIS, mx.from_circle(0, 1), mx.from_circle(0.3 + 0.2j, 0.7),
+                 mx.zero_radius_at(0.5 + 0.5j), mx.Cycle(0, 0, 0, 1), mx.Cycle(1, 0, 0, -math.e**2)]
+        pairs = list(zip(fixed, fixed[1:])) + [(random_real_cycle(rng), random_real_cycle(rng)) for _ in range(100)]
+        for A, B in pairs:
+            for C in (A, B):
+                for routine in (mx.classify, mx.center_radius):
+                    assert answer(routine, scaled(C, k)) == answer(routine, C), (routine, C)
+            assert answer(mx.classify_pencil, scaled(A, k), scaled(B, k)) == answer(mx.classify_pencil, A, B)
+            # the pencil's frame starts from the cycle of larger self-product,
+            # which the relative scale of A and B decides: so the pair is
+            # given at scales in [0.5, 1), as the binary-scaled pair reads it
+            A, B = (scaled(C, -math.frexp(C.scale())[1]) for C in (A, B))
+            members = answer(mx.zero_radius_members, A, B)
+            assert answer(mx.zero_radius_members, scaled(A, k), scaled(B, k)) == members, (A, B)
+
+    def test_unit_circle_at_1e_minus_170(self):
+        # each read a circle scaled by 1e-170 as a point, or its pencil as tangent
+        C = mx.from_circle(0, 1) * 1e-170
+        assert mx.classify(C) == mx.CycleKind.CIRCLE
+        assert mx.center_radius(C) == (0j, 1.0)
+        E = mx.Cycle(1, 0, 0, -math.e**2) * 1e-170
+        assert mx.classify_pencil(C, E) == mx.PencilKind.HYPERBOLIC
+
+    def test_subnormal_scale(self):
+        # the power of two that scales it, 2^1074, overflows a float, so
+        # each component is scaled with ldexp
+        C = mx.Cycle(5e-324, 0, 0, -5e-324)
+        assert mx.classify(C) == mx.CycleKind.CIRCLE and mx.center_radius(C) == (0j, 1.0)
+        T = mx.LoxodromeTriple(mx.Cycle(0, 0, 5e-324, 0), UNIT, mx.Cycle(1, 0, 0, -math.e**2))
+        assert mx.lambda_from_triple(T).lambda_tilde == pytest.approx(1.0, rel=1e-15)
+        # render's frame of a line, the y axis here
+        assert _line_frame(mx.Cycle(0, 5e-324, 0, 0)) == _line_frame(mx.Cycle(0, 1, 0, 0)) == (0j, 1j)
 
 
 class TestMoebiusAction:

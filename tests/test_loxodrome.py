@@ -845,9 +845,9 @@ class TestIntersectionAngle:
         at_inf = mx.apply_to_cycle(swap, mx.tangent_line_at(swapped, pt(0)))
         mx.contains_point(T, INF), mx.contains_point(Tp, INF)  # both kept prepared
         built, moved = [], []
-        prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
+        prepare, move = mx.Loxodrome.__init__, lox._cycle_action
         monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
-        monkeypatch.setattr(lox, "apply_to_cycle", lambda *a, **k: moved.append(a) or move(*a, **k))
+        monkeypatch.setattr(lox, "_cycle_action", lambda *a, **k: moved.append(a) or move(*a, **k))
         for _ in range(2):
             assert mx.intersection_angle(T, Tp, INF) == pytest.approx(want, abs=1e-12)
             assert mx.tangent_check(T, at_inf, INF)
@@ -1390,9 +1390,9 @@ class TestPreparedTriple:
         T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         built, moved = [], []
-        prepare, move = mx.Loxodrome.__init__, lox.apply_to_cycle
+        prepare, move = mx.Loxodrome.__init__, lox._cycle_action
         monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: built.append(a) or prepare(form, *a))
-        monkeypatch.setattr(lox, "apply_to_cycle", lambda *a, **k: moved.append(a) or move(*a, **k))
+        monkeypatch.setattr(lox, "_cycle_action", lambda *a, **k: moved.append(a) or move(*a, **k))
         line = mx.tangent_line_at(T, p)
         assert len(built) == 1  # the first query prepares T
         moved.clear()
@@ -1468,15 +1468,16 @@ class TestPreparedTriple:
     def test_equivalent_forms_each_pencil_once(self, rng, monkeypatch):
         # one pass over each triple's pencil serves the shape, the check,
         # the pair products, the limit points and T's map; no given cycle
-        # is canonicalised, only the point members of the two pencils
+        # is canonicalised, only the point members of the two pencils, each
+        # from its components with no cycle built before it
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
         T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
         calls, pencils = [], []
-        canon, pencil = cycles.canonicalize, lox._pencil
-        monkeypatch.setattr(cycles, "canonicalize", lambda *a, **k: calls.append(a[0]) or canon(*a, **k))
+        canon, pencil = cycles._canonical, lox._pencil
+        monkeypatch.setattr(cycles, "_canonical", lambda *a, **k: calls.append((a, canon(*a, **k))) or calls[-1][1])
         monkeypatch.setattr(lox, "_pencil", lambda *a, **k: pencils.append(a) or pencil(*a, **k))
         # the check of the copy forms its pencil and solves its point
         # members; the query keeps them.  T is not validated, so the query
@@ -1484,10 +1485,57 @@ class TestPreparedTriple:
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
         assert len(pencils) == 2
-        six = [C for triple in (T, copy) for C in (triple.c1, triple.c2, triple.c3)]
         assert len(calls) == 4
-        assert not any(X is C for X in calls for C in six)
-        assert all(mx.classify(X) == mx.CycleKind.POINT for X in calls)
+        assert all(len(args) == 5 and not any(isinstance(x, mx.Cycle) for x in args) for args, _ in calls)
+        assert all(mx.classify(X) == mx.CycleKind.POINT for _, X in calls)
+
+    def test_validate_triple_reads_each_scale_once(self, rng, monkeypatch):
+        # within 2^+-100 the form keeps each given cycle's scale, and every
+        # zero test on that cycle reads the kept one
+        triples = [mx.apply_map(random_moebius(rng), std(lt)) for lt in (1.0, -0.5, 2.0)]
+        triples.append(mx.standard_triple(mx.SlsParameter.infinite()))
+        reads = []
+        scale = mx.Cycle.scale
+        monkeypatch.setattr(mx.Cycle, "scale", lambda C: reads.append(C) or scale(C))
+        for T in triples:
+            reads.clear()
+            mx.validate_triple(*T)
+            for C in T[:3]:
+                assert sum(X is C for X in reads) == 1, (T, C)
+
+    def test_apply_map_and_crossing_form_one_action_each(self, rng, monkeypatch):
+        # a map's |det| = 1 entries and their conjugate products are formed
+        # once for all the cycles it moves
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        actions = []
+        act = lox._cycle_action
+        monkeypatch.setattr(lox, "_cycle_action", lambda F: actions.append(F) or act(F))
+        T = mx.apply_map(M, std(1.0))
+        assert actions == [M]
+        U = mx.LoxodromeTriple(*T)  # not validated: its map is read afresh
+        actions.clear()
+        F = mx.standard_map(U)
+        assert len(actions) == 1  # the one _crossing of _map
+        actions.clear()
+        assert lox._crossing(F, T.c1, T.c2) == lox._crossing(F, T.c1, T.c2)
+        assert actions == [F, F]
+        assert [lox._act(act(M), C) for C in std(1.0)[:3]] == [mx.apply_to_cycle(M, C) for C in std(1.0)[:3]] == list(T[:3])
+
+    def test_point_members_equal_the_combine_route(self):
+        # each member is formed componentwise and canonicalised as one cycle,
+        # bit for bit the route that built it by combine and canonicalised it
+        from moeblox.cycles import _binary_scaled, _pencil, _root_pairing
+        from pencil_route import root_pairing
+
+        rng = random.Random(27)
+        for i in range(300):
+            lt = math.copysign(10 ** rng.uniform(-4, 0.4), rng.random() - 0.5)
+            G = squeezed_moebius(rng) if i % 2 else random_moebius(rng)
+            c2, c3 = (mx.apply_to_cycle(G, C) for C in std(lt)[1:3])
+            pencil = _pencil(*_binary_scaled(c2), *_binary_scaled(c3), mx.DEFAULT_TOLERANCES)
+            assert repr(_root_pairing(pencil, mx.DEFAULT_TOLERANCES)) == repr(root_pairing(pencil)), (G, lt)
 
     def test_one_pencil_per_decision(self, monkeypatch):
         import moeblox.cycles as cycles

@@ -4,7 +4,6 @@ import math
 import pytest
 
 import moeblox as mx
-from moeblox.cycles import combine
 from moeblox.errors import InvalidInput
 
 from conftest import (
@@ -13,7 +12,7 @@ from conftest import (
     random_moebius,
     random_real_cycle,
 )
-from pencil_route import OnRadicalLocus, RankDeficient, _member_through, orthogonal_cycle_through
+from pencil_route import OnRadicalLocus, RankDeficient, _member_through, combine, orthogonal_cycle_through
 
 UNIT = mx.Cycle(1, 0, 0, -1)
 REAL_AXIS = mx.Cycle(0, 0, 1, 0)
@@ -51,7 +50,7 @@ class TestPencilType:
 
 
 class TestMember:
-    """Pencil members alpha A + beta B, built with cycles.combine."""
+    """Pencil members alpha A + beta B, built with pencil_route.combine."""
 
     def test_endpoints(self):
         assert combine(1, UNIT, 0, E_CIRCLE) == UNIT
