@@ -41,7 +41,6 @@ from .loxodrome import (
     standard_triple,
     tangent_check,
     tangent_line_at,
-    validate_triple,
 )
 from .numerics import (
     DEFAULT_TOLERANCES,

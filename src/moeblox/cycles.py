@@ -341,7 +341,7 @@ def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[compl
 def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, complex]:
     """A point and a unit direction of a line, read binary-scaled: the foot of
     its normal from the origin, and its canonical unit normal turned a quarter turn."""
-    line = canonicalize(_binary_scaled(C)[0], tol)
+    line = canonicalize(C, tol)
     normal = complex(line.l, line.n)
     return (line.m / 2.0) * normal, 1j * normal
 
@@ -404,10 +404,10 @@ def _norm_square(C: Cycle) -> tuple[float, float]:
 
 
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Fix the projective scale: k = +1 when k does not vanish, else a
-    unit normal (l, n) with its first nonvanishing component positive,
-    else m = +1."""
-    return _canonical(*C, tol, C)
+    """Fix the projective scale of C, read binary-scaled: k = +1 when k does
+    not vanish, else a unit normal (l, n) with its first nonvanishing
+    component positive, else m = +1."""
+    return _canonical(*_binary_scaled(C)[0], tol, C)
 
 
 def _canonical(k: float, l: float, n: float, m: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:

@@ -29,9 +29,8 @@ second's c1 and c2 lies on the first's curve.
 holds what is derived from it: the products of the pencil of (c2, c3),
 its shape, lambda_tilde (0 for a circle, inf for a line), the limit
 points and the normalising map.  The first query on a triple checks it
-and keeps the form on it; later ones pay only their per-point work.  A
-triple from ``validate_triple`` (so from ``apply_map``) holds no form:
-the form that checked it is handed to its first query.
+and keeps the form on it; later ones pay only their per-point work.
+``apply_map`` only moves the cycles: the image's first query checks it.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ TWO_PI = 2.0 * math.pi
 
 _REAL_AXIS = Cycle(0.0, 0.0, 1.0, 0.0)
 _UNIT_CIRCLE = Cycle(1.0, 0.0, 0.0, -1.0)
-_checked = (None, None)  # the last triple validate_triple passed, and its form
 
 #: Branch-swapping reflection z -> -1/z; together with the diagonal flow
 #: it generates the stabiliser of the model curve.
@@ -188,25 +186,6 @@ def standard_triple(param: SlsParameter) -> LoxodromeTriple:
     return LoxodromeTriple(_REAL_AXIS, _UNIT_CIRCLE, c3, 1 if lt > 0 else -1)
 
 
-def validate_triple(
-    c1: Cycle,
-    c2: Cycle,
-    c3: Cycle,
-    sign: int = 1,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> LoxodromeTriple:
-    """Checked triple; raises the first of ``Loxodrome.violations``
-    otherwise.  It holds no form: the checking one goes to its first query."""
-    global _checked
-    T = LoxodromeTriple(c1, c2, c3, sign)
-    form = Loxodrome(T, tol)
-    violations = form.violations()
-    if violations:
-        raise violations[0]
-    _checked = (T, form)
-    return T
-
-
 # ---------------------------------------------------------------------------
 # the prepared form
 # ---------------------------------------------------------------------------
@@ -234,10 +213,9 @@ class Loxodrome:
     of c1, the parameter, the limit points, the map and its inverse
     ``_inverse``.  No given cycle is canonicalised.  A derivation is
     deterministic, so threads that race on one store equal values.  The
-    derived fields assume a triple with no ``violations``, and every
-    query gets such a form from ``_prepared``: ``validate_triple``'s, or a
-    new one.  It holds the triple's cycles, not the triple that keeps it,
-    so the two make no reference cycle for the garbage collector to find."""
+    derived fields assume a triple with no ``violations``, and every query
+    gets such a form from ``_prepared``.  It holds the triple's cycles, not
+    the triple that keeps it: the two make no reference cycle."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
@@ -394,19 +372,15 @@ def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
 
 
 def _check(T: LoxodromeTriple, tol: Tolerances) -> tuple[Loxodrome, list]:
-    """T's form at tol and its violations: the kept one, the one in
-    ``_checked`` (one tuple, so a racing thread only prepares T again), or
-    a new one, kept on T when valid."""
+    """T's form at tol and its violations: the kept one, or a new one, kept on T when valid."""
     lox = T.__dict__.get("_loxodrome")
-    if lox is None or (lox.tol is not tol and lox.tol != tol):
-        checked, lox = _checked
-        if checked is not T or (lox.tol is not tol and lox.tol != tol):
-            lox = Loxodrome(T, tol)
-            violations = lox.violations()
-            if violations:
-                return lox, violations
+    if lox is not None and (lox.tol is tol or lox.tol == tol):
+        return lox, []
+    lox = Loxodrome(T, tol)
+    violations = lox.violations()
+    if not violations:
         T._loxodrome = lox
-    return lox, []
+    return lox, violations
 
 
 def lambda_from_triple(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> SlsParameter:
@@ -748,11 +722,8 @@ def sample_curve(
     return [p for sgn in signs for p in _curve_points(lox, t_min, t_max, count, sgn, ExtendedPoint)]
 
 
-def apply_map(
-    M: MoebiusMap, T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LoxodromeTriple:
-    """Transport a triple's cycles by one ``_cycle_action`` of a Moebius map;
-    chirality is preserved, the image re-validated, and its first query
-    keeps the checking form."""
+def apply_map(M: MoebiusMap, T: LoxodromeTriple) -> LoxodromeTriple:
+    """Transport a triple's cycles by one ``_cycle_action`` of a Moebius map,
+    chirality preserved.  It checks nothing: the image's first query does."""
     action = _cycle_action(M)
-    return validate_triple(_act(action, T.c1), _act(action, T.c2), _act(action, T.c3), T.sign, tol)
+    return LoxodromeTriple(_act(action, T.c1), _act(action, T.c2), _act(action, T.c3), T.sign)

@@ -225,10 +225,22 @@ class TestCanonicalize:
             assert abs(a - b) <= 1e-14 * max(1.0, canon.scale())
         assert_projectively_equal(mx.canonicalize(t * C), canon, tol=1e-9)
 
+    @pytest.mark.parametrize("C, want", [
+        (mx.Cycle(1e-310, 0, 0, 0), (1, 0, 0, 0)),  # 1 / k overflows unscaled
+        (mx.Cycle(0, 0, 1e-310, 0), (0, 0, 1, 0)),  # 1 / |(l, n)| overflows unscaled
+        (mx.Cycle(0, 0, 0, 1e-310), (0, 0, 0, 1)),  # 1 / m overflows unscaled
+    ])
+    def test_subnormal_cycle_is_rescaled(self, C, want):
+        # read binary-scaled, a subnormal cycle canonicalises as at unit scale
+        assert tuple(mx.canonicalize(C, mx.Tolerances(eps_product=1e-9))) == want
+
+    def test_any_float_scale_answers(self):
+        y_axis = mx.Cycle(0, 5e-324, 0, 0)
+        assert tuple(mx.canonicalize(y_axis)) == (0, 1, 0, 0)
+        assert mx.normalized_product(y_axis, mx.Cycle(0, 0, 1, 0)) == 0.0
+        assert tuple(mx.canonicalize(mx.Cycle(1e-310, 0, 0, -1e-310))) == (1, 0, 0, -1)
+
     @pytest.mark.parametrize("C, eps", [
-        (mx.Cycle(1e-310, 0, 0, 0), 1e-9),  # 1 / k overflows
-        (mx.Cycle(0, 0, 1e-310, 0), 1e-9),  # 1 / |(l, n)| overflows
-        (mx.Cycle(0, 0, 0, 1e-310), 1e-9),  # 1 / m overflows
         (mx.Cycle(2e-5, 1e305, 0, 0), 1e-310),  # l / k overflows
     ])
     def test_overflowing_rescale_refused(self, C, eps):

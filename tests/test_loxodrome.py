@@ -113,28 +113,30 @@ class TestStandardTriple:
 
 class TestValidateTriple:
     def test_standard_is_valid(self):
-        T = mx.validate_triple(REAL_AXIS, UNIT, E_CIRCLE, 1)
-        assert isinstance(T, mx.LoxodromeTriple)
+        T = mx.LoxodromeTriple(REAL_AXIS, UNIT, E_CIRCLE, 1)
+        assert mx.lambda_from_triple(T).lambda_tilde == pytest.approx(1.0, abs=1e-12)
+        assert "_loxodrome" in vars(T)  # the first query checked it and kept its form
 
     def test_other_elliptic_member_is_valid(self):
-        mx.validate_triple(IMAG_AXIS, UNIT, E_CIRCLE, 1)
+        T = mx.LoxodromeTriple(IMAG_AXIS, UNIT, E_CIRCLE, 1)
+        assert mx.lambda_from_triple(T).lambda_tilde == pytest.approx(1.0, abs=1e-12)
 
     def test_non_orthogonal_first_cycle(self):
         with pytest.raises(TripleViolation, match="^first and second cycle are not orthogonal$"):
-            mx.validate_triple(UNIT, UNIT, E_CIRCLE, 1)
+            mx.lambda_from_triple(mx.LoxodromeTriple(UNIT, UNIT, E_CIRCLE, 1))
 
     def test_crossing_pair_rejected(self):
         with pytest.raises(TripleViolation, match="^second and third cycle neither disjoint nor equal$"):
-            mx.validate_triple(REAL_AXIS, UNIT, mx.from_circle(1, 1), 1)
+            mx.lambda_from_triple(mx.LoxodromeTriple(REAL_AXIS, UNIT, mx.from_circle(1, 1), 1))
 
     def test_degenerate_kinds_validate(self):
         for param in (mx.SlsParameter.finite(0.0), mx.SlsParameter.infinite()):
             T = mx.standard_triple(param)
-            mx.validate_triple(T.c1, T.c2, T.c3, T.sign)
+            assert mx.lambda_from_triple(mx.LoxodromeTriple(T.c1, T.c2, T.c3, T.sign)) == param
 
     def test_bad_sign(self):
-        with pytest.raises(InvalidInput):
-            mx.validate_triple(REAL_AXIS, UNIT, E_CIRCLE, 2)
+        with pytest.raises(InvalidInput, match="^sign must be the int 1 or -1, got 2$"):
+            mx.LoxodromeTriple(REAL_AXIS, UNIT, E_CIRCLE, 2)
 
     @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
     def test_sign_must_be_an_int(self, sign):
@@ -162,6 +164,20 @@ class TestValidateTriple:
             with pytest.raises(TripleViolation, match="^first and second cycle are not orthogonal$"):
                 query()
         assert "_loxodrome" not in vars(T)
+
+    def test_a_moved_invalid_triple_is_refused_by_its_queries(self):
+        # apply_map checks nothing: the image of the invalid triple above
+        # holds no form, has the same violations, and every query refuses it
+        M = mx.MoebiusMap(1, 2j, 0.5, 1)
+        T = mx.LoxodromeTriple(mx.Cycle(0, 1, 0, 0.6), UNIT, mx.Cycle(1, 0, 0, -7.38905609893065))
+        U, p = mx.apply_map(M, T), mx.apply_to_point(M, pt(1))
+        assert vars(U) == {}
+        messages = [str(v) for v in mx.Loxodrome(U).violations()]
+        assert messages == [str(v) for v in mx.Loxodrome(T).violations()] and len(messages) == 3
+        for query in _questions(U, mx.DEFAULT_TOLERANCES, [p]):
+            with pytest.raises(TripleViolation, match="^first and second cycle are not orthogonal$"):
+                query()
+        assert vars(U) == {}
 
     def test_disjoint_pair_whose_parameter_rounds_to_zero(self):
         # at eps_product 1e-30 these concentric circles pass as disjoint;
@@ -769,7 +785,7 @@ class TestMembershipOracle:
 
     def test_circle_shape_on_a_line(self):
         # the curve is c2, here the real axis: normalised by the Cayley map
-        T = mx.validate_triple(UNIT, REAL_AXIS, REAL_AXIS)
+        T = mx.LoxodromeTriple(UNIT, REAL_AXIS, REAL_AXIS)
         assert mx.Loxodrome(T).shape == mx.loxodrome.CurveKind.CIRCLE
         assert mx.contains_point_oracle(T, 5)
         assert not mx.contains_point_oracle(T, 1j)
@@ -1066,7 +1082,7 @@ class TestSampleCurve:
 
     def test_circle_shape_on_a_line(self):
         # c2 is the real axis: the grid runs along it through infinity at t = 0
-        T = mx.validate_triple(UNIT, REAL_AXIS, REAL_AXIS)
+        T = mx.LoxodromeTriple(UNIT, REAL_AXIS, REAL_AXIS)
         points = mx.sample_curve(T, -0.5, 0.5, 5, "+")
         assert [p.is_infinity for p in points] == [False, False, True, False, False]
         assert all(mx.passes(REAL_AXIS, p) for p in points)
@@ -1366,8 +1382,9 @@ class TestPreparedTriple:
     def test_large_scale_triple_is_checked_at_unit_scale(self):
         # the raw products of c2 and c3 reach 1e200; the canonical ones are 1
         big = (REAL_AXIS, 1e100 * UNIT, 1e100 * E_CIRCLE)
-        assert mx.Loxodrome(mx.LoxodromeTriple(*big)).violations() == []
-        T = mx.validate_triple(*big)
+        T = mx.LoxodromeTriple(*big)
+        assert mx.Loxodrome(T).violations() == []
+        assert mx.lambda_from_triple(T).lambda_tilde == pytest.approx(1.0, abs=1e-12)
         moved = mx.apply_map(mx.MoebiusMap(1, 2j, 0.5, 1), T)
         assert mx.lambda_from_triple(moved).lambda_tilde == pytest.approx(1.0, abs=1e-9)
 
@@ -1387,7 +1404,7 @@ class TestPreparedTriple:
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
+        T = mx.apply_map(M, std(1.0))
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         built, moved = [], []
         prepare, move = mx.Loxodrome.__init__, lox._cycle_action
@@ -1401,9 +1418,9 @@ class TestPreparedTriple:
         assert mx.intersection_angle(T, T, p) == 0.0
         assert (len(built), moved) == (1, [])  # all three reuse the kept form
         fresh = mx.apply_map(M, std(1.0))
-        assert len(built) == 2  # the check prepares a transported triple
+        assert len(built) == 1  # moving a triple prepares nothing
         mx.intersection_angle(fresh, T, p)
-        assert len(built) == 2  # and its first query keeps that form
+        assert len(built) == 2  # its first query prepares it
 
     def test_point_queries_map_each_point_once(self, rng, monkeypatch):
         # after the first query on a triple, a point query reads the kept
@@ -1441,19 +1458,19 @@ class TestPreparedTriple:
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
-        U = mx.LoxodromeTriple(*T)  # equal to T, not validated
+        U = mx.LoxodromeTriple(*T)  # equal to T, prepared on its own
         p = mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * 0.3)))
         calls = []
         solve = lox._root_pairing
         monkeypatch.setattr(lox, "_root_pairing", lambda *a, **k: calls.append(a) or solve(*a, **k))
         mx.tangent_line_at(T, p)
-        assert len(calls) == 0  # the check solved them, and handed its form on
+        assert len(calls) == 1  # the first query's check solved them, and its form keeps them
         mx.tangent_line_at(U, p)
-        assert len(calls) == 1
+        assert len(calls) == 2
         for triple in (T, U):
             mx.tangent_line_at(triple, p)
             mx.contains_point(triple, p)
-        assert len(calls) == 1  # later calls on the triples pay nothing
+        assert len(calls) == 2  # later calls on the triples pay nothing
 
     def test_oracle_recovers_lambda_once(self, rng, monkeypatch):
         M = random_moebius(rng)
@@ -1474,14 +1491,13 @@ class TestPreparedTriple:
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
-        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))  # not validated
+        T = mx.LoxodromeTriple(*mx.apply_map(M, std(1.0)))
         calls, pencils = [], []
         canon, pencil = cycles._canonical, lox._pencil
         monkeypatch.setattr(cycles, "_canonical", lambda *a, **k: calls.append((a, canon(*a, **k))) or calls[-1][1])
         monkeypatch.setattr(lox, "_pencil", lambda *a, **k: pencils.append(a) or pencil(*a, **k))
-        # the check of the copy forms its pencil and solves its point
-        # members; the query keeps them.  T is not validated, so the query
-        # forms T's pencil and solves it for T's map
+        # the query checks both triples: each check forms its triple's
+        # pencil and solves its point members, which T's map reads
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
         assert mx.equivalent(T, copy)
         assert len(pencils) == 2
@@ -1489,9 +1505,9 @@ class TestPreparedTriple:
         assert all(len(args) == 5 and not any(isinstance(x, mx.Cycle) for x in args) for args, _ in calls)
         assert all(mx.classify(X) == mx.CycleKind.POINT for _, X in calls)
 
-    def test_validate_triple_reads_each_scale_once(self, rng, monkeypatch):
+    def test_check_reads_each_scale_once(self, rng, monkeypatch):
         # within 2^+-100 the form keeps each given cycle's scale, and every
-        # zero test on that cycle reads the kept one
+        # zero test of the first query's check reads the kept one
         triples = [mx.apply_map(random_moebius(rng), std(lt)) for lt in (1.0, -0.5, 2.0)]
         triples.append(mx.standard_triple(mx.SlsParameter.infinite()))
         reads = []
@@ -1499,7 +1515,7 @@ class TestPreparedTriple:
         monkeypatch.setattr(mx.Cycle, "scale", lambda C: reads.append(C) or scale(C))
         for T in triples:
             reads.clear()
-            mx.validate_triple(*T)
+            mx.lambda_from_triple(T)
             for C in T[:3]:
                 assert sum(X is C for X in reads) == 1, (T, C)
 
@@ -1514,7 +1530,7 @@ class TestPreparedTriple:
         monkeypatch.setattr(lox, "_cycle_action", lambda F: actions.append(F) or act(F))
         T = mx.apply_map(M, std(1.0))
         assert actions == [M]
-        U = mx.LoxodromeTriple(*T)  # not validated: its map is read afresh
+        U = mx.LoxodromeTriple(*T)  # a copy of T: its map is read afresh
         actions.clear()
         F = mx.standard_map(U)
         assert len(actions) == 1  # the one _crossing of _map
@@ -1695,7 +1711,7 @@ class TestPreparedFormKept:
         assert T._fields == fields and vars(T) == {}
         mx.contains_point(T, pt(1))
         U = mx.apply_map(M, T)
-        V = mx.validate_triple(T.c1, T.c2, T.c3, T.sign)
+        V = mx.LoxodromeTriple(*T)
         assert U._fields == V._fields == fields
         assert vars(U) == vars(V) == {}
 
@@ -1735,7 +1751,7 @@ class TestPreparedFormKept:
 
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
-        U = mx.LoxodromeTriple(*T)  # equal to T, not validated
+        U = mx.LoxodromeTriple(*T)  # equal to T, prepared on its own
         assert not hasattr(mx.Loxodrome(T), "__dict__")
         with pytest.raises(AttributeError, match="'Loxodrome' object has no attribute 'colour'"):
             mx.Loxodrome(T).colour
@@ -1744,13 +1760,13 @@ class TestPreparedFormKept:
         for name in ("_pencil", "_root_pairing"):
             monkeypatch.setattr(lox, name, lambda *a, fn=getattr(lox, name), name=name: calls.append(name) or fn(*a))
         first = [_ask(q) for q in _questions(T, mx.DEFAULT_TOLERANCES, points)]
-        assert calls == []  # T's queries keep the form that checked it
+        assert calls == ["_pencil", "_root_pairing"]  # T's first query checks it, and the form keeps both
         assert [_ask(q) for q in _questions(U, mx.DEFAULT_TOLERANCES, points)] == first
-        assert calls == ["_pencil", "_root_pairing"]
+        assert calls == ["_pencil", "_root_pairing"] * 2
         for _ in range(2):
             for triple in (T, U):
                 assert [_ask(q) for q in _questions(triple, mx.DEFAULT_TOLERANCES, points)] == first
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     def test_threads_racing_on_a_fill_store_equal_values(self, rng):
         # fills take no lock: threads that read an empty field at once each
@@ -1798,10 +1814,11 @@ class TestPreparedFormKept:
             tracemalloc.stop()
         assert per_output <= 800, per_output
 
-    def test_first_query_on_a_transported_triple_prepares_nothing(self, rng, monkeypatch):
-        # apply_map hands the form that checked its output to the output's
-        # first query: whichever query comes first, on any shape, it builds
-        # no form, forms no pencil and solves none
+    def test_first_query_on_a_transported_triple_prepares_it_once(self, rng, monkeypatch):
+        # apply_map checks nothing, so the output's first query does:
+        # whichever query comes first, on any shape, it builds one form and
+        # forms one pencil, whose point members the check of a spiral or a
+        # line solves
         import moeblox.loxodrome as lox
 
         M = random_moebius(rng)
@@ -1818,21 +1835,42 @@ class TestPreparedFormKept:
                 T = mx.apply_map(M, T0)
                 calls.clear()
                 _ask(_questions(T, mx.DEFAULT_TOLERANCES, points)[i])
-                assert calls == [], (T0, i)
+                solved = [] if T0.c2 == T0.c3 else ["_root_pairing"]
+                assert calls == ["Loxodrome", "_pencil"] + solved, (T0, i)
 
-    def test_handoff_is_kept_only_at_its_own_tolerance(self):
+    def test_apply_map_prepares_nothing(self, rng, monkeypatch):
+        # on every shape, moving a triple builds no form and forms no
+        # pencil; its first query builds the one form that the later ones reuse
+        import moeblox.loxodrome as lox
+
+        M = random_moebius(rng)
+        points = [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(2)]
+        calls = []
+        prepare, pencil = mx.Loxodrome.__init__, lox._pencil
+        monkeypatch.setattr(mx.Loxodrome, "__init__", lambda form, *a: calls.append("Loxodrome") or prepare(form, *a))
+        monkeypatch.setattr(lox, "_pencil", lambda *a: calls.append("_pencil") or pencil(*a))
+        for T0 in (std(1.0), std(-1.0), std(0.0), mx.standard_triple(mx.SlsParameter.infinite())):
+            calls.clear()
+            T = mx.apply_map(M, T0)
+            assert calls == [] and vars(T) == {}, T0
+            for question in _questions(T, mx.DEFAULT_TOLERANCES, points):
+                _ask(question)
+                assert calls == ["Loxodrome", "_pencil"], T0
+
+    def test_form_is_kept_only_at_its_own_tolerance(self):
         # checked at LOOSE, the triple is a circle; its first query at the
         # default tolerance prepares it afresh and sees the spiral
-        T = mx.validate_triple(*self.near(), tol=self.LOOSE)
+        T = self.near()
+        assert mx.lambda_from_triple(T, self.LOOSE).lambda_tilde == 0.0
+        assert vars(T)["_loxodrome"].tol == self.LOOSE
         spiral = mx.lambda_from_triple(self.near()).lambda_tilde
         assert spiral != 0.0
         assert mx.lambda_from_triple(T).lambda_tilde == spiral
         assert mx.lambda_from_triple(T, self.LOOSE).lambda_tilde == 0.0
 
-    def test_validated_triples_leave_at_most_one_form(self, rng, monkeypatch):
-        # only the triple checked last holds a handoff: 100 unqueried
-        # outputs carry no form, and at most one of their forms outlives
-        # the checks
+    def test_transported_triples_build_no_form(self, rng, monkeypatch):
+        # moving 100 triples builds no form; a query on one output builds
+        # one, which lives as long as that output
         import moeblox.loxodrome as lox
 
         forms = []
@@ -1847,15 +1885,16 @@ class TestPreparedFormKept:
         monkeypatch.setattr(lox, "Loxodrome", Watched)
         T0 = std(1.0)
         out = [mx.apply_map(random_moebius(rng), T0) for _ in range(100)]
+        assert forms == [] and all(vars(T) == {} for T in out)
+        mx.lambda_from_triple(out[0])
+        assert len(forms) == 1 and forms[0]() is vars(out[0])["_loxodrome"]
+        del out
         gc.collect()
-        assert len(forms) == 100
-        assert all(vars(T) == {} for T in out)
-        assert sum(form() is not None for form in forms) <= 1
+        assert forms[0]() is None
 
     def test_threads_validating_their_own_triples_answer_as_alone(self, rng):
-        # the handoff is one slot for all threads: a check in one thread
-        # replaces another's handoff, whose triple's first query then
-        # prepares it afresh; queries at the other tolerance prepare anew
+        # each thread moves triples of its own and queries each at one
+        # tolerance, then at the other, which prepares it anew
         tols = (mx.DEFAULT_TOLERANCES, self.LOOSE)
         work_items = [
             [(M, [on_curve_point(rng, 1.0, M, t_range=(-1, 1))[0] for _ in range(2)])
@@ -1866,7 +1905,7 @@ class TestPreparedFormKept:
         def answers(i):
             out = []
             for M, points in work_items[i]:
-                T = mx.apply_map(M, std(1.0), tols[i % 2])
+                T = mx.apply_map(M, std(1.0))
                 out += [_ask(q) for tol in (tols[i % 2], tols[1 - i % 2]) for q in _questions(T, tol, points)]
             return out
 
