@@ -308,15 +308,6 @@ def _binary_scaled(C: Cycle) -> tuple[Cycle, float]:
     return Cycle(*(math.ldexp(x, -e) for x in C)), m
 
 
-def _kind(C: Cycle, s: float, tol: Tolerances) -> CycleKind:
-    """``classify`` of a cycle of scale s in [2^-100, 2^99), whose products are finite."""
-    if abs(C.disc) <= tol.eps_product * s * s:
-        return CycleKind.POINT
-    if abs(C.k) <= tol.eps_product * s:
-        return CycleKind.LINE
-    return CycleKind.CIRCLE
-
-
 def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
     """LINE for k ~ 0, POINT for vanishing discriminant, CIRCLE otherwise,
     read on C binary-scaled, so at any float scale as at unit scale.
@@ -324,7 +315,12 @@ def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
     The discriminant test runs first so the point at infinity (0,0,0,1)
     classifies as a point, not a line.
     """
-    return _kind(*_binary_scaled(C), tol)
+    B, s = _binary_scaled(C)
+    if abs(B.disc) <= tol.eps_product * s * s:
+        return CycleKind.POINT
+    if abs(B.k) <= tol.eps_product * s:
+        return CycleKind.LINE
+    return CycleKind.CIRCLE
 
 
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
@@ -407,14 +403,14 @@ def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Fix the projective scale of C, read binary-scaled: k = +1 when k does
     not vanish, else a unit normal (l, n) with its first nonvanishing
     component positive, else m = +1."""
-    return _canonical(*_binary_scaled(C)[0], tol, C)
+    B, s = _binary_scaled(C)
+    return _canonical(*B, s, tol, C)
 
 
-def _canonical(k: float, l: float, n: float, m: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:
-    """``canonicalize`` of the quadruple (k, l, n, m), built as one Cycle;
-    ``given``, the quadruple's Cycle if one is built, is returned when
-    it is canonical already."""
-    s = max(abs(k), abs(l), abs(n), abs(m))
+def _canonical(k: float, l: float, n: float, m: float, s: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:
+    """``canonicalize`` of the quadruple (k, l, n, m) of largest component
+    s, built as one Cycle; ``given``, the quadruple's Cycle if one is
+    built, is returned when it is canonical already."""
     if not 0.0 < s < math.inf:
         Cycle(k, l, n, m)  # no cycle has these components: refused as Cycle words it
     eps = tol.eps_product * s
@@ -447,20 +443,20 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     return product(a, b) / math.sqrt(sa * sb)
 
 
-_Pencil = namedtuple("_Pencil", "a c disc scale coincident frame")
+_Pencil = namedtuple("_Pencil", "a b c disc scale coincident frame")
 
 
 def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Pencil:
     """The ``_accurate_product``s of the pencil of A and B, of scales sa and
-    sb, formed once for every question on it: a = <A,A>, c = <B,B>,
-    disc = b^2 - ac for b = <A,B>, the scale of its zero test (the
+    sb, formed once for every question on it: a = <A,A>, b = <A,B>,
+    c = <B,B>, disc = b^2 - ac, the scale of its zero test (the
     products', floored at their roundoff), whether A and B are one cycle,
     and a frame (A', B', <A',A'>, <A',B'>, <B',B'>) of the pencil.  Where
-    b^2 and ac outweigh disc, A' is the cycle of larger |<A,A>| and B' the
-    other less its projection on A', so disc = -<A',A'><B',B'> cancels
-    nothing.  The pair is one cycle when B' is within 4 eps_product of its
-    source and their canonical forms agree to eps_product of max(1, their
-    scales).  Overflow raises NumericalBreakdown: cycles scaled by
+    b^2 and ac outweigh disc, A' is the cycle of larger |<A,A>| / sa^2 (a
+    choice no exact rescaling of A or B changes) and B' the other less its
+    projection on A', so disc = -<A',A'><B',B'> cancels nothing.  The pair
+    is one cycle when B' is within 4 eps_product of its source and their
+    canonical forms agree to eps_product of max(1, their scales).  Overflow raises NumericalBreakdown: cycles scaled by
     ``_binary_scaled`` have none."""
     a, b, c = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
     ac, bb = a * c, b * b
@@ -470,7 +466,7 @@ def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Penci
         raise _overflow(A, B)
     disc, frame, coincident = bb - ac, (A, B, a, b, c), False
     if ac > disc:
-        X, Y, x, sy = (B, A, c, sa) if abs(c) > abs(a) else (A, B, a, sb)
+        X, Y, x, sy = (B, A, c, sa) if abs(c) * sa * sa > abs(a) * sb * sb else (A, B, a, sb)
         t = b / x
         k, l, n, m = Y.k - t * X.k, Y.l - t * X.l, Y.n - t * X.n, Y.m - t * X.m
         if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * sy:
@@ -486,7 +482,7 @@ def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Penci
             disc, frame = y * y - x * z, (X, Y, x, y, z)
         else:  # B' vanishes to the last bit: the pencil is one cycle
             disc = 0.0
-    return _Pencil(a, c, disc, max(bb, abs(ac), floor, 1e-300), coincident, frame)
+    return _Pencil(a, b, c, disc, max(bb, abs(ac), floor, 1e-300), coincident, frame)
 
 
 def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
@@ -527,8 +523,9 @@ def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
     root = math.sqrt(pencil.disc)
     sb = 1.0 if b >= 0 else -1.0
     qq = -(b + sb * root)
-    P = _canonical(qq * A.k + a * B.k, qq * A.l + a * B.l, qq * A.n + a * B.n, qq * A.m + a * B.m, tol)
-    Q = _canonical(c * A.k + qq * B.k, c * A.l + qq * B.l, c * A.n + qq * B.n, c * A.m + qq * B.m, tol)
+    P = (qq * A.k + a * B.k, qq * A.l + a * B.l, qq * A.n + a * B.n, qq * A.m + a * B.m)
+    Q = (c * A.k + qq * B.k, c * A.l + qq * B.l, c * A.n + qq * B.n, c * A.m + qq * B.m)
+    P, Q = (_canonical(*X, max(map(abs, X)), tol) for X in (P, Q))
     return (P, Q) if tuple.__le__(P, Q) else (Q, P)  # in the order of their components
 
 

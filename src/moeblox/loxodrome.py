@@ -51,7 +51,6 @@ from .cycles import (
     _affine,
     _binary_scaled,
     _cycle_action,
-    _kind,
     _line_frame,
     _orthogonality_residual,
     _pencil,
@@ -208,23 +207,26 @@ class Loxodrome:
     On construction it scales the cycles by ``_binary_scaled`` into
     ``_c1`` to ``_c3`` and keeps their scales ``_s1`` to ``_s3``, which
     every zero test on them reads, forms the ``_pencil`` of c2 and c3 and
-    reads ``shape`` off it.  The rest is derived on first read, each field
-    by its entry in ``_DERIVE``, into its slot: the self-product ``_n1``
-    of c1, the parameter, the limit points, the map and its inverse
-    ``_inverse``.  No given cycle is canonicalised.  A derivation is
-    deterministic, so threads that race on one store equal values.  The
-    derived fields assume a triple with no ``violations``, and every query
-    gets such a form from ``_prepared``.  It holds the triple's cycles, not
-    the triple that keeps it: the two make no reference cycle."""
+    reads ``shape`` off it: coincident cycles make a circle, and a ratio
+    <c2,c2><c3,c3> / <c2,c3>^2 = 1/cosh^2 lambda_tilde of at most
+    eps_product (or negative: a point c3 up to roundoff) a line, in every
+    image alike, as the ratio is projectively invariant.  The rest is
+    derived on first read, each field by its entry in ``_DERIVE``, into
+    its slot: ``_n1`` = <c1,c1>, the parameter, the limit points, the map
+    and its inverse ``_inverse``.  No given cycle is canonicalised.  A
+    derivation is deterministic, so threads that race on one store equal
+    values.  The derived fields assume a triple with no ``violations``, and
+    every query gets such a form from ``_prepared``.  It holds the triple's
+    cycles, not the triple that keeps it: the two make no reference cycle."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
         (self._c1, self._s1), (self._c2, self._s2), (self._c3, self._s3) = map(_binary_scaled, triple[:3])
-        self._pencil = _pencil(self._c2, self._s2, self._c3, self._s3, tol)
-        if self._pencil.coincident:
+        pencil = self._pencil = _pencil(self._c2, self._s2, self._c3, self._s3, tol)
+        if pencil.coincident:
             self.shape = _CIRCLE
-        elif _kind(self._c3, self._s3, tol) is CycleKind.POINT:
+        elif pencil.a * pencil.c <= tol.eps_product * pencil.scale:
             self.shape = _LINE
         else:
             self.shape = _SPIRAL
@@ -280,8 +282,6 @@ class Loxodrome:
 
     _DERIVE = {
         "_n1": lambda self: product(self._c1, self._c1),
-        # cosh lambda_tilde, the |normalised product| of c2 and c3
-        "_pair_product": lambda self: math.cosh(self.param.lambda_tilde),
         "param": _param,
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis
@@ -301,9 +301,10 @@ class Loxodrome:
 
         After the checks of each cycle and of c1's orthogonality, the
         spanning pair is checked by shape: a circle needs nothing more, a
-        line needs its point c3 off c2 (the pencil of a cycle and a point
-        is disjoint exactly when the point misses the cycle), a spiral
-        needs a hyperbolic pencil.  Then c1 must pass both point members.
+        line needs c3, a point or a circle that the pencil cannot tell from
+        one, off c2 (the pencil of a cycle and a point is disjoint exactly
+        when the point misses the cycle), a spiral needs a hyperbolic
+        pencil and c3 off c2.  Then c1 must pass both point members.
         Every test is invariant under the scale and sign of each cycle, and
         reads the scaled cycles, so no float scale of the input overflows.
         """
@@ -322,9 +323,12 @@ class Loxodrome:
 
         if self.shape is _CIRCLE:
             return out
-        if self.shape is _LINE and not _orthogonality_residual(c2, c3, s2 * s3, tol):
+        # <c2,c3> ~ 0 for a real c3, so no disjoint pair (<c2,c3>^2 > <c2,c2><c3,c3> >= 0): a point
+        # on c2, whose products are all roundoff and read either shape, or a circle crossing c2
+        meets = pencil.c >= -tol.eps_product * s3 ** 2 and abs(pencil.b) <= 4.0 * tol.eps_product * s2 * s3
+        if meets and (self.shape is _LINE or pencil.c <= tol.eps_product * s3 ** 2):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
-        if self.shape is _SPIRAL and _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
+        if meets or self.shape is _SPIRAL and _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
             return out + [TripleViolation("second and third cycle neither disjoint nor equal", pencil.disc)]
         for z in self._point_members:
             if r := _orthogonality_residual(c1, z, s1 * z.scale(), tol):
@@ -363,11 +367,9 @@ def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     """The checked form of T at tol, kept on T by the first query for the
     next ones; a query at other tolerances checks T afresh, and an invalid
     T raises its first violation to every query."""
-    lox = T.__dict__.get("_loxodrome")
-    if lox is None or (lox.tol is not tol and lox.tol != tol):
-        lox, violations = _check(T, tol)
-        if violations:
-            raise violations[0]
+    lox, violations = _check(T, tol)
+    if violations:
+        raise violations[0]
     return lox
 
 
@@ -385,7 +387,7 @@ def _check(T: LoxodromeTriple, tol: Tolerances) -> tuple[Loxodrome, list]:
 
 def lambda_from_triple(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> SlsParameter:
     """Recover the spiral parameter (see ``Loxodrome.param``): coincident
-    c2, c3 give the zero parameter, a point c3 the infinite one."""
+    c2, c3 give the zero parameter, the line shape the infinite one."""
     return _prepared(T, tol).param
 
 
@@ -409,7 +411,7 @@ def standard_map(T: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> Mo
     """
     lox = _prepared(T, tol)
     if lox.shape is not _SPIRAL:
-        raise TripleViolation("normal form needs a distinct, non-point third cycle")
+        raise TripleViolation("normal form needs a spiral: second and third cycle are coincident or of line shape")
     return lox.map
 
 
@@ -471,7 +473,7 @@ def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAUL
         raise TripleViolation("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
-    x, xp = lox._pair_product, loxp._pair_product
+    x, xp = math.cosh(lox.param.lambda_tilde), math.cosh(loxp.param.lambda_tilde)
     if abs(x - xp) > tol.eps_product * max(1.0, x, xp):
         return False
     (p, q), (pp, qp) = lox.limit_points, loxp.limit_points

@@ -253,6 +253,20 @@ class TestValidateTriple:
                 [(TripleViolation, "third (point) cycle lies on the second cycle")],
                 id="point-c3-on-c2",
             ),
+            # <c3,c3> is roundoff of either sign, not 0: the pencil alone reads either shape
+            pytest.param(
+                (REAL_AXIS, mx.from_circle(0, 0.1), mx.zero_radius_at(0.1)),
+                [(TripleViolation, "third (point) cycle lies on the second cycle")],
+                id="inexact-point-c3-on-c2",
+            ),
+            *(
+                pytest.param(
+                    tuple(mx.apply_to_cycle(mx.MoebiusMap(*G), C) for C in (REAL_AXIS, UNIT, mx.zero_radius_at(1))),
+                    [(TripleViolation, "third (point) cycle lies on the second cycle")],
+                    id=f"moved-point-c3-on-c2-{name}",
+                )
+                for name, G in (("line", (1, 2j, 0.5, 1)), ("spiral", (1, 1, 1, 0.1)))
+            ),
             pytest.param((REAL_AXIS, UNIT, mx.zero_radius_at(0)), [], id="point-c3-off-c2"),
             pytest.param(
                 (REAL_AXIS, UNIT, mx.from_circle(1, 1)),
@@ -369,10 +383,13 @@ class TestStandardMap:
         assert seen == {(circle, False), (line, False), (line, True)}
 
     def test_degenerate_rejected(self):
-        with pytest.raises(TripleViolation, match="^normal form needs a distinct, non-point third cycle$"):
+        message = "^normal form needs a spiral: second and third cycle are coincident or of line shape$"
+        with pytest.raises(TripleViolation, match=message):
             mx.standard_map(std(0.0))
-        with pytest.raises(TripleViolation, match="^normal form needs a distinct, non-point third cycle$"):
+        with pytest.raises(TripleViolation, match=message):
             mx.standard_map(mx.standard_triple(mx.SlsParameter.infinite()))
+        with pytest.raises(TripleViolation, match=message):  # c3 the circle of radius e^12
+            mx.standard_map(std(12.0))
 
     def test_roundtrip_random(self, rng):
         for lt in (0.5, 1.0, 2.0):
@@ -1486,7 +1503,7 @@ class TestPreparedTriple:
         # one pass over each triple's pencil serves the shape, the check,
         # the pair products, the limit points and T's map; no given cycle
         # is canonicalised, only the point members of the two pencils, each
-        # from its components with no cycle built before it
+        # from its components and their scale, with no cycle built before it
         import moeblox.cycles as cycles
         import moeblox.loxodrome as lox
 
@@ -1502,7 +1519,7 @@ class TestPreparedTriple:
         assert mx.equivalent(T, copy)
         assert len(pencils) == 2
         assert len(calls) == 4
-        assert all(len(args) == 5 and not any(isinstance(x, mx.Cycle) for x in args) for args, _ in calls)
+        assert all(len(args) == 6 and not any(isinstance(x, mx.Cycle) for x in args) for args, _ in calls)
         assert all(mx.classify(X) == mx.CycleKind.POINT for _, X in calls)
 
     def test_check_reads_each_scale_once(self, rng, monkeypatch):
