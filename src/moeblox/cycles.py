@@ -6,8 +6,8 @@ A cycle ``(k, l, n, m)`` stands for the locus
     k (x^2 + y^2) - 2 l x - 2 n y + m = 0
 
 considered up to a real nonzero rescaling of the quadruple: ``k = 0``
-gives a straight line, a vanishing discriminant ``l^2 + n^2 - m k`` a
-single point (zero-radius circle), anything else a proper circle.
+gives a straight line, a vanishing ``<C, C> = 2 (l^2 + n^2 - m k)`` (the
+triple check's point test) a single point, anything else a proper circle.
 Packing the components into the 2x2 matrix
 
     [[ conj(L), -m ],
@@ -181,11 +181,6 @@ class Cycle(_Value, namedtuple("Cycle", "k l n m")):
     def L(self) -> complex:
         return complex(self.l, self.n)
 
-    @property
-    def disc(self) -> float:
-        """Discriminant l^2 + n^2 - m k; zero exactly for point cycles."""
-        return self.l * self.l + self.n * self.n - self.m * self.k
-
     def matrix(self):
         """2x2 matrix form ((conj L, -m), (k, -L))."""
         L = self.L
@@ -309,14 +304,14 @@ def _binary_scaled(C: Cycle) -> tuple[Cycle, float]:
 
 
 def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
-    """LINE for k ~ 0, POINT for vanishing discriminant, CIRCLE otherwise,
-    read on C binary-scaled, so at any float scale as at unit scale.
-
-    The discriminant test runs first so the point at infinity (0,0,0,1)
+    """LINE for k ~ 0, POINT for <C,C> ~ 0, CIRCLE otherwise, read on C
+    binary-scaled, so at any float scale as at unit scale.  The point test
+    is the triple check's: ``_accurate_product`` <C,C> within eps_product
+    of the squared scale; it runs first so the point at infinity (0,0,0,1)
     classifies as a point, not a line.
     """
     B, s = _binary_scaled(C)
-    if abs(B.disc) <= tol.eps_product * s * s:
+    if abs(_accurate_product(B, B)) <= tol.eps_product * s * s:
         return CycleKind.POINT
     if abs(B.k) <= tol.eps_product * s:
         return CycleKind.LINE
@@ -324,14 +319,15 @@ def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
 
 
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
-    """Centre and radius of a circle (radius 0 for a point cycle), read on
-    C binary-scaled, so at any float scale as at unit scale."""
+    """Centre and radius sqrt(<C,C> / 2) / |k| of a circle (0 for a point),
+    read on C binary-scaled, so at any float scale as at unit scale; <C,C>
+    is ``_accurate_product``'s, refused by the check's no-real-locus bound."""
     B, s = _binary_scaled(C)
     if abs(B.k) <= tol.eps_product * s:
         raise InvalidInput(f"cycle {C!r} has no centre")
-    if (d := B.disc) < -tol.eps_product * s * s:
-        raise InvalidInput(f"cycle {C!r} has negative discriminant {d!r}")
-    return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d, 0.0)) / abs(B.k)
+    if (d := _accurate_product(B, B)) < -tol.eps_product * s * s:
+        raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
+    return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d / 2, 0.0)) / abs(B.k)
 
 
 def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, complex]:
@@ -389,16 +385,6 @@ def _overflow(*cycles: Cycle) -> NumericalBreakdown:
     return NumericalBreakdown(f"products of {' and '.join(map(_quote, cycles))} overflow a float")
 
 
-def _norm_square(C: Cycle) -> tuple[float, float]:
-    """<C,C> and the square of C's largest component, the scale of a zero
-    test on <C,C>, both refused when not finite."""
-    n = C.scale()
-    s, n = product(C, C), n * n
-    if not (math.isfinite(s) and math.isfinite(n)):
-        raise _overflow(C)
-    return s, n
-
-
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Fix the projective scale of C, read binary-scaled: k = +1 when k does
     not vanish, else a unit normal (l, n) with its first nonvanishing
@@ -429,18 +415,20 @@ def _canonical(k: float, l: float, n: float, m: float, s: float, tol: Tolerances
 
 
 def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """<C,C'> / sqrt(<C,C> <C',C'>) evaluated on canonical representatives.
+    """<C,C'> / sqrt(<C,C> <C',C'>) off the ``_pencil`` of the canonical
+    representatives binary-scaled, so at any float scale; <C,C> or <C',C'>
+    within the triple check's point bound refuses a point cycle.
 
     Deterministic up to the canonical sign convention: for concentric
     circles the value is +cosh of the log radius ratio, for crossing
     lines it is +-cos of the angle depending on which unit normals the
     canonicalisation picked.
     """
-    a, b = canonicalize(C, tol), canonicalize(Cp, tol)
-    (sa, ra), (sb, rb) = _norm_square(a), _norm_square(b)
-    if sa <= tol.eps_product * ra or sb <= tol.eps_product * rb:
+    (A, sa), (B, sb) = _binary_scaled(canonicalize(C, tol)), _binary_scaled(canonicalize(Cp, tol))
+    pencil = _pencil(A, sa, B, sb, tol)
+    if pencil.a <= tol.eps_product * sa * sa or pencil.c <= tol.eps_product * sb * sb:
         raise InvalidInput("normalised product needs two non-point cycles")
-    return product(a, b) / math.sqrt(sa * sb)
+    return pencil.b / math.sqrt(pencil.a * pencil.c)
 
 
 _Pencil = namedtuple("_Pencil", "a b c disc scale coincident frame")

@@ -47,6 +47,7 @@ from .cycles import (
     ExtendedPoint,
     MoebiusMap,
     PencilKind,
+    _accurate_product,
     _act,
     _affine,
     _binary_scaled,
@@ -281,7 +282,7 @@ class Loxodrome:
         return MoebiusMap(a / w, b / w, c, d).normalized()
 
     _DERIVE = {
-        "_n1": lambda self: product(self._c1, self._c1),
+        "_n1": lambda self: _accurate_product(self._c1, self._c1),
         "param": _param,
         # the exponent of the model curve exp(rate t) in standard position: lambda_tilde + 2 pi i,
         # or 1 for the line shape, whose model is the positive real axis

@@ -290,9 +290,9 @@ class TestNormalizedProduct:
 
 class TestOverflowRefused:
     """A zero test on products that overflow a float decides nothing.  The
-    classifiers read their cycles binary-scaled, where no product
-    overflows, and answer as at unit scale; ``normalized_product`` and the
-    ``intersect`` reference refuse such products with NumericalBreakdown
+    classifiers and ``normalized_product`` read their cycles binary-scaled,
+    where no product overflows, and answer as at unit scale; the
+    ``intersect`` reference refuses such products with NumericalBreakdown
     naming the cycles, rather than raise OverflowError or compare against
     inf."""
 
@@ -310,11 +310,11 @@ class TestOverflowRefused:
 
     def test_normalized_product(self):
         # canonical cycles stay below 1 / eps_product, so only a tiny
-        # tolerance lets their products overflow: here the circle of
-        # radius 1e100 is canonicalised to (1, 0, 0, -1e200)
+        # tolerance keeps a cycle whose raw products overflow: here the
+        # circle of radius 1e100 is canonicalised to (1, 0, 0, -1e200), and
+        # its product with the unit circle is cosh(ln 1e100) = 5e99
         tiny = mx.Tolerances(eps_product=1e-250)
-        with pytest.raises(NumericalBreakdown, match="overflow a float"):
-            mx.normalized_product(mx.Cycle(1e-100, 0, 0, -1e100), UNIT, tiny)
+        assert mx.normalized_product(mx.Cycle(1e-100, 0, 0, -1e100), UNIT, tiny) == pytest.approx(5e99, rel=1e-15)
 
     def test_center_radius(self):
         assert mx.center_radius(mx.Cycle(1e200, 0, 0, -1e200)) == (0j, 1.0)
@@ -325,6 +325,56 @@ class TestOverflowRefused:
         for big in (1e155, 1e200):
             assert mx.classify(mx.Cycle(big, 0, 0, -big)) == mx.CycleKind.CIRCLE
         assert mx.classify(self.BIG) == mx.CycleKind.CIRCLE
+
+
+class TestSelfProductAccuracy:
+    """``normalized_product`` and ``center_radius`` read the compensated
+    self-product, so a small circle far from the origin, where the float
+    <C,C> cancels, keeps the digits its stored components hold.  Each is
+    compared with mpmath on those components."""
+
+    @staticmethod
+    def _pairing(mpmath, C, D):
+        (k, l, n, m), (k2, l2, n2, m2) = ([mpmath.mpf(x) for x in X] for X in (C, D))
+        return 2 * (l * l2 + n * n2) - m * k2 - k * m2
+
+    def test_normalized_product_of_small_far_circles(self):
+        # the float self-products lost up to 4.2e-8 of the answer here
+        mpmath = pytest.importorskip("mpmath")
+        rng, worst, answered = random.Random(3), 0.0, 0
+        with mpmath.workprec(300):
+            for _ in range(2000):
+                c = cmath.rect(10 ** rng.uniform(0, 4), rng.uniform(-math.pi, math.pi))
+                r, lam = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-3, 0)
+                C, D = mx.from_circle(c, r), mx.from_circle(c + 0.1 * r, r * math.exp(lam))
+                try:
+                    got = mx.normalized_product(C, D)
+                except InvalidInput:  # a point by the component-scaled test
+                    continue
+                P = self._pairing
+                want = P(mpmath, C, D) / mpmath.sqrt(P(mpmath, C, C) * P(mpmath, D, D))
+                worst, answered = max(worst, float(abs(got - want) / abs(want))), answered + 1
+        assert answered > 500
+        assert worst < 1e-13
+
+    def test_center_radius_of_small_far_circles(self):
+        # the float discriminant lost up to 7.1e-9 of the radius where
+        # r / |c| >= 1e-4, and up to twice the radius below
+        mpmath = pytest.importorskip("mpmath")
+        rng, worst = random.Random(9), 0.0
+        with mpmath.workprec(300):
+            for _ in range(20000):
+                c = cmath.rect(10 ** rng.uniform(-2, 3), rng.uniform(-math.pi, math.pi))
+                C = mx.from_circle(c, 10 ** rng.uniform(-7, 1))
+                square = self._pairing(mpmath, C, C) / 2
+                centre, got = mx.center_radius(C)
+                assert centre == complex(C.l, C.n)
+                if square <= 0:  # m rounded to a point, or just past one: radius 0
+                    assert got == 0.0
+                    continue
+                want = mpmath.sqrt(square) / abs(C.k)
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst < 1e-13
 
 
 class TestAnyFloatScale:

@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import moeblox as mx
 from moeblox.errors import (
@@ -1263,6 +1264,49 @@ class TestSampleCurveReference:
             reference_samples(T, t_min, t_max, 5, "both")
         with pytest.raises(InvalidInput, match="finite"):
             mx.sample_curve(T, t_min, t_max, 5, "both")
+
+
+class TestCheckAndClassifyAgree:
+    """The triple check and ``classify`` read one self-product <C,C> by one
+    bound, so a cycle that the check takes as a proper circle is drawn and
+    sampled as one.  The float discriminant l^2 + n^2 - m k that
+    ``classify`` once read called circles of r^2 in (eps/2, eps] points."""
+
+    TINY = mx.Cycle(1, 0, 0, -7e-10)  # r^2 = 7e-10, within eps_product = 1e-9
+    TRIPLE = mx.LoxodromeTriple(REAL_AXIS, TINY, TINY)
+
+    def test_tiny_circle_triple_answers(self):
+        T = self.TRIPLE
+        assert mx.Loxodrome(T).violations() == []
+        assert mx.classify(T.c2) == mx.CycleKind.CIRCLE
+        p = complex(math.sqrt(7e-10), 0)
+        assert len(mx.sample_curve(T, -1, 1, 8)) == 8
+        assert_projectively_equal(mx.tangent_line_at(T, p), mx.Cycle(0, 1, 0, 2 * p.real), tol=1e-12)  # x = r
+        assert mx.intersection_angle(T, T, p) == 0.0
+        notes = []
+        scene = mx.parse_scene({"objects": [{"id": "T", "kind": "triple", "data": T.to_json()}]})
+        mx.render_scene(scene, mx.RenderConfig(samples=16), warnings_out=notes)
+        assert not [note for note in notes if "curve not drawn" in note]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        log_r2=st.floats(math.log(1e-9 / 4), math.log(4e-9)),
+        x=st.floats(-1, 1),
+        y=st.floats(-1, 1),
+        turn=st.floats(0, math.pi),
+        moved=st.booleans(),
+    )
+    def test_checked_circle_is_never_a_point(self, log_r2, x, y, turn, moved):
+        c = complex(x, y)
+        circle = mx.from_circle(c, math.sqrt(math.exp(log_r2)))
+        T = mx.LoxodromeTriple(mx.from_line(c, c + cmath.exp(1j * turn)), circle, circle)
+        if moved:
+            T = mx.apply_map(ROADMAP_MAP, T)
+        if mx.Loxodrome(T).violations():
+            return
+        assert mx.classify(T.c1) != mx.CycleKind.POINT
+        assert mx.classify(T.c2) != mx.CycleKind.POINT
+        assert len(mx.sample_curve(T, -1, 1, 8)) == 8
 
 
 class TestApplyMap:
