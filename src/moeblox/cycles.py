@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import InvalidInput, NumericalBreakdown
+from .errors import InvalidInput
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _complex, _decimal, _finite, _quote, _Value
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
@@ -379,12 +379,6 @@ def _accurate_product(C: Cycle, Cp: Cycle) -> float:
     return math.fsum(parts)
 
 
-def _overflow(*cycles: Cycle) -> NumericalBreakdown:
-    """The refusal of a zero test on products of the cycles that are not
-    finite: a test against inf or NaN decides nothing."""
-    return NumericalBreakdown(f"products of {' and '.join(map(_quote, cycles))} overflow a float")
-
-
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Fix the projective scale of C, read binary-scaled: k = +1 when k does
     not vanish, else a unit normal (l, n) with its first nonvanishing
@@ -444,14 +438,12 @@ def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Penci
     choice no exact rescaling of A or B changes) and B' the other less its
     projection on A', so disc = -<A',A'><B',B'> cancels nothing.  The pair
     is one cycle when B' is within 4 eps_product of its source and their
-    canonical forms agree to eps_product of max(1, their scales).  Overflow raises NumericalBreakdown: cycles scaled by
-    ``_binary_scaled`` have none."""
+    canonical forms agree to eps_product of max(1, their scales).  Its
+    cycles come from ``_binary_scaled``, so no product overflows."""
     a, b, c = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
     ac, bb = a * c, b * b
     floor = tol.eps_product * 4.0 * sa * sb
     floor *= floor
-    if not (math.isfinite(bb) and math.isfinite(ac) and math.isfinite(floor)):
-        raise _overflow(A, B)
     disc, frame, coincident = bb - ac, (A, B, a, b, c), False
     if ac > disc:
         X, Y, x, sy = (B, A, c, sa) if abs(c) * sa * sa > abs(a) * sb * sb else (A, B, a, sb)

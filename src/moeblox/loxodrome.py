@@ -195,7 +195,7 @@ class CurveKind(Enum):
 
     SPIRAL = "spiral"  # finite nonzero parameter
     CIRCLE = "circle"  # zero parameter: the curve is c2
-    LINE = "line"  # infinite parameter: the curve is an arc of c1
+    LINE = "line"  # infinite parameter: the curve is c1 less the limit points, its two arcs the branches
 
 
 # bound once: a member read through its class costs ~0.12 us on CPython 3.11
@@ -348,9 +348,9 @@ class Loxodrome:
     def _velocity(self, p: ExtendedPoint, w: complex | None) -> complex:
         """The curve's velocity at the curve point p: the model velocity
         ``rate * w`` at w = map(p), pushed through the inverse map.  w is
-        the image that membership read, or None: the degenerate shapes
-        decide membership by incidence and read no image, so p is mapped
-        here for them, and a spiral's membership refuses infinity.  It is
+        the image that membership read, or None: the circle shape decides
+        membership by incidence and reads no image, so p is mapped here for
+        it, and the other shapes' membership refuses an image at infinity.  It is
         read in the affine chart at a finite p and in the chart 1/z at
         infinity, there up to a sign that every curve shares.  Angles
         are conformal, so this one derivative serves every question of
@@ -463,19 +463,19 @@ def _crossing(F: MoebiusMap, c1: Cycle, c2: Cycle) -> complex:
 def equivalent(T: LoxodromeTriple, Tp: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Do two non-degenerate triples parametrise the same curve?
 
-    Checks, in order: equal chirality; equal parameter, on the pair
-    products; the same limit points, as a set; and a ``_crossing`` of
-    Tp's c1 and c2, taken in T's standard position, on T's model curve.
-    Then N N'^-1, for the normal forms N of T and N' of Tp, fixes {0,
-    infinity} and takes 1 onto the model curve: it is a diagonal flow,
-    with or without the branch swap, so it keeps the curve."""
+    Checks, in order: equal chirality; equal lambda_tilde, within
+    eps_product of the larger; the same limit points, as a set; and a
+    ``_crossing`` of Tp's c1 and c2, taken in T's standard position, on
+    T's model curve.  Then N N'^-1, for the normal forms N of T and N' of
+    Tp, fixes {0, infinity} and takes 1 onto the model curve: it is a
+    diagonal flow, with or without the branch swap, so it keeps the curve."""
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
     if lox.shape is not _SPIRAL or loxp.shape is not _SPIRAL:
         raise TripleViolation("equivalence needs non-degenerate triples")
     if T.sign != Tp.sign:
         return False
-    x, xp = math.cosh(lox.param.lambda_tilde), math.cosh(loxp.param.lambda_tilde)
-    if abs(x - xp) > tol.eps_product * max(1.0, x, xp):
+    x, xp = lox.param.lambda_tilde, loxp.param.lambda_tilde
+    if abs(x - xp) > tol.eps_product * max(abs(x), abs(xp)):
         return False
     (p, q), (pp, qp) = lox.limit_points, loxp.limit_points
     if not (p.approx_eq(pp, tol) and q.approx_eq(qp, tol) or p.approx_eq(qp, tol) and q.approx_eq(pp, tol)):
@@ -512,26 +512,24 @@ def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) 
     turns, rhs = arg w / 2 pi; membership is their congruence modulo 1/2
     (the two branches differ by half a turn).  The map is oriented by
     the triple's chirality, so points of the mirror spiral are refused.
+    The line shape is the same congruence with lhs = 0 (lambda_tilde = inf).
 
     The two asymptotic endpoints are not on the curve: those report
-    False with a ``limit_point`` flag.  Degenerate triples dispatch to
-    plain incidence with the curve cycle.
+    False with a ``limit_point`` flag.  The circle shape is incidence with c2.
     """
     return _contains(_prepared(T, tol), _as_point(p))[0]
 
 
 def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
     """The membership report at p, with the image w = map(p) that the
-    decision of a spiral read (None for infinity, and where no image was
-    read), so that a query of direction maps p no second time."""
+    decision read (None for infinity, and where none was read: a limit
+    point, the circle shape), so a query of direction maps p no second time."""
     tol = lox.tol
     if lox.shape is _CIRCLE:
         return MembershipReport(member=passes(lox.c2, p, tol)), None
     z0, z1 = lox.limit_points
     if p.approx_eq(z0, tol) or p.approx_eq(z1, tol):
         return MembershipReport(False, flags=("limit_point",)), None
-    if lox.shape is _LINE:
-        return MembershipReport(passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",)), None
     w = lox._standard_point(p)
     if w is None or w == 0:
         return MembershipReport(False, flags=("limit_point",)), w
@@ -541,7 +539,8 @@ def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, compl
 def _spiral_report(w: complex, lambda_tilde: float, tol: Tolerances) -> MembershipReport:
     """Is w, a point of standard position other than 0 and infinity, on the
     model spiral: is lhs = log|w| / lambda_tilde congruent to rhs = arg w / 2 pi
-    modulo 1/2, as the two branches differ by half a turn?"""
+    modulo 1/2, as the two branches differ by half a turn?  At lambda_tilde
+    = inf, the line shape, lhs is +-0 and the model is the real axis."""
     lhs = math.log(abs(w)) / lambda_tilde
     rhs = cmath.phase(w) / TWO_PI
     return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs)
@@ -564,17 +563,16 @@ def _fold_half_open(x: float) -> float:
     return r
 
 
-def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint, tol: Tolerances) -> complex:
+def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint) -> complex:
     """A tangent direction (either orientation) of a cycle at a point on
-    it.  At infinity it is read in the chart 1/z, which takes C to
-    (m, l, -n, k): its direction there is n + i l, the conjugate of a
-    line's own direction up to sign."""
+    it: at a finite z, i (k z - L) for L = l + i n, the gradient of
+    k |z|^2 - 2 Re(conj(L) z) + m turned a quarter turn, read binary-scaled.
+    At infinity it is read in the chart 1/z, which takes C to (m, l, -n, k):
+    there it is n + i l, the conjugate of a line's own direction up to sign."""
     if p.is_infinity:
         return complex(C.n, C.l)
-    if classify(C, tol) == CycleKind.LINE:
-        return complex(-C.n, C.l)
-    c, _ = center_radius(C, tol)
-    return 1j * (p.as_complex() - c)
+    B = _binary_scaled(C)[0]
+    return 1j * (B.k * p.as_complex() - complex(B.l, B.n))
 
 
 def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> list:
@@ -613,7 +611,7 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
     (w,) = _require_on_curves(p, lox)
     if not passes(C, p, tol):
         return False
-    turn = cmath.phase(_cycle_tangent_direction(C, p, tol) / lox._velocity(p, w))
+    turn = cmath.phase(_cycle_tangent_direction(C, p) / lox._velocity(p, w))
     return abs(math.remainder(turn, math.pi)) <= tol.eps_angle
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import moeblox as mx
-from moeblox.cycles import _pencil, _pencil_kind, center_radius
+from moeblox.cycles import _binary_scaled, _pencil, _pencil_kind, center_radius
 from moeblox.errors import InvalidInput, TripleViolation
 
 from pencil_route import combine
@@ -62,9 +62,9 @@ def intersect(C: mx.Cycle, Cp: mx.Cycle, tol: mx.Tolerances = mx.DEFAULT_TOLERAN
     b = mx.canonicalize(Cp, tol)
     if _canonical_equal(a, b, tol):
         raise InvalidInput("intersection of a cycle with itself is the cycle")
-    # the pencil of C and C' as given, not binary-scaled as classify_pencil
-    # forms it, so products that overflow a float are refused
-    pencil = _pencil(C, C.scale(), Cp, Cp.scale(), tol)
+    # the pencil of C and C' binary-scaled, as every caller in src/ forms
+    # it, so no product overflows a float
+    pencil = _pencil(*_binary_scaled(C), *_binary_scaled(Cp), tol)
     kind = _pencil_kind(pencil.disc, pencil.scale, tol)
     if kind == mx.PencilKind.HYPERBOLIC:
         return ()

@@ -42,8 +42,6 @@ def _contains(lox, p):
         return mx.MembershipReport(member=mx.passes(lox.c2, p, tol))
     if any(p.approx_eq(z, tol) for z in lox.limit_points):
         return mx.MembershipReport(False, flags=("limit_point",))
-    if lox.shape == CurveKind.LINE:
-        return mx.MembershipReport(mx.passes(lox.c1, p, tol), flags=("degenerate_arc_unchecked",))
     w = _standard_point(lox, p)
     if w is None or w == 0:
         return mx.MembershipReport(False, flags=("limit_point",))
@@ -81,7 +79,7 @@ def tangent_check(T, C, p, tol=mx.DEFAULT_TOLERANCES):
     _require_on_curves(p, lox)
     if not mx.passes(C, p, tol):
         return False
-    turn = cmath.phase(_cycle_tangent_direction(C, p, tol) / _velocity(lox, p))
+    turn = cmath.phase(_cycle_tangent_direction(C, p) / _velocity(lox, p))
     return abs(math.remainder(turn, math.pi)) <= tol.eps_angle
 
 

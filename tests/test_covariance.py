@@ -103,3 +103,24 @@ class TestTwoImages:
                 continue
             p1, p2 = mx.apply_to_point(G1, pt(w)), mx.apply_to_point(G2, pt(w))
             assert outcome(mx.contains_point_oracle, T1, p1) == outcome(mx.contains_point_oracle, T2, p2)
+
+    @PROPERTY
+    @given(u=st.floats(12.0, 30.0), chirality=st.sampled_from([1, -1]), seed=st.integers(0, 2**32 - 1),
+           s=st.floats(-12.0, 12.0), branch=st.sampled_from([1, -1]))
+    def test_two_images_of_a_line_shape_agree(self, u, chirality, seed, s, branch):
+        # a point w = +-e^s of c1 (the real axis), turned off it by 0 to
+        # 1e-3 rad, asked as G1 w and G2 w of two images of a line-shape
+        # triple: its membership is decided in standard position, so both
+        # images give the same answer, true within eps_mod of c1 and false
+        # beyond it
+        rng = np.random.default_rng(seed)
+        G1, G2 = random_moebius(rng), random_moebius(rng)
+        T0 = mx.standard_triple(mx.SlsParameter.finite(chirality * u))
+        T1, T2 = mx.apply_map(G1, T0), mx.apply_map(G2, T0)
+        assert mx.Loxodrome(T1).shape is mx.Loxodrome(T2).shape is mx.loxodrome.CurveKind.LINE
+        w = branch * math.exp(s)
+        for turn, want in ((0.0, "True"), (1e-7, "True"), (1e-4, "False"), (1e-3, "False")):
+            z = pt(w * cmath.exp(1j * turn))
+            got = outcome(mx.contains_point_oracle, T1, mx.apply_to_point(G1, z))
+            assert got == outcome(mx.contains_point_oracle, T2, mx.apply_to_point(G2, z)), turn
+            assert got == want, turn

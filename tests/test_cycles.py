@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import moeblox as mx
 from moeblox.cycles import _accurate_product, _line_frame
-from moeblox.errors import InvalidInput, MoebloxError, NumericalBreakdown, SceneError
+from moeblox.errors import InvalidInput, MoebloxError, SceneError
 from moeblox.scene import SceneObject
 
 from conftest import (
@@ -290,11 +290,9 @@ class TestNormalizedProduct:
 
 class TestOverflowRefused:
     """A zero test on products that overflow a float decides nothing.  The
-    classifiers and ``normalized_product`` read their cycles binary-scaled,
-    where no product overflows, and answer as at unit scale; the
-    ``intersect`` reference refuses such products with NumericalBreakdown
-    naming the cycles, rather than raise OverflowError or compare against
-    inf."""
+    classifiers, ``normalized_product`` and the ``intersect`` reference read
+    their cycles binary-scaled, where no product overflows, and answer as
+    at unit scale, rather than raise OverflowError or compare against inf."""
 
     BIG = mx.Cycle(1e100, 0, 0, -1e100)
     BIG_E = mx.Cycle(1e100, 0, 0, -1e100 * math.e**2)
@@ -304,9 +302,8 @@ class TestOverflowRefused:
         assert mx.classify_pencil(self.BIG, self.BIG_E) == mx.classify_pencil(UNIT, E) == mx.PencilKind.HYPERBOLIC
         for got, want in zip(mx.zero_radius_members(self.BIG, self.BIG_E), mx.zero_radius_members(UNIT, E)):
             assert_projectively_equal(got, want, tol=1e-15)  # the points 0 and infinity
-        # the reference forms the pencil of the cycles as given
-        with pytest.raises(NumericalBreakdown, match=r"products of Cycle\(k=1e\+100.* overflow a float"):
-            intersect(self.BIG, self.BIG_E)
+        # the reference forms the pencil binary-scaled too: the circles are disjoint
+        assert intersect(self.BIG, self.BIG_E) == intersect(UNIT, E) == ()
 
     def test_normalized_product(self):
         # canonical cycles stay below 1 / eps_product, so only a tiny
