@@ -213,8 +213,10 @@ class Loxodrome:
     eps_product (or negative: a point c3 up to roundoff) a line, in every
     image alike, as the ratio is projectively invariant.  The rest is
     derived on first read, each field by its entry in ``_DERIVE``, into
-    its slot: ``_n1`` = <c1,c1>, the parameter, the limit points, the map
-    and its inverse ``_inverse``.  No given cycle is canonicalised.  A
+    its slot: ``_n1`` = <c1,c1>, the parameter, the limit points, the map,
+    its inverse ``_inverse`` and the membership kernel ``_member`` that
+    ``_contains`` binds on the first membership question, so that every
+    later one is one call.  No given cycle is canonicalised.  A
     derivation is deterministic, so threads that race on one store equal
     values.  The derived fields assume a triple with no ``violations``, and
     every query gets such a form from ``_prepared``.  It holds the triple's
@@ -294,6 +296,8 @@ class Loxodrome:
         "map": _map,
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
         "_inverse": lambda self: self.map.inverse(),
+        # the membership kernel, bound on the first membership question: p -> (report, image of p)
+        "_member": lambda self: _contains(self),
     }
     __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_s1", "_s2", "_s3", "_pencil", "shape", *_DERIVE)
 
@@ -367,7 +371,11 @@ class Loxodrome:
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
     """The checked form of T at tol, kept on T by the first query for the
     next ones; a query at other tolerances checks T afresh, and an invalid
-    T raises its first violation to every query."""
+    T raises its first violation to every query.  The kept form is read
+    here, and ``_check`` is called only when none matches."""
+    lox = T.__dict__.get("_loxodrome")
+    if lox is not None and (lox.tol is tol or lox.tol == tol):
+        return lox
     lox, violations = _check(T, tol)
     if violations:
         raise violations[0]
@@ -517,38 +525,83 @@ def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) 
     The two asymptotic endpoints are not on the curve: those report
     False with a ``limit_point`` flag.  The circle shape is incidence with c2.
     """
-    return _contains(_prepared(T, tol), _as_point(p))[0]
+    return _prepared(T, tol)._member(_as_point(p))[0]
 
 
-def _contains(lox: Loxodrome, p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
-    """The membership report at p, with the image w = map(p) that the
-    decision read (None for infinity, and where none was read: a limit
-    point, the circle shape), so a query of direction maps p no second time."""
+def _contains(lox: Loxodrome):
+    """The membership kernel of a form (its ``_member``): p -> the report
+    at p and the image w = map(p) that the decision read (None for
+    infinity, and where none was read: a limit point, the circle shape),
+    so a query of direction maps p no second time.  The shape is read
+    here, once per form, and not per question.
+
+    The circle shape's kernel is incidence with c2.  The others close over
+    the limit points, the map's entries, lambda_tilde and the tolerances,
+    and answer as ``ExtendedPoint.approx_eq`` against each limit point,
+    ``_standard_point`` and ``_spiral_report`` would, bit for bit.  A
+    finite point against finite limit points, all of them (z : 1), reads
+    approx_eq's test specialised to that representative, which is exact;
+    any other pair calls approx_eq.  The image is formed from the same
+    products as ``_standard_point``, and ``_affine``'s rule is applied
+    inline where both its components are finite and inside the coordinate
+    cap; anywhere else ``_affine`` itself decides, so a refusal keeps its
+    class and message."""
     tol = lox.tol
     if lox.shape is _CIRCLE:
-        return MembershipReport(member=passes(lox.c2, p, tol)), None
+        c2 = lox.c2
+        return lambda p: (MembershipReport(member=passes(c2, p, tol)), None)
     z0, z1 = lox.limit_points
-    if p.approx_eq(z0, tol) or p.approx_eq(z1, tol):
-        return MembershipReport(False, flags=("limit_point",)), None
-    w = lox._standard_point(p)
-    if w is None or w == 0:
-        return MembershipReport(False, flags=("limit_point",)), w
-    return _spiral_report(w, lox.param.lambda_tilde, tol), w
+    a, b, c, d = lox.map
+    lambda_tilde, eps = lox.param.lambda_tilde, tol.eps_product
+    cap, inf = _COORD_CAP, math.inf
+    finite = z0.w2 == 1.0 and z1.w2 == 1.0
+    u, v = z0.w1, z1.w1
+    au, av = abs(u), abs(v)
+    eu, ev = eps * (au if au > 1.0 else 1.0), eps * (av if av > 1.0 else 1.0)  # eps * max(|u|, 1)
+
+    def member(p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
+        w1, w2 = p
+        if finite and w2 == 1.0:
+            # approx_eq of (w1 : 1) and (u : 1): its products w1 * 1 and 1 * u are w1 and u
+            # up to the sign of a zero, so the cross product's modulus is x = |w1 - u|, and
+            # x <= eps * max(|w1 u|, |w1|, |u|, 1) exactly when x <= eps * one of them
+            ew = eps * abs(w1)
+            x = abs(w1 - u)
+            near = x <= eu or x <= ew or x <= eps * abs(w1 * u)
+            if not near:
+                x = abs(w1 - v)
+                near = x <= ev or x <= ew or x <= eps * abs(w1 * v)
+        else:
+            near = p.approx_eq(z0, tol) or p.approx_eq(z1, tol)
+        if near:
+            return MembershipReport(False, flags=("limit_point",)), None
+        num, den = a * w1 + b * w2, c * w1 + d * w2
+        try:  # a finite bound passes only finite components: then this is _affine's first branch
+            w = num / den if den and abs(num) <= cap * abs(den) < inf else _affine(num, den)
+        except OverflowError:  # abs of a complex beyond the float range: _affine refuses it
+            w = _affine(num, den)
+        if w is None or w == 0:
+            return MembershipReport(False, flags=("limit_point",)), w
+        return _spiral_report(w, lambda_tilde, tol), w
+
+    return member
 
 
 def _spiral_report(w: complex, lambda_tilde: float, tol: Tolerances) -> MembershipReport:
     """Is w, a point of standard position other than 0 and infinity, on the
     model spiral: is lhs = log|w| / lambda_tilde congruent to rhs = arg w / 2 pi
     modulo 1/2, as the two branches differ by half a turn?  At lambda_tilde
-    = inf, the line shape, lhs is +-0 and the model is the real axis."""
+    = inf, the line shape, lhs is +-0 and the model is the real axis.  The
+    one congruence routine: the membership kernel and ``equivalent`` call
+    it.  Its report is built by ``tuple.__new__``, as every field is given."""
     lhs = math.log(abs(w)) / lambda_tilde
     rhs = cmath.phase(w) / TWO_PI
-    return MembershipReport(congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs)
+    return tuple.__new__(MembershipReport, (congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs, ()))
 
 
 def contains_point_oracle(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """``contains_point(T, p, tol).member``."""
-    return _contains(_prepared(T, tol), _as_point(p))[0].member
+    return _prepared(T, tol)._member(_as_point(p))[0].member
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +633,7 @@ def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> list:
     that each curve's membership read, for ``Loxodrome._velocity``."""
     images = []
     for lox in curves:
-        report, w = _contains(lox, p)
+        report, w = lox._member(p)
         if not report.member:
             where = "both curves" if len(curves) > 1 else "the curve"
             raise PointNotOnCurve(f"point {p.format()} is not on {where}")

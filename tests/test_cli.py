@@ -512,7 +512,7 @@ def json_scenes(draw):
 
 
 class TestRenderFuzz:
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(json_scenes())
     def test_scene_is_refused_or_renders_to_xml(self, raw):
         import xml.etree.ElementTree as ET
@@ -657,7 +657,7 @@ class TestExactTypes:
         ET.fromstring(svg.encode("utf-8"))
         assert 'stroke-width="2"' in svg and 'stroke-dasharray="4 2"' in svg
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_one_value_of_the_wrong_type_is_refused(self, data):
         if data.draw(st.booleans(), label="style"):
@@ -676,7 +676,7 @@ class TestCliExitCodeFuzz:
     """The exit-code contract over any scene file and any arguments: 0 or
     2 always possible, 1 only as the negative answer of a yes/no query."""
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_main_returns_contract_code(self, data):
         import contextlib

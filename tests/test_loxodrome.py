@@ -1498,8 +1498,8 @@ class TestPreparedTriple:
 
     def test_point_queries_map_each_point_once(self, rng, monkeypatch):
         # after the first query on a triple, a point query reads the kept
-        # map and its inverse: it builds no map and no point, and maps the
-        # point once per curve
+        # map and its inverse: it builds no map and no point, and calls the
+        # form's membership kernel, which maps the point, once per curve
         M = random_moebius(rng)
         T = mx.apply_map(M, std(1.0))
         copy = mx.apply_map(M @ mx.diagonal_flow(complex(1.0, TWO_PI), 0.3), std(1.0))
@@ -1511,10 +1511,10 @@ class TestPreparedTriple:
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", staticmethod(
                 lambda *a, cls=cls, check=check: built.append(cls.__name__) or check(*a)))
-        standard_point = mx.Loxodrome._standard_point
-        monkeypatch.setattr(mx.Loxodrome, "_standard_point",
-                            lambda form, q: mapped.append(form) or standard_point(form, q))
         form, copy_form = vars(T)["_loxodrome"], vars(copy)["_loxodrome"]
+        for curve in (form, copy_form):  # both kernels were bound by the queries above
+            monkeypatch.setattr(curve, "_member",
+                                lambda q, curve=curve, member=curve._member: mapped.append(curve) or member(q))
         questions = [
             (lambda: mx.contains_point(T, p).member, [form]),
             (lambda: mx.contains_point_oracle(T, p), [form]),
@@ -1731,6 +1731,42 @@ class TestPointRouteReference:
                         assert _ask(lambda: query(*args)) == _ask(lambda: reference(*args)), (query.__name__, args)
                         asked += 1
         assert asked > 10_000
+
+    def test_answers_match_at_the_limit_point_threshold(self, rng):
+        # points at f eps_product of the scale of ExtendedPoint.approx_eq
+        # from each limit point, on both sides of where the limit-point test
+        # flips, and infinity; the untransformed standard triples put the
+        # limit points at 0 and infinity themselves
+        import point_route
+        from moeblox.loxodrome import CurveKind
+
+        eps = mx.DEFAULT_TOLERANCES.eps_product
+        factors = (0.5, 0.99, 1.01, 2.0)
+        turns = [cmath.exp(1j * theta) for theta in (0.0, 1.0, -2.5)]
+        extra = [std(1.0), std(-3.0)]
+        flagged = set()  # the limit-point flag of each answer off the circle shape
+        for triples, _ in [*self.groups(rng, 3), (extra, None)]:
+            for T in triples:
+                form = mx.Loxodrome(T)
+                points = [INF]
+                if form.shape is not CurveKind.CIRCLE:
+                    for z in form.limit_points:
+                        if z.is_infinity:
+                            points += [pt(f / eps * u) for f in factors for u in turns]
+                        else:
+                            v = z.as_complex()
+                            delta = eps * max(abs(v) ** 2, abs(v), 1.0)
+                            points += [pt(v + f * delta * u) for f in factors for u in turns]
+                for p in points:
+                    for query, reference in (
+                        (mx.contains_point, point_route.contains_point),
+                        (mx.contains_point_oracle, point_route.contains_point_oracle),
+                        (mx.tangent_line_at, point_route.tangent_line_at),
+                    ):
+                        assert _ask(lambda: query(T, p)) == _ask(lambda: reference(T, p)), (query.__name__, T, p)
+                    if form.shape is not CurveKind.CIRCLE:
+                        flagged.add("limit_point" in mx.contains_point(T, p).flags)
+        assert flagged == {True, False}  # the threshold is straddled
 
 
 class TestPreparedFormKept:
