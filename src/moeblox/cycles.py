@@ -5,10 +5,9 @@ A cycle ``(k, l, n, m)`` stands for the locus
 
     k (x^2 + y^2) - 2 l x - 2 n y + m = 0
 
-considered up to a real nonzero rescaling of the quadruple: ``k = 0``
-gives a straight line, a vanishing ``<C, C> = 2 (l^2 + n^2 - m k)`` (the
-triple check's point test) a single point, anything else a proper circle.
-Packing the components into the 2x2 matrix
+considered up to a real nonzero rescaling of the quadruple: ``k = 0`` gives
+a straight line, a vanishing ``<C, C> = 2 (l^2 + n^2 - m k)`` a single point,
+anything else a proper circle.  Packing the components into the 2x2 matrix
 
     [[ conj(L), -m ],
      [ k,       -L ]],        L = l + i n,
@@ -17,7 +16,7 @@ makes the map ``z -> (a z + b) / (c z + d)`` act on cycles by the
 twisted conjugation ``C -> conj(M) C M^-1`` and makes the trace pairing
 
     <C, C'> = L conj(L') + conj(L) L' - m k' - k m'
-            = 2 (l l' + n n') - m k' - k m'
+            = 2 (l l' + n n') - (m k' + k m')
 
 invariant under that action.  The pairing is indefinite; its sign and
 normalisation carry all the geometry used downstream (incidence,
@@ -217,10 +216,9 @@ class MoebiusMap(_Value, namedtuple("MoebiusMap", "a b c d")):
         c, d = _complex(c, "matrix entry c"), _complex(d, "matrix entry d")
         if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise InvalidInput("matrix entries must be finite")
-        top = max(abs(a), abs(b), abs(c), abs(d))
-        det = a * d - b * c
-        if abs(det) <= DEFAULT_TOLERANCES.eps_product * top * top:
-            raise InvalidInput(f"matrix determinant {det!r} vanishes at scale {top!r}")
+        ad, bc = a * d, b * c
+        if abs(ad - bc) <= DEFAULT_TOLERANCES.eps_product * (abs(ad) + abs(bc)):  # against its terms
+            raise InvalidInput(f"matrix determinant {ad - bc!r} vanishes at scale {max(map(abs, (a, b, c, d)))!r}")
         return a, b, c, d
 
     @property
@@ -293,39 +291,36 @@ def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
 # classification and coordinates
 # ---------------------------------------------------------------------------
 
-def _binary_scaled(C: Cycle) -> tuple[Cycle, float]:
-    """C and its scale: as given when its scale is in [2^-100, 2^99), else
-    scaled exactly by a power of two to a largest component in [0.5, 1),
-    as products of it may overflow or underflow a float there."""
+def _binary_scaled(C: Cycle) -> Cycle:
+    """C as given when its scale is in [2^-100, 2^99), else scaled exactly
+    by a power of two to a largest component in [0.5, 1), as products of
+    it may overflow or underflow a float there."""
     if _KEPT_LOW <= (s := C.scale()) < _KEPT_HIGH:
-        return C, s
-    m, e = math.frexp(s)
-    return Cycle(*(math.ldexp(x, -e) for x in C)), m
+        return C
+    e = math.frexp(s)[1]
+    return Cycle(*(math.ldexp(x, -e) for x in C))
 
 
 def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
-    """LINE for k ~ 0, POINT for <C,C> ~ 0, CIRCLE otherwise, read on C
-    binary-scaled, so at any float scale as at unit scale.  The point test
-    is the triple check's: ``_accurate_product`` <C,C> within eps_product
-    of the squared scale; it runs first so the point at infinity (0,0,0,1)
-    classifies as a point, not a line.
-    """
-    B, s = _binary_scaled(C)
-    if abs(_accurate_product(B, B)) <= tol.eps_product * s * s:
+    """POINT for <C,C> ~ 0 (the triple check's test, first, so (0,0,0,1)
+    is a point), LINE for |k| <= eps_product sqrt(T(C) / 2), CIRCLE
+    otherwise, read on C binary-scaled, so at any float scale.  T(C) / 2k^2
+    is |c|^2 + | |c|^2 - r^2 | for a circle of centre c and radius r."""
+    d, terms = _accurate_product(B := _binary_scaled(C), B)
+    if abs(d) <= tol.eps_product * terms:
         return CycleKind.POINT
-    if abs(B.k) <= tol.eps_product * s:
+    if abs(B.k) <= tol.eps_product * math.sqrt(0.5 * terms):
         return CycleKind.LINE
     return CycleKind.CIRCLE
 
 
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
     """Centre and radius sqrt(<C,C> / 2) / |k| of a circle (0 for a point),
-    read on C binary-scaled, so at any float scale as at unit scale; <C,C>
-    is ``_accurate_product``'s, refused by the check's no-real-locus bound."""
-    B, s = _binary_scaled(C)
-    if abs(B.k) <= tol.eps_product * s:
+    read as ``classify`` reads it; <C,C> < -eps_product T(C) is refused."""
+    d, terms = _accurate_product(B := _binary_scaled(C), B)
+    if abs(B.k) <= tol.eps_product * math.sqrt(0.5 * terms):
         raise InvalidInput(f"cycle {C!r} has no centre")
-    if (d := _accurate_product(B, B)) < -tol.eps_product * s * s:
+    if d < -tol.eps_product * terms:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
     return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d / 2, 0.0)) / abs(B.k)
 
@@ -338,12 +333,11 @@ def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex
     return (line.m / 2.0) * normal, 1j * normal
 
 
-def point_of(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> ExtendedPoint:
-    """Point represented by a zero-radius cycle."""
-    s = C.scale()
-    if abs(C.k) <= tol.eps_product * s:
-        return ExtendedPoint.infinity()
-    return ExtendedPoint.from_complex(complex(C.l / C.k, C.n / C.k))
+def point_of(C: Cycle) -> ExtendedPoint:
+    """Point of a zero-radius cycle, (L : k) or, where |m| > |k|, (m : conj L),
+    for L = l + i n: ``ExtendedPoint``'s coordinate cap, no tolerance, makes infinity."""
+    k, l, n, m = C
+    return ExtendedPoint(m, complex(l, -n)) if abs(m) > abs(k) else ExtendedPoint(complex(l, n), k)
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +345,58 @@ def point_of(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> ExtendedPoint:
 # ---------------------------------------------------------------------------
 
 def product(C: Cycle, Cp: Cycle) -> float:
-    """Trace pairing 2(l l' + n n') - m k' - k m' on the given representatives.
-
-    Scale-covariant, not scale-invariant: rescaling either argument
-    rescales the value.
-    """
-    return 2.0 * (C.l * Cp.l + C.n * Cp.n) - C.m * Cp.k - C.k * Cp.m
+    """Trace pairing 2(l l' + n n') - (m k' + k m') on the given representatives:
+    scale-covariant, not scale-invariant."""
+    return _float_product(C, Cp)[0]
 
 
-def _accurate_product(C: Cycle, Cp: Cycle) -> float:
-    """``product``, correctly rounded where it cancels below 1e-2 of the
-    sum of its terms' sizes (as for a small circle far from the origin),
-    else its float value.  Each term x y is split into p + e exactly by
-    Dekker's TwoProduct, and ``math.fsum`` sums the parts (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26(6), 2005).  Components below about
-    1e300, as of every binary-scaled cycle, split without overflow."""
+def _float_product(C: Cycle, Cp: Cycle) -> tuple[float, float]:
+    """``product`` and its terms T(C, C') = 2(|l l'| + |n n'|) + |m k'| + |k m'|,
+    eps_product T being what rounding the components could change (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3): every
+    zero test of a product reads it, a cross product through ``_cross_bound``."""
     (k, l, n, m), (k2, l2, n2, m2) = C, Cp
     ll, nn, mk, km = l * l2, n * n2, m * k2, k * m2
-    value = 2.0 * (ll + nn) - mk - km
-    if abs(value) > 1e-2 * (2.0 * (abs(ll) + abs(nn)) + abs(mk) + abs(km)):
-        return value
-    parts = []
-    for x, y, p, w in ((l, l2, ll, 2.0), (n, n2, nn, 2.0), (m, k2, mk, -1.0), (k, m2, km, -1.0)):
+    return 2.0 * (ll + nn) - (mk + km), 2.0 * (abs(ll) + abs(nn)) + abs(mk) + abs(km)
+
+
+def _accurate_product(C: Cycle, Cp: Cycle) -> tuple[float, float]:
+    """``_float_product``, correctly rounded where it cancels below 1e-2 of T:
+    Dekker's TwoProduct splits each term x y into p + e exactly and ``math.fsum``
+    sums the parts (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6), 2005)."""
+    value, terms = _float_product(C, Cp)
+    if abs(value) > 1e-2 * terms:
+        return value, terms
+    (k, l, n, m), (k2, l2, n2, m2), parts = C, Cp, []
+    for x, y, w in ((l, l2, 2.0), (n, n2, 2.0), (m, k2, -1.0), (k, m2, -1.0)):
+        p = x * y
         xh, yh = (t := 134217729.0 * x) - (t - x), (u := 134217729.0 * y) - (u - y)
         xl, yl = x - xh, y - yh
         parts += (w * p, w * (xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)))
-    return math.fsum(parts)
+    return math.fsum(parts), terms
+
+
+def _cross_bound(terms: float, ta: float, tb: float) -> float:
+    """The scale against which a cross product <A,B> of terms T(A,B) vanishes:
+    the larger of T(A,B) and sqrt(T(A)) sqrt(T(B)), the two cycles' own terms."""
+    return max(terms, math.sqrt(ta) * math.sqrt(tb))
 
 
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Fix the projective scale of C, read binary-scaled: k = +1 when k does
-    not vanish, else a unit normal (l, n) with its first nonvanishing
-    component positive, else m = +1."""
-    B, s = _binary_scaled(C)
-    return _canonical(*B, s, tol, C)
+    """Fix the projective scale of C binary-scaled by ``classify``'s tests: a
+    point, or a cycle of no real locus, on the larger of |k| and |m| (``point_of``'s
+    chart); else k = +1 unless k vanishes against sqrt(T(C) / 2), else a unit
+    normal (l, n) with its first nonvanishing component positive, else m = +1."""
+    d, terms = _accurate_product(B := _binary_scaled(C), B)
+    if d <= tol.eps_product * terms:
+        return _canonical(*B, 0.0 if abs(B.k) >= abs(B.m) else math.inf, tol, C)
+    return _canonical(*B, math.sqrt(0.5 * terms), tol, C)
 
 
 def _canonical(k: float, l: float, n: float, m: float, s: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:
-    """``canonicalize`` of the quadruple (k, l, n, m) of largest component
-    s, built as one Cycle; ``given``, the quadruple's Cycle if one is
-    built, is returned when it is canonical already."""
-    if not 0.0 < s < math.inf:
-        Cycle(k, l, n, m)  # no cycle has these components: refused as Cycle words it
+    """``canonicalize`` of (k, l, n, m), a component vanishing within eps_product
+    s (0 pivots on k, inf on m), built as one Cycle; ``given``, the quadruple's
+    Cycle if one is built, is returned when it is canonical already."""
     eps = tol.eps_product * s
     if abs(k) > eps:
         if k == 1.0 and given is not None:
@@ -418,38 +422,34 @@ def normalized_product(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     lines it is +-cos of the angle depending on which unit normals the
     canonicalisation picked.
     """
-    (A, sa), (B, sb) = _binary_scaled(canonicalize(C, tol)), _binary_scaled(canonicalize(Cp, tol))
-    pencil = _pencil(A, sa, B, sb, tol)
-    if pencil.a <= tol.eps_product * sa * sa or pencil.c <= tol.eps_product * sb * sb:
+    pencil = _pencil(_binary_scaled(canonicalize(C, tol)), _binary_scaled(canonicalize(Cp, tol)), tol)
+    if pencil.a <= tol.eps_product * pencil.terms[0] or pencil.c <= tol.eps_product * pencil.terms[2]:
         raise InvalidInput("normalised product needs two non-point cycles")
     return pencil.b / math.sqrt(pencil.a * pencil.c)
 
 
-_Pencil = namedtuple("_Pencil", "a b c disc scale coincident frame")
+_Pencil = namedtuple("_Pencil", "a b c disc scale coincident frame terms")
 
 
-def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Pencil:
-    """The ``_accurate_product``s of the pencil of A and B, of scales sa and
-    sb, formed once for every question on it: a = <A,A>, b = <A,B>,
-    c = <B,B>, disc = b^2 - ac, the scale of its zero test (the
-    products', floored at their roundoff), whether A and B are one cycle,
-    and a frame (A', B', <A',A'>, <A',B'>, <B',B'>) of the pencil.  Where
-    b^2 and ac outweigh disc, A' is the cycle of larger |<A,A>| / sa^2 (a
-    choice no exact rescaling of A or B changes) and B' the other less its
+def _pencil(A: Cycle, B: Cycle, tol: Tolerances) -> _Pencil:
+    """The ``_accurate_product``s of the pencil of A and B, formed once for
+    every question on it: a = <A,A>, b = <A,B>, c = <B,B>, disc = b^2 - ac,
+    the scale of its zero test (b^2, ac or b's bound squared), whether A and
+    B are one cycle, a frame (A', B', <A',A'>, <A',B'>, <B',B'>), and the
+    ``terms`` T(A), b's ``_cross_bound`` and T(B).  Where b^2 and ac outweigh
+    disc, A' is the cycle of larger |<A,A>| / T(A) and B' the other less its
     projection on A', so disc = -<A',A'><B',B'> cancels nothing.  The pair
     is one cycle when B' is within 4 eps_product of its source and their
-    canonical forms agree to eps_product of max(1, their scales).  Its
-    cycles come from ``_binary_scaled``, so no product overflows."""
-    a, b, c = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
-    ac, bb = a * c, b * b
-    floor = tol.eps_product * 4.0 * sa * sb
-    floor *= floor
+    canonical forms agree to eps_product of max(1, their scales).  A and B
+    come from ``_binary_scaled``, so no product overflows."""
+    (a, ta), (b, tb), (c, tc) = _accurate_product(A, A), _accurate_product(A, B), _accurate_product(B, B)
+    ac, bb, tb = a * c, b * b, _cross_bound(tb, ta, tc)
     disc, frame, coincident = bb - ac, (A, B, a, b, c), False
     if ac > disc:
-        X, Y, x, sy = (B, A, c, sa) if abs(c) * sa * sa > abs(a) * sb * sb else (A, B, a, sb)
+        X, Y, x = (B, A, c) if abs(c) * ta > abs(a) * tc else (A, B, a)
         t = b / x
         k, l, n, m = Y.k - t * X.k, Y.l - t * X.l, Y.n - t * X.n, Y.m - t * X.m
-        if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * sy:
+        if max(abs(k), abs(l), abs(n), abs(m)) <= 4.0 * tol.eps_product * max(map(abs, Y)):
             P, Q = canonicalize(A, tol), canonicalize(B, tol)
             thr = tol.eps_product * max(1.0, P.scale(), Q.scale())
             coincident = all(abs(p - q) <= thr for p, q in zip(P, Q))
@@ -458,11 +458,11 @@ def _pencil(A: Cycle, sa: float, B: Cycle, sb: float, tol: Tolerances) -> _Penci
             # compensated, though <A',B'> is near 0 by construction: as a float
             # product, TestLimitPointAccuracy::test_squeezed_maps misses its
             # 1e-8 bound by 1e4 (worst 1.0e-4), and the pass is no faster
-            y, z = _accurate_product(X, Y), _accurate_product(Y, Y)
+            y, z = _accurate_product(X, Y)[0], _accurate_product(Y, Y)[0]
             disc, frame = y * y - x * z, (X, Y, x, y, z)
         else:  # B' vanishes to the last bit: the pencil is one cycle
             disc = 0.0
-    return _Pencil(a, b, c, disc, max(bb, abs(ac), floor, 1e-300), coincident, frame)
+    return _Pencil(a, b, c, disc, max(bb, abs(ac), (tol.eps_product * tb) ** 2), coincident, frame, (ta, tb, tc))
 
 
 def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> PencilKind:
@@ -470,7 +470,7 @@ def classify_pencil(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -
     elliptic (crossing), equal parabolic (tangent), greater hyperbolic
     (disjoint), each up to eps_product of the ``_pencil`` scale, formed on
     C and C' binary-scaled.  The one place that draws these lines."""
-    pencil = _pencil(*_binary_scaled(C), *_binary_scaled(Cp), tol)
+    pencil = _pencil(_binary_scaled(C), _binary_scaled(Cp), tol)
     return _pencil_kind(pencil.disc, pencil.scale, tol)
 
 
@@ -489,14 +489,14 @@ def zero_radius_members(A: Cycle, B: Cycle, tol: Tolerances = DEFAULT_TOLERANCES
     canonicalised and in a deterministic order, solved on A and B
     binary-scaled; any other pencil, coincident cycles included, raises
     InvalidInput."""
-    return _root_pairing(_pencil(*_binary_scaled(A), *_binary_scaled(B), tol), tol)
+    return _root_pairing(_pencil(_binary_scaled(A), _binary_scaled(B), tol), tol)
 
 
 def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
     """``zero_radius_members`` of a formed pencil: <xA' + yB', xA' + yB'> = 0
     solved on its frame in homogeneous (x : y) by the cancellation-free
     root pairing, so a near-point A' does not degrade the second root.
-    Each member is formed componentwise and canonicalised as one Cycle."""
+    Each member is formed componentwise and canonicalised as a point, as one Cycle."""
     if _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
         raise InvalidInput(f"pencil discriminant {pencil.disc!r} is not positive")
     A, B, a, b, c = pencil.frame
@@ -505,7 +505,7 @@ def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
     qq = -(b + sb * root)
     P = (qq * A.k + a * B.k, qq * A.l + a * B.l, qq * A.n + a * B.n, qq * A.m + a * B.m)
     Q = (c * A.k + qq * B.k, c * A.l + qq * B.l, c * A.n + qq * B.n, c * A.m + qq * B.m)
-    P, Q = (_canonical(*X, max(map(abs, X)), tol) for X in (P, Q))
+    P, Q = (_canonical(*X, 0.0 if abs(X[0]) >= abs(X[3]) else math.inf, tol) for X in (P, Q))
     return (P, Q) if tuple.__le__(P, Q) else (Q, P)  # in the order of their components
 
 
@@ -513,21 +513,25 @@ def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
 # predicates
 # ---------------------------------------------------------------------------
 
-def _orthogonality_residual(C: Cycle, Cp: Cycle, scale: float, tol: Tolerances) -> float:
-    """0.0 when the product of C and C' vanishes relative to ``scale``, the product
-    of their component scales; else its size, the residual of the violation."""
-    r = abs(product(C, Cp))
-    return 0.0 if r <= tol.eps_product * 4.0 * max(scale, 1e-300) else r
+def _orthogonality_residual(C: Cycle, Cp: Cycle, tc: float, tcp: float, tol: Tolerances) -> float:
+    """0.0 when the float ``product`` of C and C', of own terms tc and tcp,
+    vanishes against ``_cross_bound``; else its size, the violation's residual."""
+    r, terms = _float_product(C, Cp)
+    return 0.0 if abs(r) <= tol.eps_product * _cross_bound(terms, tc, tcp) else abs(r)
 
 
 def is_orthogonal(C: Cycle, Cp: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Vanishing product relative to the component scales."""
-    return not _orthogonality_residual(C, Cp, C.scale() * Cp.scale(), tol)
+    """Vanishing product against its terms or the cycles' own, read binary-scaled."""
+    A, B = _binary_scaled(C), _binary_scaled(Cp)
+    return not _orthogonality_residual(A, B, _float_product(A, A)[1], _float_product(B, B)[1], tol)
 
 
 def passes(C: Cycle, p: ExtendedPoint | complex, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Incidence: the product with the point cycle at p vanishes."""
-    return is_orthogonal(C, zero_radius_at(p), tol)
+    """Incidence: C binary-scaled is orthogonal to the point cycle at p (finite
+    products inside the coordinate cap), whose T is read at least at 4, the
+    point 1's, as ``approx_eq`` knows p to eps_product max(1, |p|)."""
+    A, P = _binary_scaled(C), zero_radius_at(p)
+    return not _orthogonality_residual(A, P, _float_product(A, A)[1], max(_float_product(P, P)[1], 4.0), tol)
 
 
 # ---------------------------------------------------------------------------

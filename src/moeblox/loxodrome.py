@@ -206,15 +206,14 @@ class Loxodrome:
     """A triple prepared once for every query on it at one tolerance.
 
     On construction it scales the cycles by ``_binary_scaled`` into
-    ``_c1`` to ``_c3`` and keeps their scales ``_s1`` to ``_s3``, which
-    every zero test on them reads, forms the ``_pencil`` of c2 and c3 and
-    reads ``shape`` off it: coincident cycles make a circle, and a ratio
+    ``_c1`` to ``_c3``, forms the ``_pencil`` of c2 and c3 and reads
+    ``shape`` off it: coincident cycles make a circle, and a ratio
     <c2,c2><c3,c3> / <c2,c3>^2 = 1/cosh^2 lambda_tilde of at most
     eps_product (or negative: a point c3 up to roundoff) a line, in every
     image alike, as the ratio is projectively invariant.  The rest is
     derived on first read, each field by its entry in ``_DERIVE``, into
-    its slot: ``_n1`` = <c1,c1>, the parameter, the limit points, the map,
-    its inverse ``_inverse`` and the membership kernel ``_member`` that
+    its slot: ``_n1`` = (<c1,c1>, T(c1)), the parameter, the limit points,
+    the map, its inverse ``_inverse`` and the membership kernel ``_member`` that
     ``_contains`` binds on the first membership question, so that every
     later one is one call.  No given cycle is canonicalised.  A
     derivation is deterministic, so threads that race on one store equal
@@ -225,14 +224,10 @@ class Loxodrome:
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
         self.tol = tol
-        (self._c1, self._s1), (self._c2, self._s2), (self._c3, self._s3) = map(_binary_scaled, triple[:3])
-        pencil = self._pencil = _pencil(self._c2, self._s2, self._c3, self._s3, tol)
-        if pencil.coincident:
-            self.shape = _CIRCLE
-        elif pencil.a * pencil.c <= tol.eps_product * pencil.scale:
-            self.shape = _LINE
-        else:
-            self.shape = _SPIRAL
+        self._c1, self._c2, self._c3 = map(_binary_scaled, triple[:3])
+        pencil = self._pencil = _pencil(self._c2, self._c3, tol)
+        line = pencil.a * pencil.c <= tol.eps_product * pencil.scale
+        self.shape = _CIRCLE if pencil.coincident else _LINE if line else _SPIRAL
 
     def __getattr__(self, name: str):
         """A derived field on its first read: only an empty slot gets here."""
@@ -292,14 +287,14 @@ class Loxodrome:
         # the point cycles of the pencil of (c2, c3), and their points: the curve's asymptotic endpoints;
         # solved on the scaled cycles, as canonical ones lose the far point of two nearby small circles
         "_point_members": lambda self: _root_pairing(self._pencil, self.tol),
-        "limit_points": lambda self: tuple(point_of(z, self.tol) for z in self._point_members),
+        "limit_points": lambda self: tuple(map(point_of, self._point_members)),
         "map": _map,
         # the adjugate of map, projectively its inverse: velocities and samples are pushed through it
         "_inverse": lambda self: self.map.inverse(),
         # the membership kernel, bound on the first membership question: p -> (report, image of p)
         "_member": lambda self: _contains(self),
     }
-    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_s1", "_s2", "_s3", "_pencil", "shape", *_DERIVE)
+    __slots__ = ("c1", "c2", "c3", "sign", "tol", "_c1", "_c2", "_c3", "_pencil", "shape", *_DERIVE)
 
     def violations(self) -> list:
         """All invariant violations of the triple, empty when valid.
@@ -309,34 +304,34 @@ class Loxodrome:
         line needs c3, a point or a circle that the pencil cannot tell from
         one, off c2 (the pencil of a cycle and a point is disjoint exactly
         when the point misses the cycle), a spiral needs a hyperbolic
-        pencil and c3 off c2.  Then c1 must pass both point members.
-        Every test is invariant under the scale and sign of each cycle, and
-        reads the scaled cycles, so no float scale of the input overflows.
+        pencil and c3 off c2.  Then c1 must pass both point members, each
+        solved to its largest component s, so read at T = 6 s^2, that of
+        (s, s, s, s).  Products are judged against their terms
+        (``cycles._accurate_product``), on the scaled cycles.
         """
-        c1, c2, c3, tol, pencil = self._c1, self._c2, self._c3, self.tol, self._pencil
-        s1, s2, s3 = self._s1, self._s2, self._s3
-        out = []
-        if (n1 := self._n1) <= tol.eps_product * (s1 * s1):
+        c1, tol, pencil, out = self._c1, self.tol, self._pencil, []
+        (n1, t1), (ta, tb, tc), eps = self._n1, pencil.terms, tol.eps_product
+        if n1 <= eps * t1:
             out.append(TripleViolation("first cycle must be a line or proper circle", n1))
-        if pencil.a <= tol.eps_product * s2 ** 2:
+        if pencil.a <= eps * ta:
             out.append(TripleViolation("second cycle must be a line or proper circle", pencil.a))
-        if pencil.c < -tol.eps_product * s3 ** 2:
+        if pencil.c < -eps * tc:
             out.append(TripleViolation("third cycle has no real locus", pencil.c))
-        for name, C, s in (("second", c2, s2), ("third", c3, s3)):
-            if r := _orthogonality_residual(c1, C, s1 * s, tol):
+        for name, C, t in (("second", self._c2, ta), ("third", self._c3, tc)):
+            if r := _orthogonality_residual(c1, C, t1, t, tol):
                 out.append(TripleViolation(f"first and {name} cycle are not orthogonal", r))
 
         if self.shape is _CIRCLE:
             return out
         # <c2,c3> ~ 0 for a real c3, so no disjoint pair (<c2,c3>^2 > <c2,c2><c3,c3> >= 0): a point
         # on c2, whose products are all roundoff and read either shape, or a circle crossing c2
-        meets = pencil.c >= -tol.eps_product * s3 ** 2 and abs(pencil.b) <= 4.0 * tol.eps_product * s2 * s3
-        if meets and (self.shape is _LINE or pencil.c <= tol.eps_product * s3 ** 2):
+        meets = pencil.c >= -eps * tc and abs(pencil.b) <= eps * tb
+        if meets and (self.shape is _LINE or pencil.c <= eps * tc):
             return out + [TripleViolation("third (point) cycle lies on the second cycle")]
         if meets or self.shape is _SPIRAL and _pencil_kind(pencil.disc, pencil.scale, tol) != PencilKind.HYPERBOLIC:
             return out + [TripleViolation("second and third cycle neither disjoint nor equal", pencil.disc)]
         for z in self._point_members:
-            if r := _orthogonality_residual(c1, z, s1 * z.scale(), tol):
+            if r := _orthogonality_residual(c1, z, t1, 6.0 * z.scale() ** 2, tol):
                 out.append(TripleViolation("first cycle misses a limit point of the pencil", r))
         return out
 
@@ -548,7 +543,7 @@ def _contains(lox: Loxodrome):
     class and message."""
     tol = lox.tol
     if lox.shape is _CIRCLE:
-        c2 = lox.c2
+        c2 = lox._c2
         return lambda p: (MembershipReport(member=passes(c2, p, tol)), None)
     z0, z1 = lox.limit_points
     a, b, c, d = lox.map
@@ -624,7 +619,7 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint) -> complex:
     there it is n + i l, the conjugate of a line's own direction up to sign."""
     if p.is_infinity:
         return complex(C.n, C.l)
-    B = _binary_scaled(C)[0]
+    B = _binary_scaled(C)
     return 1j * (B.k * p.as_complex() - complex(B.l, B.n))
 
 

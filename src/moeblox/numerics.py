@@ -1,9 +1,9 @@
 """Tolerance policy and guarded scalar functions.
 
 A single :class:`Tolerances` value is threaded through every geometric
-predicate in the package, and no other epsilon is fixed.  Quantities compared
-against zero are always scaled by the magnitude of their inputs first,
-so rescaling a homogeneous representative cannot flip a predicate.
+predicate in the package, and no other epsilon is fixed.  A product compared
+against zero is scaled by the sizes of the terms that formed it, so neither
+rescaling a representative nor an exact symmetry of the plane flips a predicate.
 Numbers written as text (tolerance specs, point literals, CLI numbers)
 are read by one ASCII decimal reader and one ASCII integer reader.
 """

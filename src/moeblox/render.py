@@ -186,7 +186,7 @@ def _emit_point(out, p: ExtendedPoint, proj: _Projector, style: str, precision: 
 def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol):
     kind = classify(C, tol)
     if kind == CycleKind.POINT:
-        _emit_point(out, point_of(C, tol), proj, style, precision)
+        _emit_point(out, point_of(C), proj, style, precision)
         return
     if kind == CycleKind.LINE:
         clipped = _clip_line_to_box(*_line_frame(C, tol), proj.bbox)

@@ -64,7 +64,7 @@ def intersect(C: mx.Cycle, Cp: mx.Cycle, tol: mx.Tolerances = mx.DEFAULT_TOLERAN
         raise InvalidInput("intersection of a cycle with itself is the cycle")
     # the pencil of C and C' binary-scaled, as every caller in src/ forms
     # it, so no product overflows a float
-    pencil = _pencil(*_binary_scaled(C), *_binary_scaled(Cp), tol)
+    pencil = _pencil(_binary_scaled(C), _binary_scaled(Cp), tol)
     kind = _pencil_kind(pencil.disc, pencil.scale, tol)
     if kind == mx.PencilKind.HYPERBOLIC:
         return ()

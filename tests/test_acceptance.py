@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import moeblox as mx
 
@@ -141,6 +142,39 @@ def test_c06_membership_agreement():
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"membership suite took {elapsed:.2f}s"
     _report("C6 membership agreement: 1000 accepts + 1000 rejects (<10s)")
+
+
+def test_envelope_similar_images_answer():
+    # the standard lambda_tilde = 1 spiral moved far along or away from the
+    # origin: every zero test reads the terms of its product, so the check
+    # accepts it, lambda_tilde is 1 up to the input's rounding, and the
+    # image of its t = 0.3 point is a member
+    T0 = mx.standard_triple(mx.SlsParameter.finite(1.0))
+    w = cmath.exp(complex(1.0, TWO_PI) * 0.3)
+    for M in (mx.MoebiusMap(1, 212, 0, 1), mx.MoebiusMap(1, 1000, 0, 1), mx.MoebiusMap(2e4, 0, 0, 1)):
+        T = mx.apply_map(M, T0)
+        assert abs(mx.lambda_from_triple(T).lambda_tilde - 1.0) <= 1e-8, M
+        assert mx.contains_point(T, mx.apply_to_point(M, pt(w))).member, M
+
+
+def test_envelope_far_circles_and_limit_points():
+    # a translation is no singular map, and a circle far from the origin or
+    # of large radius is a circle with the centre and radius it was given
+    mx.MoebiusMap(1, 1e6, 0, 1)
+    for c, r in ((1000, 1.0), (0, 1e5)):
+        C = mx.from_circle(c, r)
+        assert mx.classify(C) == mx.CycleKind.CIRCLE
+        got_c, got_r = mx.center_radius(C)
+        assert abs(got_c - c) <= 1e-12 * max(abs(c), r) and abs(got_r - r) <= 1e-12 * r
+    # limit points 1e5 and -1e5 read in the chart that divides by the larger
+    # of |k| and |m|, so neither becomes infinity, and the curve's points
+    # answer, the image of 1 (infinity) among them
+    M = mx.MoebiusMap(1e5, 1e5, -1, 1)
+    T = mx.apply_map(M, mx.standard_triple(mx.SlsParameter.finite(1.0)))
+    got = sorted(p.as_complex().real for p in mx.Loxodrome(T).limit_points)
+    assert got == [pytest.approx(-1e5, rel=1e-9), pytest.approx(1e5, rel=1e-9)]
+    for w in (cmath.exp(complex(1.0, TWO_PI) * -0.7), cmath.exp(complex(1.0, TWO_PI) * 0.3), 1.0):
+        assert mx.contains_point(T, mx.apply_to_point(M, pt(w))).member, w
 
 
 def _fd_curve_direction(T, p, h=1e-6):

@@ -377,6 +377,7 @@ class TestRender:
         assert any(note.startswith("object 'C': not drawn") for note in notes)
 
     @given(st.floats(), st.integers(3, 12))
+    @settings(derandomize=True, database=None)
     @example(-1e-9, 6)
     @example(-0.0, 3)
     @example(-0.0004999, 3)

@@ -68,6 +68,33 @@ class TestProjectiveRepresentative:
         assert answers(U) == answers(T)
 
 
+    def test_scaled_cycle_of_a_circle_shape_or_a_pair_answers_alike(self):
+        # one cycle of a moved circle-shape triple (c2 = c3), of a candidate
+        # tangent or of an is_orthogonal pair scaled by 2^k, where products
+        # of the raw components over- or underflow: incidence and
+        # orthogonality read binary-scaled cycles, so nothing changes
+        G = mx.MoebiusMap(1, 2j, 0.5, 1)
+        axis, unit, far = mx.Cycle(0, 0, 1, 0), mx.Cycle(1, 0, 0, -1), mx.from_circle(0, math.e)
+        T = mx.apply_map(G, mx.LoxodromeTriple(axis, unit, unit))
+        on = [mx.apply_to_point(G, pt(w)) for w in (1j, -1, cmath.exp(0.6j))]
+        off = [mx.apply_to_point(G, pt(w)) for w in (0.5, 2)]
+        pairs = [tuple(mx.apply_to_cycle(G, C) for C in pair) for pair in ((axis, unit), (unit, far))]
+
+        def answers(cycles, candidate, pairs):
+            U = mx.LoxodromeTriple(*cycles, T.sign)
+            return ([mx.contains_point(U, p).member for p in on + off], [mx.passes(candidate, p) for p in on + off],
+                    [mx.tangent_check(T, candidate, p) for p in on], [mx.is_orthogonal(*pair) for pair in pairs])
+
+        want = answers(T[:3], T.c2, pairs)
+        assert want == ([True] * 3 + [False] * 2, [True] * 3 + [False] * 2, [True] * 3, [True, False])
+        for k in (-900, -600, -300, 300, 600, 900):
+            for index in range(3):
+                cycles = list(T[:3])
+                cycles[index] = math.ldexp(1.0, k) * cycles[index]
+                scaled_pairs = [(math.ldexp(1.0, k) * A, B if index else math.ldexp(1.0, k) * B) for A, B in pairs]
+                assert answers(cycles, math.ldexp(1.0, k) * T.c2, scaled_pairs) == want, (index, k)
+
+
 BANDS = [(1e-4, 1e-2), (1e-2, 0.25), (0.25, 2.5), (2.5, 10.0), (10.0, 11.0), (11.0, 30.0)]
 
 
@@ -124,3 +151,53 @@ class TestTwoImages:
             got = outcome(mx.contains_point_oracle, T1, mx.apply_to_point(G1, z))
             assert got == outcome(mx.contains_point_oracle, T2, mx.apply_to_point(G2, z)), turn
             assert got == want, turn
+
+
+# maps of the plane that act exactly on a cycle's float components, each as
+# (its action on (k, l, n, m), on a point z, the factor it puts on lambda_tilde)
+def _dilation(j):
+    return (lambda k, l, n, m: (k, math.ldexp(l, j), math.ldexp(n, j), math.ldexp(m, 2 * j)),
+            lambda z: complex(math.ldexp(z.real, j), math.ldexp(z.imag, j)), 1)
+
+
+SYMMETRIES = {
+    "iz": (lambda k, l, n, m: (k, -n, l, m), lambda z: 1j * z, 1),
+    "-z": (lambda k, l, n, m: (k, -l, -n, m), lambda z: -z, 1),
+    "1/z": (lambda k, l, n, m: (m, l, -n, k), lambda z: 1 / z, 1),
+    "conj": (lambda k, l, n, m: (k, l, -n, m), lambda z: z.conjugate(), -1),
+}
+
+
+class TestExactSymmetries:
+    @PROPERTY
+    @given(lt=st.floats(0.3, 2.0), chirality=st.sampled_from([1, -1]), seed=st.integers(0, 2**32 - 1),
+           j=st.integers(-40, 40))
+    def test_exact_symmetries_keep_every_answer(self, lt, chirality, seed, j):
+        # a query_fresh-style triple under z -> 2^j z, iz, -z, 1/z and conj:
+        # each multiplies every pairing by an exact power of 4 or keeps it,
+        # so lambda_tilde is bit-identical (negated by conj, which flips the
+        # chirality), and membership is the same at the image of each point,
+        # on the curve and pushed off it by e^(0.05 lambda_tilde).  The one
+        # exception is ExtendedPoint.approx_eq's limit-point test, which
+        # reads eps_product max(|z u|, |z|, |u|, 1) and so is not dilation
+        # covariant: under 2^j z an answer may differ only where one side
+        # carries its limit_point flag (ROADMAP item 17 owns that region)
+        lt *= chirality
+        rng = np.random.default_rng(seed)
+        G = random_moebius(rng)
+        T = mx.apply_map(G, mx.standard_triple(mx.SlsParameter.finite(lt)))
+        points = []
+        for _ in range(2):
+            w = (1 if rng.uniform() < 0.5 else -1) * cmath.exp(complex(lt, TWO_PI) * rng.uniform(-1.0, 1.0))
+            points += [mx.apply_to_point(G, pt(w)).as_complex(), mx.apply_to_point(G, pt(w * math.exp(0.05 * lt))).as_complex()]
+        limit_points = [G.b / G.d, G.a / G.c]
+        assume(all(math.ldexp(abs(z), j) <= 1e15 for z in points + limit_points))
+        want_lambda = mx.lambda_from_triple(T).lambda_tilde
+        want = [mx.contains_point(T, pt(z)) for z in points]
+        for name, (cycle, point, factor) in {**SYMMETRIES, f"2^{j} z": _dilation(j)}.items():
+            U = mx.LoxodromeTriple(*(mx.Cycle(*cycle(*C)) for C in T[:3]), factor * T.sign)
+            assert mx.lambda_from_triple(U).lambda_tilde == factor * want_lambda, name
+            for z, w in zip(points, want):
+                got = mx.contains_point(U, pt(point(z)))
+                flagged = "limit_point" in got.flags + w.flags and name.startswith("2^")
+                assert got.member == w.member or flagged, (name, z)

@@ -1580,8 +1580,8 @@ class TestPreparedTriple:
         assert all(mx.classify(X) == mx.CycleKind.POINT for _, X in calls)
 
     def test_check_reads_each_scale_once(self, rng, monkeypatch):
-        # within 2^+-100 the form keeps each given cycle's scale, and every
-        # zero test of the first query's check reads the kept one
+        # the first query's check reads each given cycle's scale once, in
+        # _binary_scaled; every zero test after it reads the terms of its product
         triples = [mx.apply_map(random_moebius(rng), std(lt)) for lt in (1.0, -0.5, 2.0)]
         triples.append(mx.standard_triple(mx.SlsParameter.infinite()))
         reads = []
@@ -1624,7 +1624,7 @@ class TestPreparedTriple:
             lt = math.copysign(10 ** rng.uniform(-4, 0.4), rng.random() - 0.5)
             G = squeezed_moebius(rng) if i % 2 else random_moebius(rng)
             c2, c3 = (mx.apply_to_cycle(G, C) for C in std(lt)[1:3])
-            pencil = _pencil(*_binary_scaled(c2), *_binary_scaled(c3), mx.DEFAULT_TOLERANCES)
+            pencil = _pencil(_binary_scaled(c2), _binary_scaled(c3), mx.DEFAULT_TOLERANCES)
             assert repr(_root_pairing(pencil, mx.DEFAULT_TOLERANCES)) == repr(root_pairing(pencil)), (G, lt)
 
     def test_one_pencil_per_decision(self, monkeypatch):
