@@ -325,12 +325,22 @@ def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[compl
     return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d / 2, 0.0)) / abs(B.k)
 
 
-def _line_frame(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, complex]:
-    """A point and a unit direction of a line, read binary-scaled: the foot of
-    its normal from the origin, and its canonical unit normal turned a quarter turn."""
-    line = canonicalize(C, tol)
-    normal = complex(line.l, line.n)
-    return (line.m / 2.0) * normal, 1j * normal
+def _locus(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """What C draws, off one <C,C> and T(C) of C binary-scaled, tested as
+    ``classify`` tests them: (POINT, ``point_of``, None); a cycle of no real
+    locus refused as by ``center_radius``, whatever its k; (LINE, the foot of
+    its normal from the origin, its canonical unit normal turned a quarter
+    turn); else (CIRCLE, ``center_radius``'s centre and radius)."""
+    d, terms = _accurate_product(B := _binary_scaled(C), B)
+    if abs(d) <= tol.eps_product * terms:
+        return CycleKind.POINT, point_of(C), None
+    if d < 0.0:
+        raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
+    if abs(B.k) <= tol.eps_product * (s := math.sqrt(0.5 * terms)):
+        line = _canonical(*B, s, tol)
+        normal = complex(line.l, line.n)
+        return CycleKind.LINE, (line.m / 2.0) * normal, 1j * normal
+    return CycleKind.CIRCLE, complex(B.l / B.k, B.n / B.k), math.sqrt(d / 2) / abs(B.k)
 
 
 def point_of(C: Cycle) -> ExtendedPoint:

@@ -52,12 +52,11 @@ from .cycles import (
     _affine,
     _binary_scaled,
     _cycle_action,
-    _line_frame,
+    _locus,
     _orthogonality_residual,
     _pencil,
     _pencil_kind,
     _root_pairing,
-    center_radius,
     classify,
     from_line,
     passes,
@@ -215,11 +214,12 @@ class Loxodrome:
     its slot: ``_n1`` = (<c1,c1>, T(c1)), the parameter, the limit points,
     the map, its inverse ``_inverse`` and the membership kernel ``_member`` that
     ``_contains`` binds on the first membership question, so that every
-    later one is one call.  No given cycle is canonicalised.  A
-    derivation is deterministic, so threads that race on one store equal
-    values.  The derived fields assume a triple with no ``violations``, and
-    every query gets such a form from ``_prepared``.  It holds the triple's
-    cycles, not the triple that keeps it: the two make no reference cycle."""
+    later one is one call.  ``_pencil`` canonicalises c2 and c3 only to test
+    that they coincide, as in every circle-shape triple.  A derivation is
+    deterministic, so threads that race on one store equal values.  The
+    derived fields assume a triple with no ``violations``, and every query
+    gets such a form from ``_prepared``.  It holds the triple's cycles, not
+    the triple that keeps it: the two make no reference cycle."""
 
     def __init__(self, triple: LoxodromeTriple, tol: Tolerances = DEFAULT_TOLERANCES):
         self.c1, self.c2, self.c3, self.sign = triple
@@ -335,27 +335,14 @@ class Loxodrome:
                 out.append(TripleViolation("first cycle misses a limit point of the pencil", r))
         return out
 
-    def _standard_point(self, p: ExtendedPoint) -> complex | None:
-        """The image of p under ``map``; None for the point at infinity.
-        It forms the products of ``apply_to_point`` and applies the rule
-        of ``ExtendedPoint`` to them, so it is that point's coordinate bit
-        for bit, with no point built."""
-        a, b, c, d = self.map
-        w1, w2 = p
-        return _affine(a * w1 + b * w2, c * w1 + d * w2)
-
     def _velocity(self, p: ExtendedPoint, w: complex | None) -> complex:
         """The curve's velocity at the curve point p: the model velocity
-        ``rate * w`` at w = map(p), pushed through the inverse map.  w is
-        the image that membership read, or None: the circle shape decides
-        membership by incidence and reads no image, so p is mapped here for
-        it, and the other shapes' membership refuses an image at infinity.  It is
-        read in the affine chart at a finite p and in the chart 1/z at
-        infinity, there up to a sign that every curve shares.  Angles
-        are conformal, so this one derivative serves every question of
-        direction; a limit point has none and raises PointNotOnCurve."""
-        if w is None:
-            w = self._standard_point(p)
+        ``rate * w`` at the image w = map(p) that membership read, pushed
+        through the inverse map.  It is read in the affine chart at a finite
+        p and in the chart 1/z at infinity, there up to a sign that every
+        curve shares.  Angles are conformal, so this one derivative serves
+        every question of direction; a limit point has none and raises
+        PointNotOnCurve (``_contains`` says where a member's w is one)."""
         if w is None or w == 0:
             raise PointNotOnCurve("point maps to a limit point under the normal form")
         inv = self._inverse
@@ -429,16 +416,12 @@ def _point_sort_key(z: complex | None) -> tuple:
 
 
 def _map_cycle_to_unit_circle(C: Cycle, tol: Tolerances) -> MoebiusMap:
-    kind = classify(C, tol)
-    if kind == CycleKind.CIRCLE:
-        c, r = center_radius(C, tol)
-        return MoebiusMap(1.0, -c, 0.0, r).normalized()
-    if kind == CycleKind.LINE:
-        anchor, direction = _line_frame(C, tol)
-        to_axis = MoebiusMap(1.0, -anchor, 0.0, direction)
-        cayley = MoebiusMap(1.0, -1j, 1.0, 1j)
-        return (cayley @ to_axis).normalized()
-    raise TripleViolation("curve cycle is a point")
+    """The circle shape's map off one ``cycles._locus`` reading of C: z -> (z - c) / r
+    for a circle of centre c and radius r; for a line, z -> (z - a) / u onto the real
+    axis, for its anchor a and unit direction u, then the Cayley map."""
+    kind, a, b = _locus(C, tol)
+    M = MoebiusMap(1.0, -a, 0.0, b)
+    return (M if kind is CycleKind.CIRCLE else MoebiusMap(1.0, -1j, 1.0, 1j) @ M).normalized()
 
 
 def _crossing(F: MoebiusMap, c1: Cycle, c2: Cycle) -> complex:
@@ -526,27 +509,36 @@ def contains_point(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) 
 def _contains(lox: Loxodrome):
     """The membership kernel of a form (its ``_member``): p -> the report
     at p and the image w = map(p) that the decision read (None for
-    infinity, and where none was read: a limit point, the circle shape),
-    so a query of direction maps p no second time.  The shape is read
-    here, once per form, and not per question.
+    infinity, and for a point off c2 or near a limit point, where none was
+    read), so a query of direction maps p no second time.  The shape is
+    read here, once per form, and not per question.  Each kernel closes
+    over the map's entries and forms w from the products of
+    ``apply_to_point`` by the rule of ``ExtendedPoint``: that point's
+    coordinate bit for bit, with no point built.
 
-    The circle shape's kernel is incidence with c2.  The others close over
-    the limit points, the map's entries, lambda_tilde and the tolerances,
-    and answer as ``ExtendedPoint.approx_eq`` against each limit point,
-    ``_standard_point`` and ``_spiral_report`` would, bit for bit.  A
-    finite point against finite limit points, all of them (z : 1), reads
-    approx_eq's test specialised to that representative, which is exact;
-    any other pair calls approx_eq.  The image is formed from the same
-    products as ``_standard_point``, and ``_affine``'s rule is applied
-    inline where both its components are finite and inside the coordinate
-    cap; anywhere else ``_affine`` itself decides, so a refusal keeps its
-    class and message."""
+    The circle shape's kernel is incidence with c2, and ``passes`` is wider than
+    the map's reading of c2: a member's w may be 0 or None.  The others close over
+    the limit points, lambda_tilde and the tolerances too, and answer as
+    ``ExtendedPoint.approx_eq`` against each limit point and ``_spiral_report``
+    would, bit for bit, so a member's w is finite and nonzero.  A finite point
+    against finite limit points, all of them (z : 1), reads approx_eq's test
+    specialised to that representative, which is exact; any other pair calls
+    approx_eq.  ``_affine``'s rule is applied inline where both components of w
+    are finite and inside the coordinate cap; elsewhere ``_affine`` itself
+    decides, so a refusal keeps its class and message."""
     tol = lox.tol
+    a, b, c, d = lox.map
     if lox.shape is _CIRCLE:
         c2 = lox._c2
-        return lambda p: (MembershipReport(member=passes(c2, p, tol)), None)
+
+        def on_c2(p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
+            if not passes(c2, p, tol):
+                return MembershipReport(member=False), None
+            w1, w2 = p
+            return MembershipReport(member=True), _affine(a * w1 + b * w2, c * w1 + d * w2)
+
+        return on_c2
     z0, z1 = lox.limit_points
-    a, b, c, d = lox.map
     lambda_tilde, eps = lox.param.lambda_tilde, tol.eps_product
     cap, inf = _COORD_CAP, math.inf
     finite = z0.w2 == 1.0 and z1.w2 == 1.0

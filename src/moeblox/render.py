@@ -11,15 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .cycles import (
-    Cycle,
-    CycleKind,
-    ExtendedPoint,
-    _line_frame,
-    center_radius,
-    classify,
-    point_of,
-)
+from .cycles import Cycle, CycleKind, ExtendedPoint, _locus, center_radius
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import _CIRCLE, LoxodromeTriple, _check, _check_grid, _curve_points
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _finite, _index, _Value
@@ -184,12 +176,13 @@ def _emit_point(out, p: ExtendedPoint, proj: _Projector, style: str, precision: 
 
 
 def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol):
-    kind = classify(C, tol)
-    if kind == CycleKind.POINT:
-        _emit_point(out, point_of(C), proj, style, precision)
-        return
-    if kind == CycleKind.LINE:
-        clipped = _clip_line_to_box(*_line_frame(C, tol), proj.bbox)
+    """C as one ``cycles._locus`` reading finds it: a point, a line clipped
+    to the view, or a circle; a cycle of no real locus raises InvalidInput."""
+    kind, a, b = _locus(C, tol)
+    if kind is CycleKind.POINT:
+        _emit_point(out, a, proj, style, precision)
+    elif kind is CycleKind.LINE:
+        clipped = _clip_line_to_box(a, b, proj.bbox)
         if clipped is None:
             return
         (x1, y1), (x2, y2) = proj.to_px(clipped[0]), proj.to_px(clipped[1])
@@ -198,11 +191,10 @@ def _emit_cycle(out, C: Cycle, proj: _Projector, style: str, precision: int, tol
             f'x2="{_fmt(x2, precision)}" y2="{_fmt(y2, precision)}" {style}/>'
         )
     else:
-        c, r = center_radius(C, tol)
-        cx, cy = proj.to_px(c)
+        cx, cy = proj.to_px(a)
         out.append(
             f'<circle cx="{_fmt(cx, precision)}" cy="{_fmt(cy, precision)}" '
-            f'r="{_fmt(r * proj.scale, precision)}" {style}/>'
+            f'r="{_fmt(b * proj.scale, precision)}" {style}/>'
         )
 
 

@@ -359,6 +359,24 @@ class TestRender:
         assert svg.count("<polyline ") == 6
         assert len(built) == 3
 
+    def test_render_reuses_kept_forms(self, monkeypatch):
+        built = []
+        prepare = mx.Loxodrome.__init__
+
+        def counted(self, T, tol=mx.DEFAULT_TOLERANCES):
+            built.append(T)
+            prepare(self, T, tol)
+
+        monkeypatch.setattr(mx.Loxodrome, "__init__", counted)
+        scene, config = parse_scene(STANDARD_SCENE), RenderConfig(samples=16)
+        first = render_scene(scene, config)
+        assert len(built) == 1
+        assert render_scene(scene, config) == first and len(built) == 1  # the form kept on the triple
+        scene = parse_scene(STANDARD_SCENE)
+        mx.lambda_from_triple(scene.objects[0].value)
+        assert len(built) == 2
+        assert render_scene(scene, config) == first and len(built) == 2  # the form the query kept
+
     def test_member_without_real_locus_is_noted(self):
         import xml.etree.ElementTree as ET
 
@@ -367,6 +385,8 @@ class TestRender:
             "objects": [
                 {"id": "T", "kind": "triple", "data": data},
                 {"id": "C", "kind": "cycle", "data": [1, 0, 0, 0.5]},
+                # |z - 1e10|^2 = 1e20 - 1e30: its k vanishes, yet it is no line
+                {"id": "X", "kind": "cycle", "data": [1e-30, 1e-20, 0, 1]},
             ]
         }
         notes = []
@@ -375,6 +395,7 @@ class TestRender:
         assert svg.count("<circle ") == 1 and svg.count("<line ") == 1  # c2 and c1
         assert any(note.startswith("triple 'T': c3 not drawn") for note in notes)
         assert any(note.startswith("object 'C': not drawn") for note in notes)
+        assert any(note.startswith("object 'X': not drawn") for note in notes)
 
     @given(st.floats(), st.integers(3, 12))
     @settings(derandomize=True, database=None)

@@ -1010,6 +1010,26 @@ class TestTangency:
         with pytest.raises(PointNotOnCurve):
             mx.tangent_check(std(1.0), UNIT, pt(math.exp(0.1) * 1j))
 
+    @pytest.mark.parametrize(
+        "c2, p",
+        [
+            # a circle of radius 5.5e-5 whose centre 1 passes it within tolerance, so
+            # the circle shape's map sends that member to 0
+            (mx.Cycle(1, 1, 0, 1 - 3e-9), pt(1)),
+            # a circle of radius 5e8 that infinity passes within tolerance, sent to infinity
+            (mx.Cycle(1, 0, 0, -2.5e17), INF),
+        ],
+    )
+    def test_member_sent_to_a_limit_point_has_no_direction(self, c2, p):
+        T = mx.LoxodromeTriple(REAL_AXIS, c2, c2, 1)
+        assert mx.contains_point(T, p).member
+        queries = [lambda: mx.intersection_angle(T, T, p), lambda: mx.tangent_check(T, REAL_AXIS, p)]
+        if not p.is_infinity:
+            queries.append(lambda: mx.tangent_line_at(T, p))
+        for query in queries:
+            with pytest.raises(PointNotOnCurve, match="^point maps to a limit point under the normal form$"):
+                query()
+
     def test_tangent_line_at_one(self):
         line = mx.tangent_line_at(std(1.0), pt(1))
         assert_projectively_equal(line, mx.Cycle(0, -math.pi, 0.5, -TWO_PI), tol=1e-9)

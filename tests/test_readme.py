@@ -3,6 +3,7 @@ the documented scenes are valid, and every exported name has a user."""
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -134,3 +135,27 @@ def test_every_error_class_is_raised():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
                 raised.add(node.exc.func.id)
     assert [name for name in error_classes() if name not in raised | {"MoebloxError"}] == []
+
+
+def hypothesis_tests():
+    """(id, test) for each hypothesis test of every ``tests/test_*.py``, its
+    id as the suite prints it."""
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        module = importlib.import_module(path.stem)
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) and name.startswith("Test") else [(None, value)]
+            for attr, test in members:
+                if getattr(test, "is_hypothesis_test", False):
+                    yield "::".join(filter(None, (f"tests/{path.name}", name, attr))), test
+
+
+def test_every_property_is_derandomized():
+    # a property that draws new examples on every run makes Tier-1 pass or
+    # fail by chance; the settings a test runs with are on its wrapper,
+    # whether given inline or through a shared object
+    drawn = []
+    for test_id, test in hypothesis_tests():
+        kept = test._hypothesis_internal_use_settings
+        if not (kept.derandomize and kept.database is None):
+            drawn.append(test_id)
+    assert drawn == []
