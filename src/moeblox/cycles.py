@@ -301,45 +301,49 @@ def _binary_scaled(C: Cycle) -> Cycle:
     return Cycle(*(math.ldexp(x, -e) for x in C))
 
 
-def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
-    """POINT for <C,C> ~ 0 (the triple check's test, first, so (0,0,0,1)
-    is a point), LINE for |k| <= eps_product sqrt(T(C) / 2), CIRCLE
-    otherwise, read on C binary-scaled, so at any float scale.  T(C) / 2k^2
-    is |c|^2 + | |c|^2 - r^2 | for a circle of centre c and radius r."""
+def _reading(C: Cycle, tol: Tolerances) -> tuple[Cycle, float, float, bool, bool]:
+    """The one reading of a cycle: C binary-scaled as B, d = <B,B>, s =
+    sqrt(T(B) / 2), the point test |d| <= eps_product T(B) (the check's) and the
+    line test |k| <= eps_product s.  T(C) / 2k^2 is |c|^2 + | |c|^2 - r^2 | for a
+    circle of centre c and radius r; a cycle of no real locus is d < 0, no point."""
     d, terms = _accurate_product(B := _binary_scaled(C), B)
-    if abs(d) <= tol.eps_product * terms:
-        return CycleKind.POINT
-    if abs(B.k) <= tol.eps_product * math.sqrt(0.5 * terms):
-        return CycleKind.LINE
-    return CycleKind.CIRCLE
+    s = math.sqrt(0.5 * terms)
+    return B, d, s, abs(d) <= tol.eps_product * terms, abs(B.k) <= tol.eps_product * s
+
+
+def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
+    """POINT by the ``_reading``'s point test (first, so (0,0,0,1) is a
+    point), LINE by its line test, CIRCLE otherwise."""
+    _, _, _, point, line = _reading(C, tol)
+    return CycleKind.POINT if point else CycleKind.LINE if line else CycleKind.CIRCLE
 
 
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
     """Centre and radius sqrt(<C,C> / 2) / |k| of a circle (0 for a point),
-    read as ``classify`` reads it; <C,C> < -eps_product T(C) is refused."""
-    d, terms = _accurate_product(B := _binary_scaled(C), B)
-    if abs(B.k) <= tol.eps_product * math.sqrt(0.5 * terms):
+    off ``classify``'s reading; a line or a cycle of no real locus is refused."""
+    B, d, _, point, line = _reading(C, tol)
+    if line:
         raise InvalidInput(f"cycle {C!r} has no centre")
-    if d < -tol.eps_product * terms:
+    if d < 0.0 and not point:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
     return complex(B.l / B.k, B.n / B.k), math.sqrt(max(d / 2, 0.0)) / abs(B.k)
 
 
 def _locus(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """What C draws, off one <C,C> and T(C) of C binary-scaled, tested as
-    ``classify`` tests them: (POINT, ``point_of``, None); a cycle of no real
-    locus refused as by ``center_radius``, whatever its k; (LINE, the foot of
-    its normal from the origin, its canonical unit normal turned a quarter
-    turn); else (CIRCLE, ``center_radius``'s centre and radius)."""
-    d, terms = _accurate_product(B := _binary_scaled(C), B)
-    if abs(d) <= tol.eps_product * terms:
+    """What C draws, off ``classify``'s reading: (POINT, ``point_of``, None);
+    a cycle of no real locus refused as by ``center_radius``; (LINE, the foot
+    of its normal from the origin, its canonical unit normal turned a quarter
+    turn) where k vanishes and (l, n) does not, against s; else (CIRCLE,
+    centre, radius), ``center_radius``'s where k does not vanish."""
+    B, d, s, point, line = _reading(C, tol)
+    if point:
         return CycleKind.POINT, point_of(C), None
     if d < 0.0:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
-    if abs(B.k) <= tol.eps_product * (s := math.sqrt(0.5 * terms)):
-        line = _canonical(*B, s, tol)
-        normal = complex(line.l, line.n)
-        return CycleKind.LINE, (line.m / 2.0) * normal, 1j * normal
+    if line and math.hypot(B.l, B.n) > tol.eps_product * s:
+        frame = _canonical(*B, s, tol)
+        normal = complex(frame.l, frame.n)
+        return CycleKind.LINE, (frame.m / 2.0) * normal, 1j * normal
     return CycleKind.CIRCLE, complex(B.l / B.k, B.n / B.k), math.sqrt(d / 2) / abs(B.k)
 
 
@@ -393,21 +397,19 @@ def _cross_bound(terms: float, ta: float, tb: float) -> float:
 
 
 def canonicalize(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Fix the projective scale of C binary-scaled by ``classify``'s tests: a
-    point, or a cycle of no real locus, on the larger of |k| and |m| (``point_of``'s
-    chart); else k = +1 unless k vanishes against sqrt(T(C) / 2), else a unit
-    normal (l, n) with its first nonvanishing component positive, else m = +1."""
-    d, terms = _accurate_product(B := _binary_scaled(C), B)
-    if d <= tol.eps_product * terms:
-        return _canonical(*B, 0.0 if abs(B.k) >= abs(B.m) else math.inf, tol, C)
-    return _canonical(*B, math.sqrt(0.5 * terms), tol, C)
+    """Fix the projective scale of C binary-scaled off ``classify``'s reading: a point
+    or a cycle of no real locus on ``point_of``'s chart; else k = +1 unless k vanishes,
+    else a unit normal (l, n) with its first nonvanishing component positive, else m = +1."""
+    B, d, s, point, _ = _reading(C, tol)
+    return _canonical(*B, None if point or d < 0.0 else s, tol, C)
 
 
-def _canonical(k: float, l: float, n: float, m: float, s: float, tol: Tolerances, given: Cycle | None = None) -> Cycle:
-    """``canonicalize`` of (k, l, n, m), a component vanishing within eps_product
-    s (0 pivots on k, inf on m), built as one Cycle; ``given``, the quadruple's
-    Cycle if one is built, is returned when it is canonical already."""
-    eps = tol.eps_product * s
+def _canonical(k: float, l: float, n: float, m: float, s: float | None, tol: Tolerances,
+               given: Cycle | None = None) -> Cycle:
+    """``canonicalize`` of (k, l, n, m), a component vanishing within eps_product s
+    (s None pivots as ``point_of`` reads: on m where |m| > |k|, else on k), as one
+    Cycle; ``given``, the quadruple's Cycle if built, is returned if canonical."""
+    eps = (0.0 if abs(k) >= abs(m) else math.inf) if s is None else tol.eps_product * s
     if abs(k) > eps:
         if k == 1.0 and given is not None:
             return given
@@ -515,7 +517,7 @@ def _root_pairing(pencil: _Pencil, tol: Tolerances) -> tuple[Cycle, Cycle]:
     qq = -(b + sb * root)
     P = (qq * A.k + a * B.k, qq * A.l + a * B.l, qq * A.n + a * B.n, qq * A.m + a * B.m)
     Q = (c * A.k + qq * B.k, c * A.l + qq * B.l, c * A.n + qq * B.n, c * A.m + qq * B.m)
-    P, Q = (_canonical(*X, 0.0 if abs(X[0]) >= abs(X[3]) else math.inf, tol) for X in (P, Q))
+    P, Q = (_canonical(*X, None, tol) for X in (P, Q))
     return (P, Q) if tuple.__le__(P, Q) else (Q, P)  # in the order of their components
 
 

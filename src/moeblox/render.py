@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .cycles import Cycle, CycleKind, ExtendedPoint, _locus, center_radius
+from .cycles import Cycle, CycleKind, ExtendedPoint, _locus
 from .errors import InvalidInput, MoebloxError
 from .loxodrome import _CIRCLE, LoxodromeTriple, _check, _check_grid, _curve_points
 from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _finite, _index, _Value
@@ -86,26 +86,21 @@ def _style_attr(scene: Scene, object_id: str, default: str) -> str:
 
 
 def _finite_bounds(obj: SceneObject, tol: Tolerances):
-    """Bounding boxes of circles and points; lines and maps are unbounded."""
+    """Bounding boxes of finite points and circles, each cycle read by the
+    one ``_locus`` that ``_emit_cycle`` draws; lines and maps are unbounded."""
+    located = [(CycleKind.POINT, obj.value, None)] if obj.kind == "point" else []
+    if obj.kind in ("circle", "line", "cycle", "triple"):
+        for C in (obj.value.c1, obj.value.c2, obj.value.c3) if obj.kind == "triple" else (obj.value,):
+            try:
+                located.append(_locus(C, tol))
+            except MoebloxError:
+                continue  # a cycle not drawn is noted by render_scene
     boxes = []
-    if obj.kind == "point":
-        p = obj.value
-        if not p.is_infinity:
-            z = p.as_complex()
-            boxes.append((z.real, z.imag, z.real, z.imag))
-        return boxes
-    if obj.kind in ("circle", "line", "cycle"):
-        cycles = (obj.value,)
-    elif obj.kind == "triple":
-        cycles = (obj.value.c1, obj.value.c2, obj.value.c3)
-    else:
-        cycles = ()
-    for C in cycles:
-        try:
-            c, r = center_radius(C, tol)
-        except MoebloxError:
-            continue  # a line has no centre; a cycle not drawn either is noted by render_scene
-        boxes.append((c.real - r, c.imag - r, c.real + r, c.imag + r))
+    for kind, a, r in located:
+        if kind is CycleKind.POINT and not a.is_infinity:
+            kind, a, r = CycleKind.CIRCLE, a.as_complex(), 0.0  # boxed as a circle of radius 0
+        if kind is CycleKind.CIRCLE:
+            boxes.append((a.real - r, a.imag - r, a.real + r, a.imag + r))
     return boxes
 
 
@@ -122,7 +117,8 @@ def _scene_bbox(scene: Scene, tol: Tolerances):
         ymin = min(b[1] for b in boxes)
         xmax = max(b[2] for b in boxes)
         ymax = max(b[3] for b in boxes)
-    span = max(xmax - xmin, ymax - ymin, 1e-6)
+    # the floor grows with the largest coordinate, so a pad beside it does not round away
+    span = max(xmax - xmin, ymax - ymin, 1e-6 * max(1.0, abs(xmin), abs(ymin), abs(xmax), abs(ymax)))
     pad = 0.1 * span
     box = (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
     if not math.isfinite(max(box[2] - box[0], box[3] - box[1])):  # the projector divides by both

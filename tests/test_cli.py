@@ -344,6 +344,18 @@ class TestRender:
         svg = render_scene(parse_scene(raw), RenderConfig(samples=16))
         ET.fromstring(svg.encode("utf-8"))
         assert "nan" not in svg and "inf" not in svg
+        # a lone point at 1e10, given as a point and as the point cycle
+        # [1e-10, 1, 0, 1e10]: the pad of its fitted view grows with the
+        # coordinate, so it does not round away to a view of no extent
+        for obj in ({"kind": "point", "data": [1e10, 0]}, {"kind": "cycle", "data": [1e-10, 1, 0, 1e10]}):
+            svg = render_scene(parse_scene({"objects": [dict(obj, id="P")]}), RenderConfig(samples=16))
+            ET.fromstring(svg.encode("utf-8"))
+            assert '<circle cx="400.000000" cy="300.000000" r="3"' in svg
+        # two points one ulp apart at 1e12: an extent of 1.2e-4 pads by less
+        # than an ulp of the coordinates, so the floor must grow with them too
+        pair = [{"id": "P", "kind": "point", "data": [1e12, 1e12]},
+                {"id": "Q", "kind": "point", "data": [math.nextafter(1e12, 2e12), 1e12]}]
+        ET.fromstring(render_scene(parse_scene({"objects": pair}), RenderConfig(samples=16)).encode("utf-8"))
 
     def test_one_prepared_triple_per_triple(self, monkeypatch):
         built = []

@@ -429,6 +429,59 @@ class TestAnyFloatScale:
         assert _locus(mx.Cycle(0, 5e-324, 0, 0))[1:] == _locus(mx.Cycle(0, 1, 0, 0))[1:] == (0j, 1j)
 
 
+class TestOneReading:
+    """``classify``, ``center_radius``, ``canonicalize``, ``_locus`` and
+    render's view box read a cycle by one private reading, so they agree on
+    whether <C,C> and k vanish, at any float scale."""
+
+    EDGE = [mx.Cycle(1e-30, 1e-20, 0, 1), mx.Cycle(1e-30, 0, 0, -1), mx.Cycle(0, 0, 0, 1), mx.Cycle(1e-10, 1, 0, 1e10)]
+
+    def cycles(self, rng):
+        drawn = [random_real_cycle(rng) for _ in range(60)]
+        drawn += [mx.zero_radius_at(complex(*rng.uniform(-4, 4, 2))) for _ in range(20)]
+        return self.EDGE + [mx.Cycle(*(math.ldexp(x, e) for x in C)) for e in (0, -900, 900) for C in drawn]
+
+    def test_routines_agree(self, rng, monkeypatch):
+        import moeblox.cycles as cycles
+
+        pivots, canonical = [], cycles._canonical
+        monkeypatch.setattr(cycles, "_canonical", lambda *a: pivots.append(a[4]) or canonical(*a))
+        for C in self.cycles(rng):
+            try:
+                kind, a, b = _locus(C)
+            except InvalidInput:
+                kind = None  # no real locus
+            assert (mx.classify(C) == mx.CycleKind.POINT) == (kind is mx.CycleKind.POINT), C
+            if kind is mx.CycleKind.CIRCLE and mx.classify(C) == mx.CycleKind.CIRCLE:
+                assert mx.center_radius(C) == (a, b), C  # bit for bit
+            pivots.clear()
+            mx.canonicalize(C)
+            assert (pivots == [None]) == (kind in (None, mx.CycleKind.POINT)), C
+        # a circle about the origin whose k vanishes against its normal's size
+        # too is the circle that k gives, though classify calls it a line
+        assert _locus(mx.Cycle(1e-30, 0, 0, -1)) == (mx.CycleKind.CIRCLE, 0j, 1e15)
+
+    def test_auto_box_holds_what_render_draws(self, rng):
+        # every circle, point and clipped line lies in the canvas of the view
+        # box fitted to the scene, the point cycle [1e-10, 1, 0, 1e10] at 1e10
+        # too, which a default +-5 view would put 6e11 pixels to its right
+        from moeblox.render import RenderConfig, render_scene
+
+        config = RenderConfig(samples=16)
+        for C in self.cycles(rng):
+            svg = render_scene(mx.parse_scene({"objects": [{"id": "C", "kind": "cycle", "data": C.to_json()}]}), config)
+            for element in re.findall(r"<(?:circle|line) [^>]*>", svg):
+                values = {name: float(v) for name, v in re.findall(r'(\w+)="(-?[0-9.]+)"', element)}
+                r = values.get("r", 0.0) if "cx" in values else 0.0
+                xs = [values[x] for x in ("cx", "x1", "x2") if x in values]
+                ys = [values[y] for y in ("cy", "y1", "y2") if y in values]
+                assert all(-1e-6 <= x - r and x + r <= config.width + 1e-6 for x in xs), (C, element)
+                assert all(-1e-6 <= y - r and y + r <= config.height + 1e-6 for y in ys), (C, element)
+        # the huge circle about the origin is drawn, in a view that it crosses
+        huge = {"bbox": [-2e15, -2e15, 2e15, 2e15], "objects": [{"id": "C", "kind": "cycle", "data": [1e-30, 0, 0, -1]}]}
+        assert '<circle cx="400.000000" cy="300.000000" r="125.000000" />' in render_scene(mx.parse_scene(huge), config)
+
+
 class TestMoebiusAction:
     def test_identity_on_point(self):
         M = mx.MoebiusMap(1, 0, 0, 1)

@@ -1321,6 +1321,17 @@ class TestCheckAndClassifyAgree:
         mx.render_scene(scene, mx.RenderConfig(samples=16), warnings_out=notes)
         assert not [note for note in notes if "curve not drawn" in note]
 
+    def test_huge_circle_about_the_origin_answers(self):
+        # radius 1e15: k vanishes against sqrt(T(C) / 2), and so does (l, n),
+        # so the circle shape's map reads the circle that k gives, not a
+        # line of zero normal, whose map would have a vanishing determinant
+        C = mx.Cycle(1, 0, 0, -1e30)
+        T = mx.LoxodromeTriple(REAL_AXIS, C, C)
+        assert mx.Loxodrome(T).violations() == []
+        assert mx.contains_point(T, pt(1e15)).member
+        assert not mx.contains_point(T, pt(0)).member
+        assert len(mx.sample_curve(T, -1, 1, 8)) == 8
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
         log_r2=st.floats(math.log(1e-9 / 4), math.log(4e-9)),
