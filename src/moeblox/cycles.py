@@ -272,8 +272,12 @@ def from_line(p: complex, q: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> C
         raise InvalidInput(f"line needs two distinct points, got {p!r} twice")
     normal = 1j * d  # left normal of the direction
     l, n = normal.real, normal.imag
-    m = 2.0 * (l * p.real + n * p.imag)
-    return canonicalize(Cycle(0.0, l, n, m), tol)
+    C = Cycle(0.0, l, n, 2.0 * (l * p.real + n * p.imag))  # refuses an m that overflowed
+    # canonicalize's reading of k = 0 is fixed: <B,B> = T(B) = 2(l^2 + n^2), no
+    # point, s = sqrt(l^2 + n^2), whose squares do not underflow, as |p| < |d| / eps
+    # makes m overflow before (l, n) is 2^-537 of it
+    B = _binary_scaled(C)
+    return _canonical(*B, math.sqrt(B.l * B.l + B.n * B.n), tol)
 
 
 def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
@@ -304,11 +308,14 @@ def _binary_scaled(C: Cycle) -> Cycle:
 def _reading(C: Cycle, tol: Tolerances) -> tuple[Cycle, float, float, bool, bool]:
     """The one reading of a cycle: C binary-scaled as B, d = <B,B>, s =
     sqrt(T(B) / 2), the point test |d| <= eps_product T(B) (the check's) and the
-    line test |k| <= eps_product s.  T(C) / 2k^2 is |c|^2 + | |c|^2 - r^2 | for a
-    circle of centre c and radius r; a cycle of no real locus is d < 0, no point."""
+    line test: k vanishes, |k| <= eps_product s, and the normal (l, n) does not
+    (where both vanish, k gives a circle about the origin).  T(C) / 2k^2 is |c|^2 +
+    | |c|^2 - r^2 | for a circle of centre c and radius r; a cycle of no real locus
+    is d < 0, no point."""
     d, terms = _accurate_product(B := _binary_scaled(C), B)
     s = math.sqrt(0.5 * terms)
-    return B, d, s, abs(d) <= tol.eps_product * terms, abs(B.k) <= tol.eps_product * s
+    small = tol.eps_product * s  # the size at which k, or (l, n), vanishes
+    return B, d, s, abs(d) <= tol.eps_product * terms, abs(B.k) <= small and math.hypot(B.l, B.n) > small
 
 
 def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
@@ -320,9 +327,10 @@ def classify(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleKind:
 
 def center_radius(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[complex, float]:
     """Centre and radius sqrt(<C,C> / 2) / |k| of a circle (0 for a point),
-    off ``classify``'s reading; a line or a cycle of no real locus is refused."""
+    off ``classify``'s reading; a line, a point of k = 0 (at infinity) and a
+    cycle of no real locus are refused."""
     B, d, _, point, line = _reading(C, tol)
-    if line:
+    if line or (point and not B.k):
         raise InvalidInput(f"cycle {C!r} has no centre")
     if d < 0.0 and not point:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
@@ -333,14 +341,13 @@ def _locus(C: Cycle, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """What C draws, off ``classify``'s reading: (POINT, ``point_of``, None);
     a cycle of no real locus refused as by ``center_radius``; (LINE, the foot
     of its normal from the origin, its canonical unit normal turned a quarter
-    turn) where k vanishes and (l, n) does not, against s; else (CIRCLE,
-    centre, radius), ``center_radius``'s where k does not vanish."""
+    turn); else (CIRCLE, ``center_radius``'s centre and radius)."""
     B, d, s, point, line = _reading(C, tol)
     if point:
         return CycleKind.POINT, point_of(C), None
     if d < 0.0:
         raise InvalidInput(f"cycle {C!r} has negative discriminant {d / 2!r}")
-    if line and math.hypot(B.l, B.n) > tol.eps_product * s:
+    if line:
         frame = _canonical(*B, s, tol)
         normal = complex(frame.l, frame.n)
         return CycleKind.LINE, (frame.m / 2.0) * normal, 1j * normal

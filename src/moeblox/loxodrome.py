@@ -675,22 +675,39 @@ def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES)
 # sampling and transport
 # ---------------------------------------------------------------------------
 
-def _curve_points(
-    lox: Loxodrome, t_min: float, t_max: float, count: int, sign: float, point=_affine
-) -> list:
-    """One branch of the curve on a uniform parameter grid, each image
-    made by ``point`` from its homogeneous components: by default a bare
-    complex number, with None for the point at infinity.
+# A branch is regular when no model point can reach the coordinate cap
+# (|w| <= e^30, about 1.1e13), no entry of the map can make a w + b or
+# c w + d overflow, and every image lies within half the cap: then each
+# image is the quotient that ``_affine`` would return, with room for the
+# rounding of |num / den| against cap |den| (a subnormal den, whose
+# quotient loses its relative accuracy, gives an image beyond 1e150 at
+# these entries, as num c - den a = -1).
+_REGULAR_EXPONENT = 30.0
+_REGULAR_ENTRY = 2.0 ** 500
+_REGULAR_IMAGE = 0.5 * _COORD_CAP
 
-    Each model point ``sign * exp(rate t)`` is sent back by
-    ``(a w + b) / (c w + d)`` with the rules of ``ExtendedPoint``: a
-    model point beyond the coordinate cap is infinity before the map, so
-    its image is a / c; an image beyond the cap is infinity; a
-    non-finite component raises InvalidInput.  An exponential that
-    overflows gives infinity as the image itself; an angle that
-    overflows raises InvalidInput.  The model point's rule, ``_affine``
-    on ``(w : 1)``, is applied inline in the loop below, to save a call
-    per sample; the image's is applied by ``point``.
+
+def _curve_points(lox: Loxodrome, t_min: float, t_max: float, count: int, signs: tuple):
+    """The curve's branches ``sign * exp(rate t)``, one per sign and each
+    formed when the one before it has been read, on a uniform parameter
+    grid: per branch its images, each a bare complex number or None for
+    the point at infinity, and the largest modulus among them, or inf
+    where that was not read.
+
+    Each model point is sent back by ``(a w + b) / (c w + d)`` with the
+    rules of ``ExtendedPoint``: a model point beyond the coordinate cap
+    is infinity before the map, so its image is a / c; an image beyond the
+    cap is infinity; a non-finite component raises InvalidInput.  An
+    exponential that overflows gives infinity as the image itself; an
+    angle that overflows raises InvalidInput.
+
+    Where the rate, the grid and the map keep a branch regular (see
+    ``_REGULAR_EXPONENT``), each grid point's exponential is formed once
+    for every branch and a branch's images array-at-a-time, by the float
+    operations of the loop below in its order, the model point's ``/ one``
+    included, which keeps signed zeros.  A zero denominator, or an image
+    beyond half the cap or not finite, sends that branch to the loop, the
+    one path that reads the cap's rules and raises.
     """
     rate = lox.rate
     back = lox._inverse
@@ -699,27 +716,50 @@ def _curve_points(
     one, zero = complex(1.0), complex(0.0)
     a, c = back.a, back.c
     b, d = back.b * one, back.d * one
-    far, infinity = point(a * one + back.b * zero, c * one + back.d * zero), point(one, zero)
+    far = _affine(a * one + back.b * zero, c * one + back.d * zero)
     step = (t_max - t_min) / (count - 1)
-    out = []
-    for i in range(count):
+    exps = None
+    if (
+        rate.real * t_min < _REGULAR_EXPONENT
+        and rate.real * t_max < _REGULAR_EXPONENT
+        and cmath.isfinite(rate)
+        and all(abs(x.real) <= _REGULAR_ENTRY and abs(x.imag) <= _REGULAR_ENTRY for x in back)
+    ):
         try:
-            w = sign * cmath.exp(rate * (t_min + step * i))
-        except OverflowError:
-            out.append(infinity)
-            continue
-        except ValueError:  # rate * t overflowed into an infinite angle
-            raise InvalidInput(
-                f"curve point at t={t_min + step * i!r} is undefined: rate * t is not finite"
-            ) from None
-        if not cmath.isfinite(w):
-            raise InvalidInput("homogeneous components must be finite")
-        if abs(w) > _COORD_CAP:
-            out.append(far)
-        else:
-            z = w / one
-            out.append(point(a * z + b, c * z + d))
-    return out
+            exps = [cmath.exp(rate * (t_min + step * i)) for i in range(count)]
+        except ValueError:  # rate * t overflowed into an infinite angle: the loop refuses it
+            pass
+    for sign in signs:
+        if exps is not None:
+            try:
+                images = [(a * z + b) / (c * z + d) for z in [sign * e / one for e in exps]]
+            except ZeroDivisionError:  # a pole on the grid: the loop reads it as infinity
+                pass
+            else:
+                moduli = list(map(abs, images))
+                peak = max(moduli)  # max skips a NaN that is not first: sum does not
+                if peak <= _REGULAR_IMAGE and math.isfinite(sum(moduli)):
+                    yield images, peak
+                    continue
+        out = []
+        for i in range(count):
+            try:
+                w = sign * cmath.exp(rate * (t_min + step * i))
+            except OverflowError:
+                out.append(None)
+                continue
+            except ValueError:  # rate * t overflowed into an infinite angle
+                raise InvalidInput(
+                    f"curve point at t={t_min + step * i!r} is undefined: rate * t is not finite"
+                ) from None
+            if not cmath.isfinite(w):
+                raise InvalidInput("homogeneous components must be finite")
+            if abs(w) > _COORD_CAP:
+                out.append(far)
+            else:
+                z = w / one
+                out.append(_affine(a * z + b, c * z + d))
+        yield out, math.inf
 
 
 def _check_grid(t_min: float, t_max: float, count: int) -> None:
@@ -759,8 +799,10 @@ def sample_curve(
     signs = {"+": (1.0,), "-": (-1.0,), "both": (1.0, -1.0)}.get(branch)
     if signs is None:
         raise InvalidInput(f"branch must be '+', '-' or 'both', got {branch!r}")
-    lox = _prepared(T, tol)
-    return [p for sgn in signs for p in _curve_points(lox, t_min, t_max, count, sgn, ExtendedPoint)]
+    one, infinity, new = complex(1.0), ExtendedPoint.infinity(), tuple.__new__
+    branches = _curve_points(_prepared(T, tol), t_min, t_max, count, signs)
+    # (z, 1) is the point ExtendedPoint makes of the components whose quotient is z
+    return [infinity if z is None else new(ExtendedPoint, (z, one)) for points, _ in branches for z in points]
 
 
 def apply_map(M: MoebiusMap, T: LoxodromeTriple) -> LoxodromeTriple:

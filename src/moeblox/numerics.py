@@ -1,7 +1,9 @@
 """Tolerance policy and guarded scalar functions.
 
 A single :class:`Tolerances` value is threaded through every geometric
-predicate in the package, and no other epsilon is fixed.  A product compared
+predicate in the package, and no other epsilon is fixed but one:
+``MoebiusMap``'s singular-map test, made where a map is built, before any
+query's tolerance is known, reads the default.  A product compared
 against zero is scaled by the sizes of the terms that formed it, so neither
 rescaling a representative nor an exact symmetry of the plane flips a predicate.
 Numbers written as text (tolerance specs, point literals, CLI numbers)

@@ -230,9 +230,9 @@ def _emit_triple(out, scene, obj, proj, config, tol, warnings_out):
         signs = (1.0,) if lox.shape is _CIRCLE else (1.0, -1.0)  # one branch covers a circle
         guard = 50.0 * max(*map(abs, proj.bbox), 1.0)
         curve_style = style or _TRIPLE_STYLE["curve"]
-        for sign in signs:
-            pts = _curve_points(lox, config.t_min, config.t_max, config.samples, sign)
-            for run in _polyline_runs(pts, guard):
+        for points, peak in _curve_points(lox, config.t_min, config.t_max, config.samples, signs):
+            # |z| <= guard passes the box test of every point: the branch is one run
+            for run in [points] if peak <= guard else _polyline_runs(points, guard):
                 coords = _coords(run, proj, config.precision)
                 out.append(f'<polyline points="{coords}" {curve_style}/>')
     except MoebloxError as exc:

@@ -468,6 +468,8 @@ class TestRenderRouteReference:
 
     @classmethod
     def cases(cls):
+        import test_loxodrome
+
         spirals = [mx.standard_triple(mx.SlsParameter.finite(lt)) for lt in (1.5, -2.0, 3.0)]
         wide = dict(samples=401, t_min=-1000.0, t_max=1000.0)  # exp overflows beyond t = 709.78
         return {
@@ -476,9 +478,12 @@ class TestRenderRouteReference:
             # the view guard is 50 here, and these curves leave it
             "guard": [(spirals, [-0.01, -0.01, 0.01, 0.01], dict(samples=512))],
             "overflow": [(cls.shapes() + cls.seeded(4), [-4, -4, 4, 4], wide)],
+            # one branch meets the pole at sample 100 and breaks there, its mate is one
+            # polyline; at sample 200 the pole rounds to an image of 4e13, cut by the guard
+            "pole": [([test_loxodrome.pole_triple(1.0, -3.0, 3.0, 257, k) for k in (100, 200)], [-4, -4, 4, 4], dict(samples=257))],
         }
 
-    @pytest.mark.parametrize("case", ["seeded", "shapes", "guard", "overflow"])
+    @pytest.mark.parametrize("case", ["seeded", "shapes", "guard", "overflow", "pole"])
     @pytest.mark.parametrize("precision", [3, 6, 12])
     def test_points_match(self, case, precision):
         import xml.etree.ElementTree as ET
@@ -504,6 +509,8 @@ class TestRenderRouteReference:
                 written += len(got)
                 if case == "guard":  # spirals only: two branches, cut where they leave the guard
                     assert sum(map(len, runs)) < 2 * config.samples, obj.id
+                if case == "pole":  # the branch through the pole in two runs, its mate in one
+                    assert len(got) == 3 and sum(map(len, runs)) == 2 * config.samples - 1, obj.id
         assert written > 0
 
 

@@ -92,6 +92,44 @@ class TestConstructors:
     def test_from_line_diagonal(self):
         assert_projectively_equal(mx.from_line(0, 1 + 1j), mx.Cycle(0, 1, -1, 0))
 
+    def test_from_line_is_the_canonical_form_of_its_line(self):
+        # from_line scales (0, l, n, m) by canonicalize's rule without its
+        # reading: the same Cycle bit for bit (repr tells signed zeros apart),
+        # or the same refusal, over subnormal, 2^+-900 and axis-parallel lines
+        def answer(f, *args):
+            try:
+                return repr(f(*args))
+            except MoebloxError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        def canonical_line(p, q):
+            normal = 1j * (q - p)
+            l, n = normal.real, normal.imag
+            return mx.canonicalize(mx.Cycle(0.0, l, n, 2.0 * (l * p.real + n * p.imag)))
+
+        rng = random.Random(44)
+        tiny = [0.0, -0.0, 5e-324, -1e-310, 2.0**-900, -(2.0**-560)]
+        sizes = [1.0, 2.0**30, 2.0**560, 2.0**900, 1e300]  # directions within from_line's floor of 1e-9
+
+        def component(values):
+            return rng.choice(values + [rng.uniform(-2, 2) * rng.choice(sizes + [2.0**-900])])
+
+        seen = set()
+        for _ in range(3000):
+            p = complex(component(tiny), component(tiny))
+            d = complex(component(tiny + [1.0, -1.0]), component(tiny + [1.0, -1.0])) * rng.choice(sizes)
+            got = answer(mx.from_line, p, p + d)
+            if not got.startswith("InvalidInput: line needs"):  # refused before any cycle is built
+                assert got == answer(canonical_line, p, p + d), (p, d)
+            if got.startswith("InvalidInput"):
+                seen.add(got.split(",")[0])
+            else:
+                C = mx.from_line(p, p + d)
+                seen.update({"subnormal" for x in C if 0 < abs(x) < 2.0**-1022} | {"axis" for x in C[1:3] if not x})
+                seen.update({"-0.0" for x in C if str(x) == "-0.0"})
+        assert seen == {"InvalidInput: line needs two distinct points", "InvalidInput: cycle components must be finite",
+                        "subnormal", "axis", "-0.0"}
+
     def test_from_line_rejects_equal_points(self):
         with pytest.raises(InvalidInput, match=r"^line needs two distinct points, got \(1\+1j\) twice$"):
             mx.from_line(1 + 1j, 1 + 1j)
@@ -452,14 +490,22 @@ class TestOneReading:
             except InvalidInput:
                 kind = None  # no real locus
             assert (mx.classify(C) == mx.CycleKind.POINT) == (kind is mx.CycleKind.POINT), C
-            if kind is mx.CycleKind.CIRCLE and mx.classify(C) == mx.CycleKind.CIRCLE:
+            if kind is not None:  # a cycle of no real locus has no locus to agree on
+                assert mx.classify(C) == kind, C
+            if kind is mx.CycleKind.CIRCLE:
                 assert mx.center_radius(C) == (a, b), C  # bit for bit
             pivots.clear()
             mx.canonicalize(C)
             assert (pivots == [None]) == (kind in (None, mx.CycleKind.POINT)), C
         # a circle about the origin whose k vanishes against its normal's size
-        # too is the circle that k gives, though classify calls it a line
-        assert _locus(mx.Cycle(1e-30, 0, 0, -1)) == (mx.CycleKind.CIRCLE, 0j, 1e15)
+        # too is the circle that k gives, to every routine
+        huge = mx.Cycle(1e-30, 0, 0, -1)
+        assert _locus(huge) == (mx.CycleKind.CIRCLE, 0j, 1e15)
+        assert mx.classify(huge) == mx.CycleKind.CIRCLE and mx.center_radius(huge) == (0j, 1e15)
+        # the point at infinity keeps its refusal at every scale
+        for e in (0, -900, 900):
+            with pytest.raises(InvalidInput, match=r"^cycle Cycle\(.*\) has no centre$"):
+                mx.center_radius(mx.Cycle(0, 0, 0, math.ldexp(1.0, e)))
 
     def test_auto_box_holds_what_render_draws(self, rng):
         # every circle, point and clipped line lies in the canvas of the view

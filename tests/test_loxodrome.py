@@ -1163,6 +1163,14 @@ def reference_samples(T, t_min, t_max, count, branch):
 ROADMAP_MAP = mx.MoebiusMap(1, 2j, 0.5, 1)
 
 
+def pole_triple(lambda_tilde, t_min, t_max, count, k):
+    """The standard triple moved by z -> 1/(z - w0), for w0 the model point
+    exp(rate t) at sample k of the grid: its curve passes infinity there."""
+    rate = complex(lambda_tilde, 2.0 * math.pi)
+    w0 = cmath.exp(rate * (t_min + (t_max - t_min) / (count - 1) * k))
+    return mx.apply_map(mx.MoebiusMap(0, 1, 1, -w0), std(lambda_tilde))
+
+
 class TestSampleCurveReference:
     """The complex-number sampling path against the ExtendedPoint loop."""
 
@@ -1189,6 +1197,18 @@ class TestSampleCurveReference:
         want = reference_samples(T, t_min, t_max, count, branch)
         assert [(p.w1, p.w2) for p in got] == [(p.w1, p.w2) for p in want]
         assert self.bits(got) == self.bits(want)
+
+    def test_pole_on_the_grid(self):
+        # one branch meets the pole at sample 100, is not regular and is sampled
+        # point by point; the other is sampled array-at-a-time: both as the reference
+        from moeblox.loxodrome import _curve_points, _prepared
+
+        T = pole_triple(1.0, -3.0, 3.0, 257, 100)
+        got = mx.sample_curve(T, -3.0, 3.0, 257, "both")
+        assert self.bits(got) == self.bits(reference_samples(T, -3.0, 3.0, 257, "both"))
+        assert [i for i, p in enumerate(got) if p.is_infinity] == [100]
+        peaks = [peak for _, peak in _curve_points(_prepared(T, mx.DEFAULT_TOLERANCES), -3.0, 3.0, 257, (1.0, -1.0))]
+        assert peaks[0] == math.inf and peaks[1] < 5.0
 
     def test_far_model_points_collapse_before_the_map(self):
         # beyond |w| = 1e15 the model point is infinity, whose image is

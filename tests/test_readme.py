@@ -159,3 +159,18 @@ def test_every_property_is_derandomized():
         if not (kept.derandomize and kept.database is None):
             drawn.append(test_id)
     assert drawn == []
+
+
+def test_workflow_jobs_and_steps_are_well_formed():
+    # the CI workflow is edited by hand and has no other check before it
+    # runs: every job names its runner, and every step runs a command or uses
+    # an action (PyYAML is no test dependency, so the test skips without it)
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    jobs = workflow["jobs"]
+    assert jobs
+    for name, job in jobs.items():
+        assert "runs-on" in job, name
+        assert job["steps"], name
+        for step in job["steps"]:
+            assert "run" in step or "uses" in step, (name, step)
