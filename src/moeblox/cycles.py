@@ -46,6 +46,7 @@ from .numerics import DEFAULT_TOLERANCES, Tolerances, _clear_negative_zero, _com
 
 _COORD_CAP = 1e15  # beyond this a homogeneous point collapses to infinity
 _KEPT_LOW, _KEPT_HIGH = 2.0 ** -100, 2.0 ** 99  # a cycle of scale in [low, high) has finite products
+_NOT_FINITE = "cycle components must be finite"  # Cycle's refusal, which from_line makes before any Cycle
 
 
 class CycleKind(Enum):
@@ -137,9 +138,9 @@ class ExtendedPoint(_Value, namedtuple("ExtendedPoint", "w1 w2")):
         return self.w1
 
     def format(self, precision: int = 6) -> str:
-        if self.is_infinity:
+        z, w2 = self
+        if w2 == 0:  # the point at infinity, (1 : 0)
             return "inf"
-        z = self.as_complex()
         return _clear_negative_zero(f"{z.real:.{precision}f},{z.imag:.{precision}f}", precision)
 
     def approx_eq(self, other: "ExtendedPoint", tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -171,7 +172,7 @@ class Cycle(_Value, namedtuple("Cycle", "k l n m")):
         except (TypeError, OverflowError):  # refused by name below
             finite = all(_finite(x, f"cycle component {name}") for name, x in zip("klnm", (k, l, n, m)))
         if not finite:
-            raise InvalidInput("cycle components must be finite")
+            raise InvalidInput(_NOT_FINITE)
         if k == 0 and l == 0 and n == 0 and m == 0:
             raise InvalidInput("cycle components must not all vanish")
         return float(k), float(l), float(n), float(m)
@@ -265,19 +266,24 @@ def from_circle(center: complex, radius: float) -> Cycle:
 
 
 def from_line(p: complex, q: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
-    """Canonicalised k = 0 cycle of the straight line through p and q."""
-    p, q = _complex(p, "point p"), _complex(q, "point q")
+    """Canonicalised k = 0 cycle of the straight line through p and q, built
+    as one Cycle: (0, l, n, m) is refused as ``Cycle`` refuses a component that
+    is not finite, then binary-scaled and canonicalised with no Cycle of it built."""
+    if not (type(p) is complex and type(q) is complex):  # as tangent_line_at gives them: no call to coerce
+        p, q = _complex(p, "point p"), _complex(q, "point q")
     d = q - p
     if abs(d) <= tol.eps_product * max(abs(p), abs(q), 1.0):
         raise InvalidInput(f"line needs two distinct points, got {p!r} twice")
     normal = 1j * d  # left normal of the direction
     l, n = normal.real, normal.imag
-    C = Cycle(0.0, l, n, 2.0 * (l * p.real + n * p.imag))  # refuses an m that overflowed
+    m = 2.0 * (l * p.real + n * p.imag)
+    if not math.isfinite(m):  # overflowed, or formed from an l or n that is not finite
+        raise InvalidInput(_NOT_FINITE)
     # canonicalize's reading of k = 0 is fixed: <B,B> = T(B) = 2(l^2 + n^2), no
     # point, s = sqrt(l^2 + n^2), whose squares do not underflow, as |p| < |d| / eps
-    # makes m overflow before (l, n) is 2^-537 of it
-    B = _binary_scaled(C)
-    return _canonical(*B, math.sqrt(B.l * B.l + B.n * B.n), tol)
+    # makes m overflow before (l, n) is 2^-537 of it; (l, n) is not zero, as d is not
+    k, l, n, m = _binary_scaled((0.0, l, n, m))
+    return _canonical(k, l, n, m, math.sqrt(l * l + n * n), tol)
 
 
 def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
@@ -295,14 +301,17 @@ def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
 # classification and coordinates
 # ---------------------------------------------------------------------------
 
-def _binary_scaled(C: Cycle) -> Cycle:
-    """C as given when its scale is in [2^-100, 2^99), else scaled exactly
-    by a power of two to a largest component in [0.5, 1), as products of
-    it may overflow or underflow a float there."""
-    if _KEPT_LOW <= (s := C.scale()) < _KEPT_HIGH:
+def _binary_scaled(C: tuple) -> tuple:
+    """The quadruple C as given when its scale is in [2^-100, 2^99), else
+    scaled exactly by a power of two to a largest component in [0.5, 1), as
+    products of it may overflow or underflow a float there: a Cycle for a
+    Cycle, a tuple for the bare quadruple of ``from_line``."""
+    k, l, n, m = C
+    if _KEPT_LOW <= (s := max(abs(k), abs(l), abs(n), abs(m))) < _KEPT_HIGH:
         return C
     e = math.frexp(s)[1]
-    return Cycle(*(math.ldexp(x, -e) for x in C))
+    scaled = tuple(math.ldexp(x, -e) for x in C)
+    return Cycle(*scaled) if isinstance(C, Cycle) else scaled
 
 
 def _reading(C: Cycle, tol: Tolerances) -> tuple[Cycle, float, float, bool, bool]:

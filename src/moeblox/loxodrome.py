@@ -345,9 +345,9 @@ class Loxodrome:
         PointNotOnCurve (``_contains`` says where a member's w is one)."""
         if w is None or w == 0:
             raise PointNotOnCurve("point maps to a limit point under the normal form")
-        inv = self._inverse
-        denom = inv.a * w + inv.b if p.is_infinity else inv.c * w + inv.d
-        return (inv.det / (denom * denom)) * (self.rate * w)
+        a, b, c, d = self._inverse
+        denom = a * w + b if p[1] == 0 else c * w + d  # p is infinity, (1 : 0)
+        return ((a * d - b * c) / (denom * denom)) * (self.rate * w)  # the inverse's det
 
 
 def _prepared(T: LoxodromeTriple, tol: Tolerances) -> Loxodrome:
@@ -525,7 +525,10 @@ def _contains(lox: Loxodrome):
     specialised to that representative, which is exact; any other pair calls
     approx_eq.  ``_affine``'s rule is applied inline where both components of w
     are finite and inside the coordinate cap; elsewhere ``_affine`` itself
-    decides, so a refusal keeps its class and message."""
+    decides, so a refusal keeps its class and message.  The spiral kernel
+    decides the congruence itself, by ``_spiral_report``'s float operations in
+    their order (``tests/test_loxodrome.py`` pins the two to each other), with
+    the functions and eps_mod it reads bound here."""
     tol = lox.tol
     a, b, c, d = lox.map
     if lox.shape is _CIRCLE:
@@ -539,12 +542,14 @@ def _contains(lox: Loxodrome):
 
         return on_c2
     z0, z1 = lox.limit_points
-    lambda_tilde, eps = lox.param.lambda_tilde, tol.eps_product
-    cap, inf = _COORD_CAP, math.inf
+    lambda_tilde, eps, eps_mod = lox.param.lambda_tilde, tol.eps_product, tol.eps_mod
+    cap, inf, two_pi = _COORD_CAP, math.inf, TWO_PI
+    log, phase, remainder, new = math.log, cmath.phase, math.remainder, tuple.__new__
     finite = z0.w2 == 1.0 and z1.w2 == 1.0
     u, v = z0.w1, z1.w1
     au, av = abs(u), abs(v)
     eu, ev = eps * (au if au > 1.0 else 1.0), eps * (av if av > 1.0 else 1.0)  # eps * max(|u|, 1)
+    limit = MembershipReport(False, flags=("limit_point",))  # a value: one serves every question
 
     def member(p: ExtendedPoint) -> tuple[MembershipReport, complex | None]:
         w1, w2 = p
@@ -561,15 +566,17 @@ def _contains(lox: Loxodrome):
         else:
             near = p.approx_eq(z0, tol) or p.approx_eq(z1, tol)
         if near:
-            return MembershipReport(False, flags=("limit_point",)), None
+            return limit, None
         num, den = a * w1 + b * w2, c * w1 + d * w2
         try:  # a finite bound passes only finite components: then this is _affine's first branch
             w = num / den if den and abs(num) <= cap * abs(den) < inf else _affine(num, den)
         except OverflowError:  # abs of a complex beyond the float range: _affine refuses it
             w = _affine(num, den)
         if w is None or w == 0:
-            return MembershipReport(False, flags=("limit_point",)), w
-        return _spiral_report(w, lambda_tilde, tol), w
+            return limit, w
+        lhs = log(abs(w)) / lambda_tilde
+        rhs = phase(w) / two_pi
+        return new(MembershipReport, (abs(remainder(lhs - rhs, 0.5)) <= eps_mod, lhs, rhs, ())), w
 
     return member
 
@@ -579,8 +586,9 @@ def _spiral_report(w: complex, lambda_tilde: float, tol: Tolerances) -> Membersh
     model spiral: is lhs = log|w| / lambda_tilde congruent to rhs = arg w / 2 pi
     modulo 1/2, as the two branches differ by half a turn?  At lambda_tilde
     = inf, the line shape, lhs is +-0 and the model is the real axis.  The
-    one congruence routine: the membership kernel and ``equivalent`` call
-    it.  Its report is built by ``tuple.__new__``, as every field is given."""
+    congruence of ``equivalent``; the spiral kernel of ``_contains`` makes
+    the same float operations inline.  Its report is built by
+    ``tuple.__new__``, as every field is given."""
     lhs = math.log(abs(w)) / lambda_tilde
     rhs = cmath.phase(w) / TWO_PI
     return tuple.__new__(MembershipReport, (congruent_mod(lhs, rhs, 0.5, tol), lhs, rhs, ()))
@@ -615,17 +623,11 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint) -> complex:
     return 1j * (B.k * p.as_complex() - complex(B.l, B.n))
 
 
-def _require_on_curves(p: ExtendedPoint, *curves: Loxodrome) -> list:
-    """Refuse a point that misses one of the curves; else the image of p
-    that each curve's membership read, for ``Loxodrome._velocity``."""
-    images = []
-    for lox in curves:
-        report, w = lox._member(p)
-        if not report.member:
-            where = "both curves" if len(curves) > 1 else "the curve"
-            raise PointNotOnCurve(f"point {p.format()} is not on {where}")
-        images.append(w)
-    return images
+def _off_curve(p: ExtendedPoint, where: str) -> PointNotOnCurve:
+    """The refusal of a point that misses the curve, or one of two curves, of
+    a query of direction: each such query calls the membership kernel
+    ``_member`` of every curve itself, and this only where one says no."""
+    return PointNotOnCurve(f"point {p.format()} is not on {where}")
 
 
 def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -635,7 +637,11 @@ def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Toleranc
     exactly real for v' = v, where the quotient v / v need not be 1."""
     p = _as_point(p)
     lox, loxp = _prepared(T, tol), _prepared(Tp, tol)
-    w, wp = _require_on_curves(p, lox, loxp)
+    report, w = lox._member(p)
+    if report.member:
+        report, wp = loxp._member(p)
+    if not report.member:
+        raise _off_curve(p, "both curves")
     return _fold_half_open(cmath.phase(lox._velocity(p, w) * loxp._velocity(p, wp).conjugate()))
 
 
@@ -648,7 +654,9 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
         raise InvalidInput("tangency candidate must not be a point cycle")
     p = _as_point(p)
     lox = _prepared(T, tol)
-    (w,) = _require_on_curves(p, lox)
+    report, w = lox._member(p)
+    if not report.member:
+        raise _off_curve(p, "the curve")
     if not passes(C, p, tol):
         return False
     turn = cmath.phase(_cycle_tangent_direction(C, p) / lox._velocity(p, w))
@@ -659,16 +667,19 @@ def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES)
     """Tangent line of the curve at a finite curve point, along the
     curve's velocity there."""
     p = _as_point(p)
-    if p.is_infinity:
+    z, w2 = p
+    if w2 == 0:  # p is infinity, (1 : 0)
         raise InvalidInput("tangent line is constructed at finite points only")
     lox = _prepared(T, tol)
-    (w,) = _require_on_curves(p, lox)
+    report, w = lox._member(p)
+    if not report.member:
+        raise _off_curve(p, "the curve")
     direction = lox._velocity(p, w)
     speed = abs(direction)
     if speed == 0 or not math.isfinite(speed):
         raise PointNotOnCurve("curve direction is undefined at this point")
     direction /= speed
-    return from_line(p.as_complex(), p.as_complex() + direction, tol)
+    return from_line(z, z + direction, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The render passes as first written, kept as a reference.
 
-``moeblox.render`` draws a curve in three passes: ``_curve_points``
+``moeblox.render`` draws a curve branch by branch: ``_curve_points``
 samples a branch, ``_polyline_runs`` cuts it where it leaves the view,
-and ``_coords`` writes each run in pixels.  The passes there apply the
-model point's rule, the view guard and the pixel projection inline.
+and ``_coords`` writes each run in pixels.  A regular branch whose
+largest modulus is inside the view guard skips the cut and is written as
+one run.  The passes there apply the model point's rule, the view guard
+and the pixel projection inline.
 The passes here call ``_affine`` for each model point, test the guard
 with ``max(abs(..), abs(..))`` and project through ``_Projector.to_px``
 point by point.  Both read the same prepared form, so every polyline's

@@ -1342,6 +1342,29 @@ class TestCliContract:
         assert 'fill="currentColor"' not in out.read_text()  # no point dots
         assert out.read_text().count("<circle ") == 2
 
+    @pytest.mark.parametrize("e", range(17, 2, -1))
+    def test_shipped_scene_answers_alike_at_every_tol_decade(self, e, capsys):
+        # the installed-cli job's --tol sweep: every zero test reads the terms
+        # of its product, and the membership kernel binds its tolerances per
+        # form, so the shipped scene answers alike at each eps_product the CLI takes
+        scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
+        tol = ["--scene", scene, "--triple", "spiral", "--tol", f"1e-{e}"]
+        assert main(["member", *tol, "--point", "1,0"]) == 0
+        assert main(["member", *tol, "--point", "origin"]) == 1
+        assert main(["normalize", *tol]) == 0
+
+    def test_shipped_scene_angle_exit_codes(self, capsys):
+        # the installed-cli job's angle lines: the limit points are on
+        # neither curve, an error and not an angle
+        scene = str(Path(__file__).resolve().parent.parent / "scenes" / "standard_spiral.json")
+        angle = ["angle", "--scene", scene, "--triple-a", "spiral", "--triple-b", "spiral", "--point"]
+        assert main([*angle, "1,0"]) == 0
+        capsys.readouterr()
+        assert main([*angle, "inf"]) == 2
+        assert capsys.readouterr().err == "error: point inf is not on both curves\n"
+        assert main([*angle, "origin"]) == 2
+        assert capsys.readouterr().err == "error: point 0.000000,0.000000 is not on both curves\n"
+
     def test_main_in_process(self, scene_path, capsys):
         code = main(["lambda", "--scene", scene_path, "--triple", "T"])
         assert code == 0

@@ -1632,17 +1632,23 @@ class TestPreparedTriple:
 
     def test_check_reads_each_scale_once(self, rng, monkeypatch):
         # the first query's check reads each given cycle's scale once, in
-        # _binary_scaled; every zero test after it reads the terms of its product
+        # _binary_scaled, which reads it off the components; every zero test
+        # after it reads the terms of its product, and none calls Cycle.scale
+        import moeblox.loxodrome as lox
+
         triples = [mx.apply_map(random_moebius(rng), std(lt)) for lt in (1.0, -0.5, 2.0)]
         triples.append(mx.standard_triple(mx.SlsParameter.infinite()))
-        reads = []
-        scale = mx.Cycle.scale
+        reads, scaled = [], []
+        scale, binary_scaled = mx.Cycle.scale, lox._binary_scaled
         monkeypatch.setattr(mx.Cycle, "scale", lambda C: reads.append(C) or scale(C))
+        monkeypatch.setattr(lox, "_binary_scaled", lambda C: scaled.append(C) or binary_scaled(C))
         for T in triples:
             reads.clear()
+            scaled.clear()
             mx.lambda_from_triple(T)
             for C in T[:3]:
-                assert sum(X is C for X in reads) == 1, (T, C)
+                assert sum(X is C for X in scaled) == 1, (T, C)
+                assert not any(X is C for X in reads), (T, C)
 
     def test_apply_map_and_crossing_form_one_action_each(self, rng, monkeypatch):
         # a map's |det| = 1 entries and their conjugate products are formed
@@ -1818,6 +1824,100 @@ class TestPointRouteReference:
                     if form.shape is not CurveKind.CIRCLE:
                         flagged.add("limit_point" in mx.contains_point(T, p).flags)
         assert flagged == {True, False}  # the threshold is straddled
+
+
+class TestKernelCongruence:
+    """The spiral kernel decides the congruence inline, and ``equivalent``
+    through ``_spiral_report``: at the kernel's own image w, the two
+    reports are one value, repr for repr, so membership and equivalence
+    cannot drift apart."""
+
+    @pytest.mark.parametrize(
+        "tol",
+        [mx.DEFAULT_TOLERANCES, mx.Tolerances(eps_mod=1e-12), mx.Tolerances(eps_mod=9e-3)],
+        ids=["default", "eps_mod-1e-12", "eps_mod-9e-3"],
+    )
+    def test_kernel_report_is_spiral_report(self, tol):
+        from moeblox.loxodrome import _prepared, _spiral_report
+
+        rng = random.Random(45)
+        seen = set()
+        for lo, hi, t_max in ((0.25, 2.5, 2.0), (2.5, 8.0, 4.0), (math.inf, math.inf, 4.0)):
+            for _ in range(40):
+                M = random_moebius(rng)
+                if lo == math.inf:  # the line shape: the model is the real axis
+                    lt, T = math.inf, mx.apply_map(M, mx.standard_triple(mx.SlsParameter.infinite()))
+                    model = [rng.choice((1, -1)) * math.exp(rng.uniform(-t_max, t_max)) for _ in range(6)]
+                else:
+                    lt = rng.choice((1, -1)) * rng.uniform(lo, hi)
+                    T = mx.apply_map(M, std(lt))
+                    model = [rng.choice((1, -1)) * cmath.exp(complex(lt, TWO_PI) * rng.uniform(-t_max, t_max))
+                             for _ in range(6)]
+                # turned off the curve: by 0.3 rad, or just inside or outside eps_mod turns
+                turns = (0.3 / TWO_PI, 0.999 * tol.eps_mod, 1.001 * tol.eps_mod)
+                model += [w * cmath.exp(1j * TWO_PI * rng.choice(turns)) for w in model[:4]]
+                form = _prepared(T, tol)
+                for w in model:
+                    report, image = form._member(mx.apply_to_point(M, pt(w)))
+                    if report.flags:  # a limit point: no congruence was read
+                        continue
+                    assert repr(report) == repr(_spiral_report(image, form.param.lambda_tilde, tol)), (T, w)
+                    seen.add((lo, report.member))
+                    if lt == math.inf:
+                        seen.add(("lhs", repr(report.lhs)))
+        assert seen >= {(lo, member) for lo in (0.25, 2.5, math.inf) for member in (True, False)}
+        assert {("lhs", "0.0"), ("lhs", "-0.0")} <= seen
+
+
+class TestPreparedCallBudget:
+    """A prepared point question enters one membership kernel frame per
+    curve and builds nothing it does not return.  Python calls per
+    question (``sys.setprofile`` call events, the query's own included)
+    on ROADMAP's reference triple, the standard lambda_tilde = 1 triple
+    moved by MoebiusMap(1, 2j, 0.5, 1), prepared, at four curve points."""
+
+    BUDGET = {
+        "contains_point": 4,
+        "contains_point_oracle": 4,
+        "tangent_line_at": 10,
+        "intersection_angle": 9,
+        "tangent_check": 28,
+    }
+
+    def test_prepared_questions_stay_within_budget(self):
+        M = mx.MoebiusMap(1, 2j, 0.5, 1)
+        T = mx.apply_map(M, std(1.0))
+        points = [mx.apply_to_point(M, pt(cmath.exp(complex(1.0, TWO_PI) * t))) for t in (-0.7, -0.2, 0.3, 0.8)]
+        lines = [mx.tangent_line_at(T, p) for p in points]  # prepares T and binds its kernel
+        questions = {
+            "contains_point": lambda p, line: mx.contains_point(T, p),
+            "contains_point_oracle": lambda p, line: mx.contains_point_oracle(T, p),
+            "tangent_line_at": lambda p, line: mx.tangent_line_at(T, p),
+            "intersection_angle": lambda p, line: mx.intersection_angle(T, T, p),
+            "tangent_check": lambda p, line: mx.tangent_check(T, line, p),
+        }
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        worst = {}
+        previous = sys.getprofile()
+        for name, question in questions.items():
+            for p, line in zip(points, lines):
+                ask = getattr(mx, name)
+                answer = question(p, line)  # unprofiled, to compare with
+                calls.clear()
+                sys.setprofile(count)
+                try:
+                    again = question(p, line)
+                finally:
+                    sys.setprofile(previous)
+                assert repr(again) == repr(answer)
+                assert calls[0] == "<lambda>" and calls[1] == ask.__name__  # the question, then the query
+                worst[name] = max(worst.get(name, 0), len(calls) - 1)
+        assert {name: n for name, n in worst.items() if n > self.BUDGET[name]} == {}, worst
 
 
 class TestPreparedFormKept:
