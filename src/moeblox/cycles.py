@@ -268,9 +268,9 @@ def from_circle(center: complex, radius: float) -> Cycle:
 def from_line(p: complex, q: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> Cycle:
     """Canonicalised k = 0 cycle of the straight line through p and q, built
     as one Cycle: (0, l, n, m) is refused as ``Cycle`` refuses a component that
-    is not finite, then binary-scaled and canonicalised with no Cycle of it built."""
-    if not (type(p) is complex and type(q) is complex):  # as tangent_line_at gives them: no call to coerce
-        p, q = _complex(p, "point p"), _complex(q, "point q")
+    is not finite, then binary-scaled and canonicalised, with a second Cycle
+    built only where the quadruple's scale lies outside [2^-100, 2^99)."""
+    p, q = _complex(p, "point p"), _complex(q, "point q")
     d = q - p
     if abs(d) <= tol.eps_product * max(abs(p), abs(q), 1.0):
         raise InvalidInput(f"line needs two distinct points, got {p!r} twice")
@@ -302,16 +302,15 @@ def zero_radius_at(p: ExtendedPoint | complex) -> Cycle:
 # ---------------------------------------------------------------------------
 
 def _binary_scaled(C: tuple) -> tuple:
-    """The quadruple C as given when its scale is in [2^-100, 2^99), else
-    scaled exactly by a power of two to a largest component in [0.5, 1), as
-    products of it may overflow or underflow a float there: a Cycle for a
-    Cycle, a tuple for the bare quadruple of ``from_line``."""
+    """The quadruple C, a Cycle or the bare (k, l, n, m) of ``from_line``, as
+    given when its scale is in [2^-100, 2^99), else a Cycle of it scaled
+    exactly by a power of two to a largest component in [0.5, 1), as
+    products of it may overflow or underflow a float there."""
     k, l, n, m = C
     if _KEPT_LOW <= (s := max(abs(k), abs(l), abs(n), abs(m))) < _KEPT_HIGH:
         return C
     e = math.frexp(s)[1]
-    scaled = tuple(math.ldexp(x, -e) for x in C)
-    return Cycle(*scaled) if isinstance(C, Cycle) else scaled
+    return Cycle(*(math.ldexp(x, -e) for x in C))
 
 
 def _reading(C: Cycle, tol: Tolerances) -> tuple[Cycle, float, float, bool, bool]:

@@ -623,13 +623,6 @@ def _cycle_tangent_direction(C: Cycle, p: ExtendedPoint) -> complex:
     return 1j * (B.k * p.as_complex() - complex(B.l, B.n))
 
 
-def _off_curve(p: ExtendedPoint, where: str) -> PointNotOnCurve:
-    """The refusal of a point that misses the curve, or one of two curves, of
-    a query of direction: each such query calls the membership kernel
-    ``_member`` of every curve itself, and this only where one says no."""
-    return PointNotOnCurve(f"point {p.format()} is not on {where}")
-
-
 def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Crossing angle of two curves at a common point: the phase of the
     ratio of their velocities there (``Loxodrome._velocity``), folded
@@ -641,7 +634,7 @@ def intersection_angle(T: LoxodromeTriple, Tp: LoxodromeTriple, p, tol: Toleranc
     if report.member:
         report, wp = loxp._member(p)
     if not report.member:
-        raise _off_curve(p, "both curves")
+        raise PointNotOnCurve(f"point {p.format()} is not on both curves")
     return _fold_half_open(cmath.phase(lox._velocity(p, w) * loxp._velocity(p, wp).conjugate()))
 
 
@@ -656,7 +649,7 @@ def tangent_check(T: LoxodromeTriple, C: Cycle, p, tol: Tolerances = DEFAULT_TOL
     lox = _prepared(T, tol)
     report, w = lox._member(p)
     if not report.member:
-        raise _off_curve(p, "the curve")
+        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
     if not passes(C, p, tol):
         return False
     turn = cmath.phase(_cycle_tangent_direction(C, p) / lox._velocity(p, w))
@@ -673,7 +666,7 @@ def tangent_line_at(T: LoxodromeTriple, p, tol: Tolerances = DEFAULT_TOLERANCES)
     lox = _prepared(T, tol)
     report, w = lox._member(p)
     if not report.member:
-        raise _off_curve(p, "the curve")
+        raise PointNotOnCurve(f"point {p.format()} is not on the curve")
     direction = lox._velocity(p, w)
     speed = abs(direction)
     if speed == 0 or not math.isfinite(speed):
